@@ -61,7 +61,7 @@ def main() -> int:
             raise SystemExit(f"{name}: not safe")
         (out_dir / f"{name}.net").write_text(write_net(net, m0))
         count += 1
-        print(f"{name}: {len(net.places)} places, {len(space.markings)} states")
+        print(f"{name}: {len(net.places)} places, {len(space)} states")
     print(f"wrote {count} nets to {out_dir}/")
     return 0
 

@@ -39,8 +39,10 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 
 # Cooperative timeout: wall-clock signals are nondeterministic, so --timeout
-# is converted into a state budget at a fixed nominal exploration rate.
-NOMINAL_STATES_PER_SECOND = 50_000
+# is converted into a state budget at a fixed nominal exploration rate: the
+# explorer's median rate on the product_explore benchmark workload (CPython
+# 3.11 on a 2-core x86-64 container), rounded down.
+NOMINAL_STATES_PER_SECOND = 230_000
 
 
 class CliError(Exception):
@@ -253,7 +255,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     space = explore(
         net, m0, max_states=_effective_max_states(args), max_token=args.max_token
     )
-    print(f"states {len(space.markings)} status {space.status} "
+    print(f"states {len(space)} status {space.status} "
           f"safe {'yes' if is_safe(space) else 'no'}")
     if args.conc:
         if not space.is_complete:
@@ -323,7 +325,7 @@ def _bench_row(
     accelerated = conc_mod.matrix(graph, rel2).restrict(net.places)
     conc_ok = accelerated == oracle_concurrency(space1, net.places)
 
-    work = len(space1.markings) + len(space2.markings)
+    work = len(space1) + len(space2)
     row = "\t".join([
         name,
         str(len(net.places)),
@@ -376,7 +378,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-token", type=int, default=1,
                         help="per-place token cap during exploration")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="budget in seconds, converted to a state count")
+                        help="budget in seconds, converted to a state count at "
+                             f"a nominal {NOMINAL_STATES_PER_SECOND:,} states/s")
     parser.add_argument("--seed", type=int, default=0,
                         help="PRNG seed for benchmark targets")
     parser.add_argument("--output", default=None,

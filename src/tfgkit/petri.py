@@ -3,13 +3,37 @@
 The explorer doubles as the ground-truth oracle: every accelerated answer in
 this package can be checked against a complete breadth-first enumeration at
 desk scale.
+
+Packed markings
+---------------
+Inside the explorer a marking is one Python ``int``.  Place ``i`` of
+``net.places`` owns bits ``[i*w, (i+1)*w)``: ``w - 1`` value bits holding its
+token count, topped by a guard bit that a stored marking always keeps clear.
+The value bits hold ``max_token`` plus the largest arc weight, which bounds
+both a successor before its token check and every pre weight, and every
+count of ``m0``.  With ``G`` the mask of all guard bits, each transition is
+compiled once into the ints ``pre`` and ``post`` of its arc weights, and
+
+- it is enabled at ``m`` when ``((m | G) - pre) & G == G``: the set guards
+  stop a short field from borrowing from its neighbour, and a guard survives
+  the subtraction exactly when its field holds the pre weight;
+- firing it gives ``m - pre + post``;
+- a successor ``m2`` exceeds ``max_token`` on some place when
+  ``(m2 + cap) & G`` is nonzero, where ``cap`` holds
+  ``2**(w-1) - 1 - max_token`` in every field.
+
+One encoding serves safe nets (``max_token=1``) and bounded ones alike.
+:class:`StateSpace` keeps the packed set; ``len(space)`` and ``m in space``
+work on it directly, and ``space.markings`` decodes it to :class:`Marking`
+objects once, on first access.  ``Marking``, :func:`enabled`, :func:`fire`
+and :func:`random_walk` remain the public API at the edges.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from tfgkit.relation import ConcurrencyMatrix
@@ -123,28 +147,76 @@ class PetriNet:
         return self.post.get(t, {})
 
 
-@dataclass(frozen=True)
+class _Packing:
+    """Field layout of packed markings over ``places`` (see the module doc)."""
+
+    __slots__ = ("places", "index", "bits", "width", "ones", "guards")
+
+    def __init__(self, places: tuple[str, ...], bits: int):
+        self.places = places
+        self.index = {p: i for i, p in enumerate(places)}
+        self.bits = bits
+        self.width = bits + 1
+        self.ones = sum(1 << (i * self.width) for i in range(len(places)))
+        self.guards = self.ones << bits
+
+    def vector(self, counts: Mapping[str, int]) -> int:
+        """Packed form of a count per place; every place must be in the layout."""
+        return sum(n << (self.index[p] * self.width) for p, n in counts.items())
+
+    def encode(self, m: Marking) -> int | None:
+        """Packed form of ``m``, or None when no field can hold it: it names a
+        place outside the layout or a count too wide for the value bits."""
+        limit = 1 << self.bits
+        out = 0
+        for p, n in m._tokens.items():
+            i = self.index.get(p)
+            if i is None or n >= limit:
+                return None
+            out |= n << (i * self.width)
+        return out
+
+    def decode(self, m: int) -> Marking:
+        mask = (1 << self.bits) - 1
+        tokens = {}
+        for p in self.places:
+            if not m:
+                break
+            if m & mask:
+                tokens[p] = m & mask
+            m >>= self.width
+        return Marking(tokens)
+
+
 class StateSpace:
     """Result of an exploration.
 
     ``status`` is either ``"complete"`` or ``"truncated(<reason>)"`` where the
-    reason names the limit that was hit.  ``edges`` is only populated when the
-    explorer was asked to record them.
+    reason names the limit that was hit.  ``len(space)`` counts the stored
+    markings and ``m in space`` tests one, both without decoding the packed
+    set; ``markings`` decodes it on first access.
     """
 
-    markings: frozenset[Marking]
-    initial: Marking
-    status: str
-    edges: Mapping[Marking, tuple[tuple[str, Marking], ...]] | None = field(
-        default=None, compare=False
-    )
+    def __init__(self, packing: _Packing, packed: frozenset[int], initial: Marking, status: str):
+        self._packing = packing
+        self._packed = packed
+        self.initial = initial
+        self.status = status
 
     @property
     def is_complete(self) -> bool:
         return self.status == COMPLETE
 
+    @cached_property
+    def markings(self) -> frozenset[Marking]:
+        return frozenset(map(self._packing.decode, self._packed))
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
     def __contains__(self, m: Marking) -> bool:
-        return m in self.markings
+        packed = self._packing.encode(m)
+        return packed is not None and packed in self._packed
 
 
 def truncated(reason: str) -> str:
@@ -178,59 +250,72 @@ def explore(
     m0: Marking,
     max_states: int = 100_000,
     max_token: int = 1,
-    record_edges: bool = False,
 ) -> StateSpace:
     """Breadth-first closure of ``m0`` under firing.
 
     Stops as soon as the visited set would exceed ``max_states`` or a fired
     marking holds more than ``max_token`` tokens on some place; the returned
     status names the limit.  The marking set itself does not depend on
-    transition declaration order, only the truncation point does.
+    transition declaration order, only the truncation point does.  Raises
+    ValueError when ``m0`` marks a place outside ``net.places``.
     """
     if max_states < 1 or max_token < 1:
         raise ValueError("limits must be at least 1")
-    edges: dict[Marking, tuple[tuple[str, Marking], ...]] | None = {} if record_edges else None
-    seen: set[Marking] = {m0}
+    stray = m0.support() - set(net.places)
+    if stray:
+        raise ValueError(f"initial marking names non-places {sorted(stray)}")
+    weights = [w for side in (net.pre, net.post) for arcs in side.values() for w in arcs.values()]
+    widest = max([max_token + max(weights, default=0)] + [n for _, n in m0.items()])
+    packing = _Packing(net.places, widest.bit_length())
+    start = packing.encode(m0)
     if any(n > max_token for _, n in m0.items()):
-        return StateSpace(frozenset(seen), m0, truncated("max-token"), edges)
-    queue: deque[Marking] = deque([m0])
+        return StateSpace(packing, frozenset([start]), m0, truncated("max-token"))
+    guards = packing.guards
+    cap = packing.ones * ((1 << packing.bits) - 1 - max_token)
+    moves = []
+    for t in net.transitions:
+        pre = packing.vector(net.pre_of(t))
+        moves.append((pre, packing.vector(net.post_of(t)) - pre))
+    seen = {start}
+    order = [start]  # the BFS queue: the loop below reads it while appending
     status = COMPLETE
-    while queue:
-        m = queue.popleft()
-        out: list[tuple[str, Marking]] = []
-        for t in enabled(net, m):
-            m2 = fire(net, m, t)
-            out.append((t, m2))
+    for m in order:
+        armed = m | guards
+        for pre, delta in moves:
+            if (armed - pre) & guards != guards:
+                continue
+            m2 = m + delta
             if m2 in seen:
                 continue
-            if any(n > max_token for _, n in m2.items()):
+            if (m2 + cap) & guards:
                 status = truncated("max-token")
-                queue.clear()
                 break
             if len(seen) >= max_states:
                 status = truncated("max-states")
-                queue.clear()
                 break
             seen.add(m2)
-            queue.append(m2)
+            order.append(m2)
         else:
-            if edges is not None:
-                edges[m] = tuple(out)
             continue
         break
-    return StateSpace(frozenset(seen), m0, status, edges)
+    return StateSpace(packing, frozenset(seen), m0, status)
 
 
 def is_safe(space: StateSpace) -> bool:
     """True when every stored marking is 1-bounded."""
-    return all(m.is_safe for m in space.markings)
+    packing = space._packing
+    union = 0
+    for m in space._packed:
+        union |= m
+    # a count above 1 anywhere leaves a value bit above its field's lowest
+    return not union & packing.ones * ((1 << packing.bits) - 2)
 
 
 def oracle_reachable(space: StateSpace, m: Marking) -> bool:
     """Exact membership test; refuses truncated spaces."""
     if not space.is_complete:
         raise IncompleteStateSpaceError(space.status)
-    return m in space.markings
+    return m in space
 
 
 def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyMatrix:
@@ -242,12 +327,25 @@ def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyM
     if not space.is_complete:
         raise IncompleteStateSpaceError(space.status)
     mat = ConcurrencyMatrix(places, fill=0)
-    for m in space.markings:
-        marked = [p for p in mat.order if m[p] > 0]
-        for i, p in enumerate(marked):
-            for q in marked[i:]:
-                if mat.get(p, q) != 1:
-                    mat.set(p, q, 1)
+    packing = space._packing
+    ones, guards, width = packing.ones, packing.guards, packing.width
+    # rows[i]: guard bits of every place marked together with layout place i
+    rows = [0] * len(packing.places)
+    for occupied in {((m | guards) - ones) & guards for m in space._packed}:
+        rest = occupied
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() // width - 1] |= occupied
+            rest ^= low
+    guard_of = {p: 1 << ((i + 1) * width - 1) for p, i in packing.index.items()}
+    for i, p in enumerate(mat.order):
+        k = packing.index.get(p)
+        if k is None or not rows[k]:
+            continue
+        row = rows[k]
+        for q in mat.order[: i + 1]:
+            if row & guard_of.get(q, 0):
+                mat.set(p, q, 1)
     return mat
 
 

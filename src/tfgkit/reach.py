@@ -43,30 +43,6 @@ class ReachVerdict:
     projected: Marking | None = None
 
 
-def bottom_up(
-    graph: tfg.TokenFlowGraph,
-    c: dict[str, int],
-    v: str,
-    visited: set[str] | None = None,
-) -> None:
-    """Fill in ``v`` (and everything below it) from the leaves upwards.
-
-    Nodes with agglomeration children receive the sum of those children; all
-    other values must already be present in ``c``.  Each node is processed
-    once per ``visited`` set.
-    """
-    if visited is None:
-        visited = set()
-    if v in visited:
-        return
-    visited.add(v)
-    for w in graph.children[v]:
-        bottom_up(graph, c, w, visited)
-    splits = graph.a_children[v]
-    if splits:
-        c[v] = sum(c[w] for w in splits)
-
-
 def project(graph: tfg.TokenFlowGraph, target: Marking) -> Marking | None:
     """Unique reduced-net marking compatible with ``target``, or None.
 
@@ -77,11 +53,7 @@ def project(graph: tfg.TokenFlowGraph, target: Marking) -> Marking | None:
     stray = target.support() - graph.p1
     if stray:
         raise ValueError(f"target mentions non-places {sorted(stray)}")
-    c = {p: target[p] for p in graph.p1}
-    c.update(graph.constants)
-    visited: set[str] = set()
-    for v in graph.nodes:
-        bottom_up(graph, c, v, visited)
+    c = tfg.bottom_up(graph, target)
     if not tfg.is_well_defined(graph, c):
         return None
     return tfg.restrict(c, graph.p2)
@@ -112,7 +84,7 @@ def decide(
         max_states=max_states,
         max_token=max_token,
     )
-    if projected in space.markings:
+    if projected in space:
         return ReachVerdict(REACHABLE, BACKEND_HIT, projected)
     if space.is_complete:
         return ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)

@@ -233,7 +233,7 @@ def validate_equivalence(
     for space in (space1, space2):
         if not space.is_complete:
             raise IncompleteStateSpaceError(space.status)
-    counts = dict(n1_markings=len(space1.markings), n2_markings=len(space2.markings))
+    counts = dict(n1_markings=len(space1), n2_markings=len(space2))
 
     def fail(condition: str, witness: dict[str, int], detail: str) -> ValidationReport:
         return ValidationReport(False, condition, witness, detail, **counts)
@@ -245,10 +245,10 @@ def validate_equivalence(
     )
 
     for m in sorted(space1.markings, key=lambda m: m.items()):
-        candidate = _extend_original(graph, m)
+        candidate = tfg.bottom_up(graph, m)
         if not tfg.is_well_defined(graph, candidate):
             return fail("A1", candidate, f"marking {m!r} of the input net does not extend")
-        if tfg.restrict(candidate, graph.p2) not in space2.markings:
+        if tfg.restrict(candidate, graph.p2) not in space2:
             return fail("A3", candidate, "extension restricts to an unreachable reduced marking")
 
     for m2 in sorted(space2.markings, key=lambda m: m.items()):
@@ -256,24 +256,13 @@ def validate_equivalence(
         if not extensions:
             return fail("A1", dict(m2.items()), f"marking {m2!r} of the reduced net does not extend")
         for c in extensions:
-            if tfg.restrict(c, graph.p1) not in space1.markings:
+            if tfg.restrict(c, graph.p1) not in space1:
                 return fail("A3", c, "extension restricts to an unreachable input marking")
 
-    initial = _extend_original(graph, m0)
+    initial = tfg.bottom_up(graph, m0)
     if not tfg.is_well_defined(graph, initial) or tfg.restrict(
         initial, graph.p2
     ) != result.reduced_marking:
         return fail("A2", initial, "initial markings do not share a configuration")
 
     return ValidationReport(True, **counts)
-
-
-def _extend_original(graph: tfg.TokenFlowGraph, m: Marking) -> dict[str, int]:
-    from tfgkit.reach import bottom_up
-
-    c = {p: m[p] for p in graph.p1}
-    c.update(graph.constants)
-    visited: set[str] = set()
-    for v in graph.nodes:
-        bottom_up(graph, c, v, visited)
-    return c

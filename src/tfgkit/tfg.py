@@ -267,9 +267,9 @@ def violations(
         found.append(
             Violation("T3", (src, dst), f"arc {src}->{dst} is both redundancy and agglomeration")
         )
+    a_targets = {dst for _, dst in graph.a_arcs}
     for v in graph.nodes:
-        a_in = [src for src, dst in graph.a_arcs if dst == v]
-        if a_in and len(graph.parents[v]) > 1:
+        if v in a_targets and len(graph.parents[v]) > 1:
             found.append(
                 Violation(
                     "T3",
@@ -367,6 +367,25 @@ def is_well_defined(graph: TokenFlowGraph, c: Configuration) -> bool:
         if name in c and c[name] != value:
             return False
     return True
+
+
+def bottom_up(graph: TokenFlowGraph, m: Marking) -> dict[str, int]:
+    """Configuration read upwards from a marking of the original places.
+
+    The original places take their counts from ``m`` (absent means zero) and
+    constants their stored values; every node with agglomeration children
+    then receives the sum of those children.  One pass in reverse
+    topological order, so the depth of the graph costs no stack.  The
+    result need not be well defined; redundancy targets outside the
+    original places stay undefined.
+    """
+    c = {p: m[p] for p in graph.p1}
+    c.update(graph.constants)
+    for v in reversed(graph.topo_order):
+        splits = graph.a_children[v]
+        if splits:
+            c[v] = sum(c[w] for w in splits)
+    return c
 
 
 def restrict(c: Configuration, places: Iterable[str]) -> Marking:

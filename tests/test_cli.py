@@ -105,7 +105,7 @@ class TestReach:
         path = tmp_path / "choice.net"
         path.write_text(write_net(net, m0))
         code = main([
-            "reach", str(path), query(tmp_path, "c_m2=1"), "--timeout", "0.00004",
+            "reach", str(path), query(tmp_path, "c_m2=1"), "--timeout", "0.00001",
         ])
         assert code == EXIT_UNKNOWN
         capsys.readouterr()

@@ -1,9 +1,12 @@
 """Net semantics, exploration, and the brute-force oracles."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tfgkit import generators
 from tfgkit.petri import (
     IncompleteStateSpaceError,
     Marking,
@@ -102,10 +105,6 @@ class TestExplore:
     def test_initial_always_present(self):
         space = explore(U1, Marking({}), max_states=1, max_token=10)
         assert Marking({}) in space.markings
-
-    def test_edges_recorded_on_request(self):
-        space = explore(T1, Marking({"a": 1}), record_edges=True)
-        assert space.edges[Marking({"a": 1})] == (("t", Marking({"b": 1})),)
 
 
 class TestOracles:
@@ -224,3 +223,92 @@ class TestProperties:
     def test_safe_corpus_spaces_are_one_bounded(self, corpus):
         for inst in corpus:
             assert is_safe(inst.space1), inst.name
+
+
+def reference_explore(net, m0, max_states, max_token):
+    """Breadth-first search over the public ``enabled``/``fire``, with the
+    explorer's truncation rules: (marking set, status)."""
+    seen = {m0}
+    if any(n > max_token for _, n in m0.items()):
+        return seen, "truncated(max-token)"
+    queue = deque([m0])
+    while queue:
+        m = queue.popleft()
+        for t in enabled(net, m):
+            m2 = fire(net, m, t)
+            if m2 in seen:
+                continue
+            if any(n > max_token for _, n in m2.items()):
+                return seen, "truncated(max-token)"
+            if len(seen) >= max_states:
+                return seen, "truncated(max-states)"
+            seen.add(m2)
+            queue.append(m2)
+    return seen, "complete"
+
+
+@st.composite
+def weighted_nets(draw):
+    n_places = draw(st.integers(1, 5))
+    places = tuple(f"p{i}" for i in range(n_places))
+    transitions = tuple(f"t{i}" for i in range(draw(st.integers(0, 5))))
+    arcs = st.dictionaries(st.sampled_from(places), st.integers(1, 3), max_size=3)
+    pre = {t: draw(arcs) for t in transitions}
+    post = {t: draw(arcs) for t in transitions}
+    m0 = Marking({p: draw(st.integers(0, 3)) for p in places})
+    return PetriNet(places, transitions, pre, post), m0
+
+
+nets_under_test = st.one_of(
+    weighted_nets(),
+    st.integers(0, 10_000).map(generators.composite),
+)
+
+
+class TestPackedKernel:
+    """The packed explorer and oracles against plain Marking-level scans."""
+
+    @given(nets_under_test, st.integers(1, 3), st.integers(1, 300))
+    @example((PetriNet(("a", "b"), ("t",), {}, {"t": {"a": 3}}), Marking({"a": 1})), 1, 10)
+    def test_explore_matches_reference(self, net_m0, max_token, max_states):
+        net, m0 = net_m0
+        space = explore(net, m0, max_states=max_states, max_token=max_token)
+        expected, status = reference_explore(net, m0, max_states, max_token)
+        assert space.markings == frozenset(expected)
+        assert space.status == status
+        assert len(space) == len(expected)
+        assert all(m in space for m in expected)
+        assert is_safe(space) == all(m.is_safe for m in expected)
+
+    @given(nets_under_test, st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_concurrency_matches_pairwise_scan(self, net_m0, max_token, rng):
+        net, m0 = net_m0
+        space = explore(net, m0, max_states=300, max_token=max_token)
+        if not space.is_complete:
+            return
+        order = list(net.places) + ["elsewhere"]  # a non-place row stays all zero
+        rng.shuffle(order)
+        order.pop(rng.randrange(len(order)))  # and a missing place is no row
+        mat = oracle_concurrency(space, order)
+        ones = 0
+        for i, p in enumerate(order):
+            for q in order[: i + 1]:
+                value = int(any(m[p] > 0 and m[q] > 0 for m in space.markings))
+                assert mat.get(p, q) == value, (p, q)
+                ones += value
+        assert mat.writes == ones
+
+    def test_count_wider_than_its_field_is_not_stored(self):
+        space = explore(T1, Marking({"a": 1}))
+        for n in range(2, 100):
+            assert Marking({"a": n}) not in space
+            assert Marking({"b": n}) not in space
+
+    @given(nets_under_test)
+    def test_outside_places(self, net_m0):
+        net, m0 = net_m0
+        space = explore(net, m0, max_states=50, max_token=3)
+        assert Marking({"elsewhere": 1}) not in space
+        assert Marking({**dict(m0.items()), "elsewhere": 1}) not in space
+        with pytest.raises(ValueError):
+            explore(net, Marking({**dict(m0.items()), "elsewhere": 1}))

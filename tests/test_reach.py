@@ -3,10 +3,13 @@
 import pytest
 
 from conftest import marking_key
+from tfgkit.generators import chain_line
+from tfgkit.net_io import TaggedEquation
 from tfgkit.net_io import parse_equations, parse_net
 from tfgkit.petri import (
     IncompleteStateSpaceError,
     Marking,
+    PetriNet,
     explore,
     oracle_reachable,
     random_walk,
@@ -19,13 +22,12 @@ from tfgkit.reach import (
     REACHABLE,
     UNKNOWN,
     UNREACHABLE,
-    bottom_up,
     decide,
     partition,
     project,
 )
-from tfgkit.reductions import build_graph, reduce
-from tfgkit.tfg import build, enumerate_extensions, restrict
+from tfgkit.reductions import ReductionResult, build_graph, reduce
+from tfgkit.tfg import bottom_up, build, enumerate_extensions, restrict
 
 CASCADE_TEXT = """\
 # R |- p5 = p4
@@ -47,23 +49,51 @@ def cascade():
 
 class TestBottomUp:
     def test_doubled_roots_double_the_heads(self, cascade):
-        c = {p: 0 for p in CASCADE_P1}
-        c.update({"p1": 2, "p3": 1, "p4": 1, "p5": 1})
-        for v in cascade.nodes:
-            bottom_up(cascade, c, v)
+        c = bottom_up(cascade, Marking({"p1": 2, "p3": 1, "p4": 1, "p5": 1}))
         assert c["a1"] == 2
         assert c["a2"] == 2
 
     def test_isolated_node_untouched(self, cascade):
-        c = {p: 0 for p in CASCADE_P1}
-        bottom_up(cascade, c, "p0")
-        assert c["p0"] == 0
+        c = bottom_up(cascade, Marking({"p0": 1}))
+        assert c["p0"] == 1
 
     def test_zero_marking_zeroes_variables(self, cascade):
-        c = {p: 0 for p in CASCADE_P1}
-        for v in cascade.nodes:
-            bottom_up(cascade, c, v)
+        c = bottom_up(cascade, Marking({}))
         assert c["a1"] == 0 and c["a2"] == 0
+
+
+def closed_form_chain(length: int):
+    """``chain_line(length)`` with its agglomeration chain written out:
+    ``a1 = p1 + p2``, ``a<i> = a<i-1> + p<i+1>``, a TFG ``length`` arcs deep."""
+    net, m0 = chain_line(length).build()
+    p = [f"h_p{i}" for i in range(length + 1)]
+    equations = [TaggedEquation("A", "a1", terms=(p[1], p[2]))]
+    equations += [
+        TaggedEquation("A", f"a{i}", terms=(f"a{i - 1}", p[i + 1])) for i in range(2, length)
+    ]
+    top = f"a{length - 1}"
+    reduced = PetriNet(
+        (p[0], top),
+        ("h_t1", "h_wrap"),
+        {"h_t1": {p[0]: 1}, "h_wrap": {top: 1}},
+        {"h_t1": {top: 1}, "h_wrap": {p[0]: 1}},
+    )
+    return net, m0, ReductionResult(reduced, Marking({p[0]: 1}), tuple(equations), 0.0)
+
+
+class TestDepth:
+    """Chains far past the interpreter's recursion limit."""
+
+    def test_project_and_decide_on_5000_step_chain(self):
+        net, m0, result = closed_form_chain(5000)
+        graph = build_graph(net, result)
+        target = Marking({"h_p4321": 1})
+        assert project(graph, target) == Marking({"a4999": 1})
+        assert project(graph, Marking({"h_p1": 1, "h_p5000": 1})) == Marking({"a4999": 2})
+        verdict = decide(net, m0, target, result)
+        assert (verdict.answer, verdict.reason) == (REACHABLE, BACKEND_HIT)
+        verdict = decide(net, m0, Marking({"h_p0": 1, "h_p9": 1}), result)
+        assert (verdict.answer, verdict.reason) == (UNREACHABLE, BACKEND_EXHAUSTED)
 
 
 class TestProject:
