@@ -149,11 +149,13 @@ def cmd_reach(args: argparse.Namespace) -> int:
     except net_io.ParseError as exc:
         raise CliError(f"{args.query}: {exc}") from exc
     result = _reduction_inputs(net, m0, args)
-    _build_graph(net, result)
-    verdict = reach.decide(
-        net, m0, target, result,
-        max_states=_effective_max_states(args), max_token=args.max_token,
-    )
+    try:
+        verdict = reach.decide(
+            net, m0, target, result,
+            max_states=_effective_max_states(args), max_token=args.max_token,
+        )
+    except tfg.NotWellFormedError as exc:
+        raise CliError(f"equations are not well formed: {exc}") from exc
     print(f"{verdict.answer.upper()} {verdict.reason}")
     if verdict.answer == reach.REACHABLE:
         return EXIT_OK
@@ -220,20 +222,8 @@ def cmd_conc(args: argparse.Namespace) -> int:
 
 def cmd_tfg_check(args: argparse.Namespace) -> int:
     net, m0 = _load_net(args.net, args.format)
-    if args.equations is None:
-        result = reductions.reduce(net, m0)
-        equations = result.equations
-        p2 = result.reduced_net.places
-    else:
-        try:
-            equations = tuple(net_io.parse_equations(_read_text(args.equations)))
-        except net_io.ParseError as exc:
-            raise CliError(f"{args.equations}: {exc}") from exc
-        if args.reduced_net is None:
-            raise CliError("--equations needs --reduced-net for the reduced side")
-        net2, _ = _load_net(args.reduced_net, "net")
-        p2 = net2.places
-    graph, violations = tfg.check(equations, net.places, p2)
+    result = _reduction_inputs(net, m0, args)
+    graph, violations = tfg.check(result.equations, net.places, result.reduced_net.places)
     failed = {v.check_id for v in violations}
     for check_id in tfg.CHECK_IDS:
         status = "fail" if check_id in failed else "ok"

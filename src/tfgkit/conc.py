@@ -4,7 +4,9 @@ Given the exact concurrency relation of the reduced net over the graph roots,
 ``matrix`` reconstructs the full relation over every node without touching
 the original state space.  ``partial_matrix`` does the same from incomplete
 root knowledge, writing 1s by the same propagation and 0s by a fixpoint of
-six sound inference rules; cells it cannot settle stay unknown.
+six sound inference rules; cells it cannot settle stay unknown.  Both write
+their 1s through :func:`propagate`, one loop over the graph in topological
+order, so the depth of the graph costs no stack.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
@@ -45,38 +47,40 @@ def _pair_value(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix, v: str, w: s
     return rel2.get(v, w)
 
 
-def propagate(
-    graph: tfg.TokenFlowGraph,
-    matrix: ConcurrencyMatrix,
-    v: str,
-    visited: set[str] | None = None,
-    write=None,
-) -> None:
-    """Mark the whole cone under a nondead node ``v`` as live.
+def propagate(graph: tfg.TokenFlowGraph, sources, value, write) -> None:
+    """Write the 1s that the live ``sources`` force, in one pass.
 
-    Writes 1 between ``v`` and each of its successors, recurses on children
-    (each node once per ``visited`` set), and for every redundancy arc
-    ``v -> w`` marks the two sides of the split, successors of ``v`` outside
-    the cone of ``w`` against successors of ``w``, as pairwise concurrent.
-    Only 1s are written, so repeated calls are idempotent.
+    A source ``v`` is live when ``value(v, v) == 1``.  Every node in the
+    union of the live sources' successor cones is expanded once, in
+    ``graph.topo_order``: it is concurrent with each of its successors, and
+    for every redundancy arc ``v -> w`` the two sides of the split,
+    successors of ``v`` outside the cone of ``w`` against successors of
+    ``w``, are pairwise concurrent.  Then each source pair with
+    ``value(v, w) == 1`` makes the two cones pairwise concurrent.
+    ``write(a, b)`` records one 1; only 1s are written, so repeated calls
+    are idempotent.
     """
-    if write is None:
-        write = lambda a, b: matrix.set(a, b, 1)
-    if visited is None:
-        visited = set()
-    if v in visited:
-        return
-    visited.add(v)
-    succ_v = graph.successors(v)
-    for w in succ_v:
-        write(v, w)
-    for w in graph.children[v]:
-        propagate(graph, matrix, w, visited, write)
-    for w in graph.r_children[v]:
-        succ_w = graph.successors(w)
-        for a in succ_v - succ_w:
-            for b in succ_w:
-                write(a, b)
+    cone: set[str] = set()
+    for v in sources:
+        if value(v, v) == 1:
+            cone |= graph.successors(v)
+    for v in graph.topo_order:
+        if v not in cone:
+            continue
+        succ_v = graph.successors(v)
+        for w in succ_v:
+            write(v, w)
+        for w in graph.r_children[v]:
+            succ_w = graph.successors(w)
+            for a in succ_v - succ_w:
+                for b in succ_w:
+                    write(a, b)
+    for v, w in combinations(sources, 2):
+        if value(v, w) == 1:
+            succ_w = graph.successors(w)
+            for a in graph.successors(v):
+                for b in succ_w:
+                    write(a, b)
 
 
 def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
@@ -84,24 +88,19 @@ def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMat
 
     ``rel2`` must be complete and cover exactly the non-constant roots (the
     reduced net's places).  Cell writes are bounded cubically in the node
-    count: one cone propagation per root plus one product per concurrent
-    root pair.
+    count: one expansion per node under a nondead root plus one product per
+    concurrent root pair.
     """
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
         raise ValueError("rel2 order must match the reduced places")
     if not rel2.is_complete():
         raise IncompleteInputError("rel2 has unknown cells")
     out = ConcurrencyMatrix(graph.nodes, fill=0)
-    visited: set[str] = set()
-    for v in graph.roots:
-        if _pair_value(graph, rel2, v, v) == 1:
-            propagate(graph, out, v, visited)
-    for v, w in combinations(graph.roots, 2):
-        if _pair_value(graph, rel2, v, w) == 1:
-            succ_w = graph.successors(w)
-            for a in graph.successors(v):
-                for b in succ_w:
-                    out.set(a, b, 1)
+    propagate(
+        graph, graph.roots,
+        lambda v, w: _pair_value(graph, rel2, v, w),
+        lambda a, b: out.set(a, b, 1),
+    )
     return out
 
 
@@ -148,17 +147,7 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
             write(v, v, value)
 
     # 1-propagation from known-nondead roots
-    ones = lambda a, b: write(a, b, 1)
-    visited: set[str] = set()
-    for v in roots:
-        if out.get(v, v) == 1:
-            propagate(graph, out, v, visited, ones)
-    for v, w in combinations(roots, 2):
-        if out.get(v, w) == 1:
-            succ_w = graph.successors(w)
-            for a in graph.successors(v):
-                for b in succ_w:
-                    ones(a, b)
+    propagate(graph, roots, out.get, lambda a, b: write(a, b, 1))
 
     _zero_fixpoint(graph, out, write)
     return out

@@ -193,17 +193,6 @@ def reduce(net: PetriNet, m0: Marking) -> ReductionResult:
     return ReductionResult(reduced_net, reduced_marking, tuple(w.equations), ratio)
 
 
-def removed_names(equations) -> set[str]:
-    """Names taken out of the net: redundancy lhs plus agglomeration rhs."""
-    out: set[str] = set()
-    for eq in equations:
-        if eq.tag == "R":
-            out.add(eq.lhs)
-        else:
-            out.update(eq.terms)
-    return out
-
-
 def build_graph(net: PetriNet, result: ReductionResult) -> tfg.TokenFlowGraph:
     """Token flow graph tying ``net`` to the reduced net of ``result``."""
     return tfg.build(result.equations, net.places, result.reduced_net.places)

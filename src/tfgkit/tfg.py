@@ -11,7 +11,7 @@ place, which is what makes projections and concurrency propagation cheap.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -75,41 +75,33 @@ class TokenFlowGraph:
     def _sorted(self, names: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(names, key=self._order.__getitem__))
 
+    def _adjacency(self, pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+        """For each node ``v``, the ``w`` of every pair ``(v, w)``, in node order."""
+        out: dict[str, list[str]] = {v: [] for v in self.nodes}
+        for v, w in pairs:
+            out[v].append(w)
+        return {v: self._sorted(ws) for v, ws in out.items()}
+
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
         """Targets of outgoing arcs, both kinds, in node order."""
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for src, dst in self.r_arcs | self.a_arcs:
-            out[src].add(dst)
-        return {v: self._sorted(out[v]) for v in self.nodes}
+        return self._adjacency(self.r_arcs | self.a_arcs)
 
     @cached_property
     def parents(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for src, dst in self.r_arcs | self.a_arcs:
-            out[dst].add(src)
-        return {v: self._sorted(out[v]) for v in self.nodes}
+        return self._adjacency((dst, src) for src, dst in self.r_arcs | self.a_arcs)
 
     @cached_property
     def a_children(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for src, dst in self.a_arcs:
-            out[src].add(dst)
-        return {v: self._sorted(out[v]) for v in self.nodes}
+        return self._adjacency(self.a_arcs)
 
     @cached_property
     def r_children(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for src, dst in self.r_arcs:
-            out[src].add(dst)
-        return {v: self._sorted(out[v]) for v in self.nodes}
+        return self._adjacency(self.r_arcs)
 
     @cached_property
     def r_parents(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for src, dst in self.r_arcs:
-            out[dst].add(src)
-        return {v: self._sorted(out[v]) for v in self.nodes}
+        return self._adjacency((dst, src) for src, dst in self.r_arcs)
 
     @cached_property
     def roots(self) -> tuple[str, ...]:
@@ -279,8 +271,6 @@ def violations(
             )
 
     if canonical_equations is not None:
-        from collections import Counter
-
         eq_count = Counter((lhs, rhs) for lhs, rhs in canonical_equations)
         group_count = Counter(
             (head, frozenset(members)) for head, members in graph.groups
@@ -456,65 +446,3 @@ def enumerate_extensions(
         configs = next_configs
     return configs
 
-
-def forward_propagate(
-    graph: TokenFlowGraph, c: Configuration, src: str, dst: str
-) -> dict[str, int]:
-    """Reroute the tokens under ``src`` so they all pass through ``dst``.
-
-    Returns a well-defined configuration that agrees with ``c`` outside the
-    successors of ``src`` and carries at least ``c[src]`` tokens on ``dst``.
-    ``c`` must be defined on the component of ``src`` and ``dst`` must be a
-    successor of ``src``.
-    """
-    cone = graph.successors(src)
-    if dst not in cone:
-        raise ValueError(f"{dst!r} is not a successor of {src!r}")
-    # one src -> dst path; splits along it route everything to the path child
-    path_next: dict[str, str] = {}
-    parent: dict[str, str] = {src: src}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            break
-        for w in graph.children[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    node = dst
-    while node != src:
-        path_next[parent[node]] = node
-        node = parent[node]
-
-    out = dict(c)
-    for v in graph.topo_order:
-        if v not in cone:
-            continue
-        if v != src and graph.r_parents[v]:
-            out[v] = sum(out[x] for x in graph.r_parents[v])
-        splits = graph.a_children[v]
-        if splits:
-            target = path_next.get(v)
-            if target not in splits:
-                target = splits[0]
-            for x in splits:
-                out[x] = out[v] if x == target else 0
-    return out
-
-
-def to_dot(graph: TokenFlowGraph) -> str:
-    """Graphviz rendering: dot arrowheads for redundancy arcs, open dots for
-    agglomeration arcs, boxed constants."""
-    lines = ["digraph tfg {"]
-    for v in graph.nodes:
-        if v in graph.constants:
-            lines.append(f'  "{v}" [shape=box, label="{graph.constants[v]}"];')
-        else:
-            lines.append(f'  "{v}";')
-    for src, dst in sorted(graph.r_arcs):
-        lines.append(f'  "{src}" -> "{dst}" [arrowhead=dot];')
-    for src, dst in sorted(graph.a_arcs):
-        lines.append(f'  "{src}" -> "{dst}" [arrowhead=odot];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

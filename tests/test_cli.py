@@ -203,6 +203,25 @@ class TestTfgCheck:
         assert "well-formed" not in out
 
 
+class TestIllFormedEquations:
+    """The equations of TestTfgCheck.test_violation_fails fail T3."""
+
+    @pytest.mark.parametrize("command", ["reach", "conc"])
+    def test_input_error(self, command, d1, tmp_path, capsys):
+        eq_path = tmp_path / "eq.txt"
+        eq_path.write_text("# R |- q = p\n# A |- a1 = q + r\n")
+        net2_path = tmp_path / "reduced.net"
+        net2_path.write_text("pl p 1\npl a1 0\n")
+        argv = [command, str(d1)]
+        if command == "reach":
+            argv.append(query(tmp_path, "q=1 r=1"))
+        argv += ["--equations", str(eq_path), "--reduced-net", str(net2_path)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: equations are not well formed: T3: ")
+
+
 class TestOracle:
     def test_summary_line(self, d1, capsys):
         code = main(["oracle", str(d1)])

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import marking_key
+from test_reach import closed_form_chain
 from tfgkit.conc import (
     IncompleteInputError,
     InconsistentInputError,
@@ -119,17 +120,22 @@ class TestCompleteMatrix:
                     assert mat.get(v, v) == 1 and mat.get(w, w) == 1
 
 
+def propagate_from(graph, mat, source):
+    """Write into ``mat`` the 1s that a live ``source`` forces."""
+    propagate(graph, (source,), lambda v, w: 1, lambda a, b: mat.set(a, b, 1))
+
+
 class TestPropagate:
     def test_leaf_touches_only_its_diagonal(self, cascade):
         mat = ConcurrencyMatrix(cascade.nodes, fill=0)
-        propagate(cascade, mat, "p5")
+        propagate_from(cascade, mat, "p5")
         assert mat.get("p5", "p5") == 1
         ones = [(v, w) for v, w, value in mat.cells() if value == 1]
         assert ones == [("p5", "p5")]
 
     def test_a2_cone_and_redundancy_split(self, cascade):
         mat = ConcurrencyMatrix(cascade.nodes, fill=0)
-        propagate(cascade, mat, "a2")
+        propagate_from(cascade, mat, "a2")
         for w in cascade.successors("a2"):
             assert mat.get("a2", w) == 1
         # a2 ->* a1 split: the non-a1 part of the cone against a1's cone
@@ -142,10 +148,24 @@ class TestPropagate:
 
     def test_idempotent(self, cascade):
         mat = ConcurrencyMatrix(cascade.nodes, fill=0)
-        propagate(cascade, mat, "a2")
+        propagate_from(cascade, mat, "a2")
         snapshot = mat.copy()
-        propagate(cascade, mat, "a2")
+        propagate_from(cascade, mat, "a2")
         assert mat == snapshot
+
+
+class TestDepth:
+    def test_matrix_on_1500_step_chain(self):
+        """Past the default recursion limit; every place of the chain is
+        concurrent with exactly the places it can share a state with."""
+        net, m0, result = closed_form_chain(1500)
+        graph = build_graph(net, result)
+        rel2 = oracle_concurrency(
+            explore(result.reduced_net, result.reduced_marking), result.reduced_net.places
+        )
+        mat = matrix(graph, rel2).restrict(net.places)
+        expected = oracle_concurrency(explore(net, m0), net.places)
+        assert mat == expected
 
 
 class TestPartialMatrix:

@@ -15,10 +15,8 @@ from tfgkit.tfg import (
     build,
     check,
     enumerate_extensions,
-    forward_propagate,
     is_well_defined,
     restrict,
-    to_dot,
 )
 
 CASCADE_TEXT = """\
@@ -251,33 +249,6 @@ class TestEquationCorrespondence:
                     assert self.equations_hold(equations, c, inst.graph.constants)
 
 
-class TestForwardPropagate:
-    def test_moves_token_down_one_path(self, cascade):
-        c = {"p0": 0, "p6": 1, "p1": 1, "p2": 0, "p3": 1, "p4": 0, "p5": 0,
-             "a1": 1, "a2": 1}
-        assert is_well_defined(cascade, c)
-        moved = forward_propagate(cascade, c, "a2", "p4")
-        assert is_well_defined(cascade, moved)
-        assert moved["p4"] >= c["a2"]
-        for v in cascade.nodes:
-            if v not in cascade.successors("a2"):
-                assert moved[v] == c[v]
-
-    def test_corpus_configurations(self, corpus):
-        for inst in corpus[:12]:
-            graph = inst.graph
-            for m2 in sorted(inst.space2.markings, key=marking_key):
-                roots = {p: m2[p] for p in inst.result.reduced_net.places}
-                for c in enumerate_extensions(graph, roots, bound=1)[:2]:
-                    for src in graph.nodes:
-                        if c[src] == 0:
-                            continue
-                        for dst in graph.successors(src):
-                            moved = forward_propagate(graph, c, src, dst)
-                            assert is_well_defined(graph, moved)
-                            assert moved[dst] >= c[src]
-
-
 class TestSafeConfigurations:
     def test_bound_one_keeps_values_binary(self, corpus):
         for inst in corpus:
@@ -293,13 +264,6 @@ class TestRestrict:
              "a1": 1, "a2": 1}
         m = restrict(c, CASCADE_P1)
         assert m == Marking({"p6": 1, "p1": 1, "p4": 1, "p5": 1})
-
-
-class TestDot:
-    def test_contains_both_arc_styles(self, cascade):
-        text = to_dot(cascade)
-        assert "p4" in text and "->" in text
-        assert "dot" in text and "odot" in text
 
 
 @st.composite
