@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -92,6 +93,8 @@ def _load_net(path: str, fmt: str) -> tuple[PetriNet, Marking]:
 def _effective_max_states(args: argparse.Namespace) -> int:
     budget = args.max_states
     if args.timeout is not None:
+        if not math.isfinite(args.timeout):
+            raise CliError(f"--timeout must be finite, got {args.timeout}")
         budget = min(budget, max(1, int(args.timeout * NOMINAL_STATES_PER_SECOND)))
     return budget
 
@@ -212,7 +215,7 @@ def cmd_conc(args: argparse.Namespace) -> int:
                 full = conc_mod.partial_matrix(graph, rel2)
             else:
                 full = conc_mod.matrix(graph, rel2)
-        except (conc_mod.IncompleteInputError, conc_mod.InconsistentInputError) as exc:
+        except (ValueError, conc_mod.IncompleteInputError, conc_mod.InconsistentInputError) as exc:
             raise CliError(str(exc)) from exc
         matrix = full.restrict(net.places)
     _write_output(args.output, net_io.write_matrix(conc_mod.to_document(matrix)))
@@ -360,20 +363,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE if failed else EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("auto", "net", "pnml"),
-                        default="auto", help="input net format")
-    parser.add_argument("--max-states", type=int, default=100_000,
-                        help="state budget for exploration")
-    parser.add_argument("--max-token", type=int, default=1,
-                        help="per-place token cap during exploration")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="budget in seconds, converted to a state count at "
-                             f"a nominal {NOMINAL_STATES_PER_SECOND:,} states/s")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="PRNG seed for benchmark targets")
-    parser.add_argument("--output", default=None,
-                        help="output file (default stdout)")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+_FLAGS = {
+    "--format": dict(choices=("auto", "net", "pnml"), default="auto",
+                     help="input net format"),
+    "--max-states": dict(type=_positive_int, default=100_000,
+                         help="state budget for exploration"),
+    "--max-token": dict(type=_positive_int, default=1,
+                        help="per-place token cap during exploration"),
+    "--timeout": dict(type=float, default=None,
+                      help="budget in seconds, converted to a state count at "
+                           f"a nominal {NOMINAL_STATES_PER_SECOND:,} states/s"),
+    "--seed": dict(type=int, default=0, help="PRNG seed for benchmark targets"),
+    "--output": dict(default=None, help="output file (default stdout)"),
+}
+_LIMITS = ("--max-states", "--max-token", "--timeout")
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("net")
     p.add_argument("--reduced-net", default=None,
                    help="write the reduced net to this file")
-    _add_common(p)
+    _add_flags(p, "--format", "--output")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("reach", help="decide reachability of a target marking")
@@ -397,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use externally produced equations")
     p.add_argument("--reduced-net", default=None,
                    help="reduced net matching --equations")
-    _add_common(p)
+    _add_flags(p, "--format", *_LIMITS)
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("conc", help="compute the place-concurrency matrix")
@@ -412,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use externally produced equations")
     p.add_argument("--reduced-net", default=None,
                    help="reduced net matching --equations")
-    _add_common(p)
+    _add_flags(p, "--format", *_LIMITS, "--output")
     p.set_defaults(func=cmd_conc)
 
     p = sub.add_parser("tfg-check",
@@ -422,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="equation file to check (default: reduce internally)")
     p.add_argument("--reduced-net", default=None,
                    help="reduced net matching --equations")
-    _add_common(p)
+    _add_flags(p, "--format")
     p.set_defaults(func=cmd_tfg_check)
 
     p = sub.add_parser("oracle", help="brute-force answers from the full net")
@@ -431,12 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional marking query file")
     p.add_argument("--conc", action="store_true",
                    help="also write the oracle concurrency matrix")
-    _add_common(p)
+    _add_flags(p, "--format", *_LIMITS, "--output")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="benchmark every *.net in a directory")
     p.add_argument("corpus")
-    _add_common(p)
+    _add_flags(p, *_LIMITS, "--seed", "--output")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -173,15 +173,6 @@ def m_motif() -> tuple[PetriNet, Marking]:
     return b.build()
 
 
-def unbounded_line() -> tuple[PetriNet, Marking]:
-    """Source transition pumping a place without bound; never explores to
-    completion."""
-    b = NetBuilder()
-    b.place("x")
-    b.transition("t", {}, {"x": 1})
-    return b.build()
-
-
 _BLOCKS = (
     lambda rng, prefix: ring(rng.randint(2, 6), prefix),
     lambda rng, prefix: fork_join(rng.randint(2, 4), prefix),

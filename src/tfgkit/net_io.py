@@ -77,7 +77,7 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
     def parse_arc(word: str, line: int) -> tuple[str, int]:
         if "*" in word:
             name, _, weight = word.partition("*")
-            if not weight.isdigit() or int(weight) < 1:
+            if not weight.isdecimal() or int(weight) < 1:
                 raise ParseError(f"bad arc weight in {word!r}", line)
             return name, int(weight)
         return word, 1
@@ -93,7 +93,7 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
             name = _check_name(words[1], lineno)
             if name in tokens or name in pre:
                 raise DuplicateNameError(f"name {name!r} already declared", lineno)
-            if not words[2].isdigit():
+            if not words[2].isdecimal():
                 raise ParseError(f"bad token count {words[2]!r}", lineno)
             places.append(name)
             tokens[name] = int(words[2])
@@ -146,6 +146,13 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _pnml_count(text: str | None, default: int, what: str) -> int:
+    """Nonnegative integer from a PNML ``<text>``; ``default`` when absent."""
+    if text and not text.isdecimal():
+        raise ParseError(f"bad {what} {text!r}")
+    return int(text) if text else default
+
+
 def parse_pnml(text: str) -> tuple[PetriNet, Marking]:
     """P/T subset of PNML: places, transitions, weighted arcs.
 
@@ -187,8 +194,9 @@ def parse_pnml(text: str) -> tuple[PetriNet, Marking]:
             if name in tokens or name in pre:
                 raise DuplicateNameError(f"id {name!r} already declared")
             places.append(name)
-            initial = text_of(el, "initialMarking")
-            tokens[name] = int(initial) if initial else 0
+            tokens[name] = _pnml_count(
+                text_of(el, "initialMarking"), 0, f"initial marking of {name!r}"
+            )
         elif kind == "transition":
             name = _check_name(el.get("id", ""), None)
             if name in tokens or name in pre:
@@ -201,11 +209,11 @@ def parse_pnml(text: str) -> tuple[PetriNet, Marking]:
         if _local(el.tag) != "arc":
             continue
         src, dst = el.get("source", ""), el.get("target", "")
-        arc_type = text_of(el, "type") or (el.find("type").get("value") if el.find("type") is not None else None)
+        type_el = next((child for child in el if _local(child.tag) == "type"), None)
+        arc_type = text_of(el, "type") or (type_el.get("value") if type_el is not None else None)
         if arc_type and arc_type != "normal":
             raise UnsupportedFeatureError(f"unsupported arc type {arc_type!r}")
-        inscription = text_of(el, "inscription")
-        weight = int(inscription) if inscription else 1
+        weight = _pnml_count(text_of(el, "inscription"), 1, f"arc weight on {src!r}->{dst!r}")
         if weight < 1:
             raise ParseError(f"bad arc weight {weight} on {src!r}->{dst!r}")
         if src in tokens and dst in pre:
@@ -275,7 +283,7 @@ def parse_equations(text: str) -> list[TaggedEquation]:
         terms = [term.strip() for term in rhs.split("+")]
         if any(not term for term in terms):
             raise ParseError("empty term on rhs", lineno)
-        if any(term.isdigit() for term in terms):
+        if any(term.isdecimal() for term in terms):
             if len(terms) != 1:
                 raise ParseError("a constant must be the only rhs term", lineno)
             eq = TaggedEquation(tag, lhs, constant=int(terms[0]))
@@ -357,6 +365,8 @@ def parse_matrix(text: str) -> MatrixDocument:
     names = header_line[1][len("# order:") :].split()
     for name in names:
         _check_name(name, header_line[0])
+    if len(set(names)) != len(names):
+        raise DuplicateNameError("name repeated in '# order:' header", header_line[0])
     if len(body) != len(names):
         raise ParseError(f"expected {len(names)} rows, found {len(body)}", header_line[0])
     rows = []
@@ -406,7 +416,7 @@ def parse_marking_query(text: str, places: Iterable[str] | None = None) -> Marki
     seen: dict[str, int] = {}
     for token in text.split():
         name, sep, value = token.partition("=")
-        if not sep or not value.isdigit():
+        if not sep or not value.isdecimal():
             raise ParseError(f"bad assignment {token!r}")
         _check_name(name, None)
         if name in seen:
@@ -415,7 +425,3 @@ def parse_marking_query(text: str, places: Iterable[str] | None = None) -> Marki
             raise UnknownPlaceError(f"unknown place {name!r}")
         seen[name] = int(value)
     return Marking(seen)
-
-
-def write_marking_query(m: Marking) -> str:
-    return " ".join(f"{p}={n}" for p, n in m.items())

@@ -1,7 +1,9 @@
 """Structural net reductions that emit linear reduction equations.
 
-Three rules are applied to a fixpoint, rescanning from the highest-priority
-rule after every hit and always scanning places in declaration order:
+Three rules are applied to a fixpoint.  Each round indexes every place's
+consumer and producer column once; the rules look their candidates up there,
+scanning places in declaration order, and every hit starts a new round from
+the highest-priority rule:
 
 1. constant place: a place no transition touches is removed and pinned to its
    initial marking;
@@ -67,12 +69,15 @@ class ValidationReport:
     n2_markings: int = 0
 
 
+# place -> {transition: arc weight}, in transition order
+_Columns = dict[str, dict[str, int]]
+
+
 class _Work:
-    """Mutable net under reduction."""
+    """Mutable net under reduction; place order is the key order of
+    ``marking``, transition order that of ``pre``."""
 
     def __init__(self, net: PetriNet, m0: Marking):
-        self.places = list(net.places)
-        self.transitions = list(net.transitions)
         self.pre = {t: dict(net.pre_of(t)) for t in net.transitions}
         self.post = {t: dict(net.post_of(t)) for t in net.transitions}
         self.marking = {p: m0[p] for p in net.places}
@@ -88,72 +93,58 @@ class _Work:
                 self.used_names.add(name)
                 return name
 
-    def drop_place(self, p: str) -> None:
-        self.places.remove(p)
-        del self.marking[p]
-        for t in self.transitions:
-            self.pre[t].pop(p, None)
-            self.post[t].pop(p, None)
-
-    def producers(self, p: str) -> list[str]:
-        return [t for t in self.transitions if self.post[t].get(p, 0) > 0]
-
-    def consumers(self, p: str) -> list[str]:
-        return [t for t in self.transitions if self.pre[t].get(p, 0) > 0]
-
-    def to_net(self) -> tuple[PetriNet, Marking]:
-        net = PetriNet(
-            tuple(self.places),
-            tuple(self.transitions),
-            {t: dict(self.pre[t]) for t in self.transitions},
-            {t: dict(self.post[t]) for t in self.transitions},
-        )
-        return net, Marking(self.marking)
+    def columns(self) -> tuple[_Columns, _Columns]:
+        """Consumer and producer columns, in one pass over the arcs."""
+        consumers: _Columns = {p: {} for p in self.marking}
+        producers: _Columns = {p: {} for p in self.marking}
+        for t, arcs in self.pre.items():
+            for p, n in arcs.items():
+                consumers[p][t] = n
+            for p, n in self.post[t].items():
+                producers[p][t] = n
+        return consumers, producers
 
 
-def _constant_once(w: _Work) -> bool:
-    for p in w.places:
-        touched = any(
-            w.pre[t].get(p, 0) or w.post[t].get(p, 0) for t in w.transitions
-        )
-        if not touched:
+def _constant_once(w: _Work, consumers: _Columns, producers: _Columns) -> bool:
+    for p in w.marking:
+        if not consumers[p] and not producers[p]:
             w.equations.append(TaggedEquation("R", p, constant=w.marking[p]))
             log.debug("constant place %s = %d", p, w.marking[p])
-            w.drop_place(p)
+            del w.marking[p]
             return True
     return False
 
 
-def _duplicate_once(w: _Work) -> bool:
-    for i, p in enumerate(w.places):
-        for q in w.places[i + 1 :]:
-            if w.marking[p] != w.marking[q]:
-                continue
-            same = all(
-                w.pre[t].get(p, 0) == w.pre[t].get(q, 0)
-                and w.post[t].get(p, 0) == w.post[t].get(q, 0)
-                for t in w.transitions
-            )
-            if same:
-                w.equations.append(TaggedEquation("R", q, terms=(p,)))
-                log.debug("duplicate place %s = %s", q, p)
-                w.drop_place(q)
-                return True
+def _duplicate_once(w: _Work, consumers: _Columns, producers: _Columns) -> bool:
+    # the first group with two members is the one whose first member comes
+    # earliest: the pair a pairwise scan in declaration order would pick
+    groups: dict[tuple, list[str]] = {}
+    for p in w.marking:
+        key = (w.marking[p], tuple(consumers[p].items()), tuple(producers[p].items()))
+        groups.setdefault(key, []).append(p)
+    for p, q, *_ in (g for g in groups.values() if len(g) > 1):
+        w.equations.append(TaggedEquation("R", q, terms=(p,)))
+        log.debug("duplicate place %s = %s", q, p)
+        del w.marking[q]
+        for t in consumers[q]:
+            del w.pre[t][q]
+        for t in producers[q]:
+            del w.post[t][q]
+        return True
     return False
 
 
-def _chain_once(w: _Work) -> bool:
-    for q in w.places:
-        producers = w.producers(q)
-        if len(producers) != 1:
+def _chain_once(w: _Work, consumers: _Columns, producers: _Columns) -> bool:
+    for q in w.marking:
+        if len(producers[q]) != 1:
             continue
-        t = producers[0]
+        (t,) = producers[q]
         if w.post[t] != {q: 1} or len(w.pre[t]) != 1:
             continue
         (p, weight), = w.pre[t].items()
         if weight != 1 or p == q:
             continue
-        if w.consumers(p) != [t]:
+        if list(consumers[p]) != [t]:
             continue
         # both ends must start empty so token counts stay reconstructible
         if w.marking[p] != 0 or w.marking[q] != 0:
@@ -161,19 +152,14 @@ def _chain_once(w: _Work) -> bool:
         a = w.fresh_variable()
         w.equations.append(TaggedEquation("A", a, terms=(p, q)))
         log.debug("chain agglomeration %s = %s + %s via %s", a, p, q, t)
-        w.places.append(a)
-        w.marking[a] = 0
-        for t2 in w.transitions:
-            if t2 == t:
-                continue
-            if p in w.post[t2]:
-                w.post[t2][a] = w.post[t2].get(a, 0) + w.post[t2].pop(p)
-            if q in w.pre[t2]:
-                w.pre[t2][a] = w.pre[t2].get(a, 0) + w.pre[t2].pop(q)
-        w.transitions.remove(t)
+        # t is neither a producer of p nor a consumer of q, since p != q
+        for t2 in producers[p]:
+            w.post[t2][a] = w.post[t2].pop(p)
+        for t2 in consumers[q]:
+            w.pre[t2][a] = w.pre[t2].pop(q)
         del w.pre[t], w.post[t]
-        w.drop_place(p)
-        w.drop_place(q)
+        w.marking[a] = 0
+        del w.marking[p], w.marking[q]
         return True
     return False
 
@@ -184,13 +170,14 @@ _RULES = (_constant_once, _duplicate_once, _chain_once)
 def reduce(net: PetriNet, m0: Marking) -> ReductionResult:
     """Reduce ``net`` and return the equation system tying it to the input."""
     w = _Work(net, m0)
-    progress = True
-    while progress:
-        progress = any(rule(w) for rule in _RULES)
-    reduced_net, reduced_marking = w.to_net()
+    while True:
+        consumers, producers = w.columns()
+        if not any(rule(w, consumers, producers) for rule in _RULES):
+            break
+    reduced_net = PetriNet(tuple(w.marking), tuple(w.pre), w.pre, w.post)
     total = len(net.places)
-    ratio = (total - len(reduced_net.places)) / total if total else 0.0
-    return ReductionResult(reduced_net, reduced_marking, tuple(w.equations), ratio)
+    ratio = (total - len(w.marking)) / total if total else 0.0
+    return ReductionResult(reduced_net, Marking(w.marking), tuple(w.equations), ratio)
 
 
 def build_graph(net: PetriNet, result: ReductionResult) -> tfg.TokenFlowGraph:

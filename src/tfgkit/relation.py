@@ -63,11 +63,6 @@ class ConcurrencyMatrix:
         sub.writes = 0
         return sub
 
-    def copy(self) -> "ConcurrencyMatrix":
-        dup = ConcurrencyMatrix(self.order, fill=UNKNOWN)
-        dup._rows = [row[:] for row in self._rows]
-        return dup
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConcurrencyMatrix):
             return NotImplemented

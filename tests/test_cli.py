@@ -325,3 +325,75 @@ class TestInputErrors:
         code = main(["bench", str(d1)])
         assert code == EXIT_INPUT
         assert "not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("<text>1</text></initialMarking>", "<text>x1</text></initialMarking>"),
+        ("<text>1</text></initialMarking>", "<text>-1</text></initialMarking>"),
+        ('<arc id="x1" source="a" target="t"/>',
+         '<arc id="x1" source="a" target="t"><inscription><text>two</text></inscription></arc>'),
+    ])
+    def test_bad_pnml_number(self, old, new, tmp_path, capsys):
+        path = tmp_path / "net.pnml"
+        path.write_text(PNML_TEXT.replace(old, new))
+        assert main(["oracle", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: bad ")
+
+    def test_namespaced_inhibitor_arc(self, tmp_path, capsys):
+        path = tmp_path / "net.pnml"
+        path.write_text(PNML_TEXT.replace(
+            '<arc id="x1" source="a" target="t"/>',
+            '<arc id="x1" source="a" target="t"><type value="inhibitor"/></arc>',
+        ))
+        assert main(["oracle", str(path)]) == EXIT_INPUT
+        assert "unsupported arc type 'inhibitor'" in capsys.readouterr().err
+
+    def test_non_ascii_digit_token_count(self, tmp_path, capsys):
+        path = tmp_path / "bad.net"
+        path.write_text("pl p ²\n")
+        assert main(["reduce", str(path)]) == EXIT_INPUT
+        assert "bad token count" in capsys.readouterr().err
+
+    def test_rel2_order_mismatch(self, d1, tmp_path, capsys):
+        rel2 = tmp_path / "rel2.txt"
+        rel2.write_text("# order: p r\n1\n01\n")
+        assert main(["conc", str(d1), "--rel2", str(rel2)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rel2 order must match the reduced places\n"
+
+    def test_rel2_repeated_name(self, d1, tmp_path, capsys):
+        rel2 = tmp_path / "rel2.txt"
+        rel2.write_text("# order: p p\n1\n11\n")
+        assert main(["conc", str(d1), "--rel2", str(rel2)]) == EXIT_INPUT
+        assert "line 1: name repeated in '# order:' header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-states", "--max-token"])
+    def test_limit_below_one(self, flag, d1, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(d1), flag, "0"])
+        assert exc.value.code == EXIT_INPUT
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+    def test_non_finite_timeout(self, d1, tmp_path, capsys):
+        code = main(["reach", str(d1), query(tmp_path, "q=1"), "--timeout", "nan"])
+        assert code == EXIT_INPUT
+        assert "--timeout must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("reduce", "--max-states"), ("reduce", "--max-token"),
+        ("reduce", "--timeout"), ("reduce", "--seed"),
+        ("reach", "--seed"), ("reach", "--output"),
+        ("conc", "--seed"),
+        ("tfg-check", "--max-states"), ("tfg-check", "--max-token"),
+        ("tfg-check", "--timeout"), ("tfg-check", "--seed"), ("tfg-check", "--output"),
+        ("oracle", "--seed"),
+        ("bench", "--format"),
+    ])
+    def test_flag_the_command_does_not_read(self, command, flag, capsys):
+        positionals = ["net", "query"] if command == "reach" else ["net"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *positionals, f"{flag}=1"])
+        assert exc.value.code == EXIT_INPUT
+        assert f"unrecognized arguments: {flag}=1" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from tfgkit.net_io import (
     parse_net,
     parse_pnml,
     write_equations,
-    write_marking_query,
     write_matrix,
     write_net,
 )
@@ -248,10 +247,6 @@ class TestMarkingQuery:
     def test_place_set_enforced_when_given(self):
         with pytest.raises(UnknownPlaceError):
             parse_marking_query("zz=1", places=("a", "b"))
-
-    def test_round_trip(self):
-        m = Marking({"b": 2, "a": 1})
-        assert parse_marking_query(write_marking_query(m)) == m
 
 
 @st.composite

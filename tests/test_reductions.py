@@ -1,9 +1,20 @@
 """Reduction rules, ratios, and the E-equivalence validator."""
 
-import pytest
+from pathlib import Path
 
-from conftest import marking_key
-from tfgkit.net_io import TaggedEquation, parse_equations, parse_net, write_equations
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CORPUS_DIR, marking_key
+from tfgkit import generators
+from tfgkit.net_io import (
+    TaggedEquation,
+    parse_equations,
+    parse_net,
+    write_equations,
+    write_net,
+)
 from tfgkit.petri import IncompleteStateSpaceError, Marking, PetriNet, explore, is_safe
 from tfgkit.reductions import (
     ReductionResult,
@@ -14,6 +25,27 @@ from tfgkit.reductions import (
 
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
 A1_TEXT = "pl x 1\npl y 0\npl z 0\ntr t1 x -> y\ntr t2 y -> z\n"
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "reduce.txt"
+
+
+def golden_text() -> str:
+    """Equations and reduced net of every corpus net and three generator
+    families, each under a ``### <name>`` header."""
+    nets = [(path.stem, parse_net(path.read_text())) for path in sorted(CORPUS_DIR.glob("*.net"))]
+    nets += [
+        ("chain_line(48)", generators.chain_line(48).build()),
+        ("duplicate_ladder(32)", generators.duplicate_ladder(32).build()),
+        ("diamond_chain(16)", generators.diamond_chain(16)),
+    ]
+    sections = []
+    for name, (net, m0) in nets:
+        res = reduce(net, m0)
+        sections.append(
+            f"### {name}\n{write_equations(res.equations)}---\n"
+            + write_net(res.reduced_net, res.reduced_marking)
+        )
+    return "".join(sections)
 
 
 class TestRules:
@@ -62,6 +94,23 @@ class TestRules:
         )
         report = validate_equivalence(net, m0, res)
         assert report.valid
+
+    @pytest.mark.parametrize("text", [
+        # a and b share their columns but not their initial marking
+        "pl a 1\npl b 0\npl c 0\ntr t a b -> c\n",
+        # t1 moves p to q, but p has a second consumer t2
+        "pl s 1\npl p 0\npl q 0\npl r 0\ntr t0 s -> p\ntr t1 p -> q\ntr t2 p -> r\n",
+        # t1 moves two tokens, not one
+        "pl s 1\npl p 0\npl q 0\ntr t0 s -> p*2\ntr t1 p*2 -> q\n",
+        # a and b share a producer, or a consumer, at different weights
+        "pl s 1\npl a 0\npl b 0\ntr t s -> a b*2\n",
+        "pl a 1\npl b 1\npl c 0\ntr t a b*2 -> c\n",
+    ])
+    def test_blocked_rule_leaves_net_unchanged(self, text):
+        net, m0 = parse_net(text)
+        res = reduce(net, m0)
+        assert res.equations == ()
+        assert res.reduced_net == net
 
     def test_removed_variables_absent_from_reduced_net(self, corpus):
         for inst in corpus:
@@ -187,3 +236,28 @@ class TestEndToEndShapes:
         res = reduce(net, m0)
         assert res.equations == ()
         assert res.ratio == 0.0
+
+
+class TestPinnedOutput:
+    def test_golden(self):
+        """Equation order, fresh names and the reduced net, place and
+        transition order included, match the committed output exactly.
+
+        Regenerate with ``PYTHONPATH=src python tests/test_reductions.py``.
+        """
+        assert golden_text() == GOLDEN.read_text()
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 10_000).map(generators.composite))
+    def test_composite_nets_validate_and_reduce_deterministically(self, instance):
+        net, m0 = instance
+        res = reduce(net, m0)
+        assert validate_equivalence(net, m0, res).valid
+        assert reduce(net, m0) == res
+        # the rules ran to a fixpoint, so the reduced net is irreducible
+        assert reduce(res.reduced_net, res.reduced_marking).equations == ()
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(golden_text())
