@@ -37,6 +37,7 @@ from tfgkit.reach import (
     REACHABLE,
     UNKNOWN,
     UNREACHABLE,
+    Analysis,
     ReachVerdict,
     decide,
     partition,
@@ -63,6 +64,7 @@ from tfgkit.tfg import check as check_tfg
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "ConcurrencyMatrix",
     "IncompleteInputError",
     "InconsistentInputError",

@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands wire the pipeline stages together: reduce a net, decide
-reachability through the reduced net, compute concurrency matrices, check
-equation files, query the brute-force oracle, and benchmark a corpus
-directory.
+Subcommands reduce a net, decide reachability through the reduced net,
+compute concurrency matrices, check equation files, query the brute-force
+oracle, and benchmark a corpus directory.  ``reduce``, ``conc`` and ``bench``
+hold each net's reduction, graph and reduced state space in one
+:class:`tfgkit.reach.Analysis`.
 
 Exit codes are a stable contract: 0 success (or Reachable, or well-formed),
 1 negative verdict (Unreachable, check failed, disagreement), 2 input error,
-3 Unknown.
+3 Unknown.  ``main`` alone turns input errors, ill-formed equations and
+truncated state spaces into exit 2.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 from tfgkit import conc as conc_mod
 from tfgkit import net_io, reach, reductions, tfg
 from tfgkit.petri import (
+    IncompleteStateSpaceError,
     Marking,
     PetriNet,
     explore,
@@ -30,7 +33,7 @@ from tfgkit.petri import (
     oracle_reachable,
     random_walk,
 )
-from tfgkit.relation import UNKNOWN, ConcurrencyMatrix
+from tfgkit.relation import ConcurrencyMatrix
 
 log = logging.getLogger("tfgkit")
 
@@ -62,11 +65,15 @@ def _configure_logging() -> None:
         )
 
 
-def _read_text(path: str) -> str:
+def _parse(path: str, parse, *args):
+    """``parse`` applied to the text of ``path``; a file that cannot be read
+    or parsed is an input error naming the path."""
     try:
-        return Path(path).read_text()
+        return parse(Path(path).read_text(), *args)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except net_io.ParseError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -77,17 +84,13 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _load_net(path: str, fmt: str) -> tuple[PetriNet, Marking]:
-    text = _read_text(path)
-    if fmt == "auto":
-        stripped = text.lstrip()
-        looks_xml = stripped.startswith("<")
-        fmt = "pnml" if looks_xml or path.endswith((".pnml", ".xml")) else "net"
-    try:
-        if fmt == "pnml":
+    def parse(text: str) -> tuple[PetriNet, Marking]:
+        looks_xml = text.lstrip().startswith("<") or path.endswith((".pnml", ".xml"))
+        if fmt == "pnml" or (fmt == "auto" and looks_xml):
             return net_io.parse_pnml(text)
         return net_io.parse_net(text)
-    except net_io.ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+
+    return _parse(path, parse)
 
 
 def _effective_max_states(args: argparse.Namespace) -> int:
@@ -108,29 +111,18 @@ def _reduction_inputs(
         return reductions.reduce(net, m0)
     if args.reduced_net is None:
         raise CliError("--equations needs --reduced-net for the reduced side")
-    try:
-        equations = net_io.parse_equations(_read_text(args.equations))
-    except net_io.ParseError as exc:
-        raise CliError(f"{args.equations}: {exc}") from exc
+    equations = _parse(args.equations, net_io.parse_equations)
     net2, m2 = _load_net(args.reduced_net, "net")
     removed = len(net.places) - len(net2.places)
     ratio = removed / len(net.places) if net.places else 0.0
     return reductions.ReductionResult(net2, m2, tuple(equations), ratio)
 
 
-def _build_graph(
-    net: PetriNet, result: reductions.ReductionResult
-) -> tfg.TokenFlowGraph:
-    try:
-        return reductions.build_graph(net, result)
-    except tfg.NotWellFormedError as exc:
-        raise CliError(f"equations are not well formed: {exc}") from exc
-
-
 def cmd_reduce(args: argparse.Namespace) -> int:
     net, m0 = _load_net(args.net, args.format)
-    result = reductions.reduce(net, m0)
-    _build_graph(net, result)
+    analysis = reach.Analysis(net, m0)
+    analysis.graph  # the equations must compile to a well-formed graph
+    result = analysis.result
     equations_text = net_io.write_equations(result.equations)
     _write_output(args.output, equations_text)
     if args.reduced_net is not None:
@@ -147,34 +139,18 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_reach(args: argparse.Namespace) -> int:
     net, m0 = _load_net(args.net, args.format)
-    try:
-        target = net_io.parse_marking_query(_read_text(args.query), net.places)
-    except net_io.ParseError as exc:
-        raise CliError(f"{args.query}: {exc}") from exc
+    target = _parse(args.query, net_io.parse_marking_query, net.places)
     result = _reduction_inputs(net, m0, args)
-    try:
-        verdict = reach.decide(
-            net, m0, target, result,
-            max_states=_effective_max_states(args), max_token=args.max_token,
-        )
-    except tfg.NotWellFormedError as exc:
-        raise CliError(f"equations are not well formed: {exc}") from exc
+    verdict = reach.decide(
+        net, m0, target, result,
+        max_states=_effective_max_states(args), max_token=args.max_token,
+    )
     print(f"{verdict.answer.upper()} {verdict.reason}")
     if verdict.answer == reach.REACHABLE:
         return EXIT_OK
     if verdict.answer == reach.UNREACHABLE:
         return EXIT_NEGATIVE
     return EXIT_UNKNOWN
-
-
-def _rel2_from_oracle(
-    result: reductions.ReductionResult, max_states: int, max_token: int
-) -> ConcurrencyMatrix:
-    space2 = explore(
-        result.reduced_net, result.reduced_marking,
-        max_states=max_states, max_token=max_token,
-    )
-    return oracle_concurrency(space2, result.reduced_net.places)
 
 
 def _matrix_summary(matrix: ConcurrencyMatrix) -> str:
@@ -195,20 +171,16 @@ def cmd_conc(args: argparse.Namespace) -> int:
     max_states = _effective_max_states(args)
     if args.oracle:
         space = explore(net, m0, max_states=max_states, max_token=args.max_token)
-        if not space.is_complete:
-            raise CliError(f"state space {space.status}; raise --max-states")
         matrix = oracle_concurrency(space, net.places)
     else:
-        result = _reduction_inputs(net, m0, args)
-        graph = _build_graph(net, result)
+        analysis = reach.Analysis(
+            net, m0, _reduction_inputs(net, m0, args), max_states, args.max_token
+        )
+        graph = analysis.graph
         if args.rel2 is not None:
-            try:
-                doc = net_io.parse_matrix(_read_text(args.rel2))
-            except net_io.ParseError as exc:
-                raise CliError(f"{args.rel2}: {exc}") from exc
-            rel2 = conc_mod.from_document(doc)
+            rel2 = conc_mod.from_document(_parse(args.rel2, net_io.parse_matrix))
         else:
-            rel2 = _rel2_from_oracle(result, max_states, args.max_token)
+            rel2 = oracle_concurrency(analysis.space2, analysis.result.reduced_net.places)
         partial = args.partial or not rel2.is_complete()
         try:
             if partial:
@@ -251,18 +223,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"states {len(space)} status {space.status} "
           f"safe {'yes' if is_safe(space) else 'no'}")
     if args.conc:
-        if not space.is_complete:
-            raise CliError(f"state space {space.status}; raise --max-states")
         matrix = oracle_concurrency(space, net.places)
         _write_output(args.output, net_io.write_matrix(conc_mod.to_document(matrix)))
         print(_matrix_summary(matrix), file=sys.stderr)
     if args.query is not None:
         if not space.is_complete:
             return EXIT_UNKNOWN
-        try:
-            target = net_io.parse_marking_query(_read_text(args.query), net.places)
-        except net_io.ParseError as exc:
-            raise CliError(f"{args.query}: {exc}") from exc
+        target = _parse(args.query, net_io.parse_marking_query, net.places)
         if oracle_reachable(space, target):
             print("REACHABLE oracle")
             return EXIT_OK
@@ -297,28 +264,23 @@ def _bench_row(
     space1 = explore(net, m0, max_states=max_states, max_token=args.max_token)
     if not space1.is_complete:
         return f"{name}\t{len(net.places)}\t-\t-\t-\t-\t-\tskipped({space1.status})", None
-    result = reductions.reduce(net, m0)
-    graph = reductions.build_graph(net, result)
-    space2 = explore(
-        result.reduced_net, result.reduced_marking,
-        max_states=max_states, max_token=args.max_token,
-    )
+    analysis = reach.Analysis(net, m0, max_states=max_states, max_token=args.max_token)
+    result = analysis.result
 
     reach_ok = True
     for target in _bench_targets(net, m0, args.seed):
-        verdict = reach.decide(net, m0, target, result, max_states=max_states,
-                               max_token=args.max_token)
+        verdict = analysis.decide(target)
         if verdict.answer == reach.UNKNOWN:
             continue
         expected = oracle_reachable(space1, target)
         if (verdict.answer == reach.REACHABLE) != expected:
             reach_ok = False
 
-    rel2 = oracle_concurrency(space2, result.reduced_net.places)
-    accelerated = conc_mod.matrix(graph, rel2).restrict(net.places)
+    rel2 = oracle_concurrency(analysis.space2, result.reduced_net.places)
+    accelerated = conc_mod.matrix(analysis.graph, rel2).restrict(net.places)
     conc_ok = accelerated == oracle_concurrency(space1, net.places)
 
-    work = len(space1) + len(space2)
+    work = len(space1) + len(analysis.space2)
     row = "\t".join([
         name,
         str(len(net.places)),
@@ -467,8 +429,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message = str(exc)
+    except tfg.NotWellFormedError as exc:
+        message = f"equations are not well formed: {exc}"
+    except IncompleteStateSpaceError as exc:
+        message = f"state space {exc}; raise --max-states"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

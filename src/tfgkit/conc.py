@@ -87,14 +87,18 @@ def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMat
     """Exact concurrency over all nodes from an exact root relation.
 
     ``rel2`` must be complete and cover exactly the non-constant roots (the
-    reduced net's places).  Cell writes are bounded cubically in the node
-    count: one expansion per node under a nondead root plus one product per
-    concurrent root pair.
+    reduced net's places), with no 1 in the row of a dead root.  Cell writes
+    are bounded cubically in the node count: one expansion per node under a
+    nondead root plus one product per concurrent root pair.
     """
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
         raise ValueError("rel2 order must match the reduced places")
     if not rel2.is_complete():
         raise IncompleteInputError("rel2 has unknown cells")
+    for v in [v for v in rel2.order if rel2.get(v, v) == 0]:
+        for w in rel2.order:
+            if rel2.get(v, w) == 1:
+                raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
     out = ConcurrencyMatrix(graph.nodes, fill=0)
     propagate(
         graph, graph.roots,

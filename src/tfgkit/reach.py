@@ -3,12 +3,14 @@
 A query over the original places is projected bottom-up to a unique candidate
 marking of the reduced net; when the projection is inconsistent the query is
 unreachable outright, otherwise an exhaustive search over the much smaller
-reduced net settles it.
+reduced net settles it.  :class:`Analysis` keeps one net's graph and reduced
+state space across queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from tfgkit import tfg
 from tfgkit.petri import (
@@ -18,7 +20,7 @@ from tfgkit.petri import (
     StateSpace,
     explore,
 )
-from tfgkit.reductions import ReductionResult, build_graph
+from tfgkit.reductions import ReductionResult, build_graph, reduce
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
@@ -59,6 +61,45 @@ def project(graph: tfg.TokenFlowGraph, target: Marking) -> Marking | None:
     return tfg.restrict(c, graph.p2)
 
 
+class Analysis:
+    """One net's reduction (``reduce`` runs when no ``result`` is given),
+    plus its validated ``graph`` and the reduced state space ``space2``
+    explored within the limits, each built on first use and then kept."""
+
+    def __init__(self, net: PetriNet, m0: Marking, result: ReductionResult | None = None,
+                 max_states: int = 100_000, max_token: int = 1):
+        self.net = net
+        self.m0 = m0
+        self.result = reduce(net, m0) if result is None else result
+        self.max_states = max_states
+        self.max_token = max_token
+
+    @cached_property
+    def graph(self) -> tfg.TokenFlowGraph:
+        return build_graph(self.net, self.result)
+
+    @cached_property
+    def space2(self) -> StateSpace:
+        return explore(self.result.reduced_net, self.result.reduced_marking,
+                       max_states=self.max_states, max_token=self.max_token)
+
+    def decide(self, target: Marking) -> ReachVerdict:
+        """Decide whether ``target`` is reachable in ``net`` from ``m0``.
+
+        A hit in the reduced state space proves reachability even when the
+        search was truncated; a miss proves unreachability only when the
+        search completed.
+        """
+        projected = project(self.graph, target)
+        if projected is None:
+            return ReachVerdict(UNREACHABLE, PROJECTION_FAILED)
+        if projected in self.space2:
+            return ReachVerdict(REACHABLE, BACKEND_HIT, projected)
+        if self.space2.is_complete:
+            return ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)
+        return ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
+
+
 def decide(
     net: PetriNet,
     m0: Marking,
@@ -67,28 +108,10 @@ def decide(
     max_states: int = 100_000,
     max_token: int = 1,
 ) -> ReachVerdict:
-    """Decide whether ``target`` is reachable in ``net`` from ``m0``.
-
-    The reduction ``result`` must tie ``net`` to its reduced form; the graph
-    built from it is validated here.  A hit in the reduced state space proves
-    reachability even when the search was truncated; a miss proves
-    unreachability only when the search completed.
-    """
-    graph = build_graph(net, result)
-    projected = project(graph, target)
-    if projected is None:
-        return ReachVerdict(UNREACHABLE, PROJECTION_FAILED)
-    space = explore(
-        result.reduced_net,
-        result.reduced_marking,
-        max_states=max_states,
-        max_token=max_token,
-    )
-    if projected in space:
-        return ReachVerdict(REACHABLE, BACKEND_HIT, projected)
-    if space.is_complete:
-        return ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)
-    return ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
+    """One-shot :meth:`Analysis.decide`.  ``result`` must tie ``net`` to its
+    reduced form; the graph is built and validated and the reduced net
+    explored for this one query."""
+    return Analysis(net, m0, result, max_states, max_token).decide(target)
 
 
 def partition(

@@ -1,13 +1,23 @@
 """End-to-end runs of the command line, in process via ``main``."""
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
 
-from tfgkit.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, EXIT_UNKNOWN, main
+from conftest import CORPUS_DIR
+from tfgkit.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, EXIT_UNKNOWN, _bench_targets, main
+from tfgkit.conc import to_document
 from tfgkit.generators import choice_loop
-from tfgkit.net_io import parse_net, write_net
+from tfgkit.net_io import MatrixDocument, parse_net, write_matrix, write_net
+from tfgkit.petri import explore, oracle_concurrency
+from tfgkit.reductions import reduce
 
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
 A1_TEXT = "pl x 1\npl y 0\npl z 0\ntr t1 x -> y\ntr t2 y -> z\n"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.txt"
 
 PNML_TEXT = """\
 <?xml version="1.0"?>
@@ -177,6 +187,22 @@ class TestConc:
         code = main(["conc", str(d1), "--rel2", str(rel2), "--partial"])
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_inconsistent_complete_rel2_is_input_error(self, d1, tmp_path, capsys):
+        rel2 = tmp_path / "rel2.txt"
+        rel2.write_text("# order: p q\n1\n10\n")  # p and q concurrent, q never marked
+        assert main(["conc", str(d1), "--rel2", str(rel2)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cell (q, p) is 1 but q is dead\n"
+
+    @pytest.mark.parametrize("limit", [["--max-states", "1"], ["--timeout", "0.000001"]])
+    def test_truncated_reduced_space_is_input_error(self, limit, a1, capsys):
+        # a1 reduces to places x and a1 with two reachable markings
+        assert main(["conc", str(a1), *limit]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state space truncated(max-states); raise --max-states\n"
 
 
 class TestTfgCheck:
@@ -397,3 +423,67 @@ class TestInputErrors:
             main([command, *positionals, f"{flag}=1"])
         assert exc.value.code == EXIT_INPUT
         assert f"unrecognized arguments: {flag}=1" in capsys.readouterr().err
+
+
+def _run(argv: list[str], tmp: Path, files: tuple[str, ...] = ()) -> str:
+    """One invocation: the command line, exit code, stdout, stderr and the
+    named files of ``tmp``, with the scratch and corpus paths made neutral."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = (
+        f"$ tfgkit {' '.join(argv)}\nexit {code}\n"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    )
+    for name in files:
+        text += f"--- {name}\n{(tmp / name).read_text()}"
+    return text.replace(str(tmp), "$TMP").replace(str(CORPUS_DIR), "corpus")
+
+
+def golden_text(tmp: Path) -> str:
+    """Every subcommand on the first corpus net of each family (the stem
+    without its size suffix), then ``bench`` over the whole corpus."""
+    families: dict[str, Path] = {}
+    for path in sorted(CORPUS_DIR.glob("*.net")):
+        families.setdefault(path.stem.rstrip("0123456789_"), path)
+    sections = []
+    for path in families.values():
+        name = str(path)
+        net, m0 = parse_net(path.read_text())
+        sections.append(_run(
+            ["reduce", name, "--output", f"{tmp}/eq.txt", "--reduced-net", f"{tmp}/reduced.net"],
+            tmp, ("eq.txt", "reduced.net"),
+        ))
+        for target in _bench_targets(net, m0, seed=0)[:2]:
+            (tmp / "query.txt").write_text(" ".join(f"{p}={n}" for p, n in target.items()) + "\n")
+            sections.append(_run(["reach", name, f"{tmp}/query.txt"], tmp, ("query.txt",)))
+        sections.append(_run(["conc", name], tmp))
+        sections.append(_run(["conc", name, "--partial"], tmp))
+        res = reduce(net, m0)
+        space2 = explore(res.reduced_net, res.reduced_marking)
+        doc = to_document(oracle_concurrency(space2, res.reduced_net.places))
+        rows = list(doc.rows)
+        if rows:  # mask one cell of the reduced net's relation
+            rows[-1] = (".",) + rows[-1][1:]
+        (tmp / "rel2.txt").write_text(write_matrix(MatrixDocument(doc.place_order, tuple(rows))))
+        sections.append(_run(["conc", name, "--rel2", f"{tmp}/rel2.txt"], tmp, ("rel2.txt",)))
+        sections.append(_run(["tfg-check", name], tmp))
+        sections.append(_run(["oracle", name, "--conc"], tmp))
+    sections.append(_run(["bench", str(CORPUS_DIR)], tmp))
+    return "".join(sections)
+
+
+class TestPinnedOutput:
+    def test_golden(self, tmp_path, monkeypatch):
+        """Exit code, stdout, stderr and output files of every subcommand
+        match the committed output exactly.
+
+        Regenerate with ``PYTHONPATH=src python tests/test_cli.py``.
+        """
+        monkeypatch.delenv("TFGKIT_LOG", raising=False)
+        assert golden_text(tmp_path) == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        GOLDEN.write_text(golden_text(Path(scratch)))

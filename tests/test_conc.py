@@ -93,6 +93,15 @@ class TestCompleteMatrix:
         mat = matrix(cascade, rel2)
         assert all(value == 0 for _, _, value in mat.cells())
 
+    def test_one_beside_a_dead_root_rejected(self):
+        net, m0 = parse_net(D1_TEXT)
+        graph = build_graph(net, reduce(net, m0))
+        rel2 = ConcurrencyMatrix(("p", "q"))  # p and q concurrent, q never marked
+        for v, w, val in [("p", "p", 1), ("q", "p", 1), ("q", "q", 0)]:
+            rel2.set(v, w, val)
+        with pytest.raises(InconsistentInputError, match=r"cell \(q, p\) is 1 but q is dead"):
+            matrix(graph, rel2)
+
     def test_incomplete_rel2_rejected(self, cascade):
         rel2 = ConcurrencyMatrix(("p0", "a2", "p6"))
         rel2.set("p0", "p0", 1)

@@ -2,7 +2,10 @@
 
 import pytest
 
+import tfgkit.cli
+import tfgkit.reach
 from conftest import marking_key
+from tfgkit.cli import EXIT_OK, _bench_targets, main
 from tfgkit.generators import chain_line
 from tfgkit.net_io import TaggedEquation
 from tfgkit.net_io import parse_equations, parse_net
@@ -22,6 +25,7 @@ from tfgkit.reach import (
     REACHABLE,
     UNKNOWN,
     UNREACHABLE,
+    Analysis,
     decide,
     partition,
     project,
@@ -157,6 +161,47 @@ class TestDecide:
                 target = random_walk(inst.net, inst.m0, steps=5, seed=seed)
                 verdict = decide(inst.net, inst.m0, target, inst.result)
                 assert verdict.answer == REACHABLE, (inst.name, target)
+
+
+class TestAnalysis:
+    def test_one_exploration_answers_every_bench_target(self, corpus, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return explore(*args, **kwargs)
+
+        for inst in corpus:
+            targets = _bench_targets(inst.net, inst.m0, seed=0)
+            one_shot = [decide(inst.net, inst.m0, t, inst.result) for t in targets]
+            with monkeypatch.context() as patch:
+                patch.setattr(tfgkit.reach, "explore", counted)
+                calls.clear()
+                analysis = Analysis(inst.net, inst.m0)
+                assert [analysis.decide(t) for t in targets] == one_shot, inst.name
+            assert calls == [analysis.result.reduced_net], inst.name
+
+    def test_reduces_when_no_result_is_given(self, corpus):
+        for inst in corpus:
+            assert Analysis(inst.net, inst.m0).result == reduce(inst.net, inst.m0)
+
+    def test_conc_from_given_rel2_never_explores(self, tmp_path, monkeypatch, capsys):
+        net_path, eq, net2 = tmp_path / "d1.net", tmp_path / "d1.eq", tmp_path / "d1.reduced.net"
+        net_path.write_text(D1_TEXT)
+        main(["reduce", str(net_path), "--output", str(eq), "--reduced-net", str(net2)])
+        capsys.readouterr()
+        rel2 = tmp_path / "rel2.txt"
+        rel2.write_text("# order: p q\n1\n.1\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("explored")
+
+        monkeypatch.setattr(tfgkit.reach, "explore", refuse)
+        monkeypatch.setattr(tfgkit.cli, "explore", refuse)
+        argv = ["conc", str(net_path), "--rel2", str(rel2),
+                "--equations", str(eq), "--reduced-net", str(net2)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("# order: p q r\n")
 
 
 class TestUnicity:
