@@ -76,11 +76,20 @@ def _parse(path: str, parse, *args):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _write_file(path: str, text: str) -> None:
+    """``text`` into ``path``; a file that cannot be written is an input
+    error naming the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write_file(path, text)
 
 
 def _load_net(path: str, fmt: str) -> tuple[PetriNet, Marking]:
@@ -126,9 +135,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     equations_text = net_io.write_equations(result.equations)
     _write_output(args.output, equations_text)
     if args.reduced_net is not None:
-        Path(args.reduced_net).write_text(
-            net_io.write_net(result.reduced_net, result.reduced_marking)
-        )
+        _write_file(args.reduced_net, net_io.write_net(result.reduced_net, result.reduced_marking))
     print(f"ratio {result.ratio:.3f}")
     log.info(
         "reduced %d places to %d with %d equations",
@@ -154,14 +161,9 @@ def cmd_reach(args: argparse.Namespace) -> int:
 
 
 def _matrix_summary(matrix: ConcurrencyMatrix) -> str:
-    ones = zeros = unknowns = 0
-    for _, _, value in matrix.cells():
-        if value == 1:
-            ones += 1
-        elif value == 0:
-            zeros += 1
-        else:
-            unknowns += 1
+    n = len(matrix.order)
+    known, ones = matrix.known_count(), matrix.ones_count()
+    zeros, unknowns = known - ones, n * (n + 1) // 2 - known
     ratio = conc_mod.filling_ratio(matrix)
     return f"filling {ratio:.3f} ones {ones} zeros {zeros} unknown {unknowns}"
 
@@ -217,6 +219,9 @@ def cmd_tfg_check(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     net, m0 = _load_net(args.net, args.format)
+    target = None
+    if args.query is not None:
+        target = _parse(args.query, net_io.parse_marking_query, net.places)
     space = explore(
         net, m0, max_states=_effective_max_states(args), max_token=args.max_token
     )
@@ -226,10 +231,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         matrix = oracle_concurrency(space, net.places)
         _write_output(args.output, net_io.write_matrix(conc_mod.to_document(matrix)))
         print(_matrix_summary(matrix), file=sys.stderr)
-    if args.query is not None:
+    if target is not None:
         if not space.is_complete:
             return EXIT_UNKNOWN
-        target = _parse(args.query, net_io.parse_marking_query, net.places)
         if oracle_reachable(space, target):
             print("REACHABLE oracle")
             return EXIT_OK

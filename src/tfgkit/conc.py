@@ -3,10 +3,12 @@
 Given the exact concurrency relation of the reduced net over the graph roots,
 ``matrix`` reconstructs the full relation over every node without touching
 the original state space.  ``partial_matrix`` does the same from incomplete
-root knowledge, writing 1s by the same propagation and 0s by a fixpoint of
-six sound inference rules; cells it cannot settle stay unknown.  Both write
-their 1s through :func:`propagate`, one loop over the graph in topological
-order, so the depth of the graph costs no stack.
+root knowledge, writing 1s by the same propagation and 0s by the least
+fixpoint of six sound inference rules; cells it cannot settle stay unknown.
+Both work on the bitset rows of :class:`ConcurrencyMatrix`, ordered like
+``graph.nodes``: :func:`propagate` ORs each cone product into rows in one
+loop over the graph in topological order, so the depth of the graph costs no
+stack, and the zero fixpoint is a worklist of row operations.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
@@ -15,11 +17,12 @@ dead.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import combinations
 
 from tfgkit import tfg
 from tfgkit.net_io import MatrixDocument
-from tfgkit.relation import UNKNOWN, ConcurrencyMatrix
+from tfgkit.relation import UNKNOWN, ConcurrencyMatrix, transpose
 
 
 class IncompleteInputError(Exception):
@@ -47,8 +50,8 @@ def _pair_value(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix, v: str, w: s
     return rel2.get(v, w)
 
 
-def propagate(graph: tfg.TokenFlowGraph, sources, value, write) -> None:
-    """Write the 1s that the live ``sources`` force, in one pass.
+def propagate(graph: tfg.TokenFlowGraph, sources, value, out: ConcurrencyMatrix) -> int:
+    """Write into ``out`` the 1s that the live ``sources`` force, in one pass.
 
     A source ``v`` is live when ``value(v, v) == 1``.  Every node in the
     union of the live sources' successor cones is expanded once, in
@@ -57,30 +60,61 @@ def propagate(graph: tfg.TokenFlowGraph, sources, value, write) -> None:
     successors of ``v`` outside the cone of ``w`` against successors of
     ``w``, are pairwise concurrent.  Then each source pair with
     ``value(v, w) == 1`` makes the two cones pairwise concurrent.
-    ``write(a, b)`` records one 1; only 1s are written, so repeated calls
-    are idempotent.
+
+    ``out`` is ordered like ``graph.nodes``.  Each fact is one row OR: a
+    node's row takes its cone, and a mask in ``below`` is pushed down the
+    graph to the rows of every successor at once.  Only the split goes into
+    the rows of one side, and one transpose then writes its other side.
+    The return value counts a product of node sets A and B as |A|·|B|
+    logical cell writes.  Only 1s are written, so repeated calls are
+    idempotent; a 1 on a known 0 raises :class:`InconsistentInputError`.
     """
-    cone: set[str] = set()
+    index = out.index
+    succ = graph.successor_masks
+    rows = [0] * len(graph.nodes)
+    below = [0] * len(graph.nodes)  # what every successor of a node meets
+    writes = 0
+    split_seen = False
+    cone = 0
     for v in sources:
         if value(v, v) == 1:
-            cone |= graph.successors(v)
+            cone |= succ[index[v]]
     for v in graph.topo_order:
-        if v not in cone:
+        i = index[v]
+        if not cone >> i & 1:
             continue
-        succ_v = graph.successors(v)
-        for w in succ_v:
-            write(v, w)
+        rows[i] |= succ[i]
+        below[i] |= 1 << i
+        writes += succ[i].bit_count()
         for w in graph.r_children[v]:
-            succ_w = graph.successors(w)
-            for a in succ_v - succ_w:
-                for b in succ_w:
-                    write(a, b)
+            j = index[w]
+            split = succ[i] & ~succ[j]
+            below[j] |= split
+            split_seen = True
+            writes += split.bit_count() * succ[j].bit_count()
     for v, w in combinations(sources, 2):
         if value(v, w) == 1:
-            succ_w = graph.successors(w)
-            for a in graph.successors(v):
-                for b in succ_w:
-                    write(a, b)
+            i, j = index[v], index[w]
+            below[i] |= succ[j]
+            below[j] |= succ[i]
+            writes += succ[i].bit_count() * succ[j].bit_count()
+    for v in graph.topo_order:
+        i = index[v]
+        for u in graph.parents[v]:
+            below[i] |= below[index[u]]
+        rows[i] |= below[i]
+    if split_seen:
+        rows = [row | column for row, column in zip(rows, transpose(rows))]
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        clash = row & out.known[i] & ~out.ones[i]
+        if clash:
+            j = (clash & -clash).bit_length() - 1
+            raise InconsistentInputError(f"cell ({out.order[i]}, {out.order[j]}) is both 0 and 1")
+        out.known[i] |= row
+        out.ones[i] |= row
+    return writes
 
 
 def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
@@ -95,99 +129,138 @@ def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMat
         raise ValueError("rel2 order must match the reduced places")
     if not rel2.is_complete():
         raise IncompleteInputError("rel2 has unknown cells")
-    for v in [v for v in rel2.order if rel2.get(v, v) == 0]:
-        for w in rel2.order:
-            if rel2.get(v, w) == 1:
-                raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
-    out = ConcurrencyMatrix(graph.nodes, fill=0)
-    propagate(
-        graph, graph.roots,
-        lambda v, w: _pair_value(graph, rel2, v, w),
-        lambda a, b: out.set(a, b, 1),
+    for i, v in enumerate(rel2.order):
+        row = rel2.ones[i]
+        if row and not row >> i & 1:
+            w = rel2.order[(row & -row).bit_length() - 1]
+            raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
+    out = ConcurrencyMatrix(graph.nodes)
+    out.writes = propagate(
+        graph, graph.roots, lambda v, w: _pair_value(graph, rel2, v, w), out
     )
+    out.known = [out.full] * len(out.order)  # every cell not forced to 1 is 0
     return out
-
-
-def _checked_writer(out: ConcurrencyMatrix):
-    def write(a: str, b: str, value: int) -> bool:
-        current = out.get(a, b)
-        if current is UNKNOWN:
-            out.set(a, b, value)
-            return True
-        if current != value:
-            raise InconsistentInputError(f"cell ({a}, {b}) is both {current} and {value}")
-        return False
-
-    return write
 
 
 def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
     """Best-effort concurrency from a partially known root relation.
 
-    Known 1s are propagated exactly as in complete mode.  Known 0s spread by
-    a fixpoint of six safe-net rules: a dead node is nonconcurrent with
-    everything; a group head is dead iff all its members are dead; members of
-    one group are mutually nonconcurrent; and a head is nonconcurrent with
-    exactly whatever all its members are nonconcurrent with.  Any clash with
-    an already known cell raises :class:`InconsistentInputError`.
+    Known 1s are propagated exactly as in complete mode.  Known 0s spread to
+    the least fixpoint of six safe-net rules: a dead node is nonconcurrent
+    with everything; a group head is dead if all its members are, and its
+    members are dead if it is; members of one group are mutually
+    nonconcurrent; and a head is nonconcurrent with exactly whatever all its
+    members are nonconcurrent with.  The rules only settle unknown cells.  A
+    clash between the root facts, or a 1 propagated onto a known 0, raises
+    :class:`InconsistentInputError`.  Each settled cell counts as one write.
     """
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
         raise ValueError("rel2 order must match the reduced places")
     out = ConcurrencyMatrix(graph.nodes, fill=UNKNOWN)
-    write = _checked_writer(out)
+
+    def settle(v: str, w: str, value: int) -> None:
+        current = out.get(v, w)
+        if current is UNKNOWN:
+            out.set(v, w, value)
+        elif current != value:
+            raise InconsistentInputError(f"cell ({v}, {w}) is both {current} and {value}")
 
     # root seeding, with the invariant cell=1 => both diagonals 1
     roots = graph.roots
     for v, w in combinations(roots, 2):
         value = _pair_value(graph, rel2, v, w)
         if value is not UNKNOWN:
-            write(v, w, value)
+            settle(v, w, value)
             if value == 1:
-                write(v, v, 1)
-                write(w, w, 1)
+                settle(v, v, 1)
+                settle(w, w, 1)
     for v in roots:
         value = _pair_value(graph, rel2, v, v)
         if value is not UNKNOWN:
-            write(v, v, value)
+            settle(v, v, value)
 
     # 1-propagation from known-nondead roots
-    propagate(graph, roots, out.get, lambda a, b: write(a, b, 1))
+    propagate(graph, roots, out.get, out)
 
-    _zero_fixpoint(graph, out, write)
+    _zero_fixpoint(graph, out)
+    out.writes = out.known_count()
     return out
 
 
-def _zero_fixpoint(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix, write) -> None:
-    nodes = graph.nodes
-    groups = graph.groups
-    changed = True
-    while changed:
-        changed = False
-        for v in nodes:  # dead nodes are nonconcurrent with everything
-            if out.get(v, v) == 0:
-                for w in nodes:
-                    if out.get(v, w) is UNKNOWN:
-                        changed |= write(v, w, 0)
-        for head, members in groups:
-            if out.get(head, head) is UNKNOWN and all(
-                out.get(w, w) == 0 for w in members
-            ):
-                changed |= write(head, head, 0)
-            if out.get(head, head) == 0:
-                for w in members:
-                    if out.get(w, w) is UNKNOWN:
-                        changed |= write(w, w, 0)
-            for w, w2 in combinations(members, 2):  # members split one token pool
-                if out.get(w, w2) is UNKNOWN:
-                    changed |= write(w, w2, 0)
-            for v in nodes:
-                head_cell = out.get(head, v)
-                if head_cell is UNKNOWN and all(out.get(w, v) == 0 for w in members):
-                    changed |= write(head, v, 0)
-                elif head_cell == 0:
-                    for w in members:
-                        if out.get(w, v) is UNKNOWN:
-                            changed |= write(w, v, 0)
+def _zero_fixpoint(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> None:
+    """Settle as 0 every unknown cell that the rules of ``partial_matrix`` force.
+
+    The rules are monotone, so their least fixpoint is unique and any order
+    of application reaches it.  Each rule is an operation on whole zero
+    rows: a dead row takes every open cell, a head takes the AND of its
+    members' rows, members take their head's row, and the members of one
+    group take each other.  A worklist holds the groups to visit, upper
+    heads first; a group is queued again only when the zero row of its head
+    or of a member grew.  Row operations write a cell into one of its two
+    rows, so when the worklist drains, one transpose makes the rows
+    symmetric, and every row that grows by it queues its groups again.
+    """
+    index = out.index
+    open_ = [out.full & ~ones for ones in out.ones]  # cells a 0 may settle
+    zeros = [known & ~ones for known, ones in zip(out.known, out.ones)]
+    rank = {v: r for r, v in enumerate(graph.topo_order)}
+    groups = []  # (head, members), heads in topological order
+    touching: list[list[int]] = [[] for _ in out.order]  # the groups of a node
+    for head, members in sorted(graph.groups, key=lambda group: rank[group[0]]):
+        h, ms = index[head], [index[w] for w in members]
+        pool = sum(1 << w for w in ms)
+        for w in ms:  # members split one token pool
+            zeros[w] |= pool & ~(1 << w) & open_[w]
+            touching[w].append(len(groups))
+        touching[h].append(len(groups))
+        groups.append((h, ms))
+
+    def grow(i: int, new: int) -> bool:
+        """OR ``new`` into zero row ``i``; a dead row takes every open cell."""
+        row = zeros[i] | (new & open_[i])
+        if row >> i & 1:
+            row |= open_[i]
+        if row == zeros[i]:
+            return False
+        zeros[i] = row
+        return True
+
+    queue = list(range(len(groups)))  # a heap of group numbers
+    queued = [True] * len(groups)
+
+    def requeue(i: int) -> None:
+        for g in touching[i]:
+            if not queued[g]:
+                queued[g] = True
+                heappush(queue, g)
+
+    asymmetric = False  # a row grew without its mirror cells since the last transpose
+    for i, row in enumerate(zeros):
+        if row >> i & 1:  # dead from the start
+            asymmetric |= grow(i, 0)
+    while True:
+        while queue:
+            g = heappop(queue)
+            queued[g] = False
+            h, ms = groups[g]
+            common = open_[h]
+            for w in ms:
+                common &= zeros[w]
+            all_dead = all(zeros[w] >> w & 1 for w in ms)
+            grown = [h] if grow(h, common | all_dead << h) else []
+            down = zeros[h]
+            head_dead = down >> h & 1
+            grown += [w for w in ms if grow(w, down | head_dead << w)]
+            for i in grown:
+                requeue(i)
+            asymmetric = asymmetric or bool(grown)
+        if not asymmetric:
+            break
+        asymmetric = False
+        for i, mirrored in enumerate(transpose(zeros)):
+            if grow(i, mirrored):
+                requeue(i)
+    out.known = [ones | row for ones, row in zip(out.ones, zeros)]
 
 
 def filling_ratio(matrix: ConcurrencyMatrix) -> float:
@@ -199,18 +272,28 @@ def filling_ratio(matrix: ConcurrencyMatrix) -> float:
 
 
 def to_document(matrix: ConcurrencyMatrix) -> MatrixDocument:
-    symbol = {1: "1", 0: "0", UNKNOWN: "."}
+    width = len(matrix.order)
     rows = []
-    for i, v in enumerate(matrix.order):
-        rows.append(tuple(symbol[matrix.get(v, matrix.order[j])] for j in range(i + 1)))
+    for i in range(width):
+        known = format(matrix.known[i], f"0{width}b")[::-1][: i + 1]
+        ones = format(matrix.ones[i], f"0{width}b")[::-1][: i + 1]
+        if "0" in known:
+            ones = "".join(o if k == "1" else "." for k, o in zip(known, ones))
+        rows.append(tuple(ones))
     return MatrixDocument(matrix.order, tuple(rows))
 
 
 def from_document(doc: MatrixDocument) -> ConcurrencyMatrix:
-    value = {"1": 1, "0": 0, ".": UNKNOWN}
     out = ConcurrencyMatrix(doc.place_order, fill=UNKNOWN)
-    for i, row in enumerate(doc.rows):
-        for j, sym in enumerate(row):
-            out.set(doc.place_order[i], doc.place_order[j], value[sym])
-    out.writes = 0
+    lower_known, lower_ones = [], []
+    for row in doc.rows:
+        text = "".join(row)[::-1]
+        lower_known.append(int(text.translate(_KNOWN_DIGITS), 2))
+        lower_ones.append(int(text.translate(_ONE_DIGITS), 2))
+    out.known = [row | col for row, col in zip(lower_known, transpose(lower_known))]
+    out.ones = [row | col for row, col in zip(lower_ones, transpose(lower_ones))]
     return out
+
+
+_KNOWN_DIGITS = str.maketrans("10.", "110")
+_ONE_DIGITS = str.maketrans("10.", "100")

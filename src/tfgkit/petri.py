@@ -337,15 +337,20 @@ def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyM
             low = rest & -rest
             rows[low.bit_length() // width - 1] |= occupied
             rest ^= low
-    guard_of = {p: 1 << ((i + 1) * width - 1) for p, i in packing.index.items()}
-    for i, p in enumerate(mat.order):
-        k = packing.index.get(p)
+    # layout position of each matrix column; a name outside the layout is
+    # never marked
+    layout = [packing.index.get(p) for p in mat.order]
+    same_order = layout == list(range(len(packing.places)))
+    for i, k in enumerate(layout):
         if k is None or not rows[k]:
             continue
-        row = rows[k]
-        for q in mat.order[: i + 1]:
-            if row & guard_of.get(q, 0):
-                mat.set(p, q, 1)
+        # one digit per layout place, lowest first
+        marked = format(rows[k], "b")[::-1][width - 1 :: width]
+        if not same_order:
+            marked = marked.ljust(len(packing.places), "0")
+            marked = "".join("0" if j is None else marked[j] for j in layout)
+        mat.ones[i] = int(marked[::-1], 2)
+    mat.writes = mat.ones_count()
     return mat
 
 

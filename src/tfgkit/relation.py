@@ -1,7 +1,10 @@
 """Symmetric concurrency relation over an ordered set of names.
 
-Cells hold 1 (concurrent), 0 (nonconcurrent) or UNKNOWN.  Storage is lower
-triangular, so the relation is symmetric by construction.
+Cells hold 1 (concurrent), 0 (nonconcurrent) or UNKNOWN.  Each name owns two
+int bitsets over the positions of ``order``: ``known[i]`` has bit ``j`` when
+cell (i, j) is settled and ``ones[i]`` when it is 1, so ``ones[i]`` is a
+subset of ``known[i]``.  Rows are stored in full and kept symmetric, so a
+whole row, or any set of its cells, is updated by one integer operation.
 """
 
 from __future__ import annotations
@@ -11,62 +14,146 @@ from typing import Iterator
 UNKNOWN = None
 
 
-class ConcurrencyMatrix:
-    """Triangular 0/1/unknown matrix.
+def transpose(rows: list[int]) -> list[int]:
+    """Square bit matrix transpose: bit ``i`` of result row ``j`` is bit
+    ``j`` of ``rows[i]``.
 
-    ``writes`` counts every ``set`` call; the accelerated algorithms are
+    A band of columns at a time, every row is spelled out in binary, last
+    row first, so that each column of the band is every band-th digit.
+    """
+    width = len(rows)
+    out: list[int] = []
+    for low in range(0, width, _BAND):
+        band = min(_BAND, width - low)
+        mask = (1 << band) - 1
+        digits = "".join([format(row >> low & mask, f"0{band}b") for row in reversed(rows)])
+        out += [int(digits[k::band], 2) for k in range(band - 1, -1, -1)]
+    return out
+
+
+# columns per transpose band: bounds the spelled-out digits to rows x _BAND
+_BAND = 1024
+
+
+def _triangle_count(rows: list[int]) -> int:
+    """Set cells of a symmetric bit matrix on and below the diagonal."""
+    total = diagonal = 0
+    for i, row in enumerate(rows):
+        total += row.bit_count()
+        diagonal += row >> i & 1
+    return (total + diagonal) // 2
+
+
+class ConcurrencyMatrix:
+    """0/1/unknown matrix as two bitsets per full symmetric row.
+
+    ``writes`` counts logical cell writes: one per ``set`` call, and the
+    builders in :mod:`tfgkit.conc` and :func:`tfgkit.petri.oracle_concurrency`
+    add the cells they write as rows.  The accelerated algorithms are
     benchmarked against it.
     """
 
-    __slots__ = ("order", "_idx", "_rows", "writes")
+    __slots__ = ("order", "index", "known", "ones", "writes")
 
     def __init__(self, order, fill: int | None = UNKNOWN):
         self.order = tuple(order)
-        if len(set(self.order)) != len(self.order):
+        self.index = {v: i for i, v in enumerate(self.order)}
+        if len(self.index) != len(self.order):
             raise ValueError("duplicate names in matrix order")
-        self._idx = {v: i for i, v in enumerate(self.order)}
-        self._rows = [[fill] * (i + 1) for i in range(len(self.order))]
+        n = len(self.order)
+        full = (1 << n) - 1
+        self.known = [0 if fill is UNKNOWN else full] * n
+        self.ones = [full if fill == 1 else 0] * n
         self.writes = 0
 
-    def _key(self, v: str, w: str) -> tuple[int, int]:
-        i, j = self._idx[v], self._idx[w]
-        return (i, j) if i >= j else (j, i)
+    @property
+    def full(self) -> int:
+        """Mask of every position."""
+        return (1 << len(self.order)) - 1
 
     def get(self, v: str, w: str) -> int | None:
-        i, j = self._key(v, w)
-        return self._rows[i][j]
+        i, j = self.index[v], self.index[w]
+        if not self.known[i] >> j & 1:
+            return UNKNOWN
+        return self.ones[i] >> j & 1
 
     def set(self, v: str, w: str, value: int | None) -> None:
-        i, j = self._key(v, w)
-        self._rows[i][j] = value
+        """Settle or clear one cell; its two rows change only when its value
+        does."""
+        i, j = self.index[v], self.index[w]
         self.writes += 1
+        known, ones = self.known, self.ones
+        bit_j = 1 << j
+        if value is UNKNOWN:
+            if known[i] & bit_j:
+                bit_i = 1 << i
+                known[i] &= ~bit_j
+                known[j] &= ~bit_i
+                ones[i] &= ~bit_j
+                ones[j] &= ~bit_i
+        elif value:
+            if not ones[i] & bit_j:
+                bit_i = 1 << i
+                known[i] |= bit_j
+                known[j] |= bit_i
+                ones[i] |= bit_j
+                ones[j] |= bit_i
+        elif not known[i] & bit_j:
+            known[i] |= bit_j
+            known[j] |= 1 << i
+        elif ones[i] & bit_j:
+            ones[i] &= ~bit_j
+            ones[j] &= ~(1 << i)
 
     def cells(self) -> Iterator[tuple[str, str, int | None]]:
         """Triangular cells as (row name, column name, value), column <= row."""
+        symbol = {("1", "1"): 1, ("1", "0"): 0, ("0", "0"): UNKNOWN}
+        width = len(self.order)
         for i, v in enumerate(self.order):
-            for j in range(i + 1):
-                yield v, self.order[j], self._rows[i][j]
+            known = format(self.known[i], f"0{width}b")[::-1][: i + 1]
+            ones = format(self.ones[i], f"0{width}b")[::-1][: i + 1]
+            for w, pair in zip(self.order, zip(known, ones)):
+                yield v, w, symbol[pair]
 
     def known_count(self) -> int:
-        return sum(1 for _, _, x in self.cells() if x is not None)
+        """Settled triangular cells."""
+        return _triangle_count(self.known)
+
+    def ones_count(self) -> int:
+        """Triangular cells that hold 1."""
+        return _triangle_count(self.ones)
 
     def is_complete(self) -> bool:
-        return all(x is not None for _, _, x in self.cells())
+        full = self.full
+        return all(row == full for row in self.known)
 
     def restrict(self, order) -> "ConcurrencyMatrix":
         """Sub-matrix over ``order``, which must be a subset of this order."""
         sub = ConcurrencyMatrix(order, fill=UNKNOWN)
-        for i, v in enumerate(sub.order):
-            for j in range(i + 1):
-                w = sub.order[j]
-                sub._rows[i][j] = self.get(v, w)
-        sub.writes = 0
+        positions = [self.index[v] for v in sub.order]
+        if positions == list(range(len(positions))):  # a prefix: mask the rows
+            mask = sub.full
+            sub.known = [row & mask for row in self.known[: len(positions)]]
+            sub.ones = [row & mask for row in self.ones[: len(positions)]]
+            return sub
+        width = len(self.order)
+
+        def gather(row: int) -> int:
+            digits = format(row, f"0{width}b")[::-1]
+            return int("".join(digits[p] for p in reversed(positions)), 2)
+
+        sub.known = [gather(self.known[p]) for p in positions]
+        sub.ones = [gather(self.ones[p]) for p in positions]
         return sub
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConcurrencyMatrix):
             return NotImplemented
-        return self.order == other.order and self._rows == other._rows
+        return (
+            self.order == other.order
+            and self.known == other.known
+            and self.ones == other.ones
+        )
 
     def __repr__(self) -> str:
         return f"ConcurrencyMatrix(n={len(self.order)}, known={self.known_count()})"

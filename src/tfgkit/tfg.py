@@ -146,17 +146,21 @@ class TokenFlowGraph:
 
     def successors(self, v: str) -> frozenset[str]:
         """Reflexive-transitive closure along both arc kinds."""
-        return self._successor_map[v]
+        mask = self.successor_masks[self._order[v]]
+        return frozenset(w for w, i in self._order.items() if mask >> i & 1)
 
     @cached_property
-    def _successor_map(self) -> dict[str, frozenset[str]]:
-        succ: dict[str, frozenset[str]] = {}
+    def successor_masks(self) -> tuple[int, ...]:
+        """``successors`` of each node, in node order, as a bitset over the
+        positions of ``nodes``."""
+        order = self._order
+        succ = [0] * len(self.nodes)
         for v in reversed(self.topo_order):
-            acc: set[str] = {v}
+            acc = 1 << order[v]
             for w in self.children[v]:
-                acc |= succ[w]
-            succ[v] = frozenset(acc)
-        return succ
+                acc |= succ[order[w]]
+            succ[order[v]] = acc
+        return tuple(succ)
 
 
 def _fresh_constant_names(equations, used: set[str]) -> dict[int, str]:

@@ -37,7 +37,7 @@ class CorpusInstance:
     space2: StateSpace
 
 
-def _load_instance(path: Path) -> CorpusInstance:
+def load_instance(path: Path) -> CorpusInstance:
     net, m0 = parse_net(path.read_text())
     space1 = explore(net, m0, max_states=10_000, max_token=1)
     assert space1.is_complete, f"{path.stem}: corpus net must explore completely"
@@ -54,4 +54,4 @@ def _load_instance(path: Path) -> CorpusInstance:
 def corpus() -> list[CorpusInstance]:
     paths = sorted(CORPUS_DIR.glob("*.net"))
     assert len(paths) >= 30, "bundled corpus must hold at least 30 nets"
-    return [_load_instance(path) for path in paths]
+    return [load_instance(path) for path in paths]

@@ -6,12 +6,22 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR
+from tfgkit import tfg
 from tfgkit.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, EXIT_UNKNOWN, _bench_targets, main
 from tfgkit.conc import to_document
-from tfgkit.generators import choice_loop
-from tfgkit.net_io import MatrixDocument, parse_net, write_matrix, write_net
+from tfgkit.generators import choice_loop, composite
+from tfgkit.net_io import (
+    MatrixDocument,
+    TaggedEquation,
+    parse_net,
+    write_equations,
+    write_matrix,
+    write_net,
+)
 from tfgkit.petri import explore, oracle_concurrency
 from tfgkit.reductions import reduce
 
@@ -248,6 +258,63 @@ class TestIllFormedEquations:
         assert captured.err.startswith("error: equations are not well formed: T3: ")
 
 
+def mutate(equations, kind: str, pick: int) -> tuple[list[TaggedEquation], str]:
+    """``equations`` plus one equation that breaks them, and the check that
+    must fail.  The new equation reuses the arc between the lhs and one term
+    of the ``pick``-th equation with variable terms: it closes a cycle
+    through it (T5), gives the term a constant below it (T2), or doubles it
+    as an arc of the other kind (T3)."""
+    with_terms = [eq for eq in equations if eq.terms]
+    eq = with_terms[pick % len(with_terms)]
+    term = eq.terms[pick % len(eq.terms)]
+    # the arc runs lhs -> term for an agglomeration, term -> lhs for a redundancy
+    src, dst = (eq.lhs, term) if eq.tag == "A" else (term, eq.lhs)
+    if kind == "cycle":
+        extra, check_id = TaggedEquation("R", src, terms=(dst,)), "T5"
+    elif kind == "constant":
+        extra, check_id = TaggedEquation("A", term, constant=1), "T2"
+    elif eq.tag == "A":
+        extra, check_id = TaggedEquation("R", dst, terms=(src,)), "T3"
+    else:
+        extra, check_id = TaggedEquation("A", src, terms=(dst,)), "T3"
+    return [*equations, extra], check_id
+
+
+class TestMutatedEquations:
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 10_000).map(composite),
+        st.sampled_from(["cycle", "constant", "doubled"]),
+        st.integers(0, 1_000),
+    )
+    def test_rejected_by_check_and_cli(self, net_m0, kind, pick):
+        net, m0 = net_m0
+        result = reduce(net, m0)
+        assume(any(eq.terms for eq in result.equations))
+        equations, check_id = mutate(list(result.equations), kind, pick)
+        _, found = tfg.check(equations, net.places, result.reduced_net.places)
+        assert check_id in {v.check_id for v in found}
+        with tempfile.TemporaryDirectory() as scratch:
+            tmp = Path(scratch)
+            (tmp / "net.net").write_text(write_net(net, m0))
+            (tmp / "eq.txt").write_text(write_equations(equations))
+            (tmp / "reduced.net").write_text(
+                write_net(result.reduced_net, result.reduced_marking)
+            )
+            external = ["--equations", f"{tmp}/eq.txt", "--reduced-net", f"{tmp}/reduced.net"]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                checked = main(["tfg-check", f"{tmp}/net.net", *external])
+            assert checked == EXIT_NEGATIVE  # a failed check, reported
+            assert f"{check_id} fail" in out.getvalue()
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                lifted = main(["conc", f"{tmp}/net.net", *external])
+            assert lifted == EXIT_INPUT
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: equations are not well formed: ")
+
+
 class TestOracle:
     def test_summary_line(self, d1, capsys):
         code = main(["oracle", str(d1)])
@@ -346,6 +413,25 @@ class TestInputErrors:
         code = main(["reach", str(d1), query(tmp_path, "nosuchplace=1")])
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_oracle_query_under_a_budget(self, tmp_path, capsys):
+        """The query is read before the space is explored, so a cut-short
+        space does not hide a bad query."""
+        ring = str(CORPUS_DIR / "ring_8.net")
+        code = main(["oracle", ring, query(tmp_path, "nosuch=1"), "--max-states", "1"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path}/query.txt: unknown place 'nosuch'\n"
+
+    @pytest.mark.parametrize("flag", ["--output", "--reduced-net"])
+    def test_unwritable_output(self, flag, a1, tmp_path, capsys):
+        target = tmp_path / "nodir" / "out.txt"
+        code = main(["reduce", str(a1), flag, str(target)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: cannot write {target}: No such file or directory\n"
+        )
 
     def test_bench_needs_directory(self, d1, capsys):
         code = main(["bench", str(d1)])

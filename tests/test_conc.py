@@ -1,11 +1,15 @@
 """Accelerated concurrency matrices, complete and partial modes."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import marking_key
+from conftest import CORPUS_DIR, load_instance, marking_key
 from test_reach import closed_form_chain
+from tfgkit import generators
 from tfgkit.conc import (
     IncompleteInputError,
     InconsistentInputError,
@@ -32,6 +36,9 @@ CASCADE_P1 = tuple(f"p{i}" for i in range(7))
 CASCADE_P2 = ("p0", "a2", "p6")
 
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
+GOLDEN_WRITES = Path(__file__).resolve().parent / "golden" / "writes.txt"
+# (fraction blanked, seed) of the masked relations pinned in GOLDEN_WRITES
+WRITES_MASKS = ((0.2, 1), (0.5, 2), (0.8, 3))
 
 
 @pytest.fixture(scope="module")
@@ -131,19 +138,19 @@ class TestCompleteMatrix:
 
 def propagate_from(graph, mat, source):
     """Write into ``mat`` the 1s that a live ``source`` forces."""
-    propagate(graph, (source,), lambda v, w: 1, lambda a, b: mat.set(a, b, 1))
+    propagate(graph, (source,), lambda v, w: 1, mat)
 
 
 class TestPropagate:
     def test_leaf_touches_only_its_diagonal(self, cascade):
-        mat = ConcurrencyMatrix(cascade.nodes, fill=0)
+        mat = ConcurrencyMatrix(cascade.nodes)
         propagate_from(cascade, mat, "p5")
         assert mat.get("p5", "p5") == 1
         ones = [(v, w) for v, w, value in mat.cells() if value == 1]
         assert ones == [("p5", "p5")]
 
     def test_a2_cone_and_redundancy_split(self, cascade):
-        mat = ConcurrencyMatrix(cascade.nodes, fill=0)
+        mat = ConcurrencyMatrix(cascade.nodes)
         propagate_from(cascade, mat, "a2")
         for w in cascade.successors("a2"):
             assert mat.get("a2", w) == 1
@@ -151,30 +158,93 @@ class TestPropagate:
         assert mat.get("p3", "p1") == 1
         assert mat.get("p4", "p1") == 1
         assert mat.get("p5", "p2") == 1
-        # children of one agglomeration stay exclusive
-        assert mat.get("p1", "p2") == 0
-        assert mat.get("p3", "p4") == 0
+        # children of one agglomeration get no 1
+        assert mat.get("p1", "p2") is UNKNOWN
+        assert mat.get("p3", "p4") is UNKNOWN
 
     def test_idempotent(self, cascade):
-        mat = ConcurrencyMatrix(cascade.nodes, fill=0)
+        mat = ConcurrencyMatrix(cascade.nodes)
         propagate_from(cascade, mat, "a2")
         snapshot = mat.restrict(mat.order)
         propagate_from(cascade, mat, "a2")
         assert mat == snapshot
 
 
+def chain_relation(places):
+    """Closed-form relation of ``chain_line``: one token goes round, so every
+    place is marked and no two are marked together."""
+    out = ConcurrencyMatrix(places, fill=0)
+    for p in places:
+        out.set(p, p, 1)
+    return out
+
+
 class TestDepth:
-    def test_matrix_on_1500_step_chain(self):
-        """Past the default recursion limit; every place of the chain is
-        concurrent with exactly the places it can share a state with."""
-        net, m0, result = closed_form_chain(1500)
+    """Past the default recursion limit, against the closed form of the chain."""
+
+    def test_closed_form_matches_oracle(self):
+        net, m0, _ = closed_form_chain(40)
+        assert chain_relation(net.places) == oracle_concurrency(explore(net, m0), net.places)
+
+    def test_matrix_on_5000_step_chain(self):
+        net, m0, result = closed_form_chain(5000)
         graph = build_graph(net, result)
         rel2 = oracle_concurrency(
             explore(result.reduced_net, result.reduced_marking), result.reduced_net.places
         )
-        mat = matrix(graph, rel2).restrict(net.places)
+        assert matrix(graph, rel2).restrict(net.places) == chain_relation(net.places)
+
+    def test_partial_matrix_on_5000_step_chain(self):
+        """With the two roots' pair cell masked, the zero fixpoint settles
+        every pair of places below the top of the chain, and only the head's
+        pairs stay unknown."""
+        net, m0, result = closed_form_chain(5000)
+        graph = build_graph(net, result)
+        rel2 = oracle_concurrency(
+            explore(result.reduced_net, result.reduced_marking), result.reduced_net.places
+        )
+        rel2.set(*rel2.order, UNKNOWN)
+        out = partial_matrix(graph, rel2).restrict(net.places)
+        expected = chain_relation(net.places)
+        head = net.places[0]
+        for p in net.places[1:]:
+            expected.set(head, p, UNKNOWN)
+        assert out == expected
+
+
+composite_nets = st.integers(0, 10_000).map(generators.composite)
+
+
+class TestPartialOnComposites:
+    @settings(max_examples=60)
+    @given(composite_nets, st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_masked_relation_never_contradicts_oracle(self, net_m0, fraction, rng):
+        net, m0 = net_m0
+        result = reduce(net, m0)
+        graph = build_graph(net, result)
+        rel2 = oracle_concurrency(
+            explore(result.reduced_net, result.reduced_marking), result.reduced_net.places
+        )
+        masked = rel2.restrict(rel2.order)
+        for v, w, _ in rel2.cells():
+            if rng.random() < fraction:
+                masked.set(v, w, UNKNOWN)
+        out = partial_matrix(graph, masked).restrict(net.places)
         expected = oracle_concurrency(explore(net, m0), net.places)
-        assert mat == expected
+        for v, w, value in out.cells():
+            if value is not UNKNOWN:
+                assert value == expected.get(v, w), (v, w)
+
+    @settings(max_examples=60)
+    @given(composite_nets)
+    def test_unmasked_relation_gives_the_complete_matrix(self, net_m0):
+        net, m0 = net_m0
+        result = reduce(net, m0)
+        graph = build_graph(net, result)
+        rel2 = oracle_concurrency(
+            explore(result.reduced_net, result.reduced_marking), result.reduced_net.places
+        )
+        assert partial_matrix(graph, rel2) == matrix(graph, rel2)
 
 
 class TestPartialMatrix:
@@ -272,6 +342,31 @@ class TestFillingRatio:
         assert filling_ratio(mat) == pytest.approx(0.5)
 
 
+class TestRelation:
+    def test_restrict_to_any_subset_keeps_every_cell(self):
+        rng = random.Random(7)
+        names = [f"p{i}" for i in range(40)]
+        mat = ConcurrencyMatrix(names)
+        for i, v in enumerate(names):
+            for w in names[: i + 1]:
+                mat.set(v, w, rng.choice((0, 1, UNKNOWN)))
+        for order in (names[:25], names[::-3], rng.sample(names, 30)):
+            sub = mat.restrict(order)
+            assert sub.order == tuple(order)
+            for v, w, value in sub.cells():
+                assert value == mat.get(v, w) == sub.get(w, v)
+            assert sub.writes == 0
+
+    def test_counts(self):
+        mat = ConcurrencyMatrix(("a", "b", "c"))
+        mat.set("a", "a", 1)
+        mat.set("b", "a", 1)
+        mat.set("c", "a", 0)
+        mat.set("c", "a", UNKNOWN)
+        assert (mat.known_count(), mat.ones_count(), mat.writes) == (2, 2, 4)
+        assert not mat.is_complete()
+
+
 class TestDocumentConversion:
     def test_round_trip(self, cascade):
         mat = matrix(cascade, cascade_rel2())
@@ -283,3 +378,33 @@ class TestDocumentConversion:
         again = from_document(to_document(mat))
         assert again.get("b", "b") is UNKNOWN
         assert again.get("a", "a") == 1
+
+
+def writes_text(instances) -> str:
+    """Per corpus net: ``writes`` of ``matrix``, of ``partial_matrix`` on
+    each of WRITES_MASKS, and of ``oracle_concurrency`` on the full net."""
+    lines = []
+    for inst in instances:
+        rel2 = oracle_concurrency(inst.space2, inst.result.reduced_net.places)
+        fields = [inst.name, f"matrix={matrix(inst.graph, rel2).writes}"]
+        for fraction, seed in WRITES_MASKS:
+            part = partial_matrix(inst.graph, degrade(rel2, fraction, seed))
+            fields.append(f"partial{seed}={part.writes}")
+        fields.append(f"oracle={oracle_concurrency(inst.space1, inst.net.places).writes}")
+        lines.append(" ".join(fields) + "\n")
+    return "".join(lines)
+
+
+class TestPinnedWrites:
+    def test_golden(self, corpus):
+        """Cell writes of every matrix builder match the committed counts.
+
+        Regenerate with ``PYTHONPATH=src python tests/test_conc.py``.
+        """
+        assert writes_text(corpus) == GOLDEN_WRITES.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN_WRITES.write_text(
+        writes_text([load_instance(path) for path in sorted(CORPUS_DIR.glob("*.net"))])
+    )
