@@ -105,15 +105,9 @@ def propagate(graph: tfg.TokenFlowGraph, sources, value, out: ConcurrencyMatrix)
         rows[i] |= below[i]
     if split_seen:
         rows = [row | column for row, column in zip(rows, transpose(rows))]
-    for i, row in enumerate(rows):
-        if not row:
-            continue
-        clash = row & out.known[i] & ~out.ones[i]
-        if clash:
-            j = (clash & -clash).bit_length() - 1
-            raise InconsistentInputError(f"cell ({out.order[i]}, {out.order[j]}) is both 0 and 1")
-        out.known[i] |= row
-        out.ones[i] |= row
+    clash = out.add_ones(rows)
+    if clash:
+        raise InconsistentInputError(f"cell ({clash[0]}, {clash[1]}) is both 0 and 1")
     return writes
 
 
@@ -134,11 +128,10 @@ def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMat
         if row and not row >> i & 1:
             w = rel2.order[(row & -row).bit_length() - 1]
             raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
-    out = ConcurrencyMatrix(graph.nodes)
-    out.writes = propagate(
-        graph, graph.roots, lambda v, w: _pair_value(graph, rel2, v, w), out
-    )
-    out.known = [out.full] * len(out.order)  # every cell not forced to 1 is 0
+    forced = ConcurrencyMatrix(graph.nodes)
+    writes = propagate(graph, graph.roots, lambda v, w: _pair_value(graph, rel2, v, w), forced)
+    out = ConcurrencyMatrix.from_rows(graph.nodes, forced.ones)  # every other cell is 0
+    out.writes = writes
     return out
 
 
@@ -182,13 +175,14 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
     # 1-propagation from known-nondead roots
     propagate(graph, roots, out.get, out)
 
-    _zero_fixpoint(graph, out)
+    out = ConcurrencyMatrix.from_rows(graph.nodes, out.ones, _zero_fixpoint(graph, out))
     out.writes = out.known_count()
     return out
 
 
-def _zero_fixpoint(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> None:
-    """Settle as 0 every unknown cell that the rules of ``partial_matrix`` force.
+def _zero_fixpoint(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> list[int]:
+    """Zero rows of ``out`` once every unknown cell that the rules of
+    ``partial_matrix`` force is settled as 0.
 
     The rules are monotone, so their least fixpoint is unique and any order
     of application reaches it.  Each rule is an operation on whole zero
@@ -204,7 +198,7 @@ def _zero_fixpoint(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> None:
     open_ = [out.full & ~ones for ones in out.ones]  # cells a 0 may settle
     zeros = [known & ~ones for known, ones in zip(out.known, out.ones)]
     rank = {v: r for r, v in enumerate(graph.topo_order)}
-    groups = []  # (head, members), heads in topological order
+    groups = []  # (head, members, member mask), heads in topological order
     touching: list[list[int]] = [[] for _ in out.order]  # the groups of a node
     for head, members in sorted(graph.groups, key=lambda group: rank[group[0]]):
         h, ms = index[head], [index[w] for w in members]
@@ -213,54 +207,50 @@ def _zero_fixpoint(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> None:
             zeros[w] |= pool & ~(1 << w) & open_[w]
             touching[w].append(len(groups))
         touching[h].append(len(groups))
-        groups.append((h, ms))
-
-    def grow(i: int, new: int) -> bool:
-        """OR ``new`` into zero row ``i``; a dead row takes every open cell."""
-        row = zeros[i] | (new & open_[i])
-        if row >> i & 1:
-            row |= open_[i]
-        if row == zeros[i]:
-            return False
-        zeros[i] = row
-        return True
-
+        groups.append((h, ms, pool))
+    dead = 0  # nodes whose zero row holds their own diagonal
+    asymmetric = False  # a row grew without its mirror cells since the last transpose
     queue = list(range(len(groups)))  # a heap of group numbers
     queued = [True] * len(groups)
 
-    def requeue(i: int) -> None:
+    def grow(i: int, new: int) -> None:
+        """OR ``new`` into zero row ``i``, a dead row taking every open cell,
+        and queue the groups of ``i`` again if the row grew."""
+        nonlocal dead, asymmetric
+        row = zeros[i] | (new & open_[i])
+        if row >> i & 1:
+            row |= open_[i]
+            dead |= 1 << i
+        if row == zeros[i]:
+            return
+        zeros[i] = row
+        asymmetric = True
         for g in touching[i]:
             if not queued[g]:
                 queued[g] = True
                 heappush(queue, g)
 
-    asymmetric = False  # a row grew without its mirror cells since the last transpose
     for i, row in enumerate(zeros):
         if row >> i & 1:  # dead from the start
-            asymmetric |= grow(i, 0)
+            grow(i, 0)
     while True:
         while queue:
             g = heappop(queue)
             queued[g] = False
-            h, ms = groups[g]
+            h, ms, pool = groups[g]
             common = open_[h]
             for w in ms:
                 common &= zeros[w]
-            all_dead = all(zeros[w] >> w & 1 for w in ms)
-            grown = [h] if grow(h, common | all_dead << h) else []
-            down = zeros[h]
-            head_dead = down >> h & 1
-            grown += [w for w in ms if grow(w, down | head_dead << w)]
-            for i in grown:
-                requeue(i)
-            asymmetric = asymmetric or bool(grown)
+            grow(h, common if pool & ~dead else common | 1 << h)
+            down = zeros[h] | (dead >> h & 1) * pool
+            for w in ms:
+                grow(w, down)
         if not asymmetric:
             break
-        asymmetric = False
         for i, mirrored in enumerate(transpose(zeros)):
-            if grow(i, mirrored):
-                requeue(i)
-    out.known = [ones | row for ones, row in zip(out.ones, zeros)]
+            grow(i, mirrored)
+        asymmetric = False  # a mirror adds no diagonal, so the rows are symmetric now
+    return zeros
 
 
 def filling_ratio(matrix: ConcurrencyMatrix) -> float:
@@ -272,28 +262,8 @@ def filling_ratio(matrix: ConcurrencyMatrix) -> float:
 
 
 def to_document(matrix: ConcurrencyMatrix) -> MatrixDocument:
-    width = len(matrix.order)
-    rows = []
-    for i in range(width):
-        known = format(matrix.known[i], f"0{width}b")[::-1][: i + 1]
-        ones = format(matrix.ones[i], f"0{width}b")[::-1][: i + 1]
-        if "0" in known:
-            ones = "".join(o if k == "1" else "." for k, o in zip(known, ones))
-        rows.append(tuple(ones))
-    return MatrixDocument(matrix.order, tuple(rows))
+    return MatrixDocument(matrix.order, tuple(tuple(row) for row in matrix.lower_rows()))
 
 
 def from_document(doc: MatrixDocument) -> ConcurrencyMatrix:
-    out = ConcurrencyMatrix(doc.place_order, fill=UNKNOWN)
-    lower_known, lower_ones = [], []
-    for row in doc.rows:
-        text = "".join(row)[::-1]
-        lower_known.append(int(text.translate(_KNOWN_DIGITS), 2))
-        lower_ones.append(int(text.translate(_ONE_DIGITS), 2))
-    out.known = [row | col for row, col in zip(lower_known, transpose(lower_known))]
-    out.ones = [row | col for row, col in zip(lower_ones, transpose(lower_ones))]
-    return out
-
-
-_KNOWN_DIGITS = str.maketrans("10.", "110")
-_ONE_DIGITS = str.maketrans("10.", "100")
+    return ConcurrencyMatrix.from_lower_rows(doc.place_order, ["".join(row) for row in doc.rows])

@@ -326,7 +326,7 @@ def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyM
     """
     if not space.is_complete:
         raise IncompleteStateSpaceError(space.status)
-    mat = ConcurrencyMatrix(places, fill=0)
+    order = tuple(places)
     packing = space._packing
     ones, guards, width = packing.ones, packing.guards, packing.width
     # rows[i]: guard bits of every place marked together with layout place i
@@ -337,19 +337,14 @@ def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyM
             low = rest & -rest
             rows[low.bit_length() // width - 1] |= occupied
             rest ^= low
-    # layout position of each matrix column; a name outside the layout is
-    # never marked
-    layout = [packing.index.get(p) for p in mat.order]
-    same_order = layout == list(range(len(packing.places)))
-    for i, k in enumerate(layout):
-        if k is None or not rows[k]:
-            continue
-        # one digit per layout place, lowest first
-        marked = format(rows[k], "b")[::-1][width - 1 :: width]
-        if not same_order:
-            marked = marked.ljust(len(packing.places), "0")
-            marked = "".join("0" if j is None else marked[j] for j in layout)
-        mat.ones[i] = int(marked[::-1], 2)
+    marked = []  # the same sets, one bit per layout place
+    for row in rows:
+        digits = format(row, "b")[::-1][width - 1 :: width]  # guard digits, lowest first
+        marked.append(int(digits[::-1] or "0", 2))
+    # a name outside the layout is never marked
+    outside = [p for p in order if p not in packing.index]
+    everything = packing.places + tuple(outside)
+    mat = ConcurrencyMatrix.from_rows(everything, marked + [0] * len(outside)).restrict(order)
     mat.writes = mat.ones_count()
     return mat
 

@@ -5,6 +5,8 @@ int bitsets over the positions of ``order``: ``known[i]`` has bit ``j`` when
 cell (i, j) is settled and ``ones[i]`` when it is 1, so ``ones[i]`` is a
 subset of ``known[i]``.  Rows are stored in full and kept symmetric, so a
 whole row, or any set of its cells, is updated by one integer operation.
+The rows are written only here: other modules read them and hand new rows
+to :meth:`ConcurrencyMatrix.from_rows` or :meth:`ConcurrencyMatrix.add_ones`.
 """
 
 from __future__ import annotations
@@ -66,10 +68,55 @@ class ConcurrencyMatrix:
         self.ones = [full if fill == 1 else 0] * n
         self.writes = 0
 
+    @classmethod
+    def from_rows(cls, order, ones: list[int], zeros: list[int] | None = None):
+        """Matrix over ``order`` with 1 at the bits of ``ones[i]`` and 0 at
+        those of ``zeros[i]``, every other cell unknown; without ``zeros``,
+        every cell that is not 1 is 0.  Rows are full, symmetric and disjoint.
+        """
+        out = cls(order)
+        full = out.full
+        out.ones = list(ones)
+        if zeros is None:
+            out.known = [full] * len(out.order)
+        else:
+            out.known = [one | zero for one, zero in zip(ones, zeros)]
+        return out
+
+    @classmethod
+    def from_lower_rows(cls, order, rows):
+        """Inverse of :meth:`lower_rows`: row ``i`` spells cells (i, 0..i)."""
+        out = cls(order)
+        lower_known, lower_ones = [], []
+        for row in rows:
+            text = row[::-1]
+            lower_known.append(int(text.translate(_KNOWN_DIGITS), 2))
+            lower_ones.append(int(text.translate(_ONE_DIGITS), 2))
+        out.known = [row | col for row, col in zip(lower_known, transpose(lower_known))]
+        out.ones = [row | col for row, col in zip(lower_ones, transpose(lower_ones))]
+        return out
+
     @property
     def full(self) -> int:
         """Mask of every position."""
         return (1 << len(self.order)) - 1
+
+    def add_ones(self, rows: list[int]) -> tuple[str, str] | None:
+        """OR full symmetric rows of 1s into the matrix.
+
+        When one falls on a known 0, nothing is written and the first such
+        cell is returned as (row name, column name); otherwise None.
+        """
+        known, ones = self.known, self.ones
+        for i, row in enumerate(rows):
+            clash = row & known[i] & ~ones[i]
+            if clash:
+                return self.order[i], self.order[(clash & -clash).bit_length() - 1]
+        for i, row in enumerate(rows):
+            if row:
+                known[i] |= row
+                ones[i] |= row
+        return None
 
     def get(self, v: str, w: str) -> int | None:
         i, j = self.index[v], self.index[w]
@@ -105,15 +152,24 @@ class ConcurrencyMatrix:
             ones[i] &= ~bit_j
             ones[j] &= ~(1 << i)
 
-    def cells(self) -> Iterator[tuple[str, str, int | None]]:
-        """Triangular cells as (row name, column name, value), column <= row."""
-        symbol = {("1", "1"): 1, ("1", "0"): 0, ("0", "0"): UNKNOWN}
+    def lower_rows(self) -> list[str]:
+        """Row ``i`` spells cells (i, 0..i) as ``1``, ``0`` or ``.`` (unknown)."""
         width = len(self.order)
-        for i, v in enumerate(self.order):
+        out = []
+        for i in range(width):
             known = format(self.known[i], f"0{width}b")[::-1][: i + 1]
             ones = format(self.ones[i], f"0{width}b")[::-1][: i + 1]
-            for w, pair in zip(self.order, zip(known, ones)):
-                yield v, w, symbol[pair]
+            if "0" in known:
+                ones = "".join(o if k == "1" else "." for k, o in zip(known, ones))
+            out.append(ones)
+        return out
+
+    def cells(self) -> Iterator[tuple[str, str, int | None]]:
+        """Triangular cells as (row name, column name), column <= row, and value."""
+        symbol = {"1": 1, "0": 0, ".": UNKNOWN}
+        for v, row in zip(self.order, self.lower_rows()):
+            for w, digit in zip(self.order, row):
+                yield v, w, symbol[digit]
 
     def known_count(self) -> int:
         """Settled triangular cells."""
@@ -129,21 +185,17 @@ class ConcurrencyMatrix:
 
     def restrict(self, order) -> "ConcurrencyMatrix":
         """Sub-matrix over ``order``, which must be a subset of this order."""
-        sub = ConcurrencyMatrix(order, fill=UNKNOWN)
-        positions = [self.index[v] for v in sub.order]
-        if positions == list(range(len(positions))):  # a prefix: mask the rows
-            mask = sub.full
-            sub.known = [row & mask for row in self.known[: len(positions)]]
-            sub.ones = [row & mask for row in self.ones[: len(positions)]]
-            return sub
-        width = len(self.order)
-
-        def gather(row: int) -> int:
-            digits = format(row, f"0{width}b")[::-1]
-            return int("".join(digits[p] for p in reversed(positions)), 2)
-
-        sub.known = [gather(self.known[p]) for p in positions]
-        sub.ones = [gather(self.ones[p]) for p in positions]
+        sub = ConcurrencyMatrix(order)
+        # names adjacent in both orders move together: one shift and mask per
+        # run of them, so a prefix costs one mask per row
+        rows = [self.index[v] for v in sub.order]
+        n = len(rows)
+        starts = [t for t in range(n) if not t or rows[t] != rows[t - 1] + 1]
+        known, ones = self.known, self.ones
+        for begin, end in zip(starts, starts[1:] + [n]):
+            shift, mask = rows[begin], (1 << (end - begin)) - 1
+            sub.known = [k | (known[r] >> shift & mask) << begin for k, r in zip(sub.known, rows)]
+            sub.ones = [o | (ones[r] >> shift & mask) << begin for o, r in zip(sub.ones, rows)]
         return sub
 
     def __eq__(self, other) -> bool:
@@ -157,3 +209,7 @@ class ConcurrencyMatrix:
 
     def __repr__(self) -> str:
         return f"ConcurrencyMatrix(n={len(self.order)}, known={self.known_count()})"
+
+
+_KNOWN_DIGITS = str.maketrans("10.", "110")
+_ONE_DIGITS = str.maketrans("10.", "100")

@@ -23,7 +23,7 @@ from tfgkit.conc import (
 from tfgkit.net_io import parse_equations, parse_net
 from tfgkit.petri import Marking, explore, oracle_concurrency
 from tfgkit.reductions import build_graph, reduce
-from tfgkit.relation import UNKNOWN, ConcurrencyMatrix
+from tfgkit.relation import UNKNOWN, ConcurrencyMatrix, transpose
 from tfgkit.tfg import build
 
 CASCADE_TEXT = """\
@@ -365,6 +365,38 @@ class TestRelation:
         mat.set("c", "a", UNKNOWN)
         assert (mat.known_count(), mat.ones_count(), mat.writes) == (2, 2, 4)
         assert not mat.is_complete()
+
+    def test_from_rows_rebuilds_any_matrix(self):
+        rng = random.Random(11)
+        names = [f"p{i}" for i in range(30)]
+        mat = ConcurrencyMatrix(names)
+        for i, v in enumerate(names):
+            for w in names[: i + 1]:
+                mat.set(v, w, rng.choice((0, 1, UNKNOWN)))
+        zeros = [known & ~ones for known, ones in zip(mat.known, mat.ones)]
+        assert ConcurrencyMatrix.from_rows(names, mat.ones, zeros) == mat
+        complete = ConcurrencyMatrix.from_rows(names, mat.ones)
+        assert complete.is_complete()
+        for v, w, value in mat.cells():
+            assert complete.get(v, w) == complete.get(w, v) == (1 if value == 1 else 0)
+
+    def test_add_ones_writes_rows_or_reports_a_clash(self):
+        mat = ConcurrencyMatrix(("a", "b", "c"))
+        mat.set("a", "a", 0)
+        assert mat.add_ones([0b010, 0b011, 0]) is None  # (a, b) and (b, b)
+        assert mat.get("b", "a") == mat.get("b", "b") == 1
+        assert mat.get("a", "a") == 0 and mat.get("c", "c") is UNKNOWN
+        # (a, c) is open but (a, a) is a known 0: nothing is written
+        assert mat.add_ones([0b101, 0, 0b001]) == ("a", "a")
+        assert mat.get("a", "c") is UNKNOWN and mat.get("a", "a") == 0
+
+    def test_transpose(self):
+        rng = random.Random(5)
+        for n in (0, 1, 9, 70):
+            rows = [rng.getrandbits(n) if n else 0 for _ in range(n)]
+            flipped = transpose(rows)
+            assert all(flipped[j] >> i & 1 == rows[i] >> j & 1 for i in range(n) for j in range(n))
+            assert transpose(flipped) == rows
 
 
 class TestDocumentConversion:
