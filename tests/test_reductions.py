@@ -26,18 +26,14 @@ from tfgkit.reductions import (
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
 A1_TEXT = "pl x 1\npl y 0\npl z 0\ntr t1 x -> y\ntr t2 y -> z\n"
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "reduce.txt"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "reduce.txt"
+GOLDEN_SCALED = GOLDEN_DIR / "reduce_scaled.txt"
 
 
-def golden_text() -> str:
-    """Equations and reduced net of every corpus net and three generator
-    families, each under a ``### <name>`` header."""
-    nets = [(path.stem, parse_net(path.read_text())) for path in sorted(CORPUS_DIR.glob("*.net"))]
-    nets += [
-        ("chain_line(48)", generators.chain_line(48).build()),
-        ("duplicate_ladder(32)", generators.duplicate_ladder(32).build()),
-        ("diamond_chain(16)", generators.diamond_chain(16)),
-    ]
+def _sections(nets) -> str:
+    """Equations and reduced net of each ``(name, (net, m0))`` under a
+    ``### <name>`` header."""
     sections = []
     for name, (net, m0) in nets:
         res = reduce(net, m0)
@@ -46,6 +42,33 @@ def golden_text() -> str:
             + write_net(res.reduced_net, res.reduced_marking)
         )
     return "".join(sections)
+
+
+def golden_text() -> str:
+    """Every corpus net and three small generator families."""
+    nets = [(path.stem, parse_net(path.read_text())) for path in sorted(CORPUS_DIR.glob("*.net"))]
+    nets += [
+        ("chain_line(48)", generators.chain_line(48).build()),
+        ("duplicate_ladder(32)", generators.duplicate_ladder(32).build()),
+        ("diamond_chain(16)", generators.diamond_chain(16)),
+    ]
+    return _sections(nets)
+
+
+def scaled_golden_text() -> str:
+    """Six generator families at a few hundred places and twenty composite
+    nets, where a change to the order in which rules find their candidates
+    would show."""
+    nets = [
+        ("chain_line(300)", generators.chain_line(300).build()),
+        ("diamond_chain(60)", generators.diamond_chain(60)),
+        ("duplicate_ladder(100)", generators.duplicate_ladder(100).build()),
+        ("two_phase_branches(40)", generators.two_phase_branches(40).build()),
+        ("fork_join(30)", generators.fork_join(30).build()),
+        ("ring(50)", generators.ring(50).build()),
+    ]
+    nets += [(f"composite({seed}, 8)", generators.composite(seed, 8)) for seed in range(20)]
+    return _sections(nets)
 
 
 class TestRules:
@@ -243,9 +266,14 @@ class TestPinnedOutput:
         """Equation order, fresh names and the reduced net, place and
         transition order included, match the committed output exactly.
 
-        Regenerate with ``PYTHONPATH=src python tests/test_reductions.py``.
+        Regenerate with ``PYTHONPATH=src python tests/test_reductions.py``,
+        which writes this file and the scaled one.
         """
         assert golden_text() == GOLDEN.read_text()
+
+    def test_golden_scaled(self):
+        """The same pin on nets of a few hundred places."""
+        assert scaled_golden_text() == GOLDEN_SCALED.read_text()
 
     @settings(max_examples=50)
     @given(st.integers(0, 10_000).map(generators.composite))
@@ -259,5 +287,6 @@ class TestPinnedOutput:
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN_DIR.mkdir(exist_ok=True)
     GOLDEN.write_text(golden_text())
+    GOLDEN_SCALED.write_text(scaled_golden_text())
