@@ -105,8 +105,8 @@ def _load_net(path: str, fmt: str) -> tuple[PetriNet, Marking]:
 def _effective_max_states(args: argparse.Namespace) -> int:
     budget = args.max_states
     if args.timeout is not None:
-        if not math.isfinite(args.timeout):
-            raise CliError(f"--timeout must be finite, got {args.timeout}")
+        if not math.isfinite(args.timeout) or args.timeout <= 0:
+            raise CliError(f"--timeout must be finite and positive, got {args.timeout}")
         budget = min(budget, max(1, int(args.timeout * NOMINAL_STATES_PER_SECOND)))
     return budget
 
@@ -137,9 +137,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.reduced_net is not None:
         _write_file(args.reduced_net, net_io.write_net(result.reduced_net, result.reduced_marking))
     print(f"ratio {result.ratio:.3f}")
+    # each rule writes one equation shape: constant R, variable R, A
+    constants = sum(e.constant is not None for e in result.equations)
+    chains = sum(e.tag == "A" for e in result.equations)
     log.info(
-        "reduced %d places to %d with %d equations",
+        "reduced %d places to %d with %d equations "
+        "(hits: constant %d, duplicate %d, chain %d)",
         len(net.places), len(result.reduced_net.places), len(result.equations),
+        constants, len(result.equations) - constants - chains, chains,
     )
     return EXIT_OK
 

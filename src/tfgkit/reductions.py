@@ -1,9 +1,6 @@
 """Structural net reductions that emit linear reduction equations.
 
-Three rules are applied to a fixpoint.  Each round indexes every place's
-consumer and producer column once; the rules look their candidates up there,
-scanning places in declaration order, and every hit starts a new round from
-the highest-priority rule:
+Three rules are applied to a fixpoint, highest priority first:
 
 1. constant place: a place no transition touches is removed and pinned to its
    initial marking;
@@ -13,6 +10,20 @@ the highest-priority rule:
    from p to q, where t is p's only consumer and q's only producer and both
    places start empty, merges p and q into a fresh variable.
 
+The reducer is one worklist.  Every place's consumer and producer column is
+kept up to date as rules rewrite the net, and every place has a position:
+originals get their declaration index, each fresh variable the next unused
+one, so positions grow in place order.  Each rule keeps a min-heap of
+candidate positions that is validated lazily when popped; a rewrite re-queues
+only what it touched: the merged variable, and the output place of every
+transition whose arcs it changed.  The duplicate rule also keeps its places
+grouped by signature, in position order, and regroups only places whose
+columns changed.  Taking the lowest valid position from the highest-priority
+rule with a candidate is exactly the hit a full rescan of the places in
+declaration order would find after every rewrite, so the equations, the fresh
+names ``a<i>`` and the place and transition order of the reduced net do not
+depend on how candidates are found.
+
 Every removal is recorded as a tagged equation, so the reduced net plus the
 equation system stays equivalent to the input; ``validate_equivalence``
 certifies that on a given instance by exhaustive enumeration.
@@ -20,6 +31,8 @@ certifies that on a given instance by exhaustive enumeration.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import logging
 from dataclasses import dataclass
 
@@ -69,7 +82,7 @@ class ValidationReport:
     n2_markings: int = 0
 
 
-# place -> {transition: arc weight}, in transition order
+# place -> {transition: arc weight}
 _Columns = dict[str, dict[str, int]]
 
 
@@ -84,6 +97,23 @@ class _Work:
         self.equations: list[TaggedEquation] = []
         self.used_names = set(net.places) | set(net.transitions)
         self.fresh_counter = 0
+        self.consumers: _Columns = {p: {} for p in net.places}
+        self.producers: _Columns = {p: {} for p in net.places}
+        for t, arcs in self.pre.items():
+            for p, n in arcs.items():
+                self.consumers[p][t] = n
+            for p, n in self.post[t].items():
+                self.producers[p][t] = n
+        self.names = list(net.places)  # position -> place, dead ones included
+        self.position = {p: i for i, p in enumerate(net.places)}
+        self.signature: dict[str, tuple] = {}
+        self.groups: dict[tuple, list[int]] = {}  # signature -> sorted positions
+        # every place is a candidate once; heaps of positions, rule order
+        self.constant_heap = list(range(len(self.names)))
+        self.duplicate_heap: list[int] = []
+        self.chain_heap = list(range(len(self.names)))
+        for p in net.places:
+            self._group(p)
 
     def fresh_variable(self) -> str:
         while True:
@@ -93,87 +123,130 @@ class _Work:
                 self.used_names.add(name)
                 return name
 
-    def columns(self) -> tuple[_Columns, _Columns]:
-        """Consumer and producer columns, in one pass over the arcs."""
-        consumers: _Columns = {p: {} for p in self.marking}
-        producers: _Columns = {p: {} for p in self.marking}
-        for t, arcs in self.pre.items():
-            for p, n in arcs.items():
-                consumers[p][t] = n
-            for p, n in self.post[t].items():
-                producers[p][t] = n
-        return consumers, producers
+    def _group(self, p: str) -> None:
+        key = (
+            self.marking[p],
+            frozenset(self.consumers[p].items()),
+            frozenset(self.producers[p].items()),
+        )
+        self.signature[p] = key
+        group = self.groups.setdefault(key, [])
+        bisect.insort(group, self.position[p])
+        if len(group) > 1:
+            heapq.heappush(self.duplicate_heap, group[0])
 
+    def _ungroup(self, p: str) -> None:
+        key = self.signature.pop(p)
+        group = self.groups[key]
+        i = bisect.bisect_left(group, self.position[p])
+        del group[i]
+        if not group:
+            del self.groups[key]
+        elif i == 0 and len(group) > 1:
+            heapq.heappush(self.duplicate_heap, group[0])
 
-def _constant_once(w: _Work, consumers: _Columns, producers: _Columns) -> bool:
-    for p in w.marking:
-        if not consumers[p] and not producers[p]:
-            w.equations.append(TaggedEquation("R", p, constant=w.marking[p]))
-            log.debug("constant place %s = %d", p, w.marking[p])
-            del w.marking[p]
-            return True
-    return False
+    def _requeue_output(self, t: str) -> None:
+        """Re-queue the chain candidate of ``t``, whose arcs changed."""
+        if len(self.pre[t]) == 1 and len(self.post[t]) == 1:
+            (q,) = self.post[t]
+            heapq.heappush(self.chain_heap, self.position[q])
 
+    def _first(self, heap: list[int], valid) -> str | None:
+        """Lowest-position place of ``heap`` that passes ``valid``; stale
+        entries on top are dropped."""
+        while heap:
+            p = self.names[heap[0]]
+            if p in self.marking and valid(p):
+                return p
+            heapq.heappop(heap)
+        return None
 
-def _duplicate_once(w: _Work, consumers: _Columns, producers: _Columns) -> bool:
-    # the first group with two members is the one whose first member comes
-    # earliest: the pair a pairwise scan in declaration order would pick
-    groups: dict[tuple, list[str]] = {}
-    for p in w.marking:
-        key = (w.marking[p], tuple(consumers[p].items()), tuple(producers[p].items()))
-        groups.setdefault(key, []).append(p)
-    for p, q, *_ in (g for g in groups.values() if len(g) > 1):
-        w.equations.append(TaggedEquation("R", q, terms=(p,)))
-        log.debug("duplicate place %s = %s", q, p)
-        del w.marking[q]
-        for t in consumers[q]:
-            del w.pre[t][q]
-        for t in producers[q]:
-            del w.post[t][q]
-        return True
-    return False
+    def _is_constant(self, p: str) -> bool:
+        return not self.consumers[p] and not self.producers[p]
 
+    def _heads_duplicates(self, p: str) -> bool:
+        group = self.groups[self.signature[p]]
+        return len(group) > 1 and group[0] == self.position[p]
 
-def _chain_once(w: _Work, consumers: _Columns, producers: _Columns) -> bool:
-    for q in w.marking:
-        if len(producers[q]) != 1:
-            continue
-        (t,) = producers[q]
-        if w.post[t] != {q: 1} or len(w.pre[t]) != 1:
-            continue
-        (p, weight), = w.pre[t].items()
-        if weight != 1 or p == q:
-            continue
-        if list(consumers[p]) != [t]:
-            continue
+    def _chain_source(self, q: str) -> tuple[str, str] | None:
+        """``(t, p)`` when ``t`` only moves one token from ``p`` to ``q``,
+        is ``p``'s only consumer and ``q``'s only producer, and both places
+        start empty."""
+        if len(self.producers[q]) != 1:
+            return None
+        (t,) = self.producers[q]
+        if self.post[t] != {q: 1} or len(self.pre[t]) != 1:
+            return None
+        (p, weight), = self.pre[t].items()
+        if weight != 1 or p == q or len(self.consumers[p]) != 1:
+            return None
         # both ends must start empty so token counts stay reconstructible
-        if w.marking[p] != 0 or w.marking[q] != 0:
-            continue
-        a = w.fresh_variable()
-        w.equations.append(TaggedEquation("A", a, terms=(p, q)))
+        if self.marking[p] != 0 or self.marking[q] != 0:
+            return None
+        return t, p
+
+    def step(self) -> bool:
+        """Apply the next hit; False at the fixpoint."""
+        p = self._first(self.constant_heap, self._is_constant)
+        if p is not None:
+            self.equations.append(TaggedEquation("R", p, constant=self.marking[p]))
+            log.debug("constant place %s = %d", p, self.marking[p])
+            self._remove(p)
+            return True
+        p = self._first(self.duplicate_heap, self._heads_duplicates)
+        if p is not None:
+            q = self.names[self.groups[self.signature[p]][1]]
+            self.equations.append(TaggedEquation("R", q, terms=(p,)))
+            log.debug("duplicate place %s = %s", q, p)
+            touched = [*self.consumers[q], *self.producers[q]]
+            for t in self.consumers[q]:
+                del self.pre[t][q]
+            for t in self.producers[q]:
+                del self.post[t][q]
+            self._remove(q)
+            for t in touched:
+                self._requeue_output(t)
+            return True
+        q = self._first(self.chain_heap, lambda q: self._chain_source(q) is not None)
+        if q is not None:
+            t, p = self._chain_source(q)
+            self._merge(t, p, q)
+            return True
+        return False
+
+    def _remove(self, p: str) -> None:
+        self._ungroup(p)
+        del self.marking[p], self.consumers[p], self.producers[p]
+
+    def _merge(self, t: str, p: str, q: str) -> None:
+        a = self.fresh_variable()
+        self.equations.append(TaggedEquation("A", a, terms=(p, q)))
         log.debug("chain agglomeration %s = %s + %s via %s", a, p, q, t)
         # t is neither a producer of p nor a consumer of q, since p != q
-        for t2 in producers[p]:
-            w.post[t2][a] = w.post[t2].pop(p)
-        for t2 in consumers[q]:
-            w.pre[t2][a] = w.pre[t2].pop(q)
-        del w.pre[t], w.post[t]
-        w.marking[a] = 0
-        del w.marking[p], w.marking[q]
-        return True
-    return False
-
-
-_RULES = (_constant_once, _duplicate_once, _chain_once)
+        producers, consumers = self.producers[p], self.consumers[q]
+        for t2 in producers:
+            self.post[t2][a] = self.post[t2].pop(p)
+        for t2 in consumers:
+            self.pre[t2][a] = self.pre[t2].pop(q)
+        del self.pre[t], self.post[t]
+        self._remove(p)
+        self._remove(q)
+        self.marking[a] = 0
+        self.producers[a], self.consumers[a] = producers, consumers
+        self.position[a] = len(self.names)
+        self.names.append(a)
+        self._group(a)
+        heapq.heappush(self.constant_heap, self.position[a])
+        heapq.heappush(self.chain_heap, self.position[a])
+        for t2 in [*producers, *consumers]:
+            self._requeue_output(t2)
 
 
 def reduce(net: PetriNet, m0: Marking) -> ReductionResult:
     """Reduce ``net`` and return the equation system tying it to the input."""
     w = _Work(net, m0)
-    while True:
-        consumers, producers = w.columns()
-        if not any(rule(w, consumers, producers) for rule in _RULES):
-            break
+    while w.step():
+        pass
     reduced_net = PetriNet(tuple(w.marking), tuple(w.pre), w.pre, w.post)
     total = len(net.places)
     ratio = (total - len(w.marking)) / total if total else 0.0

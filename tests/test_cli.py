@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, in process via ``main``."""
 
 import io
+import logging
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -92,6 +93,18 @@ class TestReduce:
         out = capsys.readouterr().out
         assert "# A |- a1 = y + z\n" in out
         assert out.endswith("ratio 0.333\n")
+
+    @pytest.mark.parametrize("name, hits", [
+        ("d1_duplicate", "constant 0, duplicate 1, chain 0"),
+        ("a1_chain", "constant 0, duplicate 0, chain 1"),
+    ])
+    def test_rule_hits_logged(self, name, hits, caplog, capsys):
+        caplog.set_level(logging.INFO, logger="tfgkit")
+        assert main(["reduce", str(CORPUS_DIR / f"{name}.net")]) == EXIT_OK
+        capsys.readouterr()
+        assert caplog.messages == [
+            f"reduced 3 places to 2 with 1 equations (hits: {hits})"
+        ]
 
 
 class TestReach:
@@ -492,6 +505,17 @@ class TestInputErrors:
         code = main(["reach", str(d1), query(tmp_path, "q=1"), "--timeout", "nan"])
         assert code == EXIT_INPUT
         assert "--timeout must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["reach", "conc", "oracle"])
+    def test_non_positive_timeout(self, command, value, d1, tmp_path, capsys):
+        argv = [command, str(d1), "--timeout", value]
+        if command == "reach":
+            argv.insert(2, query(tmp_path, "q=1"))
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --timeout must be finite and positive")
 
     @pytest.mark.parametrize("command, flag", [
         ("reduce", "--max-states"), ("reduce", "--max-token"),

@@ -261,6 +261,23 @@ class TestEndToEndShapes:
         assert res.ratio == 0.0
 
 
+class TestScale:
+    """Nets of 10^4 places: sizes only, since a rescan of every place after
+    each hit would take minutes here."""
+
+    def test_chain_line_collapses_to_two_places(self):
+        res = reduce(*generators.chain_line(10_000).build())
+        assert len(res.reduced_net.places) == 2
+        assert len(res.equations) == 9_999
+
+    def test_diamond_chain_keeps_two_places_per_block(self):
+        net, m0 = generators.diamond_chain(2_000)
+        assert len(net.places) == 10_000
+        res = reduce(net, m0)
+        assert len(res.reduced_net.places) == 4_000
+        assert len(res.equations) == 6_000
+
+
 class TestPinnedOutput:
     def test_golden(self):
         """Equation order, fresh names and the reduced net, place and
