@@ -87,8 +87,11 @@ _Columns = dict[str, dict[str, int]]
 
 
 class _Work:
-    """Mutable net under reduction; place order is the key order of
-    ``marking``, transition order that of ``pre``."""
+    """Mutable net under reduction with its columns and candidate heaps.
+
+    Place order is the key order of ``marking``, which is also position
+    order; transition order is that of ``pre``.
+    """
 
     def __init__(self, net: PetriNet, m0: Marking):
         self.pre = {t: dict(net.pre_of(t)) for t in net.transitions}
@@ -151,24 +154,28 @@ class _Work:
             (q,) = self.post[t]
             heapq.heappush(self.chain_heap, self.position[q])
 
-    def _first(self, heap: list[int], valid) -> str | None:
-        """Lowest-position place of ``heap`` that passes ``valid``; stale
-        entries on top are dropped."""
+    def _first(self, heap: list[int], match) -> tuple[str, object]:
+        """Lowest-position live place of ``heap`` on which ``match`` finds a
+        hit, and that hit; stale entries on top are dropped."""
         while heap:
             p = self.names[heap[0]]
-            if p in self.marking and valid(p):
-                return p
+            if p in self.marking and (hit := match(p)):
+                return p, hit
             heapq.heappop(heap)
-        return None
+        return "", None
 
-    def _is_constant(self, p: str) -> bool:
+    def _constant(self, p: str) -> bool:
         return not self.consumers[p] and not self.producers[p]
 
-    def _heads_duplicates(self, p: str) -> bool:
+    def _duplicate(self, p: str) -> str | None:
+        """The second place of ``p``'s group when ``p`` heads a group of two
+        or more."""
         group = self.groups[self.signature[p]]
-        return len(group) > 1 and group[0] == self.position[p]
+        if len(group) > 1 and group[0] == self.position[p]:
+            return self.names[group[1]]
+        return None
 
-    def _chain_source(self, q: str) -> tuple[str, str] | None:
+    def _chain(self, q: str) -> tuple[str, str] | None:
         """``(t, p)`` when ``t`` only moves one token from ``p`` to ``q``,
         is ``p``'s only consumer and ``q``'s only producer, and both places
         start empty."""
@@ -187,15 +194,14 @@ class _Work:
 
     def step(self) -> bool:
         """Apply the next hit; False at the fixpoint."""
-        p = self._first(self.constant_heap, self._is_constant)
-        if p is not None:
+        p, hit = self._first(self.constant_heap, self._constant)
+        if hit:
             self.equations.append(TaggedEquation("R", p, constant=self.marking[p]))
             log.debug("constant place %s = %d", p, self.marking[p])
             self._remove(p)
             return True
-        p = self._first(self.duplicate_heap, self._heads_duplicates)
-        if p is not None:
-            q = self.names[self.groups[self.signature[p]][1]]
+        p, q = self._first(self.duplicate_heap, self._duplicate)
+        if q:
             self.equations.append(TaggedEquation("R", q, terms=(p,)))
             log.debug("duplicate place %s = %s", q, p)
             touched = [*self.consumers[q], *self.producers[q]]
@@ -207,9 +213,9 @@ class _Work:
             for t in touched:
                 self._requeue_output(t)
             return True
-        q = self._first(self.chain_heap, lambda q: self._chain_source(q) is not None)
-        if q is not None:
-            t, p = self._chain_source(q)
+        q, hit = self._first(self.chain_heap, self._chain)
+        if hit:
+            t, p = hit
             self._merge(t, p, q)
             return True
         return False
