@@ -111,7 +111,8 @@ class _Work:
         self.position = {p: i for i, p in enumerate(net.places)}
         self.signature: dict[str, tuple] = {}
         self.groups: dict[tuple, list[int]] = {}  # signature -> sorted positions
-        # every place is a candidate once; heaps of positions, rule order
+        # candidate positions, one min-heap per rule: every place starts as a
+        # constant and a chain candidate, group heads as duplicate ones
         self.constant_heap = list(range(len(self.names)))
         self.duplicate_heap: list[int] = []
         self.chain_heap = list(range(len(self.names)))
