@@ -15,6 +15,7 @@ truncated state spaces into exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -174,6 +175,10 @@ def _matrix_summary(matrix: ConcurrencyMatrix) -> str:
 
 
 def cmd_conc(args: argparse.Namespace) -> int:
+    if args.oracle:  # the full net needs no reduction and no root relation
+        for flag in ("--rel2", "--partial", "--equations", "--reduced-net"):
+            if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+                raise CliError(f"{flag} cannot be used with --oracle")
     net, m0 = _load_net(args.net, args.format)
     max_states = _effective_max_states(args)
     if args.oracle:
@@ -365,6 +370,7 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tfgkit",

@@ -5,10 +5,10 @@ Given the exact concurrency relation of the reduced net over the graph roots,
 the original state space.  ``partial_matrix`` does the same from incomplete
 root knowledge, writing 1s by the same propagation and 0s by the least
 fixpoint of six sound inference rules; cells it cannot settle stay unknown.
-Both work on the bitset rows of :class:`ConcurrencyMatrix`, ordered like
-``graph.nodes``: :func:`propagate` ORs each cone product into rows in one
-loop over the graph in topological order, so the depth of the graph costs no
-stack, and the zero fixpoint is a worklist of row operations.
+Both seed the bitset rows of a :class:`ConcurrencyMatrix`, ordered like
+``graph.nodes``, with the root relation; :func:`propagate` reads the root
+facts back from those rows and ORs each cone product into rows in one loop
+over the graph in topological order, so depth costs no stack.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
@@ -18,7 +18,6 @@ dead.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import combinations
 
 from tfgkit import tfg
 from tfgkit.net_io import MatrixDocument
@@ -30,78 +29,109 @@ class IncompleteInputError(Exception):
 
 
 class InconsistentInputError(Exception):
-    """Propagation derived both 0 and 1 for one cell; the input lied."""
+    """The input lied: a 1 beside a dead root, or a 1 propagated onto a 0."""
 
 
-def _pair_value(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix, v: str, w: str) -> int | None:
-    """Root relation extended to constant nodes; None when not derivable."""
-    cv = graph.constants.get(v)
-    cw = graph.constants.get(w)
-    if cv is not None and cw is not None:
-        if v == w:
-            return 1 if cv > 0 else 0
-        return 1 if (cv > 0 and cw > 0) else 0
-    if cv is not None or cw is not None:
-        const, other = (cv, w) if cv is not None else (cw, v)
-        if const == 0:
-            return 0
-        alive = rel2.get(other, other)
-        return None if alive is UNKNOWN else alive
-    return rel2.get(v, w)
+def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
+    """The root facts of ``rel2`` over ``graph.nodes``, every other cell unknown.
+
+    ``rel2`` must cover exactly the non-constant roots, the reduced net's
+    places.  A place with a 1 in its row is marked, so it takes a 1 on its
+    diagonal; a 1 beside a place that ``rel2`` holds dead is an error.  A
+    positive constant is concurrent with itself, the other positive constants
+    and every place marked on ``rel2``'s own diagonal; a zero constant is
+    dead.  The 0s beside dead nodes are left to the callers.
+    """
+    if set(rel2.order) != set(graph.roots) - set(graph.constants):
+        raise ValueError("rel2 order must match the reduced places")
+    index = dict(zip(graph.nodes, range(len(graph.nodes))))
+    bits = [1 << index[v] for v in rel2.order]  # node bit of each rel2 position
+    positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)
+    ones = [0] * len(graph.nodes)
+    zeros = [0] * len(graph.nodes)
+    marked = 0  # places that rel2 marks on their own diagonal
+    for k, bit in enumerate(bits):
+        row, zero = rel2.ones[k], rel2.known[k] & ~rel2.ones[k]
+        if row and zero >> k & 1:
+            v, w = rel2.order[k], rel2.order[(row & -row).bit_length() - 1]
+            raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
+        i = bit.bit_length() - 1
+        ones[i] = _moved(row, bits) | (bit if row else 0)
+        zeros[i] = _moved(zero, bits)
+        if row >> k & 1:
+            marked |= bit
+            ones[i] |= positive
+    for v, value in graph.constants.items():
+        i = index[v]
+        if value > 0:
+            ones[i] = positive | marked
+        else:
+            zeros[i] = 1 << i
+    return ConcurrencyMatrix.from_rows(graph.nodes, ones, zeros)
 
 
-def propagate(graph: tfg.TokenFlowGraph, sources, value, out: ConcurrencyMatrix) -> int:
-    """Write into ``out`` the 1s that the live ``sources`` force, in one pass.
+def _moved(row: int, bits: list[int]) -> int:
+    """``row`` with each set bit ``k`` moved to ``bits[k]``."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= bits[low.bit_length() - 1]
+        row ^= low
+    return out
 
-    A source ``v`` is live when ``value(v, v) == 1``.  Every node in the
-    union of the live sources' successor cones is expanded once, in
-    ``graph.topo_order``: it is concurrent with each of its successors, and
-    for every redundancy arc ``v -> w`` the two sides of the split,
-    successors of ``v`` outside the cone of ``w`` against successors of
-    ``w``, are pairwise concurrent.  Then each source pair with
-    ``value(v, w) == 1`` makes the two cones pairwise concurrent.
 
-    ``out`` is ordered like ``graph.nodes``.  Each fact is one row OR: a
-    node's row takes its cone, and a mask in ``below`` is pushed down the
-    graph to the rows of every successor at once.  Only the split goes into
-    the rows of one side, and one transpose then writes its other side.
-    The return value counts a product of node sets A and B as |A|·|B|
-    logical cell writes.  Only 1s are written, so repeated calls are
-    idempotent; a 1 on a known 0 raises :class:`InconsistentInputError`.
+def propagate(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> int:
+    """Write into ``out``, ordered like ``graph.nodes``, the 1s that its root
+    cells force, and return the logical cell writes, |A|·|B| for a product
+    of node sets A and B.
+
+    A pair of roots that ``out`` holds concurrent makes their successor
+    cones pairwise concurrent.  Under a root that it holds live (1 on the
+    diagonal), each node is concurrent with its successors, and each
+    redundancy arc ``v -> w`` makes the successors of ``v`` outside the
+    cone of ``w`` concurrent with those of ``w``.  Each fact is one row OR
+    in one pass over ``graph.topo_order``: a node's row takes its cone, a
+    mask in ``below`` is pushed down to the rows of every successor at
+    once, and one transpose writes the other side of the splits.  Only 1s
+    are written, so repeated calls are idempotent; a 1 on a known 0 raises
+    :class:`InconsistentInputError`.
     """
     index = out.index
     succ = graph.successor_masks
-    rows = [0] * len(graph.nodes)
+    roots = [index[v] for v in graph.roots]
+    root_mask = sum(1 << i for i in roots)
     below = [0] * len(graph.nodes)  # what every successor of a node meets
     writes = 0
-    split_seen = False
     cone = 0
-    for v in sources:
-        if value(v, v) == 1:
-            cone |= succ[index[v]]
-    for v in graph.topo_order:
-        i = index[v]
-        if not cone >> i & 1:
-            continue
-        rows[i] |= succ[i]
-        below[i] |= 1 << i
-        writes += succ[i].bit_count()
-        for w in graph.r_children[v]:
-            j = index[w]
-            split = succ[i] & ~succ[j]
-            below[j] |= split
-            split_seen = True
-            writes += split.bit_count() * succ[j].bit_count()
-    for v, w in combinations(sources, 2):
-        if value(v, w) == 1:
-            i, j = index[v], index[w]
+    for i in roots:
+        row = out.ones[i]
+        if row >> i & 1:
+            cone |= succ[i]
+        pairs = (row & root_mask) >> (i + 1) << (i + 1)  # concurrent roots after i
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low
+            j = low.bit_length() - 1
             below[i] |= succ[j]
             below[j] |= succ[i]
             writes += succ[i].bit_count() * succ[j].bit_count()
+    rows = [0] * len(graph.nodes)
+    split_seen = False
+    parents, r_children = graph.parents, graph.r_children
     for v in graph.topo_order:
         i = index[v]
-        for u in graph.parents[v]:
+        for u in parents[v]:
             below[i] |= below[index[u]]
+        if cone >> i & 1:
+            rows[i] = succ[i]
+            below[i] |= 1 << i
+            writes += succ[i].bit_count()
+            for w in r_children[v]:
+                j = index[w]
+                split = succ[i] & ~succ[j]
+                below[j] |= split
+                split_seen = True
+                writes += split.bit_count() * succ[j].bit_count()
         rows[i] |= below[i]
     if split_seen:
         rows = [row | column for row, column in zip(rows, transpose(rows))]
@@ -114,23 +144,16 @@ def propagate(graph: tfg.TokenFlowGraph, sources, value, out: ConcurrencyMatrix)
 def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
     """Exact concurrency over all nodes from an exact root relation.
 
-    ``rel2`` must be complete and cover exactly the non-constant roots (the
-    reduced net's places), with no 1 in the row of a dead root.  Cell writes
-    are bounded cubically in the node count: one expansion per node under a
-    nondead root plus one product per concurrent root pair.
+    ``rel2`` must be complete; every cell that propagation leaves unknown
+    is 0.  Cell writes are bounded cubically in the node count: one
+    expansion per node under a nondead root plus one product per concurrent
+    root pair.
     """
-    if set(rel2.order) != set(graph.roots) - set(graph.constants):
-        raise ValueError("rel2 order must match the reduced places")
+    out = _seed(graph, rel2)
     if not rel2.is_complete():
         raise IncompleteInputError("rel2 has unknown cells")
-    for i, v in enumerate(rel2.order):
-        row = rel2.ones[i]
-        if row and not row >> i & 1:
-            w = rel2.order[(row & -row).bit_length() - 1]
-            raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
-    forced = ConcurrencyMatrix(graph.nodes)
-    writes = propagate(graph, graph.roots, lambda v, w: _pair_value(graph, rel2, v, w), forced)
-    out = ConcurrencyMatrix.from_rows(graph.nodes, forced.ones)  # every other cell is 0
+    writes = propagate(graph, out)
+    out = ConcurrencyMatrix.from_rows(graph.nodes, out.ones)  # every other cell is 0
     out.writes = writes
     return out
 
@@ -144,37 +167,12 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
     members are dead if it is; members of one group are mutually
     nonconcurrent; and a head is nonconcurrent with exactly whatever all its
     members are nonconcurrent with.  The rules only settle unknown cells.  A
-    clash between the root facts, or a 1 propagated onto a known 0, raises
-    :class:`InconsistentInputError`.  Each settled cell counts as one write.
+    1 beside a root that ``rel2`` holds dead, or a 1 propagated onto a known
+    0, raises :class:`InconsistentInputError`.  Each settled cell counts as
+    one write.
     """
-    if set(rel2.order) != set(graph.roots) - set(graph.constants):
-        raise ValueError("rel2 order must match the reduced places")
-    out = ConcurrencyMatrix(graph.nodes, fill=UNKNOWN)
-
-    def settle(v: str, w: str, value: int) -> None:
-        current = out.get(v, w)
-        if current is UNKNOWN:
-            out.set(v, w, value)
-        elif current != value:
-            raise InconsistentInputError(f"cell ({v}, {w}) is both {current} and {value}")
-
-    # root seeding, with the invariant cell=1 => both diagonals 1
-    roots = graph.roots
-    for v, w in combinations(roots, 2):
-        value = _pair_value(graph, rel2, v, w)
-        if value is not UNKNOWN:
-            settle(v, w, value)
-            if value == 1:
-                settle(v, v, 1)
-                settle(w, w, 1)
-    for v in roots:
-        value = _pair_value(graph, rel2, v, v)
-        if value is not UNKNOWN:
-            settle(v, v, value)
-
-    # 1-propagation from known-nondead roots
-    propagate(graph, roots, out.get, out)
-
+    out = _seed(graph, rel2)
+    propagate(graph, out)
     out = ConcurrencyMatrix.from_rows(graph.nodes, out.ones, _zero_fixpoint(graph, out))
     out.writes = out.known_count()
     return out

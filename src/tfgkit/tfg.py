@@ -232,27 +232,22 @@ def _construct(
 
 def violations(
     graph: TokenFlowGraph,
-    canonical_equations: list[tuple[str, frozenset[str]]] | None = None,
+    canonical_equations: list[tuple[str, frozenset[str]]],
 ) -> list[Violation]:
-    """All failed structural checks, in check order T1..T6.
-
-    T4 (arc groups match the equations one for one) is only checkable when
-    the canonical equation list is supplied, as :func:`build` does.
-    """
+    """All failed structural checks, in check order T1..T6."""
     found: list[Violation] = []
     node_set = set(graph.nodes)
     const_set = set(graph.constants)
 
     fv: set[str] = set()
-    if canonical_equations is not None:
-        for lhs, rhs in canonical_equations:
-            fv.add(lhs)
-            fv.update(rhs - const_set)
-        expected = graph.p1 | graph.p2 | fv
-        actual = node_set - const_set
-        if actual != expected:
-            extra = tuple(sorted(actual ^ expected))
-            found.append(Violation("T1", extra, f"node set mismatch on {extra}"))
+    for lhs, rhs in canonical_equations:
+        fv.add(lhs)
+        fv.update(rhs - const_set)
+    expected = graph.p1 | graph.p2 | fv
+    actual = node_set - const_set
+    if actual != expected:
+        extra = tuple(sorted(actual ^ expected))
+        found.append(Violation("T1", extra, f"node set mismatch on {extra}"))
 
     for c in sorted(const_set):
         if graph.parents[c]:
@@ -274,21 +269,18 @@ def violations(
                 )
             )
 
-    if canonical_equations is not None:
-        eq_count = Counter((lhs, rhs) for lhs, rhs in canonical_equations)
-        group_count = Counter(
-            (head, frozenset(members)) for head, members in graph.groups
-        )
-        if eq_count != group_count:
-            diff = eq_count - group_count
-            witness_head = sorted(diff)[0][0] if diff else sorted(group_count - eq_count)[0][0]
-            found.append(
-                Violation(
-                    "T4",
-                    (witness_head,),
-                    "arc groups do not correspond one for one with the equations",
-                )
+    eq_count = Counter((lhs, rhs) for lhs, rhs in canonical_equations)
+    group_count = Counter((head, frozenset(members)) for head, members in graph.groups)
+    if eq_count != group_count:
+        diff = eq_count - group_count
+        witness_head = sorted(diff)[0][0] if diff else sorted(group_count - eq_count)[0][0]
+        found.append(
+            Violation(
+                "T4",
+                (witness_head,),
+                "arc groups do not correspond one for one with the equations",
             )
+        )
 
     if len(graph.topo_order) != len(graph.nodes):
         stuck = tuple(sorted(node_set - set(graph.topo_order)))

@@ -204,20 +204,25 @@ class TestConc:
         assert lines[2] == "00"
         assert lines[3] == "000"
 
-    def test_inconsistent_rel2_is_input_error(self, d1, tmp_path, capsys):
-        rel2 = tmp_path / "rel2.txt"
-        rel2.write_text("# order: p q\n1\n10\n")
-        code = main(["conc", str(d1), "--rel2", str(rel2), "--partial"])
-        assert code == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
-
-    def test_inconsistent_complete_rel2_is_input_error(self, d1, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", [[], ["--partial"]], ids=["complete", "partial"])
+    def test_inconsistent_rel2_is_input_error(self, mode, d1, tmp_path, capsys):
         rel2 = tmp_path / "rel2.txt"
         rel2.write_text("# order: p q\n1\n10\n")  # p and q concurrent, q never marked
-        assert main(["conc", str(d1), "--rel2", str(rel2)]) == EXIT_INPUT
+        assert main(["conc", str(d1), "--rel2", str(rel2), *mode]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cell (q, p) is 1 but q is dead\n"
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--rel2", "x.cm"], ["--partial"], ["--equations", "x.eq"], ["--reduced-net", "x.net"]],
+        ids=["rel2", "partial", "equations", "reduced-net"],
+    )
+    def test_oracle_rejects_reduction_flags(self, flag, a1, capsys):
+        assert main(["conc", str(a1), "--oracle", *flag]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag[0]} cannot be used with --oracle\n"
 
     @pytest.mark.parametrize("limit", [["--max-states", "1"], ["--timeout", "0.000001"]])
     def test_truncated_reduced_space_is_input_error(self, limit, a1, capsys):

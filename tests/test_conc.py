@@ -136,22 +136,26 @@ class TestCompleteMatrix:
                     assert mat.get(v, v) == 1 and mat.get(w, w) == 1
 
 
-def propagate_from(graph, mat, source):
-    """Write into ``mat`` the 1s that a live ``source`` forces."""
-    propagate(graph, (source,), lambda v, w: 1, mat)
+def propagate_from(graph, *roots, pairs=()):
+    """The 1s that live ``roots`` and concurrent root ``pairs`` force."""
+    mat = ConcurrencyMatrix(graph.nodes)
+    for v in roots:
+        mat.set(v, v, 1)
+    for v, w in pairs:
+        mat.set(v, w, 1)
+    propagate(graph, mat)
+    return mat
 
 
 class TestPropagate:
     def test_leaf_touches_only_its_diagonal(self, cascade):
-        mat = ConcurrencyMatrix(cascade.nodes)
-        propagate_from(cascade, mat, "p5")
-        assert mat.get("p5", "p5") == 1
+        # p6 is an isolated root: its cone is itself
+        mat = propagate_from(cascade, "p6")
         ones = [(v, w) for v, w, value in mat.cells() if value == 1]
-        assert ones == [("p5", "p5")]
+        assert ones == [("p6", "p6")]
 
     def test_a2_cone_and_redundancy_split(self, cascade):
-        mat = ConcurrencyMatrix(cascade.nodes)
-        propagate_from(cascade, mat, "a2")
+        mat = propagate_from(cascade, "a2")
         for w in cascade.successors("a2"):
             assert mat.get("a2", w) == 1
         # a2 ->* a1 split: the non-a1 part of the cone against a1's cone
@@ -161,12 +165,20 @@ class TestPropagate:
         # children of one agglomeration get no 1
         assert mat.get("p1", "p2") is UNKNOWN
         assert mat.get("p3", "p4") is UNKNOWN
+        # no root pair is concurrent, so nothing meets the other roots
+        assert mat.get("p6", "p6") is UNKNOWN
+        assert mat.get("p0", "p3") is UNKNOWN
+
+    def test_concurrent_roots_make_their_cones_concurrent(self, cascade):
+        mat = propagate_from(cascade, "a2", "p6", pairs=[("a2", "p6")])
+        for w in cascade.successors("a2"):
+            assert mat.get("p6", w) == 1
+        assert mat.get("p0", "p6") is UNKNOWN
 
     def test_idempotent(self, cascade):
-        mat = ConcurrencyMatrix(cascade.nodes)
-        propagate_from(cascade, mat, "a2")
+        mat = propagate_from(cascade, "a2", "p6", pairs=[("a2", "p6")])
         snapshot = mat.restrict(mat.order)
-        propagate_from(cascade, mat, "a2")
+        propagate(cascade, mat)
         assert mat == snapshot
 
 
@@ -210,6 +222,50 @@ class TestDepth:
         for p in net.places[1:]:
             expected.set(head, p, UNKNOWN)
         assert out == expected
+
+
+def diamond_relation(places):
+    """Closed-form relation of ``diamond_chain``: the blocks run independently,
+    and a block's token sits on its home, on q1 and r1, or on q2 and r2."""
+    def block_stage(p):
+        block, name = p.split("_")
+        return block, name[-1] if name != "home" else "0"
+
+    keys = [block_stage(p) for p in places]
+    blocks, stages = {}, {}
+    for i, (block, stage) in enumerate(keys):
+        blocks[block] = blocks.get(block, 0) | 1 << i
+        stages[block, stage] = stages.get((block, stage), 0) | 1 << i
+    full = (1 << len(places)) - 1
+    rows = [full & ~blocks[block] | stages[block, stage] for block, stage in keys]
+    return ConcurrencyMatrix.from_rows(places, rows)
+
+
+class TestOneOnlyRelation:
+    """The 1s of the reduced relation and no 0, as a truncated exploration
+    of the reduced net yields them."""
+
+    def test_closed_form_matches_oracle(self):
+        net, m0 = generators.diamond_chain(2)
+        assert diamond_relation(net.places) == oracle_concurrency(explore(net, m0), net.places)
+
+    def test_partial_matrix_on_400_roots(self):
+        net, m0 = generators.diamond_chain(200)
+        result = reduce(net, m0)
+        graph = build_graph(net, result)
+        # each root's cone lies in one block; roots of one block exclude each other
+        places = result.reduced_net.places
+        block = {r: min(w.split("_")[0] for w in graph.successors(r) if w in net.places)
+                 for r in places}
+        ones = [sum(1 << j for j, w in enumerate(places) if w == v or block[w] != block[v])
+                for v in places]
+        rel2 = ConcurrencyMatrix.from_rows(places, ones, [0] * len(places))
+        assert len(places) == 400
+        out = partial_matrix(graph, rel2).restrict(net.places)
+        expected = diamond_relation(net.places)
+        for known, got, want in zip(out.known, out.ones, expected.ones):
+            assert (got ^ want) & known == 0
+        assert out.ones == expected.ones
 
 
 composite_nets = st.integers(0, 10_000).map(generators.composite)
