@@ -39,17 +39,13 @@ from tfgkit.reach import (
     UNREACHABLE,
     Analysis,
     ReachVerdict,
+    ValidationReport,
     decide,
     partition,
     project,
-)
-from tfgkit.reductions import (
-    ReductionResult,
-    ValidationReport,
-    build_graph,
-    reduce,
     validate_equivalence,
 )
+from tfgkit.reductions import ReductionResult, build_graph, reduce
 from tfgkit.relation import ConcurrencyMatrix
 from tfgkit.tfg import (
     NotWellFormedError,

@@ -44,7 +44,7 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatr
     """
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
         raise ValueError("rel2 order must match the reduced places")
-    index = dict(zip(graph.nodes, range(len(graph.nodes))))
+    index = graph.index
     bits = [1 << index[v] for v in rel2.order]  # node bit of each rel2 position
     positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)
     ones = [0] * len(graph.nodes)
@@ -260,8 +260,8 @@ def filling_ratio(matrix: ConcurrencyMatrix) -> float:
 
 
 def to_document(matrix: ConcurrencyMatrix) -> MatrixDocument:
-    return MatrixDocument(matrix.order, tuple(tuple(row) for row in matrix.lower_rows()))
+    return MatrixDocument(matrix.order, tuple(matrix.lower_rows()))
 
 
 def from_document(doc: MatrixDocument) -> ConcurrencyMatrix:
-    return ConcurrencyMatrix.from_lower_rows(doc.place_order, ["".join(row) for row in doc.rows])
+    return ConcurrencyMatrix.from_lower_rows(doc.place_order, doc.rows)

@@ -10,6 +10,10 @@ with arcs written ``<place>`` or ``<place>*<weight>`` and ``#`` starting a
 comment.  Names must start with a letter or underscore: a purely numeric
 token in an equation file always denotes a constant, so numeric names are
 rejected everywhere for coherence.
+
+A concurrency matrix row is one ``0/1/.`` string from the file through
+:class:`MatrixDocument` to :meth:`ConcurrencyMatrix.from_lower_rows`, and back
+from :meth:`ConcurrencyMatrix.lower_rows`.
 """
 
 from __future__ import annotations
@@ -17,14 +21,15 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from tfgkit.petri import Marking, PetriNet
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
-MATRIX_SYMBOLS = ("0", "1", ".")
-_RUN_RE = re.compile(r"([01.])(?:\((\d+)\))?")
+# a stretch of symbols, the last one optionally repeated as ``<symbol>(<count>)``
+_RUN_RE = re.compile(r"([01.]+)(?:\((\d+)\))?")
+_LONG_RUN_RE = re.compile(r"([01.])\1{3,}")  # what the writer compresses
 
 
 class ParseError(ValueError):
@@ -308,14 +313,16 @@ def write_equations(equations: Iterable[TaggedEquation]) -> str:
 
 @dataclass(frozen=True)
 class MatrixDocument:
-    """Triangular matrix text: a name order plus one symbol row per name.
+    """Triangular matrix text: a name order plus one row string per name.
 
-    Row ``i`` holds ``i + 1`` symbols from {0, 1, .} covering pairs with the
-    first ``i + 1`` names; ``.`` means unknown.
+    Row ``i`` spells the pairs with the first ``i + 1`` names as ``i + 1``
+    symbols from ``0``, ``1`` and ``.`` (unknown): the strings that
+    :meth:`ConcurrencyMatrix.lower_rows` writes and
+    :meth:`ConcurrencyMatrix.from_lower_rows` reads.
     """
 
     place_order: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    rows: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.rows) != len(self.place_order):
@@ -323,35 +330,49 @@ class MatrixDocument:
         for i, row in enumerate(self.rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} has {len(row)} symbols, expected {i + 1}")
-            for sym in row:
-                if sym not in MATRIX_SYMBOLS:
-                    raise ValueError(f"bad symbol {sym!r}")
+            if row.strip("01."):
+                raise ValueError(f"bad symbol in row {i}: {row!r}")
 
 
-def _expand_row(line: str, lineno: int) -> tuple[str, ...]:
-    symbols: list[str] = []
+def _expand_row(line: str, width: int, lineno: int) -> str:
+    """``line`` with its runs expanded; it must spell ``width`` symbols.  A
+    run's count is checked against what is left of the row before the run
+    is expanded, and its digits are counted before they are read."""
+    row = ""
     pos = 0
     while pos < len(line):
         match = _RUN_RE.match(line, pos)
         if not match:
             raise ParseError(f"bad matrix symbol at column {pos + 1}", lineno)
-        sym, count = match.group(1), match.group(2)
-        symbols.extend(sym * (int(count) if count else 1))
+        symbols, count = match.groups()
+        if count is not None:  # the last symbol repeats ``count`` times
+            left = width - len(row) - len(symbols) + 1
+            count = count.lstrip("0")
+            if not count:
+                raise ParseError(f"run count 0 at column {match.end(1) + 1}", lineno)
+            if len(count) > len(str(left)) or int(count) > left:
+                raise RaggedRowError(f"row has more than {width} symbols", lineno)
+            symbols = symbols[:-1] + symbols[-1] * int(count)
+        row += symbols
+        if len(row) > width:
+            raise RaggedRowError(f"row has more than {width} symbols", lineno)
         pos = match.end()
-    return tuple(symbols)
+    if len(row) != width:
+        raise RaggedRowError(f"row has {len(row)} symbols, expected {width}", lineno)
+    return row
 
 
 def parse_matrix(text: str) -> MatrixDocument:
     """Parse a triangular matrix file.
 
     The first line must be ``# order: <names>``.  Runs may be compressed as
-    ``<symbol>(<count>)``; the reader accepts any mix of plain and compressed
-    runs.  Blank lines and further comment lines are ignored.
+    ``<symbol>(<count>)`` with a positive count; the reader accepts any mix
+    of plain and compressed runs.  Blank lines and further comment lines are
+    ignored.
     """
-    lines = text.splitlines()
     header_line = None
     body: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -369,37 +390,15 @@ def parse_matrix(text: str) -> MatrixDocument:
         raise DuplicateNameError("name repeated in '# order:' header", header_line[0])
     if len(body) != len(names):
         raise ParseError(f"expected {len(names)} rows, found {len(body)}", header_line[0])
-    rows = []
-    for i, (lineno, line) in enumerate(body):
-        row = _expand_row(line, lineno)
-        if len(row) != i + 1:
-            raise RaggedRowError(f"row has {len(row)} symbols, expected {i + 1}", lineno)
-        rows.append(row)
-    try:
-        return MatrixDocument(tuple(names), tuple(rows))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _compress_row(row: Sequence[str]) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(row):
-        j = i
-        while j < len(row) and row[j] == row[i]:
-            j += 1
-        run = j - i
-        if run >= 4:
-            out.append(f"{row[i]}({run})")
-        else:
-            out.append(row[i] * run)
-        i = j
-    return "".join(out)
+    rows = tuple(_expand_row(line, i + 1, lineno) for i, (lineno, line) in enumerate(body))
+    return MatrixDocument(tuple(names), rows)
 
 
 def write_matrix(doc: MatrixDocument) -> str:
+    """Matrix text of ``doc``, every run of four or more equal symbols
+    written as ``<symbol>(<count>)``."""
     lines = ["# order: " + " ".join(doc.place_order)]
-    lines.extend(_compress_row(row) for row in doc.rows)
+    lines.extend(_LONG_RUN_RE.sub(lambda run: f"{run[1]}({len(run[0])})", row) for row in doc.rows)
     return "\n".join(lines) + "\n"
 
 

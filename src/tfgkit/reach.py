@@ -4,7 +4,9 @@ A query over the original places is projected bottom-up to a unique candidate
 marking of the reduced net; when the projection is inconsistent the query is
 unreachable outright, otherwise an exhaustive search over the much smaller
 reduced net settles it.  :class:`Analysis` keeps one net's graph and reduced
-state space across queries.
+state space across queries.  :func:`partition` reads the original state space
+off the reduced one, and :func:`validate_equivalence` certifies a reduction
+with :func:`project` and :func:`partition` against both explored spaces.
 """
 
 from __future__ import annotations
@@ -30,6 +32,26 @@ PROJECTION_FAILED = "projection-failed"
 BACKEND_HIT = "backend-hit"
 BACKEND_EXHAUSTED = "backend-exhausted"
 BACKEND_TRUNCATED = "backend-truncated"
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Outcome of an exhaustive equivalence check.
+
+    On failure, ``condition`` names the broken requirement (A1: every
+    reachable marking extends through the equations; A2: the initial markings
+    extend to one common configuration; A3: a configuration compatible with
+    both nets is reachable on either both sides or neither) and ``witness``
+    holds the offending marking, of either net, as its marked places with
+    their counts.
+    """
+
+    valid: bool
+    condition: str | None = None
+    witness: dict[str, int] | None = None
+    detail: str = ""
+    n1_markings: int = 0
+    n2_markings: int = 0
 
 
 @dataclass(frozen=True)
@@ -137,3 +159,57 @@ def partition(
         )
         out.append((m2, block))
     return out
+
+
+def validate_equivalence(
+    net: PetriNet,
+    m0: Marking,
+    result: ReductionResult,
+    max_states: int = 100_000,
+    max_token: int = 1,
+) -> ValidationReport:
+    """Certify the reduction by exhausting both state spaces.
+
+    Checks that every reachable marking of the input net projects to a
+    reachable reduced marking, that every reachable reduced marking extends
+    to input markings that are all reachable, and that ``m0`` projects to the
+    reduced initial marking.  Raises :class:`IncompleteStateSpaceError` when
+    either exploration hits a limit, since a truncated check would certify
+    nothing.
+    """
+    analysis = Analysis(net, m0, result, max_states, max_token)
+    graph = analysis.graph
+    space1 = explore(net, m0, max_states=max_states, max_token=max_token)
+    space2 = analysis.space2
+    for space in (space1, space2):
+        if not space.is_complete:
+            raise IncompleteStateSpaceError(space.status)
+    counts = dict(n1_markings=len(space1), n2_markings=len(space2))
+
+    def fail(condition: str, witness: Marking, detail: str) -> ValidationReport:
+        return ValidationReport(False, condition, dict(witness.items()), detail, **counts)
+
+    for m in sorted(space1.markings, key=Marking.items):
+        projected = project(graph, m)
+        if projected is None:
+            return fail("A1", m, f"marking {m!r} of the input net does not extend")
+        if projected not in space2:
+            return fail("A3", m, "extension restricts to an unreachable reduced marking")
+
+    bound = max(
+        [1]
+        + [n for m in space2.markings for _, n in m.items()]
+        + list(graph.constants.values())
+    )
+    for m2, block in partition(graph, space2, bound):
+        if not block:
+            return fail("A1", m2, f"marking {m2!r} of the reduced net does not extend")
+        unreachable = [m for m in block if m not in space1]
+        if unreachable:
+            witness = min(unreachable, key=Marking.items)
+            return fail("A3", witness, "extension restricts to an unreachable input marking")
+
+    if project(graph, m0) != result.reduced_marking:
+        return fail("A2", m0, "initial markings do not share a configuration")
+
+    return ValidationReport(True, **counts)

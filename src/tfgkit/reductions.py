@@ -25,8 +25,9 @@ names ``a<i>`` and the place and transition order of the reduced net do not
 depend on how candidates are found.
 
 Every removal is recorded as a tagged equation, so the reduced net plus the
-equation system stays equivalent to the input; ``validate_equivalence``
-certifies that on a given instance by exhaustive enumeration.
+equation system stays equivalent to the input;
+:func:`tfgkit.reach.validate_equivalence` certifies that on a given instance
+by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ from dataclasses import dataclass
 
 from tfgkit import tfg
 from tfgkit.net_io import TaggedEquation
-from tfgkit.petri import (
-    IncompleteStateSpaceError,
-    Marking,
-    PetriNet,
-    StateSpace,
-    explore,
-)
+from tfgkit.petri import Marking, PetriNet
 
 log = logging.getLogger(__name__)
 
@@ -61,25 +56,6 @@ class ReductionResult:
     reduced_marking: Marking
     equations: tuple[TaggedEquation, ...]
     ratio: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of an exhaustive equivalence check.
-
-    On failure, ``condition`` names the broken requirement (A1: every
-    reachable marking extends through the equations; A2: the initial markings
-    extend to one common configuration; A3: a configuration compatible with
-    both nets is reachable on either both sides or neither) and ``witness``
-    holds the offending valuation.
-    """
-
-    valid: bool
-    condition: str | None = None
-    witness: dict[str, int] | None = None
-    detail: str = ""
-    n1_markings: int = 0
-    n2_markings: int = 0
 
 
 # place -> {transition: arc weight}
@@ -263,62 +239,3 @@ def reduce(net: PetriNet, m0: Marking) -> ReductionResult:
 def build_graph(net: PetriNet, result: ReductionResult) -> tfg.TokenFlowGraph:
     """Token flow graph tying ``net`` to the reduced net of ``result``."""
     return tfg.build(result.equations, net.places, result.reduced_net.places)
-
-
-def validate_equivalence(
-    net: PetriNet,
-    m0: Marking,
-    result: ReductionResult,
-    max_states: int = 100_000,
-    max_token: int = 1,
-) -> ValidationReport:
-    """Certify the reduction by exhausting both state spaces.
-
-    Checks that every reachable marking on either side extends through the
-    equations to a total well-defined configuration, that the two initial
-    markings share one, and that each configuration built this way restricts
-    to reachable markings on both sides.  Raises
-    :class:`IncompleteStateSpaceError` when either exploration hits a limit,
-    since a truncated check would certify nothing.
-    """
-    graph = build_graph(net, result)
-    space1 = explore(net, m0, max_states=max_states, max_token=max_token)
-    space2 = explore(
-        result.reduced_net, result.reduced_marking, max_states=max_states, max_token=max_token
-    )
-    for space in (space1, space2):
-        if not space.is_complete:
-            raise IncompleteStateSpaceError(space.status)
-    counts = dict(n1_markings=len(space1), n2_markings=len(space2))
-
-    def fail(condition: str, witness: dict[str, int], detail: str) -> ValidationReport:
-        return ValidationReport(False, condition, witness, detail, **counts)
-
-    bound = max(
-        [1]
-        + [n for m in space2.markings for _, n in m.items()]
-        + list(graph.constants.values())
-    )
-
-    for m in sorted(space1.markings, key=lambda m: m.items()):
-        candidate = tfg.bottom_up(graph, m)
-        if not tfg.is_well_defined(graph, candidate):
-            return fail("A1", candidate, f"marking {m!r} of the input net does not extend")
-        if tfg.restrict(candidate, graph.p2) not in space2:
-            return fail("A3", candidate, "extension restricts to an unreachable reduced marking")
-
-    for m2 in sorted(space2.markings, key=lambda m: m.items()):
-        extensions = tfg.enumerate_extensions(graph, m2, bound=bound)
-        if not extensions:
-            return fail("A1", dict(m2.items()), f"marking {m2!r} of the reduced net does not extend")
-        for c in extensions:
-            if tfg.restrict(c, graph.p1) not in space1:
-                return fail("A3", c, "extension restricts to an unreachable input marking")
-
-    initial = tfg.bottom_up(graph, m0)
-    if not tfg.is_well_defined(graph, initial) or tfg.restrict(
-        initial, graph.p2
-    ) != result.reduced_marking:
-        return fail("A2", initial, "initial markings do not share a configuration")
-
-    return ValidationReport(True, **counts)

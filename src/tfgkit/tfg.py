@@ -69,18 +69,18 @@ class TokenFlowGraph:
     p2: frozenset[str]
 
     @cached_property
-    def _order(self) -> dict[str, int]:
+    def index(self) -> dict[str, int]:
+        """Position of each node in ``nodes``."""
         return {v: i for i, v in enumerate(self.nodes)}
 
-    def _sorted(self, names: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(names, key=self._order.__getitem__))
-
     def _adjacency(self, pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
-        """For each node ``v``, the ``w`` of every pair ``(v, w)``, in node order."""
+        """For each node ``v``, the ``w`` of every pair ``(v, w)``, in node order:
+        the pairs are sorted once by the position of ``w``."""
+        index = self.index
         out: dict[str, list[str]] = {v: [] for v in self.nodes}
-        for v, w in pairs:
+        for v, w in sorted(pairs, key=lambda pair: index[pair[1]]):
             out[v].append(w)
-        return {v: self._sorted(ws) for v, ws in out.items()}
+        return {v: tuple(ws) for v, ws in out.items()}
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
@@ -146,20 +146,20 @@ class TokenFlowGraph:
 
     def successors(self, v: str) -> frozenset[str]:
         """Reflexive-transitive closure along both arc kinds."""
-        mask = self.successor_masks[self._order[v]]
-        return frozenset(w for w, i in self._order.items() if mask >> i & 1)
+        mask = self.successor_masks[self.index[v]]
+        return frozenset(w for w, i in self.index.items() if mask >> i & 1)
 
     @cached_property
     def successor_masks(self) -> tuple[int, ...]:
         """``successors`` of each node, in node order, as a bitset over the
         positions of ``nodes``."""
-        order = self._order
+        index = self.index
         succ = [0] * len(self.nodes)
         for v in reversed(self.topo_order):
-            acc = 1 << order[v]
+            acc = 1 << index[v]
             for w in self.children[v]:
-                acc |= succ[order[w]]
-            succ[order[v]] = acc
+                acc |= succ[index[w]]
+            succ[index[v]] = acc
         return tuple(succ)
 
 

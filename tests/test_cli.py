@@ -493,6 +493,15 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err == "error: rel2 order must match the reduced places\n"
 
+    @pytest.mark.parametrize("row", ["1(0)11", "1(" + "9" * 5000 + ")"], ids=["zero", "huge"])
+    def test_rel2_bad_run_count(self, row, a1, tmp_path, capsys):
+        rel2 = tmp_path / "rel2.txt"
+        rel2.write_text(f"# order: p q\n1\n{row}\n")
+        assert main(["conc", str(a1), "--rel2", str(rel2)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {rel2}: line 3: ")
+
     def test_rel2_repeated_name(self, d1, tmp_path, capsys):
         rel2 = tmp_path / "rel2.txt"
         rel2.write_text("# order: p p\n1\n11\n")
@@ -579,7 +588,7 @@ def golden_text(tmp: Path) -> str:
         doc = to_document(oracle_concurrency(space2, res.reduced_net.places))
         rows = list(doc.rows)
         if rows:  # mask one cell of the reduced net's relation
-            rows[-1] = (".",) + rows[-1][1:]
+            rows[-1] = "." + rows[-1][1:]
         (tmp / "rel2.txt").write_text(write_matrix(MatrixDocument(doc.place_order, tuple(rows))))
         sections.append(_run(["conc", name, "--rel2", f"{tmp}/rel2.txt"], tmp, ("rel2.txt",)))
         sections.append(_run(["tfg-check", name], tmp))

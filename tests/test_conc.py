@@ -20,7 +20,7 @@ from tfgkit.conc import (
     propagate,
     to_document,
 )
-from tfgkit.net_io import parse_equations, parse_net
+from tfgkit.net_io import parse_equations, parse_matrix, parse_net, write_matrix
 from tfgkit.petri import Marking, explore, oracle_concurrency
 from tfgkit.reductions import build_graph, reduce
 from tfgkit.relation import UNKNOWN, ConcurrencyMatrix, transpose
@@ -466,6 +466,31 @@ class TestDocumentConversion:
         again = from_document(to_document(mat))
         assert again.get("b", "b") is UNKNOWN
         assert again.get("a", "a") == 1
+
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.sampled_from((0, 1, UNKNOWN)),
+                    min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2,
+                ),
+            )
+        )
+    )
+    def test_text_round_trip_any_matrix(self, size_and_cells):
+        n, cells = size_and_cells
+        ones, zeros = [0] * n, [0] * n
+        flat = iter(cells)
+        for i in range(n):
+            for j in range(i + 1):
+                value = next(flat)
+                if value is not UNKNOWN:
+                    rows = ones if value else zeros
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        mat = ConcurrencyMatrix.from_rows([f"p{i}" for i in range(n)], ones, zeros)
+        assert from_document(parse_matrix(write_matrix(to_document(mat)))) == mat
 
 
 def writes_text(instances) -> str:

@@ -173,33 +173,50 @@ class TestEquations:
 
 class TestMatrix:
     def test_single_nondead_place(self):
-        doc = MatrixDocument(("p",), (("1",),))
+        doc = MatrixDocument(("p",), ("1",))
         assert write_matrix(doc) == "# order: p\n1\n"
 
     def test_run_length_written_at_four(self):
-        rows = [tuple("0" * i + "1") for i in range(0, 6)]
-        rows[5] = tuple("000001")
-        doc = MatrixDocument(
-            ("a", "b", "c", "d", "e", "f"),
-            tuple(tuple(r) for r in rows),
-        )
+        rows = tuple("0" * i + "1" for i in range(0, 6))
+        doc = MatrixDocument(("a", "b", "c", "d", "e", "f"), rows)
         text = write_matrix(doc)
         assert "0(5)1" in text
         assert parse_matrix(text) == doc
 
     def test_short_runs_stay_literal(self):
-        doc = MatrixDocument(("a", "b", "c"), (("1",), ("0", "1"), ("0", "0", "1")))
+        doc = MatrixDocument(("a", "b", "c"), ("1", "01", "001"))
         text = write_matrix(doc)
         assert "(" not in text.splitlines()[2]
 
     def test_triangular_parse(self):
         doc = parse_matrix("# order: a b\n1\n01\n")
         assert doc.place_order == ("a", "b")
-        assert doc.rows == (("1",), ("0", "1"))
+        assert doc.rows == ("1", "01")
 
     def test_ragged_row(self):
         with pytest.raises(RaggedRowError):
             parse_matrix("# order: a b\n1\n011\n")
+
+    @pytest.mark.parametrize("row", ["x01", "0x1", "01x", "0 1"])
+    def test_document_rejects_bad_symbol(self, row):
+        with pytest.raises(ValueError):
+            MatrixDocument(("a", "b", "c"), ("1", "01", row))
+
+    def test_run_filling_the_row_accepted(self):
+        doc = parse_matrix("# order: a b c\n1\n0(2)\n.(02)1\n")
+        assert doc.rows == ("1", "00", "..1")
+
+    def test_zero_run_count_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("# order: a b\n1\n1(0)11\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("count", ["3", "9" * 13, "9" * 5000], ids=["3", "13 digits", "5000 digits"])
+    def test_run_longer_than_row_rejected(self, count):
+        """The count is checked before the run is expanded or even read."""
+        with pytest.raises(RaggedRowError) as exc:
+            parse_matrix(f"# order: a b\n1\n0({count})\n")
+        assert exc.value.line == 3
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -207,7 +224,7 @@ class TestMatrix:
 
     def test_unknown_symbol_preserved(self):
         doc = parse_matrix("# order: a b\n.\n01\n")
-        assert doc.rows[0] == (".",)
+        assert doc.rows[0] == "."
 
     @given(
         st.integers(1, 8).flatmap(
@@ -226,7 +243,7 @@ class TestMatrix:
         rows = []
         at = 0
         for i in range(n):
-            rows.append(tuple(flat[at : at + i + 1]))
+            rows.append("".join(flat[at : at + i + 1]))
             at += i + 1
         doc = MatrixDocument(order, tuple(rows))
         assert parse_matrix(write_matrix(doc)) == doc

@@ -16,12 +16,8 @@ from tfgkit.net_io import (
     write_net,
 )
 from tfgkit.petri import IncompleteStateSpaceError, Marking, PetriNet, explore, is_safe
-from tfgkit.reductions import (
-    ReductionResult,
-    build_graph,
-    reduce,
-    validate_equivalence,
-)
+from tfgkit.reach import validate_equivalence
+from tfgkit.reductions import ReductionResult, build_graph, reduce
 
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
 A1_TEXT = "pl x 1\npl y 0\npl z 0\ntr t1 x -> y\ntr t2 y -> z\n"
