@@ -50,7 +50,6 @@ from tfgkit.relation import ConcurrencyMatrix
 from tfgkit.tfg import (
     NotWellFormedError,
     TokenFlowGraph,
-    Violation,
     enumerate_extensions,
     is_well_defined,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "UNKNOWN",
     "UNREACHABLE",
     "ValidationReport",
-    "Violation",
     "build_graph",
     "build_tfg",
     "check_tfg",

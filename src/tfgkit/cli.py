@@ -4,12 +4,15 @@ Subcommands reduce a net, decide reachability through the reduced net,
 compute concurrency matrices, check equation files, query the brute-force
 oracle, and benchmark a corpus directory.  ``reduce``, ``conc`` and ``bench``
 hold each net's reduction, graph and reduced state space in one
-:class:`tfgkit.reach.Analysis`.
+:class:`tfgkit.reach.Analysis`; ``reach`` and ``conc`` get theirs from
+:func:`_analysis`, which checks an external reduced net against the net's
+initial marking.
 
 Exit codes are a stable contract: 0 success (or Reachable, or well-formed),
 1 negative verdict (Unreachable, check failed, disagreement), 2 input error,
-3 Unknown.  ``main`` alone turns input errors, ill-formed equations and
-truncated state spaces into exit 2.
+3 Unknown.  ``main`` alone turns input errors, ill-formed equations,
+inconsistent root relations (:class:`tfgkit.conc.InconsistentInputError`)
+and truncated state spaces into exit 2.
 """
 
 from __future__ import annotations
@@ -128,6 +131,19 @@ def _reduction_inputs(
     return reductions.ReductionResult(net2, m2, tuple(equations), ratio)
 
 
+def _analysis(net: PetriNet, m0: Marking, args: argparse.Namespace) -> reach.Analysis:
+    """The :class:`reach.Analysis` of ``reach`` and ``conc``, within the
+    exploration limits of ``args``.  An external reduced net must start at
+    the projection of ``m0`` (condition A2), else its verdicts are wrong."""
+    analysis = reach.Analysis(net, m0, _reduction_inputs(net, m0, args),
+                              _effective_max_states(args), args.max_token)
+    if args.equations is not None:
+        if reach.project(analysis.graph, m0) != analysis.result.reduced_marking:
+            raise CliError(f"{args.reduced_net}: initial marking is not the "
+                           "projection of the net's initial marking (A2)")
+    return analysis
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
     net, m0 = _load_net(args.net, args.format)
     analysis = reach.Analysis(net, m0)
@@ -153,11 +169,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_reach(args: argparse.Namespace) -> int:
     net, m0 = _load_net(args.net, args.format)
     target = _parse(args.query, net_io.parse_marking_query, net.places)
-    result = _reduction_inputs(net, m0, args)
-    verdict = reach.decide(
-        net, m0, target, result,
-        max_states=_effective_max_states(args), max_token=args.max_token,
-    )
+    analysis = _analysis(net, m0, args)
+    verdict = reach.decide(net, m0, target, analysis.result,
+                           max_states=analysis.max_states, max_token=analysis.max_token)
     print(f"{verdict.answer.upper()} {verdict.reason}")
     if verdict.answer == reach.REACHABLE:
         return EXIT_OK
@@ -175,33 +189,14 @@ def _matrix_summary(matrix: ConcurrencyMatrix) -> str:
 
 
 def cmd_conc(args: argparse.Namespace) -> int:
-    if args.oracle:  # the full net needs no reduction and no root relation
-        for flag in ("--rel2", "--partial", "--equations", "--reduced-net"):
-            if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
-                raise CliError(f"{flag} cannot be used with --oracle")
     net, m0 = _load_net(args.net, args.format)
-    max_states = _effective_max_states(args)
-    if args.oracle:
-        space = explore(net, m0, max_states=max_states, max_token=args.max_token)
-        matrix = oracle_concurrency(space, net.places)
+    analysis = _analysis(net, m0, args)
+    if args.rel2 is not None:
+        rel2 = conc_mod.from_document(_parse(args.rel2, net_io.parse_matrix))
     else:
-        analysis = reach.Analysis(
-            net, m0, _reduction_inputs(net, m0, args), max_states, args.max_token
-        )
-        graph = analysis.graph
-        if args.rel2 is not None:
-            rel2 = conc_mod.from_document(_parse(args.rel2, net_io.parse_matrix))
-        else:
-            rel2 = oracle_concurrency(analysis.space2, analysis.result.reduced_net.places)
-        partial = args.partial or not rel2.is_complete()
-        try:
-            if partial:
-                full = conc_mod.partial_matrix(graph, rel2)
-            else:
-                full = conc_mod.matrix(graph, rel2)
-        except (ValueError, conc_mod.IncompleteInputError, conc_mod.InconsistentInputError) as exc:
-            raise CliError(str(exc)) from exc
-        matrix = full.restrict(net.places)
+        rel2 = oracle_concurrency(analysis.space2, analysis.result.reduced_net.places)
+    lift = conc_mod.partial_matrix if args.partial or not rel2.is_complete() else conc_mod.matrix
+    matrix = lift(analysis.graph, rel2).restrict(net.places)
     _write_output(args.output, net_io.write_matrix(conc_mod.to_document(matrix)))
     print(_matrix_summary(matrix), file=sys.stderr)
     return EXIT_OK
@@ -361,8 +356,12 @@ _FLAGS = {
                            f"a nominal {NOMINAL_STATES_PER_SECOND:,} states/s"),
     "--seed": dict(type=int, default=0, help="PRNG seed for benchmark targets"),
     "--output": dict(default=None, help="output file (default stdout)"),
+    "--equations": dict(default=None,
+                        help="equation file to use instead of reducing internally"),
+    "--reduced-net": dict(default=None, help="reduced net matching --equations"),
 }
 _LIMITS = ("--max-states", "--max-token", "--timeout")
+_EXTERNAL = ("--equations", "--reduced-net")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -388,11 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reach", help="decide reachability of a target marking")
     p.add_argument("net")
     p.add_argument("query", help="file of name=nat tokens")
-    p.add_argument("--equations", default=None,
-                   help="use externally produced equations")
-    p.add_argument("--reduced-net", default=None,
-                   help="reduced net matching --equations")
-    _add_flags(p, "--format", *_LIMITS)
+    _add_flags(p, *_EXTERNAL, "--format", *_LIMITS)
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("conc", help="compute the place-concurrency matrix")
@@ -401,23 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matrix file with the reduced net's relation")
     p.add_argument("--partial", action="store_true",
                    help="force the partial algorithm")
-    p.add_argument("--oracle", action="store_true",
-                   help="bypass the reduction, explore the full net")
-    p.add_argument("--equations", default=None,
-                   help="use externally produced equations")
-    p.add_argument("--reduced-net", default=None,
-                   help="reduced net matching --equations")
-    _add_flags(p, "--format", *_LIMITS, "--output")
+    _add_flags(p, *_EXTERNAL, "--format", *_LIMITS, "--output")
     p.set_defaults(func=cmd_conc)
 
     p = sub.add_parser("tfg-check",
                        help="build the token flow graph and report T1-T6")
     p.add_argument("net")
-    p.add_argument("--equations", default=None,
-                   help="equation file to check (default: reduce internally)")
-    p.add_argument("--reduced-net", default=None,
-                   help="reduced net matching --equations")
-    _add_flags(p, "--format")
+    _add_flags(p, *_EXTERNAL, "--format")
     p.set_defaults(func=cmd_tfg_check)
 
     p = sub.add_parser("oracle", help="brute-force answers from the full net")
@@ -443,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, conc_mod.InconsistentInputError) as exc:
         message = str(exc)
     except tfg.NotWellFormedError as exc:
         message = f"equations are not well formed: {exc}"

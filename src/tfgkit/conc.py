@@ -12,7 +12,9 @@ over the graph in topological order, so depth costs no stack.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
-dead.
+dead.  A root relation that does not fit the graph or contradicts itself
+raises :class:`InconsistentInputError`, a ``ValueError`` that the CLI's
+``main`` reports as bad input (exit 2).
 """
 
 from __future__ import annotations
@@ -28,22 +30,24 @@ class IncompleteInputError(Exception):
     """Complete-mode input has unknown cells; use partial_matrix instead."""
 
 
-class InconsistentInputError(Exception):
-    """The input lied: a 1 beside a dead root, or a 1 propagated onto a 0."""
+class InconsistentInputError(ValueError):
+    """The input lied: ``rel2`` does not cover the reduced places, holds a 1
+    beside a dead root, or propagates a 1 onto a 0."""
 
 
 def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
     """The root facts of ``rel2`` over ``graph.nodes``, every other cell unknown.
 
     ``rel2`` must cover exactly the non-constant roots, the reduced net's
-    places.  A place with a 1 in its row is marked, so it takes a 1 on its
-    diagonal; a 1 beside a place that ``rel2`` holds dead is an error.  A
-    positive constant is concurrent with itself, the other positive constants
-    and every place marked on ``rel2``'s own diagonal; a zero constant is
-    dead.  The 0s beside dead nodes are left to the callers.
+    places, or :class:`InconsistentInputError` is raised.  A place with a 1
+    in its row is marked, so it takes a 1 on its diagonal; a 1 beside a
+    place that ``rel2`` holds dead is an error.  A positive constant is
+    concurrent with itself, the other positive constants and every place
+    marked on ``rel2``'s own diagonal; a zero constant is dead.  The 0s
+    beside dead nodes are left to the callers.
     """
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
-        raise ValueError("rel2 order must match the reduced places")
+        raise InconsistentInputError("rel2 order must match the reduced places")
     index = graph.index
     bits = [1 << index[v] for v in rel2.order]  # node bit of each rel2 position
     positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)

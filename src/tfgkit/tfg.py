@@ -36,13 +36,6 @@ class DivergesError(Exception):
     """Defensive cap on node values blew up during extension enumeration."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    check_id: str
-    witness: tuple[str, ...]
-    detail: str
-
-
 @dataclass(frozen=True, eq=True)
 class TokenFlowGraph:
     """Immutable graph structure.  Use :func:`build` to construct and validate.
@@ -233,9 +226,13 @@ def _construct(
 def violations(
     graph: TokenFlowGraph,
     canonical_equations: list[tuple[str, frozenset[str]]],
-) -> list[Violation]:
+) -> list[NotWellFormedError]:
     """All failed structural checks, in check order T1..T6."""
-    found: list[Violation] = []
+    found: list[NotWellFormedError] = []
+
+    def fail(check_id: str, witness: tuple[str, ...], detail: str) -> None:
+        found.append(NotWellFormedError(check_id, witness, detail))
+
     node_set = set(graph.nodes)
     const_set = set(graph.constants)
 
@@ -247,54 +244,41 @@ def violations(
     actual = node_set - const_set
     if actual != expected:
         extra = tuple(sorted(actual ^ expected))
-        found.append(Violation("T1", extra, f"node set mismatch on {extra}"))
+        fail("T1", extra, f"node set mismatch on {extra}")
 
     for c in sorted(const_set):
         if graph.parents[c]:
-            found.append(Violation("T2", (c,), f"constant {c} has an incoming arc"))
+            fail("T2", (c,), f"constant {c} has an incoming arc")
 
     both = graph.r_arcs & graph.a_arcs
     for src, dst in sorted(both):
-        found.append(
-            Violation("T3", (src, dst), f"arc {src}->{dst} is both redundancy and agglomeration")
-        )
+        fail("T3", (src, dst), f"arc {src}->{dst} is both redundancy and agglomeration")
     a_targets = {dst for _, dst in graph.a_arcs}
     for v in graph.nodes:
         if v in a_targets and len(graph.parents[v]) > 1:
-            found.append(
-                Violation(
-                    "T3",
-                    (v,) + tuple(graph.parents[v]),
-                    f"{v} has an incoming agglomeration arc plus another incoming arc",
-                )
-            )
+            fail("T3", (v,) + tuple(graph.parents[v]),
+                 f"{v} has an incoming agglomeration arc plus another incoming arc")
 
     eq_count = Counter((lhs, rhs) for lhs, rhs in canonical_equations)
     group_count = Counter((head, frozenset(members)) for head, members in graph.groups)
     if eq_count != group_count:
         diff = eq_count - group_count
         witness_head = sorted(diff)[0][0] if diff else sorted(group_count - eq_count)[0][0]
-        found.append(
-            Violation(
-                "T4",
-                (witness_head,),
-                "arc groups do not correspond one for one with the equations",
-            )
-        )
+        fail("T4", (witness_head,), "arc groups do not correspond one for one with the equations")
 
     if len(graph.topo_order) != len(graph.nodes):
         stuck = tuple(sorted(node_set - set(graph.topo_order)))
-        found.append(Violation("T5", stuck, f"cycle through {stuck}"))
+        fail("T5", stuck, f"cycle through {stuck}")
         return found  # closure-based checks below assume acyclicity
 
     root_places = set(graph.roots) - const_set
     if root_places != graph.p2:
         extra = tuple(sorted(root_places ^ graph.p2))
-        found.append(Violation("T6", extra, f"roots differ from reduced places on {extra}"))
+        fail("T6", extra, f"roots differ from reduced places on {extra}")
     leaf_places = set(graph.o_leaves) - const_set
     if leaf_places != graph.p1:
         extra = tuple(sorted(leaf_places ^ graph.p1))
-        found.append(Violation("T6", extra, f"leaves differ from original places on {extra}"))
+        fail("T6", extra, f"leaves differ from original places on {extra}")
     return found
 
 
@@ -309,11 +293,9 @@ def build(
     reduced net.  Raises :class:`NotWellFormedError` naming the first failed
     check.
     """
-    graph, canonical = _construct(equations, p1, p2)
-    found = violations(graph, canonical)
+    graph, found = check(equations, p1, p2)
     if found:
-        first = min(found, key=lambda v: CHECK_IDS.index(v.check_id))
-        raise NotWellFormedError(first.check_id, first.witness, first.detail)
+        raise found[0]
     return graph
 
 
@@ -321,7 +303,7 @@ def check(
     equations: Iterable[TaggedEquation],
     p1: Iterable[str],
     p2: Iterable[str],
-) -> tuple[TokenFlowGraph, list[Violation]]:
+) -> tuple[TokenFlowGraph, list[NotWellFormedError]]:
     """Like :func:`build` but returns every violation instead of raising."""
     graph, canonical = _construct(equations, p1, p2)
     return graph, violations(graph, canonical)
@@ -380,10 +362,7 @@ def restrict(c: Configuration, places: Iterable[str]) -> Marking:
 
 
 def _root_values(graph: TokenFlowGraph, roots: Configuration) -> dict[str, int]:
-    if isinstance(roots, Marking):
-        given = {p: roots[p] for p in roots.support()}
-    else:
-        given = {name: int(value) for name, value in roots.items()}
+    given = {name: int(value) for name, value in roots.items()}
     root_set = set(graph.roots)
     for name, value in given.items():
         if name not in root_set:

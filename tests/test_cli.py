@@ -2,6 +2,8 @@
 
 import io
 import logging
+import re
+import shlex
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,7 +14,15 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR
 from tfgkit import tfg
-from tfgkit.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, EXIT_UNKNOWN, _bench_targets, main
+from tfgkit.cli import (
+    EXIT_INPUT,
+    EXIT_NEGATIVE,
+    EXIT_OK,
+    EXIT_UNKNOWN,
+    _bench_targets,
+    build_parser,
+    main,
+)
 from tfgkit.conc import to_document
 from tfgkit.generators import choice_loop, composite
 from tfgkit.net_io import (
@@ -182,14 +192,6 @@ class TestConc:
         assert "# order: p q r" in captured.out
         assert captured.err.startswith("filling 1.000 ")
 
-    def test_oracle_flag_bypasses_reduction(self, d1, tmp_path, capsys):
-        via_graph = tmp_path / "graph.txt"
-        direct = tmp_path / "direct.txt"
-        main(["conc", str(d1), "--output", str(via_graph)])
-        main(["conc", str(d1), "--oracle", "--output", str(direct)])
-        assert via_graph.read_text() == direct.read_text()
-        capsys.readouterr()
-
     def test_partial_from_incomplete_rel2(self, d1, tmp_path, capsys):
         rel2 = tmp_path / "rel2.txt"
         # reduced net keeps p and q; mark q dead, leave the rest unknown
@@ -212,17 +214,6 @@ class TestConc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cell (q, p) is 1 but q is dead\n"
-
-    @pytest.mark.parametrize(
-        "flag",
-        [["--rel2", "x.cm"], ["--partial"], ["--equations", "x.eq"], ["--reduced-net", "x.net"]],
-        ids=["rel2", "partial", "equations", "reduced-net"],
-    )
-    def test_oracle_rejects_reduction_flags(self, flag, a1, capsys):
-        assert main(["conc", str(a1), "--oracle", *flag]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {flag[0]} cannot be used with --oracle\n"
 
     @pytest.mark.parametrize("limit", [["--max-states", "1"], ["--timeout", "0.000001"]])
     def test_truncated_reduced_space_is_input_error(self, limit, a1, capsys):
@@ -493,6 +484,24 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err == "error: rel2 order must match the reduced places\n"
 
+    @pytest.mark.parametrize("command", ["reach", "conc"])
+    def test_reduced_net_off_the_projection(self, command, a1, tmp_path, capsys):
+        """A reduced net must start at the projection of the net's initial
+        marking (A2); this one moves a1's token from x to a1."""
+        eq_path = tmp_path / "eq.txt"
+        eq_path.write_text("# A |- a1 = y + z\n")
+        net2_path = tmp_path / "reduced.net"
+        net2_path.write_text("pl x 0\npl a1 1\ntr t1 x -> a1\n")
+        argv = [command, str(a1)]
+        if command == "reach":
+            argv.append(query(tmp_path, "x=1"))
+        argv += ["--equations", str(eq_path), "--reduced-net", str(net2_path)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {net2_path}: ")
+        assert "(A2)" in captured.err
+
     @pytest.mark.parametrize("row", ["1(0)11", "1(" + "9" * 5000 + ")"], ids=["zero", "huge"])
     def test_rel2_bad_run_count(self, row, a1, tmp_path, capsys):
         rel2 = tmp_path / "rel2.txt"
@@ -535,7 +544,7 @@ class TestInputErrors:
         ("reduce", "--max-states"), ("reduce", "--max-token"),
         ("reduce", "--timeout"), ("reduce", "--seed"),
         ("reach", "--seed"), ("reach", "--output"),
-        ("conc", "--seed"),
+        ("conc", "--seed"), ("conc", "--oracle"),
         ("tfg-check", "--max-states"), ("tfg-check", "--max-token"),
         ("tfg-check", "--timeout"), ("tfg-check", "--seed"), ("tfg-check", "--output"),
         ("oracle", "--seed"),
@@ -547,6 +556,18 @@ class TestInputErrors:
             main([command, *positionals, f"{flag}=1"])
         assert exc.value.code == EXIT_INPUT
         assert f"unrecognized arguments: {flag}=1" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every ``tfgkit`` line of the README's shell examples is a valid
+    command line."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("tfgkit ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def _run(argv: list[str], tmp: Path, files: tuple[str, ...] = ()) -> str:
