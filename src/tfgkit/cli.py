@@ -119,8 +119,11 @@ def _reduction_inputs(
     net: PetriNet, m0: Marking, args: argparse.Namespace
 ) -> reductions.ReductionResult:
     """Internal reducer by default; --equations switches to externally
-    produced equations, which then need --reduced-net for the target side."""
+    produced equations, which then need --reduced-net for the target side.
+    Either flag alone is an input error."""
     if args.equations is None:
+        if args.reduced_net is not None:
+            raise CliError("--reduced-net needs --equations to tie it to the net")
         return reductions.reduce(net, m0)
     if args.reduced_net is None:
         raise CliError("--equations needs --reduced-net for the reduced side")

@@ -139,13 +139,13 @@ def decide(
 def partition(
     graph: tfg.TokenFlowGraph,
     space2: StateSpace,
-    bound: int = 1,
 ) -> list[tuple[Marking, frozenset[Marking]]]:
     """Split the original state space by reduced marking.
 
     For each reachable reduced marking, the set of original markings whose
-    extensions restrict to it.  Over a complete ``space2`` these sets
-    partition the original reachable set.
+    extensions restrict to it, read off :func:`tfg.enumerate_extensions`.
+    Over a complete ``space2`` these sets partition the original reachable
+    set.
     """
     if not space2.is_complete:
         raise IncompleteStateSpaceError(
@@ -155,7 +155,7 @@ def partition(
     for m2 in sorted(space2.markings, key=lambda m: m.items()):
         block = frozenset(
             tfg.restrict(c, graph.p1)
-            for c in tfg.enumerate_extensions(graph, m2, bound=bound)
+            for c in tfg.enumerate_extensions(graph, m2)
         )
         out.append((m2, block))
     return out
@@ -196,12 +196,7 @@ def validate_equivalence(
         if projected not in space2:
             return fail("A3", m, "extension restricts to an unreachable reduced marking")
 
-    bound = max(
-        [1]
-        + [n for m in space2.markings for _, n in m.items()]
-        + list(graph.constants.values())
-    )
-    for m2, block in partition(graph, space2, bound):
+    for m2, block in partition(graph, space2):
         if not block:
             return fail("A1", m2, f"marking {m2!r} of the reduced net does not extend")
         unreachable = [m for m in block if m not in space1]

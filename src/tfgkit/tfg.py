@@ -7,6 +7,12 @@ from the net); an agglomeration equation ``v = x1 + ... + xl`` contributes
 agglomeration arcs ``v -> xi`` (the xi were removed, v inserted).  A valuation
 of the roots then extends along the arcs to token counts for every removed
 place, which is what makes projections and concurrency propagation cheap.
+
+Construction settles two of the structural checks: the nodes are exactly the
+places, the equations' variables and fresh constants (T1), and each
+equation's arcs form one group, so groups and equations correspond one for
+one unless two equations share a tag and a lhs (T4).  Acyclicity (T5) makes
+every value a finite sum of root values.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from tfgkit.net_io import TaggedEquation
@@ -30,10 +37,6 @@ class NotWellFormedError(Exception):
         self.witness = witness
         self.detail = detail
         super().__init__(f"{check_id}: {detail}")
-
-
-class DivergesError(Exception):
-    """Defensive cap on node values blew up during extension enumeration."""
 
 
 @dataclass(frozen=True, eq=True)
@@ -177,11 +180,10 @@ def _fresh_constant_names(equations, used: set[str]) -> dict[int, str]:
 
 
 def _construct(
-    equations: Iterable[TaggedEquation],
+    equations: tuple[TaggedEquation, ...],
     p1: Iterable[str],
     p2: Iterable[str],
-) -> tuple[TokenFlowGraph, list[tuple[str, frozenset[str]]]]:
-    equations = tuple(equations)
+) -> TokenFlowGraph:
     p1 = tuple(p1)
     p2 = tuple(p2)
     fv: set[str] = set()
@@ -194,7 +196,6 @@ def _construct(
     constants: dict[str, int] = {}
     r_arcs: set[tuple[str, str]] = set()
     a_arcs: set[tuple[str, str]] = set()
-    canonical: list[tuple[str, frozenset[str]]] = []
     for i, eq in enumerate(equations):
         if eq.constant is not None:
             rhs: tuple[str, ...] = (cnames[i],)
@@ -205,14 +206,13 @@ def _construct(
             r_arcs.update((x, eq.lhs) for x in rhs)
         else:
             a_arcs.update((eq.lhs, x) for x in rhs)
-        canonical.append((eq.lhs, frozenset(rhs)))
 
     p1_set, p2_set = set(p1), set(p2)
     nodes = list(p1)
     nodes.extend(p for p in p2 if p not in p1_set)
     nodes.extend(sorted(fv - p1_set - p2_set))
     nodes.extend(cnames[i] for i in sorted(cnames, key=lambda i: cnames[i]))
-    graph = TokenFlowGraph(
+    return TokenFlowGraph(
         nodes=tuple(nodes),
         constants=constants,
         r_arcs=frozenset(r_arcs),
@@ -220,14 +220,16 @@ def _construct(
         p1=frozenset(p1_set),
         p2=frozenset(p2_set),
     )
-    return graph, canonical
 
 
 def violations(
     graph: TokenFlowGraph,
-    canonical_equations: list[tuple[str, frozenset[str]]],
+    equations: Iterable[TaggedEquation],
 ) -> list[NotWellFormedError]:
-    """All failed structural checks, in check order T1..T6."""
+    """All failed structural checks of ``graph``, built from ``equations``,
+    in check order T2..T6.  T1 holds by construction, and T4 fails exactly
+    when two equations share a tag and a lhs, since their arcs then merge
+    into one group."""
     found: list[NotWellFormedError] = []
 
     def fail(check_id: str, witness: tuple[str, ...], detail: str) -> None:
@@ -235,16 +237,6 @@ def violations(
 
     node_set = set(graph.nodes)
     const_set = set(graph.constants)
-
-    fv: set[str] = set()
-    for lhs, rhs in canonical_equations:
-        fv.add(lhs)
-        fv.update(rhs - const_set)
-    expected = graph.p1 | graph.p2 | fv
-    actual = node_set - const_set
-    if actual != expected:
-        extra = tuple(sorted(actual ^ expected))
-        fail("T1", extra, f"node set mismatch on {extra}")
 
     for c in sorted(const_set):
         if graph.parents[c]:
@@ -259,12 +251,10 @@ def violations(
             fail("T3", (v,) + tuple(graph.parents[v]),
                  f"{v} has an incoming agglomeration arc plus another incoming arc")
 
-    eq_count = Counter((lhs, rhs) for lhs, rhs in canonical_equations)
-    group_count = Counter((head, frozenset(members)) for head, members in graph.groups)
-    if eq_count != group_count:
-        diff = eq_count - group_count
-        witness_head = sorted(diff)[0][0] if diff else sorted(group_count - eq_count)[0][0]
-        fail("T4", (witness_head,), "arc groups do not correspond one for one with the equations")
+    heads = Counter((eq.tag, eq.lhs) for eq in equations)
+    repeated = [lhs for (_, lhs), count in heads.items() if count > 1]
+    if repeated:
+        fail("T4", (min(repeated),), "arc groups do not correspond one for one with the equations")
 
     if len(graph.topo_order) != len(graph.nodes):
         stuck = tuple(sorted(node_set - set(graph.topo_order)))
@@ -305,8 +295,9 @@ def check(
     p2: Iterable[str],
 ) -> tuple[TokenFlowGraph, list[NotWellFormedError]]:
     """Like :func:`build` but returns every violation instead of raising."""
-    graph, canonical = _construct(equations, p1, p2)
-    return graph, violations(graph, canonical)
+    equations = tuple(equations)
+    graph = _construct(equations, p1, p2)
+    return graph, violations(graph, equations)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +311,16 @@ def is_well_defined(graph: TokenFlowGraph, c: Configuration) -> bool:
 
     Along every arc both ends must be defined or both undefined; every defined
     group head must equal the sum of its members; defined constants must hold
-    their stored value.
+    their stored value.  Every arc joins a group's head to one of its members
+    (``v -> w`` lies in ``v``'s agglomeration group, ``x -> v`` in ``v``'s
+    redundancy group), so one pass over the groups covers the arcs.
     """
-    for src, dst in graph.r_arcs | graph.a_arcs:
-        if (src in c) != (dst in c):
-            return False
     for head, members in graph.groups:
         if head in c:
-            if any(x not in c for x in members):
+            if any(x not in c for x in members) or c[head] != sum(c[x] for x in members):
                 return False
-            if c[head] != sum(c[x] for x in members):
-                return False
+        elif any(x in c for x in members):
+            return False
     for name, value in graph.constants.items():
         if name in c and c[name] != value:
             return False
@@ -375,44 +365,41 @@ def _root_values(graph: TokenFlowGraph, roots: Configuration) -> dict[str, int]:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` naturals summing to ``total``, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+    """All tuples of ``parts`` naturals summing to ``total``, lexicographic.
+
+    Stars and bars: the part sizes are the gaps between ``parts - 1`` bars
+    drawn from ``total + parts - 1`` slots in lexicographic order.  There is
+    no recursion, so a wide agglomeration costs no stack.
+    """
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 def enumerate_extensions(
     graph: TokenFlowGraph,
     roots: Configuration,
-    bound: int = 1,
 ) -> list[dict[str, int]]:
     """All total well-defined configurations extending a root valuation.
 
     ``roots`` assigns the non-constant roots (absent reduced places count as
     zero); constants are filled in automatically.  Token counts split over
     agglomeration children in every possible way, enumerated lexicographically
-    in node order, so the result is exhaustive and duplicate free.  ``bound``
-    only feeds a defensive divergence cap of ``bound * |nodes|`` per node
-    value.
+    in node order, so the result is exhaustive and duplicate free.  The graph
+    is acyclic (check T5), so every value is a finite sum of root values and
+    the enumeration is finite.
     """
     base = _root_values(graph, roots)
-    cap = max(1, bound) * max(1, len(graph.nodes))
     configs: list[dict[str, int]] = [base]
     for v in graph.topo_order:
         r_parents = graph.r_parents[v]
         splits = graph.a_children[v]
         next_configs: list[dict[str, int]] = []
         for cfg in configs:
-            if r_parents:
+            if r_parents:  # roots and agglomeration targets are already set
                 cfg[v] = sum(cfg[x] for x in r_parents)
-            value = cfg[v]  # roots and agglomeration targets are already set
-            if value > cap:
-                raise DivergesError(f"value {value} at {v} exceeds cap {cap}")
             if splits:
-                for parts in _compositions(value, len(splits)):
+                for parts in _compositions(cfg[v], len(splits)):
                     branch = dict(cfg)
                     branch.update(zip(splits, parts))
                     next_configs.append(branch)

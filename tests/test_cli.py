@@ -271,8 +271,9 @@ def mutate(equations, kind: str, pick: int) -> tuple[list[TaggedEquation], str]:
     """``equations`` plus one equation that breaks them, and the check that
     must fail.  The new equation reuses the arc between the lhs and one term
     of the ``pick``-th equation with variable terms: it closes a cycle
-    through it (T5), gives the term a constant below it (T2), or doubles it
-    as an arc of the other kind (T3)."""
+    through it (T5), gives the term a constant below it (T2), doubles it
+    as an arc of the other kind (T3), or repeats the equation's tag and lhs
+    over a fresh term (T4)."""
     with_terms = [eq for eq in equations if eq.terms]
     eq = with_terms[pick % len(with_terms)]
     term = eq.terms[pick % len(eq.terms)]
@@ -282,6 +283,8 @@ def mutate(equations, kind: str, pick: int) -> tuple[list[TaggedEquation], str]:
         extra, check_id = TaggedEquation("R", src, terms=(dst,)), "T5"
     elif kind == "constant":
         extra, check_id = TaggedEquation("A", term, constant=1), "T2"
+    elif kind == "repeated":
+        extra, check_id = TaggedEquation(eq.tag, eq.lhs, terms=(f"{eq.lhs}.fresh",)), "T4"
     elif eq.tag == "A":
         extra, check_id = TaggedEquation("R", dst, terms=(src,)), "T3"
     else:
@@ -293,7 +296,7 @@ class TestMutatedEquations:
     @settings(max_examples=40)
     @given(
         st.integers(0, 10_000).map(composite),
-        st.sampled_from(["cycle", "constant", "doubled"]),
+        st.sampled_from(["cycle", "constant", "doubled", "repeated"]),
         st.integers(0, 1_000),
     )
     def test_rejected_by_check_and_cli(self, net_m0, kind, pick):
@@ -501,6 +504,17 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {net2_path}: ")
         assert "(A2)" in captured.err
+
+    @pytest.mark.parametrize("command", ["reach", "conc", "tfg-check"])
+    def test_reduced_net_needs_equations(self, command, a1, tmp_path, capsys):
+        argv = [command, str(a1)]
+        if command == "reach":
+            argv.append(query(tmp_path, "x=1"))
+        argv += ["--reduced-net", str(tmp_path / "nodir" / "bad.net")]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --reduced-net needs --equations to tie it to the net\n"
 
     @pytest.mark.parametrize("row", ["1(0)11", "1(" + "9" * 5000 + ")"], ids=["zero", "huge"])
     def test_rel2_bad_run_count(self, row, a1, tmp_path, capsys):

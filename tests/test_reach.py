@@ -210,7 +210,7 @@ class TestUnicity:
             seen = {}
             for m2 in sorted(inst.space2.markings, key=marking_key):
                 roots = {p: m2[p] for p in inst.result.reduced_net.places}
-                for c in enumerate_extensions(inst.graph, roots, bound=1):
+                for c in enumerate_extensions(inst.graph, roots):
                     m1 = restrict(c, tuple(inst.graph.p1))
                     key = tuple(m1.items())
                     assert key not in seen or seen[key] == dict(c), inst.name

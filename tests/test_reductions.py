@@ -203,6 +203,18 @@ class TestValidator:
         assert report.condition in {"A1", "A2", "A3"}
         assert report.witness is not None
 
+    def test_wide_agglomeration_valid(self):
+        """``a`` agglomerates 1,500 places, one of which holds the token."""
+        width = 1500
+        text = "pl p0 1\n" + "".join(f"pl p{i} 0\ntr t{i} p0 -> p{i}\n" for i in range(1, width))
+        net, m0 = parse_net(text)
+        net2, m2 = parse_net("pl a 1\n")
+        equation = TaggedEquation("A", "a", terms=tuple(net.places))
+        result = ReductionResult(net2, m2, (equation,), (width - 1) / width)
+        report = validate_equivalence(net, m0, result)
+        assert report.valid
+        assert (report.n1_markings, report.n2_markings) == (width, 1)
+
     def test_truncated_space_refused(self):
         net, m0 = parse_net(A1_TEXT)
         res = reduce(net, m0)
