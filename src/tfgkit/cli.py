@@ -240,11 +240,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         _write_output(args.output, net_io.write_matrix(conc_mod.to_document(matrix)))
         print(_matrix_summary(matrix), file=sys.stderr)
     if target is not None:
-        if not space.is_complete:
-            return EXIT_UNKNOWN
-        if oracle_reachable(space, target):
+        # every stored marking is reachable, even in a truncated space
+        if target in space:
             print("REACHABLE oracle")
             return EXIT_OK
+        if not space.is_complete:
+            print("UNKNOWN oracle")
+            return EXIT_UNKNOWN
         print("UNREACHABLE oracle")
         return EXIT_NEGATIVE
     return EXIT_OK

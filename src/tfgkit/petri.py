@@ -27,10 +27,15 @@ One encoding serves safe nets (``max_token=1``) and bounded ones alike.
 work on it directly, and ``space.markings`` decodes it to :class:`Marking`
 objects once, on first access.  ``Marking``, :func:`enabled`, :func:`fire`
 and :func:`random_walk` remain the public API at the edges.
+
+:class:`StateEquation` refutes a marking without any search: a reachable
+marking ``m`` satisfies ``m = m0 + C·σ`` for the incidence matrix ``C`` and
+some firing count vector ``σ`` (Murata, Proc. IEEE 1989).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -250,6 +255,7 @@ def explore(
     m0: Marking,
     max_states: int = 100_000,
     max_token: int = 1,
+    goal: Marking | None = None,
 ) -> StateSpace:
     """Breadth-first closure of ``m0`` under firing.
 
@@ -258,6 +264,11 @@ def explore(
     status names the limit.  The marking set itself does not depend on
     transition declaration order, only the truncation point does.  Raises
     ValueError when ``m0`` marks a place outside ``net.places``.
+
+    With a ``goal``, the search also stops as soon as it stores ``goal``
+    (``m0`` included), with status ``truncated(goal)``; the stored set is
+    then a prefix of the goal-less search's.  A search that never stores
+    ``goal`` returns exactly what the goal-less one does.
     """
     if max_states < 1 or max_token < 1:
         raise ValueError("limits must be at least 1")
@@ -268,6 +279,11 @@ def explore(
     widest = max([max_token + max(weights, default=0)] + [n for _, n in m0.items()])
     packing = _Packing(net.places, widest.bit_length())
     start = packing.encode(m0)
+    target = None if goal is None else packing.encode(goal)
+    if target is None:
+        target = -1  # no packed marking: the search never stops at it
+    if start == target:
+        return StateSpace(packing, frozenset([start]), m0, truncated("goal"))
     if any(n > max_token for _, n in m0.items()):
         return StateSpace(packing, frozenset([start]), m0, truncated("max-token"))
     guards = packing.guards
@@ -295,10 +311,72 @@ def explore(
                 break
             seen.add(m2)
             order.append(m2)
+            if m2 == target:
+                status = truncated("goal")
+                break
         else:
             continue
         break
     return StateSpace(packing, frozenset(seen), m0, status)
+
+
+class StateEquation:
+    """The state equation ``m = m0 + C·σ`` of a net, as a test of markings.
+
+    A reachable marking ``m`` has ``m - m0`` in the span of the incidence
+    columns ``C``, so a nonzero remainder of ``m - m0`` against that span
+    proves ``m`` unreachable.  The columns are eliminated once, with exact
+    integers, into an echelon basis of sparse vectors (place position ->
+    coefficient), each keyed by its highest place position.  Pivoting on
+    the highest position keeps a hub place shared by many transitions out
+    of the pivots: on a lowest-position pivot, every column through the hub
+    would be reduced against a growing chain of basis vectors.
+    """
+
+    def __init__(self, net: PetriNet, m0: Marking):
+        self._index = {p: i for i, p in enumerate(net.places)}
+        self._m0 = m0
+        self._basis: dict[int, dict[int, int]] = {}
+        for t in net.transitions:
+            column = {self._index[p]: -w for p, w in net.pre_of(t).items()}
+            for p, w in net.post_of(t).items():
+                i = self._index[p]
+                column[i] = column.get(i, 0) + w
+            rest = self._reduce({i: x for i, x in column.items() if x})
+            if rest:
+                self._basis[max(rest)] = rest
+
+    def _reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """Remainder of ``v`` against the basis, up to a nonzero factor."""
+        while v:
+            top = max(v)
+            b = self._basis.get(top)
+            if b is None:
+                return v
+            d = math.gcd(b[top], v[top])
+            f, g = b[top] // d, v[top] // d
+            combined = {i: f * x for i, x in v.items()}
+            for i, x in b.items():
+                combined[i] = combined.get(i, 0) - g * x
+            v = {i: x for i, x in combined.items() if x}
+            if v:
+                d = math.gcd(*v.values())
+                if d > 1:
+                    v = {i: x // d for i, x in v.items()}
+        return v
+
+    def admits(self, m: Marking) -> bool:
+        """False when ``m`` is proven unreachable from ``m0``; True says
+        only that the state equation has a rational solution."""
+        diff = {}
+        for p in m.support() | self._m0.support():
+            d = m[p] - self._m0[p]
+            if d:
+                i = self._index.get(p)
+                if i is None:  # no transition touches a non-place
+                    return False
+                diff[i] = d
+        return not self._reduce(diff)
 
 
 def is_safe(space: StateSpace) -> bool:

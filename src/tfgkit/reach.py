@@ -2,15 +2,20 @@
 
 A query over the original places is projected bottom-up to a unique candidate
 marking of the reduced net; when the projection is inconsistent the query is
-unreachable outright, otherwise an exhaustive search over the much smaller
-reduced net settles it.  :class:`Analysis` keeps one net's graph and reduced
-state space across queries.  :func:`partition` reads the original state space
-off the reduced one, and :func:`validate_equivalence` certifies a reduction
-with :func:`project` and :func:`partition` against both explored spaces.
+unreachable outright.  Otherwise the reduced net's state equation may refute
+the candidate without any search, and if it does not, a breadth-first search
+over the much smaller reduced net settles it, stopping as soon as it stores
+the candidate.  Each verdict carries a reason token naming the step that
+settled it.  :class:`Analysis` keeps one net's graph, state equation and
+reduced state space across queries.  :func:`partition` reads the original
+state space off the reduced one, and :func:`validate_equivalence` certifies
+a reduction with :func:`project` and :func:`partition` against both explored
+spaces.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +24,10 @@ from tfgkit.petri import (
     IncompleteStateSpaceError,
     Marking,
     PetriNet,
+    StateEquation,
     StateSpace,
     explore,
+    truncated,
 )
 from tfgkit.reductions import ReductionResult, build_graph, reduce
 
@@ -29,9 +36,12 @@ UNREACHABLE = "unreachable"
 UNKNOWN = "unknown"
 
 PROJECTION_FAILED = "projection-failed"
+STATE_EQUATION = "state-equation"
 BACKEND_HIT = "backend-hit"
 BACKEND_EXHAUSTED = "backend-exhausted"
 BACKEND_TRUNCATED = "backend-truncated"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -85,8 +95,16 @@ def project(graph: tfg.TokenFlowGraph, target: Marking) -> Marking | None:
 
 class Analysis:
     """One net's reduction (``reduce`` runs when no ``result`` is given),
-    plus its validated ``graph`` and the reduced state space ``space2``
-    explored within the limits, each built on first use and then kept."""
+    plus its validated ``graph``, the reduced net's ``state_equation`` and
+    the reduced state space ``space2`` explored within the limits, each
+    built on first use and then kept.
+
+    :meth:`decide` answers from the cheapest sound source: the projection,
+    then the state equation, then ``space2`` if it is known.  Otherwise it
+    runs one search that stops at the projected target, once per analysis;
+    a search that misses its target is the full exploration and becomes
+    ``space2``.  So an analysis explores at most once to a target and once
+    in full."""
 
     def __init__(self, net: PetriNet, m0: Marking, result: ReductionResult | None = None,
                  max_states: int = 100_000, max_token: int = 1):
@@ -95,15 +113,37 @@ class Analysis:
         self.result = reduce(net, m0) if result is None else result
         self.max_states = max_states
         self.max_token = max_token
+        self._space2: StateSpace | None = None
+        self._goal_searched = False
 
     @cached_property
     def graph(self) -> tfg.TokenFlowGraph:
         return build_graph(self.net, self.result)
 
     @cached_property
+    def state_equation(self) -> StateEquation:
+        return StateEquation(self.result.reduced_net, self.result.reduced_marking)
+
+    @property
     def space2(self) -> StateSpace:
+        if self._space2 is None:
+            self._space2 = self._explore(None)
+        return self._space2
+
+    def _explore(self, goal: Marking | None) -> StateSpace:
         return explore(self.result.reduced_net, self.result.reduced_marking,
-                       max_states=self.max_states, max_token=self.max_token)
+                       max_states=self.max_states, max_token=self.max_token, goal=goal)
+
+    def _search(self, goal: Marking) -> StateSpace:
+        """``space2`` if known; else, on the first call only, a search that
+        stops at ``goal``."""
+        if self._space2 is not None or self._goal_searched:
+            return self.space2
+        self._goal_searched = True
+        space = self._explore(goal)
+        if space.status != truncated("goal"):
+            self._space2 = space
+        return space
 
     def decide(self, target: Marking) -> ReachVerdict:
         """Decide whether ``target`` is reachable in ``net`` from ``m0``.
@@ -114,12 +154,21 @@ class Analysis:
         """
         projected = project(self.graph, target)
         if projected is None:
+            log.debug("decide settled by projection: no reduced marking")
             return ReachVerdict(UNREACHABLE, PROJECTION_FAILED)
-        if projected in self.space2:
-            return ReachVerdict(REACHABLE, BACKEND_HIT, projected)
-        if self.space2.is_complete:
-            return ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)
-        return ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
+        if not self.state_equation.admits(projected):
+            log.debug("decide settled by state equation: %r", projected)
+            return ReachVerdict(UNREACHABLE, STATE_EQUATION, projected)
+        space = self._search(projected)
+        if projected in space:
+            verdict = ReachVerdict(REACHABLE, BACKEND_HIT, projected)
+        elif space.is_complete:
+            verdict = ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)
+        else:
+            verdict = ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
+        log.debug("decide settled by search (%s): %r among %d stored reduced states, %s",
+                  verdict.reason, projected, len(space), space.status)
+        return verdict
 
 
 def decide(
@@ -131,8 +180,8 @@ def decide(
     max_token: int = 1,
 ) -> ReachVerdict:
     """One-shot :meth:`Analysis.decide`.  ``result`` must tie ``net`` to its
-    reduced form; the graph is built and validated and the reduced net
-    explored for this one query."""
+    reduced form; the graph and state equation are built and the reduced
+    net searched for this one query."""
     return Analysis(net, m0, result, max_states, max_token).decide(target)
 
 

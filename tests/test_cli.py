@@ -123,10 +123,17 @@ class TestReach:
         assert code == EXIT_OK
         assert capsys.readouterr().out == "REACHABLE backend-hit\n"
 
-    def test_unreachable_by_backend(self, a1, tmp_path, capsys):
-        code = main(["reach", str(a1), query(tmp_path, "y=1 z=1")])
+    def test_unreachable_by_backend(self, tmp_path, capsys):
+        path = tmp_path / "backward.net"  # the state equation admits a=1
+        path.write_text("pl a 0\npl b 1\npl c 0\ntr t a -> b\ntr u b -> c\n")
+        code = main(["reach", str(path), query(tmp_path, "a=1")])
         assert code == EXIT_NEGATIVE
         assert capsys.readouterr().out == "UNREACHABLE backend-exhausted\n"
+
+    def test_unreachable_by_state_equation(self, a1, tmp_path, capsys):
+        code = main(["reach", str(a1), query(tmp_path, "y=1 z=1")])
+        assert code == EXIT_NEGATIVE
+        assert capsys.readouterr().out == "UNREACHABLE state-equation\n"
 
     def test_unreachable_by_projection(self, d1, tmp_path, capsys):
         code = main(["reach", str(d1), query(tmp_path, "q=1 r=0")])
@@ -342,6 +349,20 @@ class TestOracle:
         code = main(["oracle", str(d1), query(tmp_path, "q=1 r=0")])
         assert code == EXIT_NEGATIVE
         assert "UNREACHABLE oracle" in capsys.readouterr().out
+
+    def test_stored_query_is_reachable_under_a_budget(self, d1, tmp_path, capsys):
+        code = main(["oracle", str(d1), query(tmp_path, "p=1"), "--max-states", "1"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "states 1 status truncated(max-states) safe yes\nREACHABLE oracle\n"
+        )
+
+    def test_missing_query_is_unknown_under_a_budget(self, d1, tmp_path, capsys):
+        code = main(["oracle", str(d1), query(tmp_path, "q=1 r=1"), "--max-states", "1"])
+        assert code == EXIT_UNKNOWN
+        assert capsys.readouterr().out == (
+            "states 1 status truncated(max-states) safe yes\nUNKNOWN oracle\n"
+        )
 
     def test_truncation_reported(self, tmp_path, capsys):
         path = tmp_path / "unbounded.net"

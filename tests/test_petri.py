@@ -1,9 +1,10 @@
-"""Net semantics, exploration, and the brute-force oracles."""
+"""Net semantics, exploration, the state equation and the brute-force oracles."""
 
+import time
 from collections import deque
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from tfgkit import generators
@@ -12,6 +13,7 @@ from tfgkit.petri import (
     Marking,
     NotEnabledError,
     PetriNet,
+    StateEquation,
     enabled,
     explore,
     fire,
@@ -20,6 +22,7 @@ from tfgkit.petri import (
     oracle_reachable,
     random_walk,
 )
+from tfgkit.reductions import reduce
 
 T1 = PetriNet(("a", "b"), ("t",), {"t": {"a": 1}}, {"t": {"b": 1}})
 D1 = PetriNet(("p", "q", "r"), ("t",), {"t": {"p": 1}}, {"t": {"q": 1, "r": 1}})
@@ -227,10 +230,10 @@ class TestProperties:
 
 def reference_explore(net, m0, max_states, max_token):
     """Breadth-first search over the public ``enabled``/``fire``, with the
-    explorer's truncation rules: (marking set, status)."""
-    seen = {m0}
+    explorer's truncation rules: (markings in the order stored, status)."""
+    seen = {m0: None}
     if any(n > max_token for _, n in m0.items()):
-        return seen, "truncated(max-token)"
+        return list(seen), "truncated(max-token)"
     queue = deque([m0])
     while queue:
         m = queue.popleft()
@@ -239,12 +242,12 @@ def reference_explore(net, m0, max_states, max_token):
             if m2 in seen:
                 continue
             if any(n > max_token for _, n in m2.items()):
-                return seen, "truncated(max-token)"
+                return list(seen), "truncated(max-token)"
             if len(seen) >= max_states:
-                return seen, "truncated(max-states)"
-            seen.add(m2)
+                return list(seen), "truncated(max-states)"
+            seen[m2] = None
             queue.append(m2)
-    return seen, "complete"
+    return list(seen), "complete"
 
 
 @st.composite
@@ -312,3 +315,61 @@ class TestPackedKernel:
         assert Marking({**dict(m0.items()), "elsewhere": 1}) not in space
         with pytest.raises(ValueError):
             explore(net, Marking({**dict(m0.items()), "elsewhere": 1}))
+
+
+class TestGoal:
+    """A search that stops at a goal, and the state equation, against the
+    reference search."""
+
+    @given(nets_under_test, st.integers(1, 3), st.integers(1, 300), st.data())
+    def test_goal_stop_is_a_prefix_of_the_search(self, net_m0, max_token, max_states, data):
+        net, m0 = net_m0
+        expected, _ = reference_explore(net, m0, max_states, max_token)
+        k = data.draw(st.integers(0, len(expected) - 1))
+        space = explore(net, m0, max_states, max_token, goal=expected[k])
+        assert space.markings == frozenset(expected[: k + 1])
+        assert space.status == "truncated(goal)"
+
+    @given(nets_under_test, st.integers(1, 3), st.integers(1, 300), st.data())
+    def test_unstored_goal_changes_nothing(self, net_m0, max_token, max_states, data):
+        net, m0 = net_m0
+        goal = Marking({p: data.draw(st.integers(0, 4)) for p in net.places[:6]})
+        expected, status = reference_explore(net, m0, max_states, max_token)
+        assume(goal not in expected)
+        space = explore(net, m0, max_states, max_token, goal=goal)
+        assert space.markings == frozenset(expected)
+        assert space.status == status
+
+    def test_goal_outside_the_places_is_never_stored(self):
+        space = explore(T1, Marking({"a": 1}), goal=Marking({"elsewhere": 1}))
+        assert space.status == "complete"
+        assert len(space) == 2
+
+    @given(nets_under_test, st.integers(1, 3), st.integers(1, 300))
+    def test_state_equation_admits_every_stored_marking(self, net_m0, max_token, max_states):
+        net, m0 = net_m0
+        space = explore(net, m0, max_states=max_states, max_token=max_token)
+        equation = StateEquation(net, m0)
+        assert all(equation.admits(m) for m in space.markings)
+
+    def test_state_equation_refutes_a_broken_invariant(self):
+        equation = StateEquation(T1, Marking({"a": 1}))
+        assert equation.admits(Marking({"b": 1}))
+        assert not equation.admits(Marking({"a": 2}))
+        assert not equation.admits(Marking({"a": 1, "b": 1}))
+        assert not equation.admits(Marking({}))
+        assert not equation.admits(Marking({"a": 1, "elsewhere": 1}))
+
+    @pytest.mark.parametrize("family", ["choice_loop", "diamond_chain"])
+    def test_basis_of_a_wide_reduced_net_builds_fast(self, family):
+        """``choice_loop``'s hub, shared by 4,000 transitions, must not become
+        a pivot that every column is reduced against (about 10 s when it
+        does)."""
+        if family == "choice_loop":
+            net, m0 = generators.choice_loop(2000).build()
+        else:
+            net, m0 = generators.diamond_chain(2000)
+        result = reduce(net, m0)
+        start = time.perf_counter()
+        StateEquation(result.reduced_net, result.reduced_marking)
+        assert time.perf_counter() - start < 1.0

@@ -1,5 +1,7 @@
 """Projection, accelerated reachability decisions, and the state-space partition."""
 
+import logging
+
 import pytest
 
 import tfgkit.cli
@@ -23,6 +25,7 @@ from tfgkit.reach import (
     BACKEND_TRUNCATED,
     PROJECTION_FAILED,
     REACHABLE,
+    STATE_EQUATION,
     UNKNOWN,
     UNREACHABLE,
     Analysis,
@@ -43,6 +46,8 @@ CASCADE_P1 = tuple(f"p{i}" for i in range(7))
 CASCADE_P2 = ("p0", "a2", "p6")
 
 A1_TEXT = "pl x 1\npl y 0\npl z 0\ntr t1 x -> y\ntr t2 y -> z\n"
+# the state equation admits a=1 (it undoes t), but nothing marks a
+BACKWARD_TEXT = "pl a 0\npl b 1\npl c 0\ntr t a -> b\ntr u b -> c\n"
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
 
 
@@ -97,7 +102,7 @@ class TestDepth:
         verdict = decide(net, m0, target, result)
         assert (verdict.answer, verdict.reason) == (REACHABLE, BACKEND_HIT)
         verdict = decide(net, m0, Marking({"h_p0": 1, "h_p9": 1}), result)
-        assert (verdict.answer, verdict.reason) == (UNREACHABLE, BACKEND_EXHAUSTED)
+        assert (verdict.answer, verdict.reason) == (UNREACHABLE, STATE_EQUATION)
 
 
 class TestProject:
@@ -126,12 +131,12 @@ class TestDecide:
         assert verdict.reason == BACKEND_HIT
         assert verdict.projected == Marking({"a1": 1})
 
-    def test_a1_unreachable_by_backend(self):
+    def test_a1_unreachable_by_state_equation(self):
         net, m0 = parse_net(A1_TEXT)
         res = reduce(net, m0)
         verdict = decide(net, m0, Marking({"y": 1, "z": 1}), res)
         assert verdict.answer == UNREACHABLE
-        assert verdict.reason == BACKEND_EXHAUSTED
+        assert verdict.reason == STATE_EQUATION
         assert verdict.projected == Marking({"a1": 2})
 
     def test_d1_unreachable_by_projection(self):
@@ -143,11 +148,18 @@ class TestDecide:
         assert verdict.projected is None
 
     def test_truncated_backend_is_unknown(self):
-        net, m0 = parse_net(A1_TEXT)
+        net, m0 = parse_net(BACKWARD_TEXT)
         res = reduce(net, m0)
-        verdict = decide(net, m0, Marking({"y": 1, "z": 1}), res, max_states=1)
+        verdict = decide(net, m0, Marking({"a": 1}), res, max_states=1)
         assert verdict.answer == UNKNOWN
         assert verdict.reason == BACKEND_TRUNCATED
+
+    def test_unreachable_by_backend(self):
+        net, m0 = parse_net(BACKWARD_TEXT)
+        res = reduce(net, m0)
+        verdict = decide(net, m0, Marking({"a": 1}), res)
+        assert verdict.answer == UNREACHABLE
+        assert verdict.reason == BACKEND_EXHAUSTED
 
     def test_hit_wins_even_when_truncated(self):
         net, m0 = parse_net(A1_TEXT)
@@ -168,7 +180,7 @@ class TestAnalysis:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            calls.append((args[0], kwargs.get("goal") is not None))
             return explore(*args, **kwargs)
 
         for inst in corpus:
@@ -179,7 +191,25 @@ class TestAnalysis:
                 calls.clear()
                 analysis = Analysis(inst.net, inst.m0)
                 assert [analysis.decide(t) for t in targets] == one_shot, inst.name
-            assert calls == [analysis.result.reduced_net], inst.name
+            # at most one search stopped at a target, then one full exploration
+            assert all(net == analysis.result.reduced_net for net, _ in calls), inst.name
+            assert [goal for _, goal in calls] in ([], [True], [True, False]), inst.name
+
+    def test_decide_logs_the_settling_step(self, caplog):
+        analysis, refuted = Analysis(*parse_net(A1_TEXT)), Analysis(*parse_net(D1_TEXT))
+        caplog.set_level(logging.DEBUG, logger="tfgkit")  # after reduce logged its hits
+        for target in ({"y": 1, "z": 1}, {"z": 1}, {"y": 1}):
+            analysis.decide(Marking(target))
+        assert caplog.messages == [
+            "decide settled by state equation: Marking(a1=2)",
+            "decide settled by search (backend-hit): Marking(a1=1) "
+            "among 2 stored reduced states, truncated(goal)",
+            "decide settled by search (backend-hit): Marking(a1=1) "
+            "among 2 stored reduced states, complete",
+        ]
+        caplog.clear()
+        refuted.decide(Marking({"q": 1}))
+        assert caplog.messages == ["decide settled by projection: no reduced marking"]
 
     def test_reduces_when_no_result_is_given(self, corpus):
         for inst in corpus:
