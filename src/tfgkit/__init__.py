@@ -53,8 +53,6 @@ from tfgkit.tfg import (
     enumerate_extensions,
     is_well_defined,
 )
-from tfgkit.tfg import build as build_tfg
-from tfgkit.tfg import check as check_tfg
 
 __version__ = "0.1.0"
 
@@ -77,8 +75,6 @@ __all__ = [
     "UNREACHABLE",
     "ValidationReport",
     "build_graph",
-    "build_tfg",
-    "check_tfg",
     "decide",
     "enabled",
     "enumerate_extensions",

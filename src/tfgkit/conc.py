@@ -5,10 +5,12 @@ Given the exact concurrency relation of the reduced net over the graph roots,
 the original state space.  ``partial_matrix`` does the same from incomplete
 root knowledge, writing 1s by the same propagation and 0s by the least
 fixpoint of six sound inference rules; cells it cannot settle stay unknown.
-Both seed the bitset rows of a :class:`ConcurrencyMatrix`, ordered like
-``graph.nodes``, with the root relation; :func:`propagate` reads the root
-facts back from those rows and ORs each cone product into rows in one loop
-over the graph in topological order, so depth costs no stack.
+Both work on plain int rows, one 1-row and one 0-row per node, with bit
+``i`` standing for ``graph.nodes[i]``: ``_seed`` writes the root relation
+into them, :func:`propagate` reads the root facts back and ORs each cone
+product into the 1-rows in one loop over the graph in topological order, so
+depth costs no stack, and each lift turns its rows into one
+:class:`ConcurrencyMatrix` at its end.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
@@ -23,7 +25,7 @@ from heapq import heappop, heappush
 
 from tfgkit import tfg
 from tfgkit.net_io import MatrixDocument
-from tfgkit.relation import UNKNOWN, ConcurrencyMatrix, transpose
+from tfgkit.relation import ConcurrencyMatrix, transpose
 
 
 class IncompleteInputError(Exception):
@@ -35,8 +37,9 @@ class InconsistentInputError(ValueError):
     beside a dead root, or propagates a 1 onto a 0."""
 
 
-def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
-    """The root facts of ``rel2`` over ``graph.nodes``, every other cell unknown.
+def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int], list[int]]:
+    """The 1-rows and 0-rows of the root facts of ``rel2`` over
+    ``graph.nodes``; every other cell is unknown.
 
     ``rel2`` must cover exactly the non-constant roots, the reduced net's
     places, or :class:`InconsistentInputError` is raised.  A place with a 1
@@ -71,7 +74,7 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatr
             ones[i] = positive | marked
         else:
             zeros[i] = 1 << i
-    return ConcurrencyMatrix.from_rows(graph.nodes, ones, zeros)
+    return ones, zeros
 
 
 def _moved(row: int, bits: list[int]) -> int:
@@ -84,23 +87,25 @@ def _moved(row: int, bits: list[int]) -> int:
     return out
 
 
-def propagate(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> int:
-    """Write into ``out``, ordered like ``graph.nodes``, the 1s that its root
-    cells force, and return the logical cell writes, |A|·|B| for a product
-    of node sets A and B.
+def propagate(
+    graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]
+) -> tuple[list[int], int]:
+    """The 1-rows ``ones`` ORed with the 1s that their root cells force,
+    and the logical cell writes, |A|·|B| for a product of node sets A and B.
 
-    A pair of roots that ``out`` holds concurrent makes their successor
-    cones pairwise concurrent.  Under a root that it holds live (1 on the
-    diagonal), each node is concurrent with its successors, and each
-    redundancy arc ``v -> w`` makes the successors of ``v`` outside the
-    cone of ``w`` concurrent with those of ``w``.  Each fact is one row OR
-    in one pass over ``graph.topo_order``: a node's row takes its cone, a
-    mask in ``below`` is pushed down to the rows of every successor at
-    once, and one transpose writes the other side of the splits.  Only 1s
-    are written, so repeated calls are idempotent; a 1 on a known 0 raises
-    :class:`InconsistentInputError`.
+    Rows are ordered like ``graph.nodes``.  A pair of roots that ``ones``
+    holds concurrent makes their successor cones pairwise concurrent.
+    Under a root that it holds live (1 on the diagonal), each node is
+    concurrent with its successors, and each redundancy arc ``v -> w``
+    makes the successors of ``v`` outside the cone of ``w`` concurrent with
+    those of ``w``.  Each fact is one row OR in one pass over
+    ``graph.topo_order``: a node's row takes its cone, a mask in ``below``
+    is pushed down to the rows of every successor at once, and one
+    transpose writes the other side of the splits.  Only 1s are added, so
+    calling it again on its own result changes nothing; a 1 on a 0 of
+    ``zeros`` raises :class:`InconsistentInputError`.
     """
-    index = out.index
+    index = graph.index
     succ = graph.successor_masks
     roots = [index[v] for v in graph.roots]
     root_mask = sum(1 << i for i in roots)
@@ -108,7 +113,7 @@ def propagate(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> int:
     writes = 0
     cone = 0
     for i in roots:
-        row = out.ones[i]
+        row = ones[i]
         if row >> i & 1:
             cone |= succ[i]
         pairs = (row & root_mask) >> (i + 1) << (i + 1)  # concurrent roots after i
@@ -139,10 +144,12 @@ def propagate(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> int:
         rows[i] |= below[i]
     if split_seen:
         rows = [row | column for row, column in zip(rows, transpose(rows))]
-    clash = out.add_ones(rows)
-    if clash:
-        raise InconsistentInputError(f"cell ({clash[0]}, {clash[1]}) is both 0 and 1")
-    return writes
+    for i, (row, zero) in enumerate(zip(rows, zeros)):
+        clash = row & zero
+        if clash:
+            v, w = graph.nodes[i], graph.nodes[(clash & -clash).bit_length() - 1]
+            raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
+    return [one | row for one, row in zip(ones, rows)], writes
 
 
 def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
@@ -153,11 +160,11 @@ def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMat
     expansion per node under a nondead root plus one product per concurrent
     root pair.
     """
-    out = _seed(graph, rel2)
+    ones, zeros = _seed(graph, rel2)
     if not rel2.is_complete():
         raise IncompleteInputError("rel2 has unknown cells")
-    writes = propagate(graph, out)
-    out = ConcurrencyMatrix.from_rows(graph.nodes, out.ones)  # every other cell is 0
+    ones, writes = propagate(graph, ones, zeros)
+    out = ConcurrencyMatrix.from_rows(graph.nodes, ones)  # every other cell is 0
     out.writes = writes
     return out
 
@@ -175,16 +182,16 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
     0, raises :class:`InconsistentInputError`.  Each settled cell counts as
     one write.
     """
-    out = _seed(graph, rel2)
-    propagate(graph, out)
-    out = ConcurrencyMatrix.from_rows(graph.nodes, out.ones, _zero_fixpoint(graph, out))
+    ones, zeros = _seed(graph, rel2)
+    ones, _ = propagate(graph, ones, zeros)
+    out = ConcurrencyMatrix.from_rows(graph.nodes, ones, _zero_fixpoint(graph, ones, zeros))
     out.writes = out.known_count()
     return out
 
 
-def _zero_fixpoint(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> list[int]:
-    """Zero rows of ``out`` once every unknown cell that the rules of
-    ``partial_matrix`` force is settled as 0.
+def _zero_fixpoint(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]) -> list[int]:
+    """The 0-rows ``zeros`` once every cell outside ``ones`` that the rules
+    of ``partial_matrix`` force is settled as 0.
 
     The rules are monotone, so their least fixpoint is unique and any order
     of application reaches it.  Each rule is an operation on whole zero
@@ -196,12 +203,13 @@ def _zero_fixpoint(graph: tfg.TokenFlowGraph, out: ConcurrencyMatrix) -> list[in
     rows, so when the worklist drains, one transpose makes the rows
     symmetric, and every row that grows by it queues its groups again.
     """
-    index = out.index
-    open_ = [out.full & ~ones for ones in out.ones]  # cells a 0 may settle
-    zeros = [known & ~ones for known, ones in zip(out.known, out.ones)]
+    index = graph.index
+    full = (1 << len(graph.nodes)) - 1
+    open_ = [full & ~one for one in ones]  # cells a 0 may settle
+    zeros = list(zeros)
     rank = {v: r for r, v in enumerate(graph.topo_order)}
     groups = []  # (head, members, member mask), heads in topological order
-    touching: list[list[int]] = [[] for _ in out.order]  # the groups of a node
+    touching: list[list[int]] = [[] for _ in graph.nodes]  # the groups of a node
     for head, members in sorted(graph.groups, key=lambda group: rank[group[0]]):
         h, ms = index[head], [index[w] for w in members]
         pool = sum(1 << w for w in ms)

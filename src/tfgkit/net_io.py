@@ -33,33 +33,14 @@ _LONG_RUN_RE = re.compile(r"([01.])\1{3,}")  # what the writer compresses
 
 
 class ParseError(ValueError):
-    """Malformed input; carries the 1-based source line when known."""
+    """Malformed or unsupported input (such as an inhibitor arc); carries
+    the 1-based source line when known."""
 
     def __init__(self, reason: str, line: int | None = None):
         self.reason = reason
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + reason)
-
-
-class DuplicateNameError(ParseError):
-    pass
-
-
-class UnknownPlaceError(ParseError):
-    pass
-
-
-class UnsupportedFeatureError(ParseError):
-    """Input uses a feature outside the supported subset (e.g. inhibitor arcs)."""
-
-
-class RaggedRowError(ParseError):
-    """Matrix row length does not match its triangular position."""
-
-
-class DuplicateAssignmentError(ParseError):
-    pass
 
 
 def _check_name(name: str, line: int | None) -> str:
@@ -97,7 +78,7 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
                 raise ParseError("expected: pl <name> <tokens>", lineno)
             name = _check_name(words[1], lineno)
             if name in tokens or name in pre:
-                raise DuplicateNameError(f"name {name!r} already declared", lineno)
+                raise ParseError(f"name {name!r} already declared", lineno)
             if not words[2].isdecimal():
                 raise ParseError(f"bad token count {words[2]!r}", lineno)
             places.append(name)
@@ -107,7 +88,7 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
                 raise ParseError("expected: tr <name> <in>* -> <out>*", lineno)
             name = _check_name(words[1], lineno)
             if name in tokens or name in pre:
-                raise DuplicateNameError(f"name {name!r} already declared", lineno)
+                raise ParseError(f"name {name!r} already declared", lineno)
             rest = words[2:]
             if "->" not in rest:
                 raise ParseError("transition is missing '->'", lineno)
@@ -118,7 +99,7 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
                 for word in group:
                     place, weight = parse_arc(word, lineno)
                     if place not in tokens:
-                        raise UnknownPlaceError(f"undeclared place {place!r}", lineno)
+                        raise ParseError(f"undeclared place {place!r}", lineno)
                     if place in arcs:
                         raise ParseError(f"place {place!r} repeated in arc list", lineno)
                     arcs[place] = weight
@@ -176,7 +157,7 @@ def parse_pnml(text: str) -> tuple[PetriNet, Marking]:
     net_el = nets[0]
     net_type = net_el.get("type", "")
     if net_type and "ptnet" not in net_type and "PTNet" not in net_type:
-        raise UnsupportedFeatureError(f"unsupported net type {net_type!r}")
+        raise ParseError(f"unsupported net type {net_type!r}")
 
     def text_of(el: ET.Element, tag: str) -> str | None:
         for child in el.iter():
@@ -197,7 +178,7 @@ def parse_pnml(text: str) -> tuple[PetriNet, Marking]:
         if kind == "place":
             name = _check_name(el.get("id", ""), None)
             if name in tokens or name in pre:
-                raise DuplicateNameError(f"id {name!r} already declared")
+                raise ParseError(f"id {name!r} already declared")
             places.append(name)
             tokens[name] = _pnml_count(
                 text_of(el, "initialMarking"), 0, f"initial marking of {name!r}"
@@ -205,7 +186,7 @@ def parse_pnml(text: str) -> tuple[PetriNet, Marking]:
         elif kind == "transition":
             name = _check_name(el.get("id", ""), None)
             if name in tokens or name in pre:
-                raise DuplicateNameError(f"id {name!r} already declared")
+                raise ParseError(f"id {name!r} already declared")
             transitions.append(name)
             pre[name] = {}
             post[name] = {}
@@ -217,7 +198,7 @@ def parse_pnml(text: str) -> tuple[PetriNet, Marking]:
         type_el = next((child for child in el if _local(child.tag) == "type"), None)
         arc_type = text_of(el, "type") or (type_el.get("value") if type_el is not None else None)
         if arc_type and arc_type != "normal":
-            raise UnsupportedFeatureError(f"unsupported arc type {arc_type!r}")
+            raise ParseError(f"unsupported arc type {arc_type!r}")
         weight = _pnml_count(text_of(el, "inscription"), 1, f"arc weight on {src!r}->{dst!r}")
         if weight < 1:
             raise ParseError(f"bad arc weight {weight} on {src!r}->{dst!r}")
@@ -226,7 +207,7 @@ def parse_pnml(text: str) -> tuple[PetriNet, Marking]:
         elif src in pre and dst in tokens:
             post[src][dst] = post[src].get(dst, 0) + weight
         else:
-            raise UnknownPlaceError(f"arc {src!r}->{dst!r} does not join a place and a transition")
+            raise ParseError(f"arc {src!r}->{dst!r} does not join a place and a transition")
 
     net = PetriNet(tuple(places), tuple(transitions), pre, post)
     return net, Marking(tokens)
@@ -351,14 +332,14 @@ def _expand_row(line: str, width: int, lineno: int) -> str:
             if not count:
                 raise ParseError(f"run count 0 at column {match.end(1) + 1}", lineno)
             if len(count) > len(str(left)) or int(count) > left:
-                raise RaggedRowError(f"row has more than {width} symbols", lineno)
+                raise ParseError(f"row has more than {width} symbols", lineno)
             symbols = symbols[:-1] + symbols[-1] * int(count)
         row += symbols
         if len(row) > width:
-            raise RaggedRowError(f"row has more than {width} symbols", lineno)
+            raise ParseError(f"row has more than {width} symbols", lineno)
         pos = match.end()
     if len(row) != width:
-        raise RaggedRowError(f"row has {len(row)} symbols, expected {width}", lineno)
+        raise ParseError(f"row has {len(row)} symbols, expected {width}", lineno)
     return row
 
 
@@ -387,7 +368,7 @@ def parse_matrix(text: str) -> MatrixDocument:
     for name in names:
         _check_name(name, header_line[0])
     if len(set(names)) != len(names):
-        raise DuplicateNameError("name repeated in '# order:' header", header_line[0])
+        raise ParseError("name repeated in '# order:' header", header_line[0])
     if len(body) != len(names):
         raise ParseError(f"expected {len(names)} rows, found {len(body)}", header_line[0])
     rows = tuple(_expand_row(line, i + 1, lineno) for i, (lineno, line) in enumerate(body))
@@ -419,8 +400,8 @@ def parse_marking_query(text: str, places: Iterable[str] | None = None) -> Marki
             raise ParseError(f"bad assignment {token!r}")
         _check_name(name, None)
         if name in seen:
-            raise DuplicateAssignmentError(f"place {name!r} assigned twice")
+            raise ParseError(f"place {name!r} assigned twice")
         if known is not None and name not in known:
-            raise UnknownPlaceError(f"unknown place {name!r}")
+            raise ParseError(f"unknown place {name!r}")
         seen[name] = int(value)
     return Marking(seen)

@@ -79,19 +79,12 @@ class Marking:
     def __getitem__(self, place: str) -> int:
         return self._tokens.get(place, 0)
 
-    def get(self, place: str, default: int = 0) -> int:
-        return self._tokens.get(place, default)
-
     def items(self) -> list[tuple[str, int]]:
         """Marked places with their counts, sorted by place name."""
         return sorted(self._tokens.items())
 
     def support(self) -> frozenset[str]:
         return frozenset(self._tokens)
-
-    @property
-    def is_safe(self) -> bool:
-        return all(n <= 1 for n in self._tokens.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Marking):
@@ -202,10 +195,9 @@ class StateSpace:
     set; ``markings`` decodes it on first access.
     """
 
-    def __init__(self, packing: _Packing, packed: frozenset[int], initial: Marking, status: str):
+    def __init__(self, packing: _Packing, packed: frozenset[int], status: str):
         self._packing = packing
         self._packed = packed
-        self.initial = initial
         self.status = status
 
     @property
@@ -283,9 +275,9 @@ def explore(
     if target is None:
         target = -1  # no packed marking: the search never stops at it
     if start == target:
-        return StateSpace(packing, frozenset([start]), m0, truncated("goal"))
+        return StateSpace(packing, frozenset([start]), truncated("goal"))
     if any(n > max_token for _, n in m0.items()):
-        return StateSpace(packing, frozenset([start]), m0, truncated("max-token"))
+        return StateSpace(packing, frozenset([start]), truncated("max-token"))
     guards = packing.guards
     cap = packing.ones * ((1 << packing.bits) - 1 - max_token)
     moves = []
@@ -317,7 +309,7 @@ def explore(
         else:
             continue
         break
-    return StateSpace(packing, frozenset(seen), m0, status)
+    return StateSpace(packing, frozenset(seen), status)
 
 
 class StateEquation:

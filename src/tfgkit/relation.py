@@ -6,7 +6,7 @@ cell (i, j) is settled and ``ones[i]`` when it is 1, so ``ones[i]`` is a
 subset of ``known[i]``.  Rows are stored in full and kept symmetric, so a
 whole row, or any set of its cells, is updated by one integer operation.
 The rows are written only here: other modules read them and hand new rows
-to :meth:`ConcurrencyMatrix.from_rows` or :meth:`ConcurrencyMatrix.add_ones`.
+to :meth:`ConcurrencyMatrix.from_rows`.
 """
 
 from __future__ import annotations
@@ -100,23 +100,6 @@ class ConcurrencyMatrix:
     def full(self) -> int:
         """Mask of every position."""
         return (1 << len(self.order)) - 1
-
-    def add_ones(self, rows: list[int]) -> tuple[str, str] | None:
-        """OR full symmetric rows of 1s into the matrix.
-
-        When one falls on a known 0, nothing is written and the first such
-        cell is returned as (row name, column name); otherwise None.
-        """
-        known, ones = self.known, self.ones
-        for i, row in enumerate(rows):
-            clash = row & known[i] & ~ones[i]
-            if clash:
-                return self.order[i], self.order[(clash & -clash).bit_length() - 1]
-        for i, row in enumerate(rows):
-            if row:
-                known[i] |= row
-                ones[i] |= row
-        return None
 
     def get(self, v: str, w: str) -> int | None:
         i, j = self.index[v], self.index[w]

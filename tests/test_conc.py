@@ -109,6 +109,15 @@ class TestCompleteMatrix:
         with pytest.raises(InconsistentInputError, match=r"cell \(q, p\) is 1 but q is dead"):
             matrix(graph, rel2)
 
+    @pytest.mark.parametrize("lift", [matrix, partial_matrix])
+    def test_one_propagated_onto_a_zero_rejected(self, lift):
+        net, m0 = parse_net("pl p 1\npl q 1\ntr t p -> p\ntr u q -> q\n")
+        graph = build_graph(net, reduce(net, m0))
+        # asymmetric rows: (p, q) is 1 in p's row, (q, p) is 0 in q's row
+        rel2 = ConcurrencyMatrix.from_rows(("p", "q"), [0b11, 0b10], [0, 0b01])
+        with pytest.raises(InconsistentInputError, match=r"^cell \(q, p\) is both 0 and 1$"):
+            lift(graph, rel2)
+
     def test_incomplete_rel2_rejected(self, cascade):
         rel2 = ConcurrencyMatrix(("p0", "a2", "p6"))
         rel2.set("p0", "p0", 1)
@@ -136,15 +145,21 @@ class TestCompleteMatrix:
                     assert mat.get(v, v) == 1 and mat.get(w, w) == 1
 
 
+def seed_ones(graph, *roots, pairs=()):
+    """1-rows over ``graph.nodes`` with live ``roots`` and concurrent root
+    ``pairs``."""
+    ones = [0] * len(graph.nodes)
+    for v, w in [(v, v) for v in roots] + list(pairs):
+        i, j = graph.index[v], graph.index[w]
+        ones[i] |= 1 << j
+        ones[j] |= 1 << i
+    return ones
+
+
 def propagate_from(graph, *roots, pairs=()):
     """The 1s that live ``roots`` and concurrent root ``pairs`` force."""
-    mat = ConcurrencyMatrix(graph.nodes)
-    for v in roots:
-        mat.set(v, v, 1)
-    for v, w in pairs:
-        mat.set(v, w, 1)
-    propagate(graph, mat)
-    return mat
+    ones, _ = propagate(graph, seed_ones(graph, *roots, pairs=pairs), [0] * len(graph.nodes))
+    return ConcurrencyMatrix.from_rows(graph.nodes, ones, [0] * len(graph.nodes))
 
 
 class TestPropagate:
@@ -176,10 +191,9 @@ class TestPropagate:
         assert mat.get("p0", "p6") is UNKNOWN
 
     def test_idempotent(self, cascade):
-        mat = propagate_from(cascade, "a2", "p6", pairs=[("a2", "p6")])
-        snapshot = mat.restrict(mat.order)
-        propagate(cascade, mat)
-        assert mat == snapshot
+        zeros = [0] * len(cascade.nodes)
+        once, writes = propagate(cascade, seed_ones(cascade, "a2", "p6", pairs=[("a2", "p6")]), zeros)
+        assert propagate(cascade, once, zeros) == (once, writes)
 
 
 def chain_relation(places):
@@ -435,16 +449,6 @@ class TestRelation:
         assert complete.is_complete()
         for v, w, value in mat.cells():
             assert complete.get(v, w) == complete.get(w, v) == (1 if value == 1 else 0)
-
-    def test_add_ones_writes_rows_or_reports_a_clash(self):
-        mat = ConcurrencyMatrix(("a", "b", "c"))
-        mat.set("a", "a", 0)
-        assert mat.add_ones([0b010, 0b011, 0]) is None  # (a, b) and (b, b)
-        assert mat.get("b", "a") == mat.get("b", "b") == 1
-        assert mat.get("a", "a") == 0 and mat.get("c", "c") is UNKNOWN
-        # (a, c) is open but (a, a) is a known 0: nothing is written
-        assert mat.add_ones([0b101, 0, 0b001]) == ("a", "a")
-        assert mat.get("a", "c") is UNKNOWN and mat.get("a", "a") == 0
 
     def test_transpose(self):
         rng = random.Random(5)

@@ -39,10 +39,6 @@ class TestMarking:
         assert Marking({"a": 1, "b": 0}) == Marking({"a": 1})
         assert hash(Marking({"a": 1, "b": 0})) == hash(Marking({"a": 1}))
 
-    def test_is_safe(self):
-        assert Marking({"a": 1}).is_safe
-        assert not Marking({"a": 2}).is_safe
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             Marking({"a": -1})
@@ -112,10 +108,11 @@ class TestExplore:
 
 class TestOracles:
     def test_reachable_t1(self):
-        space = explore(T1, Marking({"a": 1}))
+        m0 = Marking({"a": 1})
+        space = explore(T1, m0)
         assert oracle_reachable(space, Marking({"b": 1}))
         assert not oracle_reachable(space, Marking({"a": 1, "b": 1}))
-        assert oracle_reachable(space, space.initial)
+        assert oracle_reachable(space, m0)
 
     def test_reachable_refuses_truncated(self):
         space = explore(U1, Marking({}), max_states=2, max_token=10)
@@ -281,7 +278,7 @@ class TestPackedKernel:
         assert space.status == status
         assert len(space) == len(expected)
         assert all(m in space for m in expected)
-        assert is_safe(space) == all(m.is_safe for m in expected)
+        assert is_safe(space) == all(n <= 1 for m in expected for _, n in m.items())
 
     @given(nets_under_test, st.integers(1, 3), st.randoms(use_true_random=False))
     def test_concurrency_matches_pairwise_scan(self, net_m0, max_token, rng):
