@@ -96,10 +96,11 @@ def _write_output(path: str | None, text: str) -> None:
         _write_file(path, text)
 
 
-def _load_net(path: str, fmt: str) -> tuple[PetriNet, Marking]:
+def _load_net(path: str) -> tuple[PetriNet, Marking]:
+    """The net of ``path``: PNML when its text opens with ``<`` or its name
+    ends in ``.pnml`` or ``.xml``, else the plain net format."""
     def parse(text: str) -> tuple[PetriNet, Marking]:
-        looks_xml = text.lstrip().startswith("<") or path.endswith((".pnml", ".xml"))
-        if fmt == "pnml" or (fmt == "auto" and looks_xml):
+        if text.lstrip().startswith("<") or path.endswith((".pnml", ".xml")):
             return net_io.parse_pnml(text)
         return net_io.parse_net(text)
 
@@ -128,7 +129,7 @@ def _reduction_inputs(
     if args.reduced_net is None:
         raise CliError("--equations needs --reduced-net for the reduced side")
     equations = _parse(args.equations, net_io.parse_equations)
-    net2, m2 = _load_net(args.reduced_net, "net")
+    net2, m2 = _load_net(args.reduced_net)
     removed = len(net.places) - len(net2.places)
     ratio = removed / len(net.places) if net.places else 0.0
     return reductions.ReductionResult(net2, m2, tuple(equations), ratio)
@@ -148,7 +149,7 @@ def _analysis(net: PetriNet, m0: Marking, args: argparse.Namespace) -> reach.Ana
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    net, m0 = _load_net(args.net, args.format)
+    net, m0 = _load_net(args.net)
     analysis = reach.Analysis(net, m0)
     analysis.graph  # the equations must compile to a well-formed graph
     result = analysis.result
@@ -170,7 +171,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_reach(args: argparse.Namespace) -> int:
-    net, m0 = _load_net(args.net, args.format)
+    net, m0 = _load_net(args.net)
     target = _parse(args.query, net_io.parse_marking_query, net.places)
     analysis = _analysis(net, m0, args)
     verdict = reach.decide(net, m0, target, analysis.result,
@@ -192,13 +193,13 @@ def _matrix_summary(matrix: ConcurrencyMatrix) -> str:
 
 
 def cmd_conc(args: argparse.Namespace) -> int:
-    net, m0 = _load_net(args.net, args.format)
+    net, m0 = _load_net(args.net)
     analysis = _analysis(net, m0, args)
     if args.rel2 is not None:
         rel2 = conc_mod.from_document(_parse(args.rel2, net_io.parse_matrix))
     else:
         rel2 = oracle_concurrency(analysis.space2, analysis.result.reduced_net.places)
-    lift = conc_mod.partial_matrix if args.partial or not rel2.is_complete() else conc_mod.matrix
+    lift = conc_mod.matrix if rel2.is_complete() else conc_mod.partial_matrix
     matrix = lift(analysis.graph, rel2).restrict(net.places)
     _write_output(args.output, net_io.write_matrix(conc_mod.to_document(matrix)))
     print(_matrix_summary(matrix), file=sys.stderr)
@@ -206,7 +207,7 @@ def cmd_conc(args: argparse.Namespace) -> int:
 
 
 def cmd_tfg_check(args: argparse.Namespace) -> int:
-    net, m0 = _load_net(args.net, args.format)
+    net, m0 = _load_net(args.net)
     result = _reduction_inputs(net, m0, args)
     graph, violations = tfg.check(result.equations, net.places, result.reduced_net.places)
     failed = {v.check_id for v in violations}
@@ -226,7 +227,7 @@ def cmd_tfg_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    net, m0 = _load_net(args.net, args.format)
+    net, m0 = _load_net(args.net)
     target = None
     if args.query is not None:
         target = _parse(args.query, net_io.parse_marking_query, net.places)
@@ -252,13 +253,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_targets(
-    net: PetriNet, m0: Marking, seed: int, per_kind: int = 3
-) -> list[Marking]:
-    """Deterministic target mix: random-walk markings plus mutations that
-    flip one place of a walked marking."""
+def _bench_targets(net: PetriNet, m0: Marking, seed: int) -> list[Marking]:
+    """Deterministic target mix: three random-walk markings, each followed
+    by a mutation that flips one of its places."""
     targets = []
-    for i in range(per_kind):
+    for i in range(3):
         walked = random_walk(net, m0, steps=3 + 7 * i, seed=seed + i)
         targets.append(walked)
         if net.places:
@@ -273,7 +272,7 @@ def _bench_row(
     name: str, path: Path, args: argparse.Namespace
 ) -> tuple[str, float | None]:
     """One corpus instance: returns (TSV row, ratio or None if skipped)."""
-    net, m0 = _load_net(str(path), "net")
+    net, m0 = _load_net(str(path))
     max_states = _effective_max_states(args)
     space1 = explore(net, m0, max_states=max_states, max_token=args.max_token)
     if not space1.is_complete:
@@ -350,8 +349,6 @@ def _positive_int(text: str) -> int:
 
 
 _FLAGS = {
-    "--format": dict(choices=("auto", "net", "pnml"), default="auto",
-                     help="input net format"),
     "--max-states": dict(type=_positive_int, default=100_000,
                          help="state budget for exploration"),
     "--max-token": dict(type=_positive_int, default=1,
@@ -386,28 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("net")
     p.add_argument("--reduced-net", default=None,
                    help="write the reduced net to this file")
-    _add_flags(p, "--format", "--output")
+    _add_flags(p, "--output")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("reach", help="decide reachability of a target marking")
     p.add_argument("net")
     p.add_argument("query", help="file of name=nat tokens")
-    _add_flags(p, *_EXTERNAL, "--format", *_LIMITS)
+    _add_flags(p, *_EXTERNAL, *_LIMITS)
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("conc", help="compute the place-concurrency matrix")
     p.add_argument("net")
     p.add_argument("--rel2", default=None,
                    help="matrix file with the reduced net's relation")
-    p.add_argument("--partial", action="store_true",
-                   help="force the partial algorithm")
-    _add_flags(p, *_EXTERNAL, "--format", *_LIMITS, "--output")
+    _add_flags(p, *_EXTERNAL, *_LIMITS, "--output")
     p.set_defaults(func=cmd_conc)
 
     p = sub.add_parser("tfg-check",
                        help="build the token flow graph and report T1-T6")
     p.add_argument("net")
-    _add_flags(p, *_EXTERNAL, "--format")
+    _add_flags(p, *_EXTERNAL)
     p.set_defaults(func=cmd_tfg_check)
 
     p = sub.add_parser("oracle", help="brute-force answers from the full net")
@@ -416,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional marking query file")
     p.add_argument("--conc", action="store_true",
                    help="also write the oracle concurrency matrix")
-    _add_flags(p, "--format", *_LIMITS, "--output")
+    _add_flags(p, *_LIMITS, "--output")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="benchmark every *.net in a directory")

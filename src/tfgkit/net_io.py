@@ -387,12 +387,10 @@ def write_matrix(doc: MatrixDocument) -> str:
 # marking queries
 
 
-def parse_marking_query(text: str, places: Iterable[str] | None = None) -> Marking:
-    """Whitespace-separated ``name=count`` assignments; absent places are zero.
-
-    With ``places`` given, names outside that set are rejected.
-    """
-    known = set(places) if places is not None else None
+def parse_marking_query(text: str, places: Iterable[str]) -> Marking:
+    """Whitespace-separated ``name=count`` assignments over ``places``;
+    absent places are zero, names outside ``places`` are rejected."""
+    known = set(places)
     seen: dict[str, int] = {}
     for token in text.split():
         name, sep, value = token.partition("=")
@@ -401,7 +399,7 @@ def parse_marking_query(text: str, places: Iterable[str] | None = None) -> Marki
         _check_name(name, None)
         if name in seen:
             raise ParseError(f"place {name!r} assigned twice")
-        if known is not None and name not in known:
+        if name not in known:
             raise ParseError(f"unknown place {name!r}")
         seen[name] = int(value)
     return Marking(seen)

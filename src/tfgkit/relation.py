@@ -137,14 +137,14 @@ class ConcurrencyMatrix:
 
     def lower_rows(self) -> list[str]:
         """Row ``i`` spells cells (i, 0..i) as ``1``, ``0`` or ``.`` (unknown)."""
-        width = len(self.order)
         out = []
-        for i in range(width):
-            known = format(self.known[i], f"0{width}b")[::-1][: i + 1]
-            ones = format(self.ones[i], f"0{width}b")[::-1][: i + 1]
-            if "0" in known:
-                ones = "".join(o if k == "1" else "." for k, o in zip(known, ones))
-            out.append(ones)
+        for i, (known, ones) in enumerate(zip(self.known, self.ones)):
+            mask, width = (1 << i + 1) - 1, f"0{i + 1}b"
+            row = format(ones & mask, width)[::-1]
+            if known & mask != mask:
+                digits = format(known & mask, width)[::-1]
+                row = "".join(o if k == "1" else "." for k, o in zip(digits, row))
+            out.append(row)
         return out
 
     def cells(self) -> Iterator[tuple[str, str, int | None]]:

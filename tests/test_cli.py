@@ -1,5 +1,6 @@
 """End-to-end runs of the command line, in process via ``main``."""
 
+import argparse
 import io
 import logging
 import re
@@ -213,11 +214,13 @@ class TestConc:
         assert lines[2] == "00"
         assert lines[3] == "000"
 
-    @pytest.mark.parametrize("mode", [[], ["--partial"]], ids=["complete", "partial"])
-    def test_inconsistent_rel2_is_input_error(self, mode, d1, tmp_path, capsys):
+    # p and q concurrent, q never marked; an unknown cell picks partial mode
+    @pytest.mark.parametrize("text", ["# order: p q\n1\n10\n", "# order: p q\n.\n10\n"],
+                             ids=["complete", "partial"])
+    def test_inconsistent_rel2_is_input_error(self, text, d1, tmp_path, capsys):
         rel2 = tmp_path / "rel2.txt"
-        rel2.write_text("# order: p q\n1\n10\n")  # p and q concurrent, q never marked
-        assert main(["conc", str(d1), "--rel2", str(rel2), *mode]) == EXIT_INPUT
+        rel2.write_text(text)
+        assert main(["conc", str(d1), "--rel2", str(rel2)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cell (q, p) is 1 but q is dead\n"
@@ -239,6 +242,20 @@ class TestTfgCheck:
         for check_id in ("T1", "T2", "T3", "T4", "T5", "T6"):
             assert f"{check_id} ok" in out
         assert "well-formed: 3 nodes, 1 redundancy arcs, 0 agglomeration arcs" in out
+
+    def test_pnml_reduced_net(self, tmp_path, capsys):
+        net_path = tmp_path / "net.net"
+        net_path.write_text("pl a 1\npl b 0\npl c 0\ntr t a -> b c\n")
+        eq_path = tmp_path / "eq.txt"
+        eq_path.write_text("# R |- c = b\n")
+        net2_path = tmp_path / "reduced.pnml"
+        net2_path.write_text(PNML_TEXT)  # a -> t -> b
+        code = main([
+            "tfg-check", str(net_path),
+            "--equations", str(eq_path), "--reduced-net", str(net2_path),
+        ])
+        assert code == EXIT_OK
+        assert "well-formed: 3 nodes, 1 redundancy arcs" in capsys.readouterr().out
 
     def test_violation_fails(self, d1, tmp_path, capsys):
         eq_path = tmp_path / "eq.txt"
@@ -376,6 +393,12 @@ class TestOracle:
         path.write_text(PNML_TEXT)
         code = main(["oracle", str(path)])
         assert code == EXIT_OK
+        assert capsys.readouterr().out == "states 2 status complete safe yes\n"
+
+    def test_pnml_detected_by_content(self, tmp_path, capsys):
+        path = tmp_path / "net.txt"
+        path.write_text(PNML_TEXT)
+        assert main(["oracle", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == "states 2 status complete safe yes\n"
 
 
@@ -579,10 +602,10 @@ class TestInputErrors:
         ("reduce", "--max-states"), ("reduce", "--max-token"),
         ("reduce", "--timeout"), ("reduce", "--seed"),
         ("reach", "--seed"), ("reach", "--output"),
-        ("conc", "--seed"), ("conc", "--oracle"),
+        ("conc", "--seed"), ("conc", "--oracle"), ("conc", "--partial"),
         ("tfg-check", "--max-states"), ("tfg-check", "--max-token"),
         ("tfg-check", "--timeout"), ("tfg-check", "--seed"), ("tfg-check", "--output"),
-        ("oracle", "--seed"),
+        ("oracle", "--seed"), ("oracle", "--format"),
         ("bench", "--format"),
     ])
     def test_flag_the_command_does_not_read(self, command, flag, capsys):
@@ -603,6 +626,19 @@ def test_readme_commands_parse():
     assert lines
     for line in lines:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_flags_match_parser():
+    """The README's "Flags" list names every option a subcommand defines,
+    and no other."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"^Flags, by the subcommands that read them:\n\n(.*?)\n\n",
+                       readme, re.M | re.S).group(1)
+    (subcommands,) = (action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    defined = {option for sub in subcommands.values() for action in sub._actions
+               for option in action.option_strings if option.startswith("--")} - {"--help"}
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", listed)) == defined
 
 
 def _run(argv: list[str], tmp: Path, files: tuple[str, ...] = ()) -> str:
@@ -638,7 +674,6 @@ def golden_text(tmp: Path) -> str:
             (tmp / "query.txt").write_text(" ".join(f"{p}={n}" for p, n in target.items()) + "\n")
             sections.append(_run(["reach", name, f"{tmp}/query.txt"], tmp, ("query.txt",)))
         sections.append(_run(["conc", name], tmp))
-        sections.append(_run(["conc", name, "--partial"], tmp))
         res = reduce(net, m0)
         space2 = explore(res.reduced_net, res.reduced_marking)
         doc = to_document(oracle_concurrency(space2, res.reduced_net.places))

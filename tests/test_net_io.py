@@ -245,16 +245,18 @@ class TestMatrix:
 
 
 class TestMarkingQuery:
+    PLACES = ("p1", "p2", "p3", "p4", "p5")
+
     def test_doubled_target_projects(self):
-        m = parse_marking_query("p1=2 p3=1 p4=1 p5=1")
+        m = parse_marking_query("p1=2 p3=1 p4=1 p5=1", self.PLACES)
         assert m == Marking({"p1": 2, "p3": 1, "p4": 1, "p5": 1})
 
     def test_empty_query_is_zero_marking(self):
-        assert parse_marking_query("") == Marking({})
+        assert parse_marking_query("", self.PLACES) == Marking({})
 
     def test_duplicate_assignment(self):
         with pytest.raises(ParseError, match=r"^place 'p1' assigned twice$"):
-            parse_marking_query("p1=2 p1=3")
+            parse_marking_query("p1=2 p1=3", self.PLACES)
 
     def test_place_set_enforced_when_given(self):
         with pytest.raises(ParseError, match=r"^unknown place 'zz'$"):
