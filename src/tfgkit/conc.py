@@ -1,10 +1,12 @@
 """Place concurrency lifted through a token flow graph.
 
-Given the exact concurrency relation of the reduced net over the graph roots,
-``matrix`` reconstructs the full relation over every node without touching
-the original state space.  ``partial_matrix`` does the same from incomplete
-root knowledge, writing 1s by the same propagation and 0s by the least
-fixpoint of six sound inference rules; cells it cannot settle stay unknown.
+Given the exact concurrency relation of a safe reduced net over the graph
+roots, ``matrix`` reconstructs the full relation over every node without
+touching the original state space; the lifting rules assume one token per
+place, and the relation of a net that is not safe can lift to wrong cells.
+``partial_matrix`` does the same from incomplete root knowledge, writing 1s
+by the same propagation and 0s by the least fixpoint of six sound inference
+rules; cells it cannot settle stay unknown.
 Both work on plain int rows, one 1-row and one 0-row per node, with bit
 ``i`` standing for ``graph.nodes[i]``: ``_seed`` writes the root relation
 into them, :func:`propagate` reads the root facts back and ORs each cone

@@ -361,6 +361,8 @@ def parse_matrix(text: str) -> MatrixDocument:
             if header_line is None:
                 header_line = (lineno, stripped)
             continue
+        if header_line is None:
+            raise ParseError("row before '# order:' header", lineno)
         body.append((lineno, stripped))
     if header_line is None or not header_line[1].startswith("# order:"):
         raise ParseError("missing '# order:' header", header_line[0] if header_line else 1)

@@ -39,6 +39,10 @@ from tfgkit.reductions import reduce
 
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
 A1_TEXT = "pl x 1\npl y 0\npl z 0\ntr t1 x -> y\ntr t2 y -> z\n"
+# 2-bounded: p and q agglomerate into a1 = p + q, and p, q are marked together
+TWO_TEXT = "pl s 2\npl p 0\npl q 0\ntr t0 s -> p\ntr t p -> q\ntr t2 q -> s\n"
+# unbounded: each firing adds a token to b
+GROW_TEXT = "pl a 1\npl b 0\ntr t a -> a b\n"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.txt"
 
 PNML_TEXT = """\
@@ -68,6 +72,13 @@ def d1(tmp_path):
 def a1(tmp_path):
     path = tmp_path / "a1.net"
     path.write_text(A1_TEXT)
+    return path
+
+
+@pytest.fixture
+def two(tmp_path):
+    path = tmp_path / "two.net"
+    path.write_text(TWO_TEXT)
     return path
 
 
@@ -233,6 +244,16 @@ class TestConc:
         assert captured.out == ""
         assert captured.err == "error: state space truncated(max-states); raise --max-states\n"
 
+    def test_net_that_is_not_safe_is_input_error(self, two, tmp_path, capsys):
+        out = tmp_path / "two.cm"
+        assert main(["conc", str(two), "--output", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: state space truncated(max-token); a place exceeds the token cap of 1\n"
+        )
+        assert not out.exists()
+
 
 class TestTfgCheck:
     def test_well_formed_report(self, d1, capsys):
@@ -388,6 +409,22 @@ class TestOracle:
         assert code == EXIT_OK
         assert "status truncated(max-token)" in capsys.readouterr().out
 
+    def test_token_cap_hit_is_not_safe(self, tmp_path, capsys):
+        path = tmp_path / "grow.net"
+        path.write_text(GROW_TEXT)
+        assert main(["oracle", str(path), "--conc", "--max-token", "2"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "states 3 status truncated(max-token) safe no\n"
+        assert captured.err == (
+            "error: state space truncated(max-token); a place exceeds the token cap of 2\n"
+        )
+
+    def test_bounded_net_matrix(self, two, capsys):
+        assert main(["oracle", str(two), "--conc", "--max-token", "2"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "states 6 status complete safe no"
+        assert lines[1:] == ["# order: s p q", "1", "11", "111"]
+
     def test_pnml_input(self, tmp_path, capsys):
         path = tmp_path / "net.pnml"
         path.write_text(PNML_TEXT)
@@ -435,6 +472,13 @@ class TestBench:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "unbounded\t1\t-\t-\t-\t-\t-\tskipped(truncated(max-token)" in out
+
+    def test_instance_that_is_not_safe_skipped(self, tmp_path, capsys):
+        corpus = self.fill_corpus(tmp_path)
+        (corpus / "two.net").write_text(TWO_TEXT)
+        assert main(["bench", str(corpus)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "two\t3\t-\t-\t-\t-\t-\tskipped(truncated(max-token))\n" in out
 
     def test_empty_directory(self, tmp_path, capsys):
         corpus = tmp_path / "empty"
@@ -603,10 +647,11 @@ class TestInputErrors:
         ("reduce", "--timeout"), ("reduce", "--seed"),
         ("reach", "--seed"), ("reach", "--output"),
         ("conc", "--seed"), ("conc", "--oracle"), ("conc", "--partial"),
+        ("conc", "--max-token"),
         ("tfg-check", "--max-states"), ("tfg-check", "--max-token"),
         ("tfg-check", "--timeout"), ("tfg-check", "--seed"), ("tfg-check", "--output"),
         ("oracle", "--seed"), ("oracle", "--format"),
-        ("bench", "--format"),
+        ("bench", "--format"), ("bench", "--max-token"),
     ])
     def test_flag_the_command_does_not_read(self, command, flag, capsys):
         positionals = ["net", "query"] if command == "reach" else ["net"]

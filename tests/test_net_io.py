@@ -217,6 +217,11 @@ class TestMatrix:
         with pytest.raises(ParseError):
             parse_matrix("1\n01\n")
 
+    @pytest.mark.parametrize("text, line", [("1\n# order: p\n", 1), ("\n1\n# order: p\n", 2)])
+    def test_row_before_header(self, text, line):
+        with pytest.raises(ParseError, match=rf"^line {line}: row before '# order:' header$"):
+            parse_matrix(text)
+
     def test_unknown_symbol_preserved(self):
         doc = parse_matrix("# order: a b\n.\n01\n")
         assert doc.rows[0] == "."
