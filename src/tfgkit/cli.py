@@ -3,8 +3,10 @@
 Subcommands reduce a net, decide reachability through the reduced net,
 compute concurrency matrices, check equation files, query the brute-force
 oracle, and benchmark a corpus directory.  ``reduce``, ``conc`` and ``bench``
-hold each net's reduction, graph and reduced state space in one
-:class:`tfgkit.reach.Analysis`; ``reach`` and ``conc`` get theirs from
+hold each net's reduction, graph and reduced relation in one
+:class:`tfgkit.reach.Analysis`, which explores the reduced net one connected
+component at a time; ``--max-states`` and ``--timeout`` bound the states
+stored over all components.  ``reach`` and ``conc`` get theirs from
 :func:`_analysis`, which checks an external reduced net against the net's
 initial marking.
 
@@ -199,7 +201,7 @@ def cmd_conc(args: argparse.Namespace) -> int:
     if args.rel2 is not None:
         rel2 = conc_mod.from_document(_parse(args.rel2, net_io.parse_matrix))
     else:
-        rel2 = oracle_concurrency(analysis.space2, analysis.result.reduced_net.places)
+        rel2 = analysis.rel2
     lift = conc_mod.matrix if rel2.is_complete() else conc_mod.partial_matrix
     matrix = lift(analysis.graph, rel2).restrict(net.places)
     _write_output(args.output, net_io.write_matrix(conc_mod.to_document(matrix)))
@@ -292,8 +294,7 @@ def _bench_row(
         if (verdict.answer == reach.REACHABLE) != expected:
             reach_ok = False
 
-    rel2 = oracle_concurrency(analysis.space2, result.reduced_net.places)
-    accelerated = conc_mod.matrix(analysis.graph, rel2).restrict(net.places)
+    accelerated = conc_mod.matrix(analysis.graph, analysis.rel2).restrict(net.places)
     conc_ok = accelerated == oracle_concurrency(space1, net.places)
 
     work = len(space1) + len(analysis.space2)

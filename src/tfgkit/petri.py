@@ -388,15 +388,10 @@ def oracle_reachable(space: StateSpace, m: Marking) -> bool:
     return m in space
 
 
-def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyMatrix:
-    """Exact place-concurrency relation computed by scanning every marking.
-
-    Cell (p, q) is 1 when some stored marking puts a token on both p and q
-    (diagonal: p marked at all), else 0.  Refuses truncated spaces.
-    """
-    if not space.is_complete:
-        raise IncompleteStateSpaceError(space.status)
-    order = tuple(places)
+def _marked_rows(space: StateSpace) -> list[int]:
+    """Per layout place ``i``, one bit per layout place for every place
+    marked together with ``i`` in some stored marking; bit ``i`` itself is
+    set when ``i`` is marked at all."""
     packing = space._packing
     ones, guards, width = packing.ones, packing.guards, packing.width
     # rows[i]: guard bits of every place marked together with layout place i
@@ -411,10 +406,24 @@ def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyM
     for row in rows:
         digits = format(row, "b")[::-1][width - 1 :: width]  # guard digits, lowest first
         marked.append(int(digits[::-1] or "0", 2))
+    return marked
+
+
+def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyMatrix:
+    """Exact place-concurrency relation computed by scanning every marking.
+
+    Cell (p, q) is 1 when some stored marking puts a token on both p and q
+    (diagonal: p marked at all), else 0.  Refuses truncated spaces.
+    """
+    if not space.is_complete:
+        raise IncompleteStateSpaceError(space.status)
+    order = tuple(places)
+    packing = space._packing
     # a name outside the layout is never marked
     outside = [p for p in order if p not in packing.index]
     everything = packing.places + tuple(outside)
-    mat = ConcurrencyMatrix.from_rows(everything, marked + [0] * len(outside)).restrict(order)
+    marked = _marked_rows(space) + [0] * len(outside)
+    mat = ConcurrencyMatrix.from_rows(everything, marked).restrict(order)
     mat.writes = mat.ones_count()
     return mat
 

@@ -3,14 +3,17 @@
 A query over the original places is projected bottom-up to a unique candidate
 marking of the reduced net; when the projection is inconsistent the query is
 unreachable outright.  Otherwise the reduced net's state equation may refute
-the candidate without any search, and if it does not, a breadth-first search
-over the much smaller reduced net settles it, stopping as soon as it stores
-the candidate.  Each verdict carries a reason token naming the step that
-settled it.  :class:`Analysis` keeps one net's graph, state equation and
-reduced state space across queries.  :func:`partition` reads the original
-state space off the reduced one, and :func:`validate_equivalence` certifies
-a reduction with :func:`project` and :func:`partition` against both explored
-spaces.
+the candidate without any search, and if it does not, breadth-first searches
+settle it.  The reduced net falls apart into connected components that share
+no place and no transition, so its reachable set is the product of theirs:
+each component is searched for its own part of the candidate, stopping as
+soon as it stores that part, and two places of different components are
+concurrent exactly when each is marked somewhere.  Each verdict carries a
+reason token naming the step that settled it.  :class:`Analysis` keeps one
+net's graph, state equation, component spaces and reduced relation across
+queries.  :func:`partition` reads the original state space off the reduced
+one, and :func:`validate_equivalence` certifies a reduction with
+:func:`project` and :func:`partition` against both explored spaces.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from tfgkit.petri import (
     PetriNet,
     StateEquation,
     StateSpace,
+    _marked_rows,
     explore,
     truncated,
 )
 from tfgkit.reductions import ReductionResult, build_graph, reduce
+from tfgkit.relation import ConcurrencyMatrix
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
@@ -93,18 +98,72 @@ def project(graph: tfg.TokenFlowGraph, target: Marking) -> Marking | None:
     return tfg.restrict(c, graph.p2)
 
 
+@dataclass(eq=False)
+class _Component:
+    """A part of the reduced net that shares no place and no transition with
+    the rest, plus the states explored in it so far: ``space`` once a full
+    exploration is done, and the size of the last exploration."""
+
+    net: PetriNet
+    m0: Marking
+    space: StateSpace | None = None
+    stored: int = 0
+    goal_searched: bool = False
+
+
+def _split(net: PetriNet, m0: Marking) -> list[_Component]:
+    """The connected components of ``net``, by union-find over each
+    transition's places, in order of their first place.  A transition
+    without arcs changes no marking and is dropped; a net of at most one
+    component is kept whole."""
+    parent = {p: p for p in net.places}
+
+    def find(p: str) -> str:
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    arcs = {t: [*net.pre_of(t), *net.post_of(t)] for t in net.transitions}
+    for places in arcs.values():
+        for q in places[1:]:
+            parent[find(q)] = find(places[0])
+    groups: dict[str, list[str]] = {}
+    for p in net.places:
+        groups.setdefault(find(p), []).append(p)
+    if len(groups) < 2:
+        return [_Component(net, m0)]
+    owned: dict[str, list[str]] = {root: [] for root in groups}
+    for t, places in arcs.items():
+        if places:
+            owned[find(places[0])].append(t)
+    out = []
+    for root, places in groups.items():
+        ts = owned[root]
+        part = PetriNet(tuple(places), tuple(ts),
+                        {t: net.pre_of(t) for t in ts}, {t: net.post_of(t) for t in ts})
+        out.append(_Component(part, Marking({p: m0[p] for p in places})))
+    return out
+
+
 class Analysis:
     """One net's reduction (``reduce`` runs when no ``result`` is given),
-    plus its validated ``graph``, the reduced net's ``state_equation`` and
-    the reduced state space ``space2`` explored within the limits, each
+    plus its validated ``graph``, the reduced net's ``state_equation``, its
+    concurrency relation ``rel2`` and its full state space ``space2``, each
     built on first use and then kept.
 
-    :meth:`decide` answers from the cheapest sound source: the projection,
-    then the state equation, then ``space2`` if it is known.  Otherwise it
-    runs one search that stops at the projected target, once per analysis;
-    a search that misses its target is the full exploration and becomes
-    ``space2``.  So an analysis explores at most once to a target and once
-    in full."""
+    The reduced net is split into the connected components that share no
+    place and no transition, on the first search or ``rel2`` request.  Its
+    reachable set is the product of theirs, so each component is explored
+    on its own: ``max_states`` bounds the states stored over all of them,
+    each getting what the others left.  :meth:`decide` answers from the
+    cheapest sound source: the projection, then the state equation, then a
+    search of each component for its part of the projected target.  A
+    component runs at most one search that stops at its part, then at most
+    one full exploration, which ``rel2`` and later searches reuse.
+    ``space2`` is the whole reduced net's space, within the same limits, for
+    :func:`partition` and :func:`validate_equivalence`: the full space of a
+    one-component net, else one more exploration."""
 
     def __init__(self, net: PetriNet, m0: Marking, result: ReductionResult | None = None,
                  max_states: int = 100_000, max_token: int = 1):
@@ -113,8 +172,6 @@ class Analysis:
         self.result = reduce(net, m0) if result is None else result
         self.max_states = max_states
         self.max_token = max_token
-        self._space2: StateSpace | None = None
-        self._goal_searched = False
 
     @cached_property
     def graph(self) -> tfg.TokenFlowGraph:
@@ -124,33 +181,81 @@ class Analysis:
     def state_equation(self) -> StateEquation:
         return StateEquation(self.result.reduced_net, self.result.reduced_marking)
 
-    @property
+    @cached_property
     def space2(self) -> StateSpace:
-        if self._space2 is None:
-            self._space2 = self._explore(None)
-        return self._space2
-
-    def _explore(self, goal: Marking | None) -> StateSpace:
+        parts = self._components
+        if len(parts) == 1 and parts[0].space is not None:
+            return parts[0].space  # the whole reduced net, within the same limits
         return explore(self.result.reduced_net, self.result.reduced_marking,
-                       max_states=self.max_states, max_token=self.max_token, goal=goal)
+                       max_states=self.max_states, max_token=self.max_token)
 
-    def _search(self, goal: Marking) -> StateSpace:
-        """``space2`` if known; else, on the first call only, a search that
-        stops at ``goal``."""
-        if self._space2 is not None or self._goal_searched:
-            return self.space2
-        self._goal_searched = True
-        space = self._explore(goal)
-        if space.status != truncated("goal"):
-            self._space2 = space
+    @cached_property
+    def _components(self) -> list[_Component]:
+        return _split(self.result.reduced_net, self.result.reduced_marking)
+
+    @cached_property
+    def _owner(self) -> dict[str, int]:
+        """Position in ``_components`` of each reduced place."""
+        return {p: k for k, part in enumerate(self._components) for p in part.net.places}
+
+    def _explore(self, part: _Component, goal: Marking | None) -> StateSpace | None:
+        """``part`` explored within what the other components left of
+        ``max_states``; None when they left nothing."""
+        budget = self.max_states - sum(c.stored for c in self._components if c is not part)
+        if budget < 1:
+            return None
+        space = explore(part.net, part.m0, max_states=budget, max_token=self.max_token,
+                        goal=goal)
+        part.stored = len(space)
         return space
+
+    def _full(self, part: _Component) -> StateSpace | None:
+        if part.space is None:
+            part.space = self._explore(part, None)
+        return part.space
+
+    def _search(self, part: _Component, goal: Marking) -> StateSpace | None:
+        """``part``'s full space if known; else, on the first call only, a
+        search that stops at ``goal``."""
+        if part.space is not None or part.goal_searched:
+            return self._full(part)
+        part.goal_searched = True
+        space = self._explore(part, goal)
+        if space is not None and space.status != truncated("goal"):
+            part.space = space
+        return space
+
+    @cached_property
+    def rel2(self) -> ConcurrencyMatrix:
+        """The reduced net's exact concurrency relation, over its places in
+        order.  Each component's cells come from its full space; a cell
+        across two components is 1 exactly when both places are marked
+        somewhere.  Raises :class:`IncompleteStateSpaceError` when a
+        component's exploration is cut short."""
+        order: list[str] = []  # the components' places, one after the other
+        rows: list[int] = []
+        masks: list[int] = []  # per position, its component's positions
+        for part in self._components:
+            space = self._full(part)
+            if space is None:
+                raise IncompleteStateSpaceError(truncated("max-states"))
+            if not space.is_complete:
+                raise IncompleteStateSpaceError(space.status)
+            shift = len(order)
+            order += part.net.places
+            rows += [row << shift for row in _marked_rows(space)]
+            masks += [(1 << len(order)) - (1 << shift)] * len(part.net.places)
+        markable = sum(1 << i for i, row in enumerate(rows) if row >> i & 1)
+        rows = [row | (markable & ~mask) if row >> i & 1 else row
+                for i, (row, mask) in enumerate(zip(rows, masks))]
+        return ConcurrencyMatrix.from_rows(order, rows).restrict(self.result.reduced_net.places)
 
     def decide(self, target: Marking) -> ReachVerdict:
         """Decide whether ``target`` is reachable in ``net`` from ``m0``.
 
-        A hit in the reduced state space proves reachability even when the
-        search was truncated; a miss proves unreachability only when the
-        search completed.
+        The target is reachable when every component stores its part of the
+        projection, even in a truncated search; it is unreachable when some
+        component misses its part in a complete space.
         """
         projected = project(self.graph, target)
         if projected is None:
@@ -159,15 +264,22 @@ class Analysis:
         if not self.state_equation.admits(projected):
             log.debug("decide settled by state equation: %r", projected)
             return ReachVerdict(UNREACHABLE, STATE_EQUATION, projected)
-        space = self._search(projected)
-        if projected in space:
-            verdict = ReachVerdict(REACHABLE, BACKEND_HIT, projected)
-        elif space.is_complete:
-            verdict = ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)
-        else:
+        components, owner = self._components, self._owner
+        goals: list[dict[str, int]] = [{} for _ in components]
+        for p, n in projected.items():
+            goals[owner[p]][p] = n
+        verdict = ReachVerdict(REACHABLE, BACKEND_HIT, projected)
+        for part, goal in zip(components, map(Marking, goals)):
+            space = self._search(part, goal)
+            if space is not None and goal in space:
+                continue
+            if space is not None and space.is_complete:
+                verdict = ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)
+                break
             verdict = ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
-        log.debug("decide settled by search (%s): %r among %d stored reduced states, %s",
-                  verdict.reason, projected, len(space), space.status)
+        log.debug("decide settled by search (%s): %r among %d stored reduced states "
+                  "in %d components", verdict.reason, projected,
+                  sum(part.stored for part in components), len(components))
         return verdict
 
 
@@ -180,8 +292,8 @@ def decide(
     max_token: int = 1,
 ) -> ReachVerdict:
     """One-shot :meth:`Analysis.decide`.  ``result`` must tie ``net`` to its
-    reduced form; the graph and state equation are built and the reduced
-    net searched for this one query."""
+    reduced form; the graph and state equation are built and each component
+    of the reduced net searched for this one query."""
     return Analysis(net, m0, result, max_states, max_token).decide(target)
 
 

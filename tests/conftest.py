@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
+from tfgkit.generators import NetBuilder, choice_loop
 from tfgkit.net_io import parse_net
 from tfgkit.petri import Marking, PetriNet, StateSpace, explore
 from tfgkit.reductions import ReductionResult, build_graph, reduce
@@ -24,6 +25,19 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 def marking_key(m: Marking):
     """Deterministic sort key for iterating marking sets in tests."""
     return tuple(m.items())
+
+
+def two_loops() -> tuple[PetriNet, Marking]:
+    """Choice loops ``c`` of 3 states and ``d`` of 4 states side by side, 12
+    states together.  No rule reduces them, so each is one component of the
+    reduced net."""
+    b = NetBuilder()
+    for loop in (choice_loop(2, "c"), choice_loop(3, "d")):
+        for p in loop.places:
+            b.place(p, loop.tokens[p])
+        for t in loop.transitions:
+            b.transition(t, loop.pre[t], loop.post[t])
+    return b.build()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, two_loops
 from tfgkit import tfg
 from tfgkit.cli import (
     EXIT_INPUT,
@@ -240,6 +240,19 @@ class TestConc:
     def test_truncated_reduced_space_is_input_error(self, limit, a1, capsys):
         # a1 reduces to places x and a1 with two reachable markings
         assert main(["conc", str(a1), *limit]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state space truncated(max-states); raise --max-states\n"
+
+    def test_state_budget_is_shared_by_the_components(self, tmp_path, capsys):
+        net, m0 = two_loops()
+        path = tmp_path / "loops.net"
+        path.write_text(write_net(net, m0))
+        k1, k2 = 3, 4  # states of the loops c and d; 12 together
+        assert len(explore(net, m0)) == k1 * k2
+        assert main(["conc", str(path), "--max-states", str(k1 + k2)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("# order: c_hub ")
+        assert main(["conc", str(path), "--max-states", str(k1 + k2 - 1)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: state space truncated(max-states); raise --max-states\n"

@@ -1,21 +1,25 @@
 """Projection, accelerated reachability decisions, and the state-space partition."""
 
+import itertools
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfgkit.cli
 import tfgkit.reach
-from conftest import marking_key
+from conftest import marking_key, two_loops
 from tfgkit.cli import EXIT_OK, _bench_targets, main
-from tfgkit.generators import chain_line
+from tfgkit.generators import chain_line, composite
 from tfgkit.net_io import TaggedEquation
-from tfgkit.net_io import parse_equations, parse_net
+from tfgkit.net_io import parse_equations, parse_net, write_net
 from tfgkit.petri import (
     IncompleteStateSpaceError,
     Marking,
     PetriNet,
     explore,
+    oracle_concurrency,
     oracle_reachable,
     random_walk,
 )
@@ -49,6 +53,10 @@ A1_TEXT = "pl x 1\npl y 0\npl z 0\ntr t1 x -> y\ntr t2 y -> z\n"
 # the state equation admits a=1 (it undoes t), but nothing marks a
 BACKWARD_TEXT = "pl a 0\npl b 1\npl c 0\ntr t a -> b\ntr u b -> c\n"
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called")
 
 
 @pytest.fixture(scope="module")
@@ -191,25 +199,43 @@ class TestAnalysis:
                 calls.clear()
                 analysis = Analysis(inst.net, inst.m0)
                 assert [analysis.decide(t) for t in targets] == one_shot, inst.name
-            # at most one search stopped at a target, then one full exploration
-            assert all(net == analysis.result.reduced_net for net, _ in calls), inst.name
-            assert [goal for _, goal in calls] in ([], [True], [True, False]), inst.name
+            # per component net: at most one search stopped at its part of a
+            # target, then one full exploration
+            per_part: dict[tuple[str, ...], list[bool]] = {}
+            for net, goal in calls:
+                per_part.setdefault(net.places, []).append(goal)
+            explored = [p for places in per_part for p in places]
+            assert len(explored) == len(set(explored)), inst.name
+            assert set(explored) <= set(analysis.result.reduced_net.places), inst.name
+            assert all(goals in ([True], [True, False]) for goals in per_part.values()), inst.name
 
     def test_decide_logs_the_settling_step(self, caplog):
         analysis, refuted = Analysis(*parse_net(A1_TEXT)), Analysis(*parse_net(D1_TEXT))
+        loops = Analysis(*two_loops())
         caplog.set_level(logging.DEBUG, logger="tfgkit")  # after reduce logged its hits
         for target in ({"y": 1, "z": 1}, {"z": 1}, {"y": 1}):
             analysis.decide(Marking(target))
         assert caplog.messages == [
             "decide settled by state equation: Marking(a1=2)",
             "decide settled by search (backend-hit): Marking(a1=1) "
-            "among 2 stored reduced states, truncated(goal)",
+            "among 2 stored reduced states in 1 components",
             "decide settled by search (backend-hit): Marking(a1=1) "
-            "among 2 stored reduced states, complete",
+            "among 2 stored reduced states in 1 components",
         ]
         caplog.clear()
         refuted.decide(Marking({"q": 1}))
         assert caplog.messages == ["decide settled by projection: no reduced marking"]
+        caplog.clear()
+        # the loops of 3 and 4 states: searches storing 2 + 2 states, then
+        # full explorations of 3 + 4 states
+        loops.decide(Marking({"c_m0": 1, "d_m0": 1}))
+        loops.decide(Marking({"c_m1": 1, "d_m2": 1}))
+        assert caplog.messages == [
+            "decide settled by search (backend-hit): Marking(c_m0=1 d_m0=1) "
+            "among 4 stored reduced states in 2 components",
+            "decide settled by search (backend-hit): Marking(c_m1=1 d_m2=1) "
+            "among 7 stored reduced states in 2 components",
+        ]
 
     def test_reduces_when_no_result_is_given(self, corpus):
         for inst in corpus:
@@ -222,16 +248,108 @@ class TestAnalysis:
         capsys.readouterr()
         rel2 = tmp_path / "rel2.txt"
         rel2.write_text("# order: p q\n1\n.1\n")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("explored")
-
         monkeypatch.setattr(tfgkit.reach, "explore", refuse)
         monkeypatch.setattr(tfgkit.cli, "explore", refuse)
         argv = ["conc", str(net_path), "--rel2", str(rel2),
                 "--equations", str(eq), "--reduced-net", str(net2)]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("# order: p q r\n")
+
+
+# the components {a, b}, {iso} (no transition, marked) and {d, e} (dead),
+# with their places interleaved
+SPLIT_TEXT = (
+    "pl a 1\npl iso 1\npl d 0\npl b 0\npl e 0\n"
+    "tr t a -> b\ntr u b -> a\ntr v d -> e\n"
+)
+
+
+def reduced_rel2(result: ReductionResult):
+    space2 = explore(result.reduced_net, result.reduced_marking)
+    return oracle_concurrency(space2, result.reduced_net.places)
+
+
+def assert_agrees_with_oracles(net, m0, result, targets):
+    """``Analysis.rel2`` equals the oracle relation of the whole reduced
+    net, and ``Analysis.decide`` the full-net oracle on every target."""
+    analysis = Analysis(net, m0, result)
+    assert analysis.rel2 == reduced_rel2(result)
+    space1 = explore(net, m0)
+    for target in targets:
+        verdict = analysis.decide(target)
+        assert verdict.answer != UNKNOWN, target
+        assert (verdict.answer == REACHABLE) == oracle_reachable(space1, target), target
+
+
+class TestComponents:
+    """Exploring the reduced net one connected component at a time gives
+    the answers of the whole reduced net and of the full net."""
+
+    def test_agrees_on_corpus(self, corpus):
+        for inst in corpus:
+            targets = [t for seed in (0, 1) for t in _bench_targets(inst.net, inst.m0, seed)]
+            assert_agrees_with_oracles(inst.net, inst.m0, inst.result, targets)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 10_000).map(composite))
+    def test_agrees_on_composites(self, net_m0):
+        net, m0 = net_m0
+        targets = [t for seed in (0, 1) for t in _bench_targets(net, m0, seed)]
+        assert_agrees_with_oracles(net, m0, reduce(net, m0), targets)
+
+    @pytest.mark.parametrize("identity", [True, False], ids=["unreduced", "reduced"])
+    def test_isolated_place_and_dead_component(self, identity):
+        net, m0 = parse_net(SPLIT_TEXT)
+        result = ReductionResult(net, m0, (), 0.0) if identity else reduce(net, m0)
+        targets = [Marking({p: 1 for p in marked})
+                   for k in range(len(net.places) + 1)
+                   for marked in itertools.combinations(net.places, k)]
+        assert_agrees_with_oracles(net, m0, result, targets)
+        if identity:
+            rel2 = Analysis(net, m0, result).rel2
+            # a, b alternate; iso is marked beside both; d and e are dead
+            assert rel2.lower_rows() == ["1", "11", "000", "0101", "00000"]
+
+    def test_refuted_target_never_splits(self, monkeypatch):
+        monkeypatch.setattr(tfgkit.reach, "_split", refuse)
+        verdict = Analysis(*parse_net(A1_TEXT)).decide(Marking({"y": 1, "z": 1}))
+        assert verdict.reason == STATE_EQUATION
+        verdict = Analysis(*parse_net(D1_TEXT)).decide(Marking({"q": 1}))
+        assert verdict.reason == PROJECTION_FAILED
+
+    def test_space2_of_one_component_reuses_its_exploration(self, monkeypatch):
+        analysis = Analysis(*parse_net(A1_TEXT))  # x and a1: one component
+        analysis.rel2
+        monkeypatch.setattr(tfgkit.reach, "explore", refuse)
+        assert len(analysis.space2) == 2 and analysis.space2.is_complete
+
+    def test_conc_and_reach_never_explore_the_whole_reduced_net(self, tmp_path, monkeypatch, capsys):
+        net, m0 = composite(10)  # 13 reduced places in 4 components
+        reduced = reduce(net, m0).reduced_net
+        path = tmp_path / "net.net"
+        path.write_text(write_net(net, m0))
+        calls = []
+
+        def counted(*args, **kwargs):
+            space = explore(*args, **kwargs)
+            calls.append((args[0].places, len(space)))
+            return space
+
+        monkeypatch.setattr(tfgkit.reach, "explore", counted)
+        monkeypatch.setattr(tfgkit.cli, "explore", counted)
+        assert main(["conc", str(path), "--output", str(tmp_path / "out.cm")]) == EXIT_OK
+        assert len(calls) > 1
+        assert all(places != reduced.places for places, _ in calls)
+        component_states = sum(n for _, n in calls)
+        assert component_states < len(explore(reduced, reduce(net, m0).reduced_marking))
+        for seed in range(5):
+            target = random_walk(net, m0, steps=20, seed=seed)
+            (tmp_path / "q.txt").write_text(" ".join(f"{p}={n}" for p, n in target.items()))
+            calls.clear()
+            assert main(["reach", str(path), str(tmp_path / "q.txt")]) == EXIT_OK
+            assert all(places != reduced.places for places, _ in calls)
+            assert sum(n for _, n in calls) <= component_states
+        capsys.readouterr()
 
 
 class TestUnicity:
