@@ -22,6 +22,17 @@ compiled once into the ints ``pre`` and ``post`` of its arc weights, and
   ``(m2 + cap) & G`` is nonzero, where ``cap`` holds
   ``2**(w-1) - 1 - max_token`` in every field.
 
+Each stored marking is expanded once, and while it waits in the BFS queue it
+carries an ``int`` mask of the transitions enabled at it, bit ``j`` for the
+``j``-th transition.  A transition's ``touched`` mask holds every transition
+that reads a place whose count it changes (pre weight unequal to post
+weight).  A successor's mask is its parent's mask without ``touched``, plus
+each member of ``touched`` that passes the test above at the successor: the
+enabledness of any other transition cannot have changed.  So a firing
+re-tests only the consumers of the places it changes, not every transition
+of the net.  Bits are expanded from low to high, which is declaration order,
+so the stored set and every truncation point are those of a full scan.
+
 One encoding serves safe nets (``max_token=1``) and bounded ones alike.
 :class:`StateSpace` keeps the packed set; ``len(space)`` and ``m in space``
 work on it directly, and ``space.markings`` decodes it to :class:`Marking`
@@ -37,6 +48,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -158,10 +170,6 @@ class _Packing:
         self.ones = sum(1 << (i * self.width) for i in range(len(places)))
         self.guards = self.ones << bits
 
-    def vector(self, counts: Mapping[str, int]) -> int:
-        """Packed form of a count per place; every place must be in the layout."""
-        return sum(n << (self.index[p] * self.width) for p, n in counts.items())
-
     def encode(self, m: Marking) -> int | None:
         """Packed form of ``m``, or None when no field can hold it: it names a
         place outside the layout or a count too wide for the value bits."""
@@ -242,6 +250,54 @@ def fire(net: PetriNet, m: Marking, t: str) -> Marking:
     return Marking(tokens)
 
 
+def _compile(net: PetriNet, packing: _Packing) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """Each transition compiled in declaration order, in one pass over the
+    arcs: its test ``(bit, pre)`` of its mask bit and packed pre weights, and
+    its move ``(delta, touched, groups)``.  ``delta`` is its packed
+    ``post - pre``; ``touched`` masks the transitions that read a place whose
+    count it changes; ``groups`` holds their tests, one list per changed
+    place, shared by every transition that changes that place, so the tests
+    take memory in the number of arcs even around a hub place."""
+    index, width = packing.index, packing.width
+    readers: dict[str, list] = {}  # place -> [bits of its consumers, their tests]
+    probes, changed = [], []
+    bit = 1
+    for t in net.transitions:
+        pre_arcs, post_arcs = net.pre.get(t, {}), net.post.get(t, {})
+        pre = post = 0
+        places = []
+        for p, w in pre_arcs.items():
+            pre += w << index[p] * width
+            if post_arcs.get(p) != w:
+                places.append(p)
+        for p, w in post_arcs.items():
+            post += w << index[p] * width
+            if p not in pre_arcs:
+                places.append(p)
+        probe = (bit, pre)
+        for p in pre_arcs:
+            entry = readers.get(p)
+            if entry is None:
+                readers[p] = [bit, [probe]]
+            else:
+                entry[0] |= bit
+                entry[1].append(probe)
+        probes.append(probe)
+        changed.append((post - pre, places))
+        bit <<= 1
+    moves = []
+    for delta, places in changed:
+        touched = 0
+        groups = []
+        for p in places:
+            entry = readers.get(p)
+            if entry is not None:
+                touched |= entry[0]
+                groups.append(entry[1])
+        moves.append((delta, touched, groups))
+    return probes, moves
+
+
 def explore(
     net: PetriNet,
     m0: Marking,
@@ -280,18 +336,22 @@ def explore(
         return StateSpace(packing, frozenset([start]), truncated("max-token"))
     guards = packing.guards
     cap = packing.ones * ((1 << packing.bits) - 1 - max_token)
-    moves = []
-    for t in net.transitions:
-        pre = packing.vector(net.pre_of(t))
-        moves.append((pre, packing.vector(net.post_of(t)) - pre))
+    probes, moves = _compile(net, packing)
+    armed = start | guards
+    mask = 0
+    for bit, pre in probes:
+        if (armed - pre) & guards == guards:
+            mask |= bit
     seen = {start}
-    order = [start]  # the BFS queue: the loop below reads it while appending
+    queue = deque([(start, mask)])
     status = COMPLETE
-    for m in order:
-        armed = m | guards
-        for pre, delta in moves:
-            if (armed - pre) & guards != guards:
-                continue
+    while queue and status == COMPLETE:
+        m, mask = queue.popleft()
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            delta, touched, groups = moves[low.bit_length() - 1]
             m2 = m + delta
             if m2 in seen:
                 continue
@@ -302,13 +362,16 @@ def explore(
                 status = truncated("max-states")
                 break
             seen.add(m2)
-            order.append(m2)
+            mask2 = mask & ~touched
+            armed = m2 | guards
+            for group in groups:
+                for bit, pre in group:
+                    if (armed - pre) & guards == guards:
+                        mask2 |= bit
+            queue.append((m2, mask2))
             if m2 == target:
                 status = truncated("goal")
                 break
-        else:
-            continue
-        break
     return StateSpace(packing, frozenset(seen), status)
 
 

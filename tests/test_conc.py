@@ -208,8 +208,9 @@ def chain_relation(places):
 class TestDepth:
     """Past the default recursion limit, against the closed form of the chain."""
 
-    def test_closed_form_matches_oracle(self):
-        net, m0, _ = closed_form_chain(40)
+    @pytest.mark.parametrize("length", [40, 5000])
+    def test_closed_form_matches_oracle(self, length):
+        net, m0, _ = closed_form_chain(length)
         assert chain_relation(net.places) == oracle_concurrency(explore(net, m0), net.places)
 
     def test_matrix_on_5000_step_chain(self):

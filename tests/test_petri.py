@@ -262,6 +262,30 @@ def weighted_nets(draw):
 nets_under_test = st.one_of(
     weighted_nets(),
     st.integers(0, 10_000).map(generators.composite),
+    # long cycles: every firing re-tests only its neighbours
+    st.integers(1, 60).map(lambda n: generators.chain_line(n).build()),
+    st.integers(1, 60).map(lambda n: generators.ring(n).build()),
+)
+
+# Nets where a firing changes which transitions are enabled elsewhere:
+READ_ARC = (  # r reads a and moves b to c: t enables it by marking a, u disables it
+    PetriNet(("s", "a", "b", "c", "d"), ("t", "r", "u"),
+             {"t": {"s": 1}, "r": {"a": 1, "b": 1}, "u": {"a": 1}},
+             {"t": {"a": 1}, "r": {"a": 1, "c": 1}, "u": {"d": 1}}),
+    Marking({"s": 1, "b": 1}),
+)
+DRAINED_PAIR = (  # t1 leaves one token on p, below t0's weight 2
+    PetriNet(("p", "q", "r"), ("t0", "t1"),
+             {"t0": {"p": 2}, "t1": {"p": 1}}, {"t0": {"q": 1}, "t1": {"r": 1}}),
+    Marking({"p": 2}),
+)
+SOURCE = (  # src has no pre, so it stays enabled while mv consumes its output
+    PetriNet(("x", "y"), ("src", "mv"), {"mv": {"x": 1}}, {"src": {"x": 1}, "mv": {"y": 1}}),
+    Marking({}),
+)
+ARCLESS = (  # idle has no arcs at all and never changes a marking
+    PetriNet(("u", "v"), ("idle", "t"), {"t": {"u": 1}}, {"t": {"v": 1}}),
+    Marking({"u": 1}),
 )
 
 
@@ -270,6 +294,11 @@ class TestPackedKernel:
 
     @given(nets_under_test, st.integers(1, 3), st.integers(1, 300))
     @example((PetriNet(("a", "b"), ("t",), {}, {"t": {"a": 3}}), Marking({"a": 1})), 1, 10)
+    @example(READ_ARC, 1, 300)
+    @example(DRAINED_PAIR, 2, 300)
+    @example(SOURCE, 3, 300)
+    @example(SOURCE, 3, 2)
+    @example(ARCLESS, 1, 300)
     def test_explore_matches_reference(self, net_m0, max_token, max_states):
         net, m0 = net_m0
         space = explore(net, m0, max_states=max_states, max_token=max_token)
@@ -318,11 +347,15 @@ class TestGoal:
     """A search that stops at a goal, and the state equation, against the
     reference search."""
 
-    @given(nets_under_test, st.integers(1, 3), st.integers(1, 300), st.data())
-    def test_goal_stop_is_a_prefix_of_the_search(self, net_m0, max_token, max_states, data):
+    @given(nets_under_test, st.integers(1, 3), st.integers(1, 300), st.integers(0, 10**6))
+    @example(READ_ARC, 1, 300, 3)
+    @example(DRAINED_PAIR, 2, 300, 2)
+    @example(SOURCE, 3, 300, 3)
+    @example(ARCLESS, 1, 300, 1)
+    def test_goal_stop_is_a_prefix_of_the_search(self, net_m0, max_token, max_states, pick):
         net, m0 = net_m0
         expected, _ = reference_explore(net, m0, max_states, max_token)
-        k = data.draw(st.integers(0, len(expected) - 1))
+        k = pick % len(expected)
         space = explore(net, m0, max_states, max_token, goal=expected[k])
         assert space.markings == frozenset(expected[: k + 1])
         assert space.status == "truncated(goal)"
