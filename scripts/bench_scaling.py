@@ -7,8 +7,6 @@ state count, the exploration status, and the median over 3 runs of both
 times and of the exploration rate.  Run from the repo root:
 
     PYTHONPATH=src python scripts/bench_scaling.py [--output BENCH_explore.json]
-
-``--quick`` runs only the smallest size of each family, once.
 """
 
 from __future__ import annotations
@@ -36,10 +34,10 @@ FAMILIES = {
 }
 
 
-def measure(family: str, size: int, repeats: int) -> dict:
+def measure(family: str, size: int) -> dict:
     net, m0 = FAMILIES[family][1](size)
     explore_s, oracle_s = [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         space = explore(net, m0, max_states=MAX_STATES)
         explore_s.append(time.perf_counter() - start)
@@ -62,13 +60,11 @@ def measure(family: str, size: int, repeats: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_explore.json")
-    parser.add_argument("--quick", action="store_true")
     args = parser.parse_args(argv)
-    repeats = 1 if args.quick else REPEATS
     rows = []
     for family, (sizes, _) in FAMILIES.items():
-        for size in sizes[:1] if args.quick else sizes:
-            row = measure(family, size, repeats)
+        for size in sizes:
+            row = measure(family, size)
             rows.append(row)
             print(f"{family}({size}): {row['states']} states {row['status']}, "
                   f"explore {row['explore_s']:.4f} s", flush=True)
@@ -76,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python scripts/bench_scaling.py",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
-        "repeats": repeats,
+        "repeats": REPEATS,
         "rows": rows,
     }
     Path(args.output).write_text(json.dumps(document, indent=1) + "\n")

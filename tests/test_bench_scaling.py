@@ -1,7 +1,8 @@
 """``scripts/bench_scaling.py`` at its smallest sizes, and the keys it writes.
 
 The script is loaded from its source without importing it as a module file,
-so no bytecode is written beside it.
+so no bytecode is written beside it; the test shrinks its families to their
+smallest size and its repeats to one before running it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
 
 
-def test_quick_run_writes_one_row_per_family(tmp_path, capsys):
+def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
     module = types.ModuleType("bench_scaling")
     exec(compile(SCRIPT.read_text(), str(SCRIPT), "exec"), module.__dict__)
+    module.REPEATS = 1
+    module.FAMILIES = {f: (sizes[:1], build) for f, (sizes, build) in module.FAMILIES.items()}
     out = tmp_path / "BENCH_explore.json"
-    assert module.main(["--quick", "--output", str(out)]) == 0
+    assert module.main(["--output", str(out)]) == 0
     capsys.readouterr()
     document = json.loads(out.read_text())
     assert set(document) == {"command", "python", "machine", "repeats", "rows"}
