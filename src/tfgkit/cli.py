@@ -299,7 +299,7 @@ def _bench_row(
     accelerated = conc_mod.matrix(analysis.graph, analysis.rel2).restrict(net.places)
     conc_ok = accelerated == oracle_concurrency(space1, net.places)
 
-    work = len(space1) + len(analysis.space2)
+    work = len(space1) + math.prod(map(len, analysis.spaces))
     row = "\t".join([
         name,
         str(len(net.places)),

@@ -115,11 +115,13 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
 
 def write_net(net: PetriNet, m0: Marking) -> str:
     lines = [f"pl {p} {m0[p]}" for p in net.places]
-    for t in net.transitions:
-        def side(arcs) -> list[str]:
-            ordered = [p for p in net.places if p in arcs]
-            return [p if arcs[p] == 1 else f"{p}*{arcs[p]}" for p in ordered]
+    index = {p: i for i, p in enumerate(net.places)}
 
+    def side(arcs) -> list[str]:
+        ordered = sorted(arcs, key=index.__getitem__)  # in place order
+        return [p if arcs[p] == 1 else f"{p}*{arcs[p]}" for p in ordered]
+
+    for t in net.transitions:
         lines.append(" ".join(["tr", t, *side(net.pre_of(t)), "->", *side(net.post_of(t))]))
     return "\n".join(lines) + "\n"
 

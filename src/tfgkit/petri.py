@@ -467,8 +467,10 @@ def _marked_rows(space: StateSpace) -> list[int]:
             rest ^= low
     marked = []  # the same sets, one bit per layout place
     for row in rows:
-        digits = format(row, "b")[::-1][width - 1 :: width]  # guard digits, lowest first
-        marked.append(int(digits[::-1] or "0", 2))
+        first = max((row & -row).bit_length() // width - 1, 0)  # lowest marked place, 0 if none
+        digits = format(row >> first * width, "b")  # from that place's field up
+        guards_only = digits[(len(digits) - width) % width :: width]  # each field's guard digit
+        marked.append(int(guards_only or "0", 2) << first)
     return marked
 
 

@@ -11,9 +11,11 @@ soon as it stores that part, and two places of different components are
 concurrent exactly when each is marked somewhere.  Each verdict carries a
 reason token naming the step that settled it.  :class:`Analysis` keeps one
 net's graph, state equation, component spaces and reduced relation across
-queries.  :func:`partition` reads the original state space off the reduced
-one, and :func:`validate_equivalence` certifies a reduction with
-:func:`project` and :func:`partition` against both explored spaces.
+queries; it never explores the product of the components.
+:func:`partition` reads the original state space off the reduced one, and
+:func:`validate_equivalence`, the exhaustive certificate, explores the full
+and the reduced net whole and checks them against each other with
+:func:`project` and :func:`partition`.
 """
 
 from __future__ import annotations
@@ -101,14 +103,11 @@ def project(graph: tfg.TokenFlowGraph, target: Marking) -> Marking | None:
 @dataclass(eq=False)
 class _Component:
     """A part of the reduced net that shares no place and no transition with
-    the rest, plus the states explored in it so far: ``space`` once a full
-    exploration is done, and the size of the last exploration."""
+    the rest, plus its last explored ``space``."""
 
     net: PetriNet
     m0: Marking
     space: StateSpace | None = None
-    stored: int = 0
-    goal_searched: bool = False
 
 
 def _split(net: PetriNet, m0: Marking) -> list[_Component]:
@@ -148,22 +147,20 @@ def _split(net: PetriNet, m0: Marking) -> list[_Component]:
 
 class Analysis:
     """One net's reduction (``reduce`` runs when no ``result`` is given),
-    plus its validated ``graph``, the reduced net's ``state_equation``, its
-    concurrency relation ``rel2`` and its full state space ``space2``, each
-    built on first use and then kept.
+    plus its validated ``graph``, the reduced net's ``state_equation``, the
+    complete state ``spaces`` of its components and its concurrency relation
+    ``rel2``, each built on first use and then kept.
 
     The reduced net is split into the connected components that share no
-    place and no transition, on the first search or ``rel2`` request.  Its
+    place and no transition, on the first search or ``spaces`` request.  Its
     reachable set is the product of theirs, so each component is explored
-    on its own: ``max_states`` bounds the states stored over all of them,
-    each getting what the others left.  :meth:`decide` answers from the
-    cheapest sound source: the projection, then the state equation, then a
-    search of each component for its part of the projected target.  A
-    component runs at most one search that stops at its part, then at most
-    one full exploration, which ``rel2`` and later searches reuse.
-    ``space2`` is the whole reduced net's space, within the same limits, for
-    :func:`partition` and :func:`validate_equivalence`: the full space of a
-    one-component net, else one more exploration."""
+    on its own and the product never is: ``max_states`` bounds the states
+    stored over all of them, each getting what the others left.
+    :meth:`decide` answers from the cheapest sound source: the projection,
+    then the state equation, then a search of each component for its part
+    of the projected target.  A component runs at most one search that stops
+    at its part, then at most one full exploration, which ``spaces`` and
+    later searches reuse."""
 
     def __init__(self, net: PetriNet, m0: Marking, result: ReductionResult | None = None,
                  max_states: int = 100_000, max_token: int = 1):
@@ -182,65 +179,50 @@ class Analysis:
         return StateEquation(self.result.reduced_net, self.result.reduced_marking)
 
     @cached_property
-    def space2(self) -> StateSpace:
-        parts = self._components
-        if len(parts) == 1 and parts[0].space is not None:
-            return parts[0].space  # the whole reduced net, within the same limits
-        return explore(self.result.reduced_net, self.result.reduced_marking,
-                       max_states=self.max_states, max_token=self.max_token)
-
-    @cached_property
     def _components(self) -> list[_Component]:
         return _split(self.result.reduced_net, self.result.reduced_marking)
 
-    @cached_property
-    def _owner(self) -> dict[str, int]:
-        """Position in ``_components`` of each reduced place."""
-        return {p: k for k, part in enumerate(self._components) for p in part.net.places}
-
-    def _explore(self, part: _Component, goal: Marking | None) -> StateSpace | None:
-        """``part`` explored within what the other components left of
-        ``max_states``; None when they left nothing."""
-        budget = self.max_states - sum(c.stored for c in self._components if c is not part)
+    def _space(self, part: _Component, goal: Marking | None = None) -> StateSpace | None:
+        """``part``'s space: on its first request a search that stops at
+        ``goal``, after that its full exploration, each within what the
+        other components left of ``max_states``; None when they left
+        nothing."""
+        space = part.space
+        if space is not None and space.status != truncated("goal"):
+            return space
+        budget = self.max_states - sum(len(c.space) for c in self._components
+                                       if c is not part and c.space is not None)
         if budget < 1:
             return None
-        space = explore(part.net, part.m0, max_states=budget, max_token=self.max_token,
-                        goal=goal)
-        part.stored = len(space)
-        return space
-
-    def _full(self, part: _Component) -> StateSpace | None:
-        if part.space is None:
-            part.space = self._explore(part, None)
+        part.space = explore(part.net, part.m0, max_states=budget, max_token=self.max_token,
+                             goal=goal if space is None else None)
         return part.space
 
-    def _search(self, part: _Component, goal: Marking) -> StateSpace | None:
-        """``part``'s full space if known; else, on the first call only, a
-        search that stops at ``goal``."""
-        if part.space is not None or part.goal_searched:
-            return self._full(part)
-        part.goal_searched = True
-        space = self._explore(part, goal)
-        if space is not None and space.status != truncated("goal"):
-            part.space = space
-        return space
-
     @cached_property
-    def rel2(self) -> ConcurrencyMatrix:
-        """The reduced net's exact concurrency relation, over its places in
-        order.  Each component's cells come from its full space; a cell
-        across two components is 1 exactly when both places are marked
-        somewhere.  Raises :class:`IncompleteStateSpaceError` when a
-        component's exploration is cut short."""
-        order: list[str] = []  # the components' places, one after the other
-        rows: list[int] = []
-        masks: list[int] = []  # per position, its component's positions
+    def spaces(self) -> list[StateSpace]:
+        """The complete state space of each component of the reduced net, in
+        the order of their first places.  Raises
+        :class:`IncompleteStateSpaceError` when one is cut short."""
+        out = []
         for part in self._components:
-            space = self._full(part)
+            space = self._space(part)
             if space is None:
                 raise IncompleteStateSpaceError(truncated("max-states"))
             if not space.is_complete:
                 raise IncompleteStateSpaceError(space.status)
+            out.append(space)
+        return out
+
+    @cached_property
+    def rel2(self) -> ConcurrencyMatrix:
+        """The reduced net's exact concurrency relation, over its places in
+        order.  Each component's cells come from its space in ``spaces``; a
+        cell across two components is 1 exactly when both places are marked
+        somewhere."""
+        order: list[str] = []  # the components' places, one after the other
+        rows: list[int] = []
+        masks: list[int] = []  # per position, its component's positions
+        for part, space in zip(self._components, self.spaces):
             shift = len(order)
             order += part.net.places
             rows += [row << shift for row in _marked_rows(space)]
@@ -264,13 +246,11 @@ class Analysis:
         if not self.state_equation.admits(projected):
             log.debug("decide settled by state equation: %r", projected)
             return ReachVerdict(UNREACHABLE, STATE_EQUATION, projected)
-        components, owner = self._components, self._owner
-        goals: list[dict[str, int]] = [{} for _ in components]
-        for p, n in projected.items():
-            goals[owner[p]][p] = n
+        components = self._components
         verdict = ReachVerdict(REACHABLE, BACKEND_HIT, projected)
-        for part, goal in zip(components, map(Marking, goals)):
-            space = self._search(part, goal)
+        for part in components:
+            goal = Marking({p: projected[p] for p in part.net.places})
+            space = self._space(part, goal)
             if space is not None and goal in space:
                 continue
             if space is not None and space.is_complete:
@@ -279,7 +259,8 @@ class Analysis:
             verdict = ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
         log.debug("decide settled by search (%s): %r among %d stored reduced states "
                   "in %d components", verdict.reason, projected,
-                  sum(part.stored for part in components), len(components))
+                  sum(len(part.space) for part in components if part.space is not None),
+                  len(components))
         return verdict
 
 
@@ -338,10 +319,10 @@ def validate_equivalence(
     either exploration hits a limit, since a truncated check would certify
     nothing.
     """
-    analysis = Analysis(net, m0, result, max_states, max_token)
-    graph = analysis.graph
+    graph = build_graph(net, result)
     space1 = explore(net, m0, max_states=max_states, max_token=max_token)
-    space2 = analysis.space2
+    space2 = explore(result.reduced_net, result.reduced_marking,
+                     max_states=max_states, max_token=max_token)
     for space in (space1, space2):
         if not space.is_complete:
             raise IncompleteStateSpaceError(space.status)

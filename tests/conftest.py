@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
 
 from tfgkit.generators import NetBuilder, choice_loop
 from tfgkit.net_io import parse_net
@@ -25,6 +26,29 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 def marking_key(m: Marking):
     """Deterministic sort key for iterating marking sets in tests."""
     return tuple(m.items())
+
+
+# the limits within which every net of ``bounded_nets`` explores completely
+BOUNDED_MAX_STATES = 500
+BOUNDED_MAX_TOKEN = 3
+
+
+@st.composite
+def bounded_nets(draw) -> tuple[PetriNet, Marking]:
+    """Random nets of 2-7 places and 1-7 transitions, with arc weights and
+    initial tokens up to 2, kept only when they explore completely within
+    ``BOUNDED_MAX_STATES`` states at ``BOUNDED_MAX_TOKEN``; many are not
+    safe."""
+    places = tuple(f"p{i}" for i in range(draw(st.integers(2, 7))))
+    transitions = tuple(f"t{i}" for i in range(draw(st.integers(1, 7))))
+    arcs = st.dictionaries(st.sampled_from(places), st.integers(1, 2), max_size=3)
+    pre = {t: draw(arcs) for t in transitions}
+    post = {t: draw(arcs) for t in transitions}
+    net = PetriNet(places, transitions, pre, post)
+    m0 = Marking({p: draw(st.integers(0, 2)) for p in places})
+    space = explore(net, m0, max_states=BOUNDED_MAX_STATES, max_token=BOUNDED_MAX_TOKEN)
+    assume(space.is_complete)
+    return net, m0
 
 
 def two_loops() -> tuple[PetriNet, Marking]:

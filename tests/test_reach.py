@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import tfgkit.cli
 import tfgkit.reach
-from conftest import marking_key, two_loops
+from conftest import BOUNDED_MAX_TOKEN, bounded_nets, marking_key, two_loops
 from tfgkit.cli import EXIT_OK, _bench_targets, main
+from tfgkit.conc import matrix
 from tfgkit.generators import chain_line, composite
 from tfgkit.net_io import TaggedEquation
 from tfgkit.net_io import parse_equations, parse_net, write_net
@@ -19,6 +20,7 @@ from tfgkit.petri import (
     Marking,
     PetriNet,
     explore,
+    is_safe,
     oracle_concurrency,
     oracle_reachable,
     random_walk,
@@ -270,11 +272,15 @@ def reduced_rel2(result: ReductionResult):
 
 
 def assert_agrees_with_oracles(net, m0, result, targets):
-    """``Analysis.rel2`` equals the oracle relation of the whole reduced
-    net, and ``Analysis.decide`` the full-net oracle on every target."""
-    analysis = Analysis(net, m0, result)
-    assert analysis.rel2 == reduced_rel2(result)
-    space1 = explore(net, m0)
+    """``Analysis.decide`` agrees with the full-net oracle on every target.
+    On a safe net, ``Analysis.rel2`` also equals the oracle relation of the
+    whole reduced net, and its lift the full net's relation."""
+    analysis = Analysis(net, m0, result, max_token=BOUNDED_MAX_TOKEN)
+    space1 = explore(net, m0, max_token=BOUNDED_MAX_TOKEN)
+    if is_safe(space1):
+        assert analysis.rel2 == reduced_rel2(result)
+        lifted = matrix(analysis.graph, analysis.rel2).restrict(net.places)
+        assert lifted == oracle_concurrency(space1, net.places)
     for target in targets:
         verdict = analysis.decide(target)
         assert verdict.answer != UNKNOWN, target
@@ -291,7 +297,7 @@ class TestComponents:
             assert_agrees_with_oracles(inst.net, inst.m0, inst.result, targets)
 
     @settings(max_examples=40)
-    @given(st.integers(0, 10_000).map(composite))
+    @given(st.one_of(st.integers(0, 10_000).map(composite), bounded_nets()))
     def test_agrees_on_composites(self, net_m0):
         net, m0 = net_m0
         targets = [t for seed in (0, 1) for t in _bench_targets(net, m0, seed)]
@@ -317,11 +323,15 @@ class TestComponents:
         verdict = Analysis(*parse_net(D1_TEXT)).decide(Marking({"q": 1}))
         assert verdict.reason == PROJECTION_FAILED
 
-    def test_space2_of_one_component_reuses_its_exploration(self, monkeypatch):
-        analysis = Analysis(*parse_net(A1_TEXT))  # x and a1: one component
+    def test_spaces_are_the_complete_component_spaces(self, monkeypatch):
+        net, m0 = two_loops()  # the loops c and d: two components
+        with pytest.raises(IncompleteStateSpaceError, match="max-states"):
+            Analysis(net, m0, max_states=6).spaces  # 3 states of c leave 3 for d
+        analysis = Analysis(net, m0)
         analysis.rel2
         monkeypatch.setattr(tfgkit.reach, "explore", refuse)
-        assert len(analysis.space2) == 2 and analysis.space2.is_complete
+        assert [len(space) for space in analysis.spaces] == [3, 4]
+        assert all(space.is_complete for space in analysis.spaces)
 
     def test_conc_and_reach_never_explore_the_whole_reduced_net(self, tmp_path, monkeypatch, capsys):
         net, m0 = composite(10)  # 13 reduced places in 4 components

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, marking_key
+from conftest import BOUNDED_MAX_TOKEN, CORPUS_DIR, bounded_nets, marking_key
 from tfgkit import generators
 from tfgkit.net_io import (
     TaggedEquation,
@@ -301,11 +301,11 @@ class TestPinnedOutput:
         assert scaled_golden_text() == GOLDEN_SCALED.read_text()
 
     @settings(max_examples=50)
-    @given(st.integers(0, 10_000).map(generators.composite))
+    @given(st.one_of(st.integers(0, 10_000).map(generators.composite), bounded_nets()))
     def test_composite_nets_validate_and_reduce_deterministically(self, instance):
         net, m0 = instance
         res = reduce(net, m0)
-        assert validate_equivalence(net, m0, res).valid
+        assert validate_equivalence(net, m0, res, max_token=BOUNDED_MAX_TOKEN).valid
         assert reduce(net, m0) == res
         # the rules ran to a fixpoint, so the reduced net is irreducible
         assert reduce(res.reduced_net, res.reduced_marking).equations == ()
