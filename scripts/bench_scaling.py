@@ -4,7 +4,9 @@
 For each family and size, the full net is explored with ``explore`` and its
 concurrency relation computed with ``oracle_concurrency``; each row holds the
 state count, the exploration status, and the median over 3 runs of both
-times and of the exploration rate.  Run from the repo root:
+times and of the exploration rate.  The runs are interleaved: each of the 3
+passes times every row once, so a burst of load on the machine moves one
+run of many rows rather than every run of one.  Run from the repo root:
 
     PYTHONPATH=src python scripts/bench_scaling.py [--output BENCH_explore.json]
 """
@@ -34,26 +36,33 @@ FAMILIES = {
 }
 
 
-def measure(family: str, size: int) -> dict:
-    net, m0 = FAMILIES[family][1](size)
-    explore_s, oracle_s = [], []
-    for _ in range(REPEATS):
+def time_once(net, m0) -> tuple[int, str, float, float | None]:
+    """States, status and seconds of one ``explore``, plus the seconds of
+    ``oracle_concurrency`` on its space when that is complete."""
+    start = time.perf_counter()
+    space = explore(net, m0, max_states=MAX_STATES)
+    explore_s = time.perf_counter() - start
+    oracle_s = None
+    if space.is_complete:
         start = time.perf_counter()
-        space = explore(net, m0, max_states=MAX_STATES)
-        explore_s.append(time.perf_counter() - start)
-        if space.is_complete:
-            start = time.perf_counter()
-            oracle_concurrency(space, net.places)
-            oracle_s.append(time.perf_counter() - start)
-    seconds = statistics.median(explore_s)
+        oracle_concurrency(space, net.places)
+        oracle_s = time.perf_counter() - start
+    return len(space), space.status, explore_s, oracle_s
+
+
+def summarize(family: str, size: int, runs: list[tuple[int, str, float, float | None]]) -> dict:
+    """One row: the last run's states and status, the median times."""
+    states, status = runs[-1][:2]
+    seconds = statistics.median(run[2] for run in runs)
+    oracle_s = [run[3] for run in runs if run[3] is not None]
     return {
         "family": family,
         "size": size,
-        "states": len(space),
-        "status": space.status,
+        "states": states,
+        "status": status,
         "explore_s": seconds,
         "oracle_concurrency_s": statistics.median(oracle_s) if oracle_s else None,
-        "states_per_s": len(space) / seconds if seconds else None,
+        "states_per_s": states / seconds if seconds else None,
     }
 
 
@@ -61,13 +70,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_explore.json")
     args = parser.parse_args(argv)
-    rows = []
-    for family, (sizes, _) in FAMILIES.items():
-        for size in sizes:
-            row = measure(family, size)
-            rows.append(row)
-            print(f"{family}({size}): {row['states']} states {row['status']}, "
-                  f"explore {row['explore_s']:.4f} s", flush=True)
+    cases = [(family, size, build(size))
+             for family, (sizes, build) in FAMILIES.items() for size in sizes]
+    runs: list[list] = [[] for _ in cases]
+    for repeat in range(REPEATS):
+        for (_, _, (net, m0)), case_runs in zip(cases, runs):
+            case_runs.append(time_once(net, m0))
+        print(f"pass {repeat + 1} of {REPEATS} done", flush=True)
+    rows = [summarize(family, size, case_runs)
+            for (family, size, _), case_runs in zip(cases, runs)]
+    for row in rows:
+        print(f"{row['family']}({row['size']}): {row['states']} states {row['status']}, "
+              f"explore {row['explore_s']:.4f} s")
     document = {
         "command": "python scripts/bench_scaling.py",
         "python": platform.python_version(),

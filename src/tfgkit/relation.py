@@ -108,32 +108,23 @@ class ConcurrencyMatrix:
         return self.ones[i] >> j & 1
 
     def set(self, v: str, w: str, value: int | None) -> None:
-        """Settle or clear one cell; its two rows change only when its value
-        does."""
+        """Settle or clear one cell, in both of its rows."""
         i, j = self.index[v], self.index[w]
         self.writes += 1
         known, ones = self.known, self.ones
-        bit_j = 1 << j
+        bit_i, bit_j = 1 << i, 1 << j
         if value is UNKNOWN:
-            if known[i] & bit_j:
-                bit_i = 1 << i
-                known[i] &= ~bit_j
-                known[j] &= ~bit_i
-                ones[i] &= ~bit_j
-                ones[j] &= ~bit_i
-        elif value:
-            if not ones[i] & bit_j:
-                bit_i = 1 << i
-                known[i] |= bit_j
-                known[j] |= bit_i
-                ones[i] |= bit_j
-                ones[j] |= bit_i
-        elif not known[i] & bit_j:
+            known[i] &= ~bit_j
+            known[j] &= ~bit_i
+        else:
             known[i] |= bit_j
-            known[j] |= 1 << i
-        elif ones[i] & bit_j:
+            known[j] |= bit_i
+        if value:
+            ones[i] |= bit_j
+            ones[j] |= bit_i
+        else:
             ones[i] &= ~bit_j
-            ones[j] &= ~(1 << i)
+            ones[j] &= ~bit_i
 
     def lower_rows(self) -> list[str]:
         """Row ``i`` spells cells (i, 0..i) as ``1``, ``0`` or ``.`` (unknown)."""

@@ -104,11 +104,6 @@ class TokenFlowGraph:
         return tuple(v for v in self.nodes if not self.parents[v])
 
     @cached_property
-    def o_leaves(self) -> tuple[str, ...]:
-        """Nodes without outgoing agglomeration arcs."""
-        return tuple(v for v in self.nodes if not self.a_children[v])
-
-    @cached_property
     def topo_order(self) -> tuple[str, ...]:
         """Roots-first topological order; requires acyclicity (check T5)."""
         indeg = {v: len(self.parents[v]) for v in self.nodes}
@@ -222,14 +217,34 @@ def _construct(
     )
 
 
-def violations(
-    graph: TokenFlowGraph,
+def build(
     equations: Iterable[TaggedEquation],
-) -> list[NotWellFormedError]:
-    """All failed structural checks of ``graph``, built from ``equations``,
+    p1: Iterable[str],
+    p2: Iterable[str],
+) -> TokenFlowGraph:
+    """Construct the graph for ``equations`` and validate it.
+
+    ``p1`` and ``p2`` are the ordered place lists of the original and the
+    reduced net.  Raises :class:`NotWellFormedError` naming the first failed
+    check.
+    """
+    graph, found = check(equations, p1, p2)
+    if found:
+        raise found[0]
+    return graph
+
+
+def check(
+    equations: Iterable[TaggedEquation],
+    p1: Iterable[str],
+    p2: Iterable[str],
+) -> tuple[TokenFlowGraph, list[NotWellFormedError]]:
+    """Like :func:`build` but returns every violation instead of raising,
     in check order T2..T6.  T1 holds by construction, and T4 fails exactly
     when two equations share a tag and a lhs, since their arcs then merge
     into one group."""
+    equations = tuple(equations)
+    graph = _construct(equations, p1, p2)
     found: list[NotWellFormedError] = []
 
     def fail(check_id: str, witness: tuple[str, ...], detail: str) -> None:
@@ -259,45 +274,17 @@ def violations(
     if len(graph.topo_order) != len(graph.nodes):
         stuck = tuple(sorted(node_set - set(graph.topo_order)))
         fail("T5", stuck, f"cycle through {stuck}")
-        return found  # closure-based checks below assume acyclicity
+        return graph, found  # closure-based checks below assume acyclicity
 
     root_places = set(graph.roots) - const_set
     if root_places != graph.p2:
         extra = tuple(sorted(root_places ^ graph.p2))
         fail("T6", extra, f"roots differ from reduced places on {extra}")
-    leaf_places = set(graph.o_leaves) - const_set
+    leaf_places = {v for v in graph.nodes if not graph.a_children[v]} - const_set
     if leaf_places != graph.p1:
         extra = tuple(sorted(leaf_places ^ graph.p1))
         fail("T6", extra, f"leaves differ from original places on {extra}")
-    return found
-
-
-def build(
-    equations: Iterable[TaggedEquation],
-    p1: Iterable[str],
-    p2: Iterable[str],
-) -> TokenFlowGraph:
-    """Construct the graph for ``equations`` and validate it.
-
-    ``p1`` and ``p2`` are the ordered place lists of the original and the
-    reduced net.  Raises :class:`NotWellFormedError` naming the first failed
-    check.
-    """
-    graph, found = check(equations, p1, p2)
-    if found:
-        raise found[0]
-    return graph
-
-
-def check(
-    equations: Iterable[TaggedEquation],
-    p1: Iterable[str],
-    p2: Iterable[str],
-) -> tuple[TokenFlowGraph, list[NotWellFormedError]]:
-    """Like :func:`build` but returns every violation instead of raising."""
-    equations = tuple(equations)
-    graph = _construct(equations, p1, p2)
-    return graph, violations(graph, equations)
+    return graph, found
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ def marking_key(m: Marking):
     return tuple(m.items())
 
 
+# two 2-state rings that no rule reduces: two components of 2 states each
+TWO_RINGS_TEXT = "pl a 1\npl b 0\npl c 1\npl d 0\ntr t a -> b\ntr u b -> a\ntr v c -> d\ntr w d -> c\n"
+
+
 # the limits within which every net of ``bounded_nets`` explores completely
 BOUNDED_MAX_STATES = 500
 BOUNDED_MAX_TOKEN = 3

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, two_loops
+from conftest import CORPUS_DIR, TWO_RINGS_TEXT, two_loops
 from tfgkit import tfg
 from tfgkit.cli import (
     EXIT_INPUT,
@@ -162,6 +162,13 @@ class TestReach:
         assert code == EXIT_UNKNOWN
         assert capsys.readouterr().out == "UNKNOWN backend-truncated\n"
 
+    def test_budget_spent_by_one_component_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "rings.net"
+        path.write_text(TWO_RINGS_TEXT)
+        code = main(["reach", str(path), query(tmp_path, "b=1 d=1"), "--max-states", "2"])
+        assert code == EXIT_UNKNOWN
+        assert capsys.readouterr().out == "UNKNOWN backend-truncated\n"
+
     def test_timeout_is_a_state_budget(self, tmp_path, capsys):
         net, m0 = choice_loop(3).build()
         path = tmp_path / "choice.net"
@@ -253,6 +260,14 @@ class TestConc:
         assert main(["conc", str(path), "--max-states", str(k1 + k2)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("# order: c_hub ")
         assert main(["conc", str(path), "--max-states", str(k1 + k2 - 1)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state space truncated(max-states); raise --max-states\n"
+
+    def test_component_left_no_budget_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "rings.net"
+        path.write_text(TWO_RINGS_TEXT)  # the first ring's 2 states use up the budget
+        assert main(["conc", str(path), "--max-states", "2"]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: state space truncated(max-states); raise --max-states\n"

@@ -428,6 +428,25 @@ class TestRelation:
                 assert value == mat.get(v, w) == sub.get(w, v)
             assert sub.writes == 0
 
+    @pytest.mark.parametrize("fill", [UNKNOWN, 0, 1])
+    def test_set_matches_a_dict_reference(self, fill):
+        rng = random.Random(3)
+        names = ("a", "b", "c", "d", "e")
+        mat = ConcurrencyMatrix(names, fill=fill)
+        reference = {frozenset((v, w)): fill for v in names for w in names}
+        # a 1 overwritten by 0, a 0 cleared, then random writes over few cells
+        writes = [("b", "a", 1), ("a", "b", 0), ("c", "c", 0), ("c", "c", UNKNOWN),
+                  ("d", "e", 1), ("e", "d", UNKNOWN)]
+        writes += [(rng.choice(names), rng.choice(names), rng.choice((0, 1, UNKNOWN)))
+                   for _ in range(200)]
+        for v, w, value in writes:
+            mat.set(v, w, value)
+            reference[frozenset((v, w))] = value
+            assert [mat.get(x, y) for x in names for y in names] == [
+                reference[frozenset((x, y))] for x in names for y in names]
+            assert all(one & ~known == 0 for one, known in zip(mat.ones, mat.known))
+        assert mat.writes == len(writes)
+
     def test_counts(self):
         mat = ConcurrencyMatrix(("a", "b", "c"))
         mat.set("a", "a", 1)

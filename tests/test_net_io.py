@@ -268,6 +268,49 @@ class TestMarkingQuery:
             parse_marking_query("zz=1", places=("a", "b"))
 
 
+def _pnml(body: str) -> str:
+    return f'<pnml><net id="n" type="ptnet"><page id="g">{body}</page></net></pnml>'
+
+
+def _query(text: str) -> Marking:
+    return parse_marking_query(text, ("p",))
+
+
+# (parser, text, reason, line): one case per error branch that no other test
+# reaches; the line is None for the formats that are not line-based
+PARSE_ERRORS = [
+    (parse_net, "pl p 1\ntr t p*0 -> p\n", "bad arc weight in 'p*0'", 2),
+    (parse_net, "pl p\n", "expected: pl <name> <tokens>", 1),
+    (parse_net, "pl p 1\ntr\n", "expected: tr <name> <in>* -> <out>*", 2),
+    (parse_net, "pl p 1\ntr p p -> p\n", "name 'p' already declared", 2),
+    (parse_net, "pl p 1\ntr t p\n", "transition is missing '->'", 2),
+    (parse_net, "pl p 1\n\narc p t\n", "unknown directive 'arc'", 3),
+    (parse_pnml, "<pnml/>", "no <net> element", None),
+    (parse_pnml, _pnml('<place id="p"/><place id="p"/>'), "id 'p' already declared", None),
+    (parse_pnml, _pnml('<place id="p"/><transition id="p"/>'), "id 'p' already declared",
+     None),
+    (parse_pnml, _pnml('<place id="p"/><transition id="t"/><arc id="x" source="p" target="t">'
+                       '<inscription><text>0</text></inscription></arc>'),
+     "bad arc weight 0 on 'p'->'t'", None),
+    (parse_pnml, _pnml('<place id="p"/><arc id="x" source="p" target="p"/>'),
+     "arc 'p'->'p' does not join a place and a transition", None),
+    (parse_equations, "# R |- p = q\n# R |- r = q +\n", "empty term on rhs", 2),
+    (parse_matrix, "# order: p q\n1\n1x\n", "bad matrix symbol at column 2", 3),
+    (parse_matrix, "# order: p q\n1\n0\n", "row has 1 symbols, expected 2", 3),
+    (parse_matrix, "\n# note\n1\n", "missing '# order:' header", 2),
+    (parse_matrix, "# order: p q\n1\n", "expected 2 rows, found 1", 1),
+    (_query, "p=1 q", "bad assignment 'q'", None),
+]
+
+
+@pytest.mark.parametrize("parse, text, reason, line", PARSE_ERRORS)
+def test_parse_error_reason_and_line(parse, text, reason, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.reason, exc.value.line) == (reason, line)
+    assert str(exc.value) == (reason if line is None else f"line {line}: {reason}")
+
+
 @st.composite
 def arbitrary_nets(draw):
     n_places = draw(st.integers(1, 6))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tfgkit.cli
 import tfgkit.reach
-from conftest import BOUNDED_MAX_TOKEN, bounded_nets, marking_key, two_loops
+from conftest import BOUNDED_MAX_TOKEN, TWO_RINGS_TEXT, bounded_nets, marking_key, two_loops
 from tfgkit.cli import EXIT_OK, _bench_targets, main
 from tfgkit.conc import matrix
 from tfgkit.generators import chain_line, composite
@@ -35,6 +35,7 @@ from tfgkit.reach import (
     UNKNOWN,
     UNREACHABLE,
     Analysis,
+    ReachVerdict,
     decide,
     partition,
     project,
@@ -332,6 +333,32 @@ class TestComponents:
         monkeypatch.setattr(tfgkit.reach, "explore", refuse)
         assert [len(space) for space in analysis.spaces] == [3, 4]
         assert all(space.is_complete for space in analysis.spaces)
+
+    def test_search_that_leaves_no_budget_is_unknown(self):
+        net, m0 = parse_net(TWO_RINGS_TEXT)  # two components, a-b and c-d
+        analysis = Analysis(net, m0, max_states=2)
+        assert analysis.result.reduced_net.places == net.places
+        # the search of a-b stores both of its states, so c-d gets none
+        target = Marking({"b": 1, "d": 1})
+        assert analysis.decide(target) == ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, target)
+        assert Analysis(net, m0, max_states=4).decide(target).reason == BACKEND_HIT
+
+    @pytest.mark.parametrize("max_states, budgets", [
+        (2, [2]),  # a-b's 2 states leave c-d nothing: it is never explored
+        (3, [3, 1]),  # c-d gets 1 state, a truncated exploration
+    ])
+    def test_spaces_beyond_the_budget_raise(self, max_states, budgets, monkeypatch):
+        net, m0 = parse_net(TWO_RINGS_TEXT)
+        budget_of = []
+
+        def counted(*args, **kwargs):
+            budget_of.append(kwargs["max_states"])
+            return explore(*args, **kwargs)
+
+        monkeypatch.setattr(tfgkit.reach, "explore", counted)
+        with pytest.raises(IncompleteStateSpaceError, match=r"^truncated\(max-states\)$"):
+            Analysis(net, m0, max_states=max_states).spaces
+        assert budget_of == budgets
 
     def test_conc_and_reach_never_explore_the_whole_reduced_net(self, tmp_path, monkeypatch, capsys):
         net, m0 = composite(10)  # 13 reduced places in 4 components

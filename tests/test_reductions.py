@@ -21,6 +21,7 @@ from tfgkit.reductions import ReductionResult, build_graph, reduce
 
 D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
 A1_TEXT = "pl x 1\npl y 0\npl z 0\ntr t1 x -> y\ntr t2 y -> z\n"
+RING_TEXT = "pl a 1\npl b 0\ntr t a -> b\ntr u b -> a\n"
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "reduce.txt"
@@ -200,8 +201,28 @@ class TestValidator:
         )
         report = validate_equivalence(net, m0, corrupted)
         assert not report.valid
-        assert report.condition in {"A1", "A2", "A3"}
-        assert report.witness is not None
+        assert (report.condition, report.witness) == ("A1", {"p": 1})
+
+    @pytest.mark.parametrize("text1, text2, equations, condition, witness, detail", [
+        # the same ring, but the reduced copy starts at b
+        (RING_TEXT, "pl a 0\npl b 1\ntr t a -> b\ntr u b -> a\n", "",
+         "A2", {"a": 1}, "initial markings"),
+        # the ring reaches {b: 1}; the reduced net, without transitions, does not
+        (RING_TEXT, "pl a 1\npl b 0\n", "",
+         "A3", {"b": 1}, "unreachable reduced marking"),
+        # x = a + b holds at {b: 1}, which the input net, without transitions, never reaches
+        ("pl a 1\npl b 0\n", "pl x 1\n", "# A |- x = a + b\n",
+         "A3", {"b": 1}, "unreachable input marking"),
+    ], ids=["A2", "A3-forward", "A3-reverse"])
+    def test_failed_condition_and_witness(self, text1, text2, equations, condition, witness,
+                                          detail):
+        net, m0 = parse_net(text1)
+        net2, m2 = parse_net(text2)
+        result = ReductionResult(net2, m2, tuple(parse_equations(equations)), 0.0)
+        report = validate_equivalence(net, m0, result)
+        assert not report.valid
+        assert (report.condition, report.witness) == (condition, witness)
+        assert detail in report.detail
 
     def test_wide_agglomeration_valid(self):
         """``a`` agglomerates 1,500 places, one of which holds the token."""

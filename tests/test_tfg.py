@@ -58,7 +58,8 @@ class TestBuild:
 
     def test_cascade_roots_and_leaves(self, cascade):
         assert set(cascade.roots) == {"p0", "a2", "p6"}
-        assert set(cascade.o_leaves) == set(CASCADE_P1)
+        leaves = {v for v in cascade.nodes if not cascade.a_children[v]}
+        assert leaves - set(cascade.constants) == set(CASCADE_P1)
 
     def test_cascade_passes_all_checks(self):
         graph, violations = check(parse_equations(CASCADE_TEXT), CASCADE_P1, CASCADE_P2)
@@ -89,11 +90,18 @@ class TestBuild:
         assert graph.constants[k] == 1
         assert k in graph.roots
 
-    def test_wrong_p2_is_t6(self):
-        eqs = [TaggedEquation("R", "r", terms=("q",))]
+    @pytest.mark.parametrize("eq, p1, p2, witness, side", [
+        # q is a root but not a reduced place
+        (TaggedEquation("R", "r", terms=("q",)), ("p", "q", "r"), ("p",), ("q",), "roots"),
+        # the agglomeration head a is an original place but not a leaf
+        (TaggedEquation("A", "a", terms=("p", "q")), ("a", "p", "q"), ("a",), ("a",), "leaves"),
+    ], ids=["roots", "leaves"])
+    def test_wrong_p2_is_t6(self, eq, p1, p2, witness, side):
         with pytest.raises(NotWellFormedError) as exc:
-            build(eqs, ("p", "q", "r"), ("p",))
+            build([eq], p1, p2)
         assert exc.value.check_id == "T6"
+        assert exc.value.witness == witness
+        assert exc.value.detail.startswith(f"{side} differ")
 
     def test_equation_order_does_not_matter(self):
         eqs = parse_equations(CASCADE_TEXT)
