@@ -33,6 +33,9 @@ FAMILIES = {
     "two_phase_branches": ((8, 10, 12, 14, 16), lambda w: gen.two_phase_branches(w).build()),
     "diamond_chain": ((4, 6, 8, 10), gen.diamond_chain),
     "choice_loop": ((10, 100, 500, 1000, 2000), lambda b: gen.choice_loop(b).build()),
+    # 3 states, one of them with every branch marked: no two markings share
+    # their upper places, so the oracle's rows merge nothing
+    "fork_join": ((100, 500, 1000, 2000), lambda w: gen.fork_join(w).build()),
 }
 
 

@@ -39,6 +39,12 @@ work on it directly, and ``space.markings`` decodes it to :class:`Marking`
 objects once, on first access.  ``Marking``, :func:`enabled`, :func:`fire`
 and :func:`random_walk` remain the public API at the edges.
 
+The concurrency oracle reads the same packed set: the row of a place is the
+union of the marked-place sets (guard bits only) of the stored markings
+that mark it.  ``_marked_rows`` builds the rows by peeling places off the
+bottom of the layout and merging the sets that agree on the places left, so
+markings that share their upper places are handled once, together.
+
 :class:`StateEquation` refutes a marking without any search: a reachable
 marking ``m`` satisfies ``m = m0 + C·σ`` for the incidence matrix ``C`` and
 some firing count vector ``σ`` (Murata, Proc. IEEE 1989).
@@ -454,19 +460,65 @@ def oracle_reachable(space: StateSpace, m: Marking) -> bool:
 def _marked_rows(space: StateSpace) -> list[int]:
     """Per layout place ``i``, one bit per layout place for every place
     marked together with ``i`` in some stored marking; bit ``i`` itself is
-    set when ``i`` is marked at all."""
+    set when ``i`` is marked at all.
+
+    The work is done on items ``(rest, acc)`` of guard-bit sets: ``acc`` is
+    the union of the marked-place sets merged into the item, and each of
+    them marks all of ``rest``.  A place of ``rest`` is therefore marked
+    together with exactly the places of ``acc`` in those markings, so it is
+    *peeled*: its row takes ``acc`` and it leaves ``rest``, while ``acc``
+    stays as it is.  Each distinct set starts as its own item.  A level
+    peels every item's places up to a cut place, and at least its lowest
+    one, then merges the items whose ``rest`` is now equal by uniting their
+    ``acc``.  Every marking that marks a place lies in exactly one item when
+    that place is peeled, so each row comes out exact.
+
+    The first cut is the lowest place of the highest set; each later one is
+    the highest lowest place among the items, so that every item meets it.
+    On the disjoint products of blocks that the generators build, the
+    markings that agree above the first block become one item once that
+    block is peeled, and so on up the blocks.  Where sets never merge, a
+    level costs a dict entry per item and saves nothing, so once a level
+    ends with as many items as it began with, the cut goes above every
+    place and the next level peels each item to the end."""
     packing = space._packing
     ones, guards, width = packing.ones, packing.guards, packing.width
-    # rows[i]: guard bits of every place marked together with layout place i
-    rows = [0] * len(packing.places)
-    for occupied in {((m | guards) - ones) & guards for m in space._packed}:
-        rest = occupied
-        while rest:
+    # by_length[(i + 1) * width]: guard bits of every place marked together
+    # with layout place i, indexed by the bit length of i's guard bit
+    by_length = [0] * (len(packing.places) * width + 1)
+    occupied = {((m | guards) - ones) & guards for m in space._packed}
+    occupied.discard(0)  # the empty marking marks no place
+    count = len(occupied)
+    items = zip(occupied, occupied)
+    cut = max(occupied, default=0)
+    cut &= -cut
+    while count:
+        merged: dict[int, int] = {}
+        top = 0  # the highest lowest place among the merged items
+        bound = cut << 1
+        for rest, acc in items:
+            if rest < bound:  # no place above the cut: peel them all
+                while rest:
+                    low = rest & -rest
+                    by_length[low.bit_length()] |= acc
+                    rest ^= low
+                continue
             low = rest & -rest
-            rows[low.bit_length() // width - 1] |= occupied
-            rest ^= low
+            while True:
+                by_length[low.bit_length()] |= acc
+                rest ^= low
+                low = rest & -rest
+                if low > cut or not low:
+                    break
+            if rest:
+                merged[rest] = merged.get(rest, 0) | acc
+                if low > top:
+                    top = low
+        cut = guards if len(merged) == count else top
+        count = len(merged)
+        items = merged.items()
     marked = []  # the same sets, one bit per layout place
-    for row in rows:
+    for row in by_length[width::width]:
         first = max((row & -row).bit_length() // width - 1, 0)  # lowest marked place, 0 if none
         digits = format(row >> first * width, "b")  # from that place's field up
         guards_only = digits[(len(digits) - width) % width :: width]  # each field's guard digit

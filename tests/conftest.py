@@ -55,17 +55,31 @@ def bounded_nets(draw) -> tuple[PetriNet, Marking]:
     return net, m0
 
 
+def side_by_side(*blocks: NetBuilder) -> tuple[PetriNet, Marking]:
+    """The blocks as one net, their places and transitions in the order
+    given; their names must not clash."""
+    b = NetBuilder()
+    for block in blocks:
+        for p in block.places:
+            b.place(p, block.tokens[p])
+        for t in block.transitions:
+            b.transition(t, block.pre[t], block.post[t])
+    return b.build()
+
+
 def two_loops() -> tuple[PetriNet, Marking]:
     """Choice loops ``c`` of 3 states and ``d`` of 4 states side by side, 12
     states together.  No rule reduces them, so each is one component of the
     reduced net."""
-    b = NetBuilder()
-    for loop in (choice_loop(2, "c"), choice_loop(3, "d")):
-        for p in loop.places:
-            b.place(p, loop.tokens[p])
-        for t in loop.transitions:
-            b.transition(t, loop.pre[t], loop.post[t])
-    return b.build()
+    return side_by_side(choice_loop(2, "c"), choice_loop(3, "d"))
+
+
+def pairwise_rows(markings, order) -> list[str]:
+    """The concurrency relation over ``order`` in the form of
+    ``ConcurrencyMatrix.lower_rows``, found by testing every pair of places
+    in every marking."""
+    return ["".join(str(int(any(m[p] > 0 and m[q] > 0 for m in markings))) for q in order[: i + 1])
+            for i, p in enumerate(order)]
 
 
 @dataclass(frozen=True)

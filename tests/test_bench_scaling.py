@@ -32,4 +32,4 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
         assert set(row) == keys
         assert row["status"] == "complete"
         assert row["oracle_concurrency_s"] >= 0
-    assert [row["states"] for row in rows] == [51, 2**8 + 2, 3**4, 11]
+    assert [row["states"] for row in rows] == [51, 2**8 + 2, 3**4, 11, 3]

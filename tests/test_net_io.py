@@ -214,8 +214,10 @@ class TestMatrix:
         assert exc.value.line == 3
 
     def test_missing_header(self):
-        with pytest.raises(ParseError):
-            parse_matrix("1\n01\n")
+        # a comment line that is not the header, and no row before it
+        with pytest.raises(ParseError, match=r"^line 1: missing '# order:' header$") as exc:
+            parse_matrix("# comment\n")
+        assert exc.value.line == 1
 
     @pytest.mark.parametrize("text, line", [("1\n# order: p\n", 1), ("\n1\n# order: p\n", 2)])
     def test_row_before_header(self, text, line):

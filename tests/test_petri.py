@@ -1,5 +1,6 @@
 """Net semantics, exploration, the state equation and the brute-force oracles."""
 
+import random
 import time
 from collections import deque
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from conftest import side_by_side
 from tfgkit import generators
 from tfgkit.petri import (
     IncompleteStateSpaceError,
@@ -289,6 +291,18 @@ ARCLESS = (  # idle has no arcs at all and never changes a marking
 )
 
 
+# Nets on which the concurrency rows merge markings that share their upper
+# places, and nets on which they cannot:
+TWO_PHASE_BY_RING = side_by_side(generators.two_phase_branches(3), generators.ring(3))
+TWO_TOKENS = generators.ring(3, "w")  # 6 markings, 2 tokens on one place in 3 of them
+TWO_TOKENS.tokens["w_p0"] = 2
+BOUNDED_BY_RING = side_by_side(TWO_TOKENS, generators.ring(3))
+LONE_UPPER = (  # {b} lies above a, the lowest place of the highest marking {a, c}
+    PetriNet(("a", "b", "c"), ("t",), {"t": {"a": 1, "c": 1}}, {"t": {"b": 1}}),
+    Marking({"a": 1, "c": 1}),
+)
+
+
 class TestPackedKernel:
     """The packed explorer and oracles against plain Marking-level scans."""
 
@@ -310,6 +324,12 @@ class TestPackedKernel:
         assert is_safe(space) == all(n <= 1 for m in expected for _, n in m.items())
 
     @given(nets_under_test, st.integers(1, 3), st.randoms(use_true_random=False))
+    @example(generators.diamond_chain(3), 1, random.Random(0))
+    @example(TWO_PHASE_BY_RING, 1, random.Random(1))
+    @example(BOUNDED_BY_RING, 2, random.Random(2))
+    @example(generators.isolated_places(30, 5).build(), 1, random.Random(3))
+    @example(generators.fork_join(20).build(), 1, random.Random(4))
+    @example(LONE_UPPER, 1, random.Random(5))
     def test_concurrency_matches_pairwise_scan(self, net_m0, max_token, rng):
         net, m0 = net_m0
         space = explore(net, m0, max_states=300, max_token=max_token)

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import tfgkit.cli
 import tfgkit.reach
-from conftest import BOUNDED_MAX_TOKEN, TWO_RINGS_TEXT, bounded_nets, marking_key, two_loops
+from conftest import (
+    BOUNDED_MAX_TOKEN,
+    TWO_RINGS_TEXT,
+    bounded_nets,
+    marking_key,
+    pairwise_rows,
+    two_loops,
+)
 from tfgkit.cli import EXIT_OK, _bench_targets, main
 from tfgkit.conc import matrix
 from tfgkit.generators import chain_line, composite
@@ -303,6 +310,14 @@ class TestComponents:
         net, m0 = net_m0
         targets = [t for seed in (0, 1) for t in _bench_targets(net, m0, seed)]
         assert_agrees_with_oracles(net, m0, reduce(net, m0), targets)
+
+    @pytest.mark.parametrize("seed", [0, 10, 21, 24, 35])
+    def test_rel2_matches_pairwise_scan(self, seed):
+        # 2-4 components whose product holds 24-80 states
+        analysis = Analysis(*composite(seed))
+        reduced = analysis.result.reduced_net
+        space2 = explore(reduced, analysis.result.reduced_marking)
+        assert analysis.rel2.lower_rows() == pairwise_rows(space2.markings, reduced.places)
 
     @pytest.mark.parametrize("identity", [True, False], ids=["unreduced", "reduced"])
     def test_isolated_place_and_dead_component(self, identity):
