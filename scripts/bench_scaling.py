@@ -3,10 +3,12 @@
 
 For each family and size, the full net is explored with ``explore`` and its
 concurrency relation computed with ``oracle_concurrency``; each row holds the
-state count, the exploration status, and the median over 3 runs of both
-times and of the exploration rate.  The runs are interleaved: each of the 3
-passes times every row once, so a burst of load on the machine moves one
-run of many rows rather than every run of one.  Run from the repo root:
+state count, the exploration status, the median over 5 runs of both times
+and of the exploration rate, and the minimum of both times.  The runs are
+interleaved: each of the 5 passes times every row once, so a burst of load
+on the machine moves one run of many rows rather than every run of one.
+Load only ever adds time, so a change is judged on the minimums
+(``explore_min_s``, ``oracle_concurrency_min_s``).  Run from the repo root:
 
     PYTHONPATH=src python scripts/bench_scaling.py [--output BENCH_explore.json]
 """
@@ -26,10 +28,11 @@ from tfgkit import generators as gen
 from tfgkit.petri import explore, oracle_concurrency
 
 MAX_STATES = 1_000_000
-REPEATS = 3
+REPEATS = 5
 
 FAMILIES = {
     "chain_line": ((50, 100, 200, 500, 1000, 2000, 5000), lambda n: gen.chain_line(n).build()),
+    "ring": ((500, 1000, 2000, 5000), lambda n: gen.ring(n).build()),
     "two_phase_branches": ((8, 10, 12, 14, 16), lambda w: gen.two_phase_branches(w).build()),
     "diamond_chain": ((4, 6, 8, 10), gen.diamond_chain),
     "choice_loop": ((10, 100, 500, 1000, 2000), lambda b: gen.choice_loop(b).build()),
@@ -54,17 +57,21 @@ def time_once(net, m0) -> tuple[int, str, float, float | None]:
 
 
 def summarize(family: str, size: int, runs: list[tuple[int, str, float, float | None]]) -> dict:
-    """One row: the last run's states and status, the median times."""
+    """One row: the last run's states and status, the median and the
+    minimum times."""
     states, status = runs[-1][:2]
-    seconds = statistics.median(run[2] for run in runs)
+    explore_s = [run[2] for run in runs]
     oracle_s = [run[3] for run in runs if run[3] is not None]
+    seconds = statistics.median(explore_s)
     return {
         "family": family,
         "size": size,
         "states": states,
         "status": status,
         "explore_s": seconds,
+        "explore_min_s": min(explore_s),
         "oracle_concurrency_s": statistics.median(oracle_s) if oracle_s else None,
+        "oracle_concurrency_min_s": min(oracle_s) if oracle_s else None,
         "states_per_s": states / seconds if seconds else None,
     }
 
@@ -84,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             for (family, size, _), case_runs in zip(cases, runs)]
     for row in rows:
         print(f"{row['family']}({row['size']}): {row['states']} states {row['status']}, "
-              f"explore {row['explore_s']:.4f} s")
+              f"explore {row['explore_s']:.4f} s (min {row['explore_min_s']:.4f} s)")
     document = {
         "command": "python scripts/bench_scaling.py",
         "python": platform.python_version(),

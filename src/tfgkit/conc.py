@@ -27,7 +27,7 @@ from heapq import heappop, heappush
 
 from tfgkit import tfg
 from tfgkit.net_io import MatrixDocument
-from tfgkit.relation import ConcurrencyMatrix, transpose
+from tfgkit.relation import ConcurrencyMatrix, _runs, transpose
 
 
 class IncompleteInputError(Exception):
@@ -54,19 +54,27 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
         raise InconsistentInputError("rel2 order must match the reduced places")
     index = graph.index
-    bits = [1 << index[v] for v in rel2.order]  # node bit of each rel2 position
+    nodes = [index[v] for v in rel2.order]  # node position of each rel2 position
     positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)
+    # rel2's 1-rows and 0-rows moved to node positions, by runs of positions
+    # that are adjacent in both orders
+    zero_rows = [known & ~one for known, one in zip(rel2.known, rel2.ones)]
+    moved_ones = [0] * len(nodes)
+    moved_zeros = [0] * len(nodes)
+    for source, target, mask in _runs(nodes):
+        moved_ones = [m | (row >> source & mask) << target for m, row in zip(moved_ones, rel2.ones)]
+        moved_zeros = [m | (row >> source & mask) << target for m, row in zip(moved_zeros, zero_rows)]
     ones = [0] * len(graph.nodes)
     zeros = [0] * len(graph.nodes)
     marked = 0  # places that rel2 marks on their own diagonal
-    for k, bit in enumerate(bits):
-        row, zero = rel2.ones[k], rel2.known[k] & ~rel2.ones[k]
-        if row and zero >> k & 1:
+    for k, i in enumerate(nodes):
+        row = rel2.ones[k]
+        if row and zero_rows[k] >> k & 1:
             v, w = rel2.order[k], rel2.order[(row & -row).bit_length() - 1]
             raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
-        i = bit.bit_length() - 1
-        ones[i] = _moved(row, bits) | (bit if row else 0)
-        zeros[i] = _moved(zero, bits)
+        bit = 1 << i
+        ones[i] = moved_ones[k] | (bit if row else 0)
+        zeros[i] = moved_zeros[k]
         if row >> k & 1:
             marked |= bit
             ones[i] |= positive
@@ -77,16 +85,6 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
         else:
             zeros[i] = 1 << i
     return ones, zeros
-
-
-def _moved(row: int, bits: list[int]) -> int:
-    """``row`` with each set bit ``k`` moved to ``bits[k]``."""
-    out = 0
-    while row:
-        low = row & -row
-        out |= bits[low.bit_length() - 1]
-        row ^= low
-    return out
 
 
 def propagate(

@@ -27,11 +27,19 @@ carries an ``int`` mask of the transitions enabled at it, bit ``j`` for the
 ``j``-th transition.  A transition's ``touched`` mask holds every transition
 that reads a place whose count it changes (pre weight unequal to post
 weight).  A successor's mask is its parent's mask without ``touched``, plus
-each member of ``touched`` that passes the test above at the successor: the
-enabledness of any other transition cannot have changed.  So a firing
-re-tests only the consumers of the places it changes, not every transition
-of the net.  Bits are expanded from low to high, which is declaration order,
-so the stored set and every truncation point are those of a full scan.
+the members of ``touched`` that pass the test above at the successor: the
+enabledness of any other transition cannot have changed.  Transitions with
+equal ``pre`` pass or fail together, so they share one test, which sets all
+of their bits: the ``b`` branches that leave a choice hub cost one test, not
+``b``.  So a firing re-tests each distinct pre-vector that reads a place it
+changes once, and no other transition of the net.
+
+The mask is expanded 8 transitions at a time.  A lazily filled table maps
+each value of an 8-bit window to the tuple of its transitions' moves, so
+one lookup yields up to 8 moves, and a window that holds no set bit is
+skipped by a jump to the lowest set bit.  Bits are still expanded from low
+to high, which is declaration order, so the stored set and every truncation
+point are those of a full scan.
 
 One encoding serves safe nets (``max_token=1``) and bounded ones alike.
 :class:`StateSpace` keeps the packed set; ``len(space)`` and ``m in space``
@@ -256,57 +264,167 @@ def fire(net: PetriNet, m: Marking, t: str) -> Marking:
     return Marking(tokens)
 
 
-def _compile(net: PetriNet, packing: _Packing, armed: int) -> tuple[int, list[tuple]]:
-    """Each transition compiled in declaration order, in one pass over the
-    arcs, and the mask of those enabled at ``armed``, a packed marking with
-    its guard bits set.  A transition's move is ``(delta, touched, groups)``:
-    its packed ``post - pre``; the mask of the transitions that read a place
-    whose count it changes; and their tests ``(bit, pre)`` of mask bit and
-    packed pre weights, one list per changed place, shared by every
-    transition that changes that place.  Shared lists take memory in the
-    number of arcs even around a hub place, and they re-test a hub's readers
-    about twice as fast as walking the bits of a wide ``touched`` does."""
+# the most tests of one place that a move copies; a place with more keeps
+# one list, which the moves that change it share
+_INLINE = 4
+
+
+class _Windows(dict):
+    """Moves by window of the enabled mask: key ``k << 8 | byte`` holds the
+    moves of transitions ``8k + i`` for the set bits ``i`` of ``byte``, in
+    bit order, so a window has at most 256 keys.  ``_compile`` stores the
+    one-bit keys, and the others are built from them on first use."""
+
+    def __missing__(self, key: int) -> tuple:
+        out = ()
+        high, rest = key & -256, key & 255
+        while rest:
+            low = rest & -rest
+            out += self[high | low]
+            rest -= low
+        self[key] = out
+        return out
+
+
+def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tuple[int, _Windows]:
+    """The mask of the transitions enabled at the counts ``tokens``, and
+    every transition's move in a window table.
+
+    A move is ``(delta, keep, tests, shared)``: the packed ``post - pre``;
+    the complement of ``touched``, which clears the readers of the places
+    that the move changes from a parent's mask; and the tests that re-arm
+    them.  A test ``[pre, bits]`` holds a packed pre-vector and the mask of
+    every transition that has it.  Each place lists the tests of its
+    readers, so a transition finds the test of its pre-vector, if an earlier
+    transition made it, among those of any one place it reads: in the list,
+    or by pre once the list is longer than ``_INLINE``, so that a hub costs
+    no rescan.  ``tests`` concatenates the lists of the places that the move
+    changes, so the search runs one loop per successor; a list of more than
+    ``_INLINE`` tests, such as that of a hub whose readers also read places
+    of their own, is not copied but shared, through ``shared``.  So a move
+    holds at most ``_INLINE`` tests per arc, and the compiled moves take
+    memory linear in the arcs.
+
+    One pass over the transitions finds the tests, the readers and the
+    initial mask; a second builds the moves, once every reader of every
+    place is known."""
     index, width = packing.index, packing.width
-    readers: dict[str, list] = {}  # place -> [bits of its consumers, their tests]
-    guards = packing.guards
+    # place -> [bits of its readers, their tests, those tests by pre once
+    # there are more than _INLINE of them, else None]
+    readers: dict[str, list] = {}
     enabled = 0
     changed = []
     bit = 1
+    no_arcs: dict[str, int] = {}
     for t in net.transitions:
-        pre_arcs, post_arcs = net.pre.get(t, {}), net.post.get(t, {})
+        pre_arcs, post_arcs = net.pre.get(t, no_arcs), net.post.get(t, no_arcs)
         pre = post = 0
         places = []
+        ready = bit
         for p, w in pre_arcs.items():
             pre += w << index[p] * width
             if post_arcs.get(p) != w:
                 places.append(p)
-        for p, w in post_arcs.items():
-            post += w << index[p] * width
-            if p not in pre_arcs:
-                places.append(p)
-        probe = (bit, pre)
-        for p in pre_arcs:
-            entry = readers.get(p)
-            if entry is None:
-                readers[p] = [bit, [probe]]
+            if tokens.get(p, 0) < w:
+                ready = 0
+        for q, w in post_arcs.items():
+            post += w << index[q] * width
+            if q not in pre_arcs:
+                places.append(q)
+        # a transition with the same pre reads p, the last place t reads
+        entry = readers.get(p) if pre_arcs else None
+        test = None
+        if entry is not None:
+            if entry[2] is None:
+                for old in entry[1]:
+                    if old[0] == pre:
+                        test = old
+                        break
             else:
-                entry[0] |= bit
-                entry[1].append(probe)
-        if (armed - pre) & guards == guards:
-            enabled |= bit
+                test = entry[2].get(pre)
+        if test is not None:
+            test[1] |= bit
+            for p in pre_arcs:
+                readers[p][0] |= bit
+        else:
+            test = [pre, bit]
+            for p in pre_arcs:
+                entry = readers.get(p)
+                if entry is None:
+                    readers[p] = [bit, [test], None]
+                else:
+                    entry[0] |= bit
+                    group = entry[1]
+                    group.append(test)
+                    if entry[2] is not None:
+                        entry[2][pre] = test
+                    elif len(group) > _INLINE:
+                        entry[2] = {old[0]: old for old in group}
+        enabled |= ready
         changed.append((post - pre, places))
         bit <<= 1
-    moves = []
-    for delta, places in changed:
+    windows = _Windows()
+    keys = [j >> 3 << 8 | 1 << (j & 7) for j in range(len(changed))]  # one-bit window keys
+    for key, (delta, places) in zip(keys, changed):
         touched = 0
-        groups = []
+        inline = []
+        shared = ()
         for p in places:
             entry = readers.get(p)
             if entry is not None:
                 touched |= entry[0]
-                groups.append(entry[1])
-        moves.append((delta, touched, groups))
-    return enabled, moves
+                group = entry[1]
+                if len(group) > _INLINE:
+                    shared += (group,)
+                else:
+                    inline += group
+        windows[key] = ((delta, ~touched, inline, shared),)
+    return enabled, windows
+
+
+def _search(seen: set[int], start: int, mask: int, windows: _Windows, guards: int, cap: int,
+            max_states: int, target: int) -> str:
+    """Breadth-first search from ``start``, whose enabled mask is ``mask``,
+    that adds each stored marking to ``seen`` and returns the status:
+    ``truncated(...)`` as soon as a limit or ``target`` is hit.  A marking's
+    mask is read a window of 8 bits at a time, in ``windows``; while the
+    lowest window is empty, the mask jumps to the lowest set bit's window."""
+    queue = deque([(start, mask)])
+    while queue:
+        m, mask = queue.popleft()
+        rest = mask
+        key = 0  # window index << 8
+        while rest:
+            byte = rest & 255
+            if not byte:  # jump to the window of the lowest set bit
+                skip = (rest & -rest).bit_length() - 1 & -8
+                rest >>= skip
+                key += skip << 5
+                byte = rest & 255
+            rest >>= 8
+            for delta, keep, tests, shared in windows[key | byte]:
+                m2 = m + delta
+                if m2 in seen:
+                    continue
+                if (m2 + cap) & guards:
+                    return truncated("max-token")
+                if len(seen) >= max_states:
+                    return truncated("max-states")
+                seen.add(m2)
+                mask2 = mask & keep
+                armed = m2 | guards
+                for pre, bits in tests:
+                    if (armed - pre) & guards == guards:
+                        mask2 |= bits
+                for group in shared:
+                    for pre, bits in group:
+                        if (armed - pre) & guards == guards:
+                            mask2 |= bits
+                queue.append((m2, mask2))
+                if m2 == target:
+                    return truncated("goal")
+            key += 256
+    return COMPLETE
 
 
 def explore(
@@ -331,53 +449,26 @@ def explore(
     """
     if max_states < 1 or max_token < 1:
         raise ValueError("limits must be at least 1")
-    stray = m0.support() - set(net.places)
-    if stray:
-        raise ValueError(f"initial marking names non-places {sorted(stray)}")
     weights = [w for side in (net.pre, net.post) for arcs in side.values() for w in arcs.values()]
-    widest = max([max_token + max(weights, default=0)] + [n for _, n in m0.items()])
+    most = max(m0._tokens.values(), default=0)
+    widest = max(max_token + max(weights, default=0), most)
     packing = _Packing(net.places, widest.bit_length())
     start = packing.encode(m0)
+    if start is None:  # every count fits, so some place is outside the layout
+        stray = sorted(m0.support() - set(net.places))
+        raise ValueError(f"initial marking names non-places {stray}")
     target = None if goal is None else packing.encode(goal)
     if target is None:
         target = -1  # no packed marking: the search never stops at it
     if start == target:
         return StateSpace(packing, frozenset([start]), truncated("goal"))
-    if any(n > max_token for _, n in m0.items()):
+    if most > max_token:
         return StateSpace(packing, frozenset([start]), truncated("max-token"))
     guards = packing.guards
     cap = packing.ones * ((1 << packing.bits) - 1 - max_token)
-    mask, moves = _compile(net, packing, start | guards)
+    mask, windows = _compile(net, packing, m0._tokens)
     seen = {start}
-    queue = deque([(start, mask)])
-    status = COMPLETE
-    while queue and status == COMPLETE:
-        m, mask = queue.popleft()
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            delta, touched, groups = moves[low.bit_length() - 1]
-            m2 = m + delta
-            if m2 in seen:
-                continue
-            if (m2 + cap) & guards:
-                status = truncated("max-token")
-                break
-            if len(seen) >= max_states:
-                status = truncated("max-states")
-                break
-            seen.add(m2)
-            mask2 = mask & ~touched
-            armed = m2 | guards
-            for group in groups:
-                for bit, pre in group:
-                    if (armed - pre) & guards == guards:
-                        mask2 |= bit
-            queue.append((m2, mask2))
-            if m2 == target:
-                status = truncated("goal")
-                break
+    status = _search(seen, start, mask, windows, guards, cap, max_states, target)
     return StateSpace(packing, frozenset(seen), status)
 
 

@@ -37,6 +37,17 @@ def transpose(rows: list[int]) -> list[int]:
 _BAND = 1024
 
 
+def _runs(positions: list[int]) -> list[tuple[int, int, int]]:
+    """The runs of ``positions`` that count up by one, as ``(k,
+    positions[k], mask)`` with ``mask`` as wide as the run: bits ``k`` up of
+    one row and ``positions[k]`` up of another stand for the same names, so
+    a row moves between the two orders by one shift and mask per run, not
+    per bit."""
+    n = len(positions)
+    starts = [k for k in range(n) if not k or positions[k] != positions[k - 1] + 1]
+    return [(b, positions[b], (1 << (e - b)) - 1) for b, e in zip(starts, starts[1:] + [n])]
+
+
 def _triangle_count(rows: list[int]) -> int:
     """Set cells of a symmetric bit matrix on and below the diagonal."""
     total = diagonal = 0
@@ -160,16 +171,13 @@ class ConcurrencyMatrix:
     def restrict(self, order) -> "ConcurrencyMatrix":
         """Sub-matrix over ``order``, which must be a subset of this order."""
         sub = ConcurrencyMatrix(order)
-        # names adjacent in both orders move together: one shift and mask per
-        # run of them, so a prefix costs one mask per row
+        # names adjacent in both orders move together, so a prefix costs one
+        # mask per row
         rows = [self.index[v] for v in sub.order]
-        n = len(rows)
-        starts = [t for t in range(n) if not t or rows[t] != rows[t - 1] + 1]
         known, ones = self.known, self.ones
-        for begin, end in zip(starts, starts[1:] + [n]):
-            shift, mask = rows[begin], (1 << (end - begin)) - 1
-            sub.known = [k | (known[r] >> shift & mask) << begin for k, r in zip(sub.known, rows)]
-            sub.ones = [o | (ones[r] >> shift & mask) << begin for o, r in zip(sub.ones, rows)]
+        for target, source, mask in _runs(rows):
+            sub.known = [k | (known[r] >> source & mask) << target for k, r in zip(sub.known, rows)]
+            sub.ones = [o | (ones[r] >> source & mask) << target for o, r in zip(sub.ones, rows)]
         return sub
 
     def __eq__(self, other) -> bool:

@@ -26,10 +26,11 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
     assert set(document) == {"command", "python", "machine", "repeats", "rows"}
     rows = document["rows"]
     assert [row["family"] for row in rows] == list(module.FAMILIES)
-    keys = {"family", "size", "states", "status", "explore_s", "oracle_concurrency_s",
-            "states_per_s"}
+    keys = {"family", "size", "states", "status", "explore_s", "explore_min_s",
+            "oracle_concurrency_s", "oracle_concurrency_min_s", "states_per_s"}
     for row in rows:
         assert set(row) == keys
         assert row["status"] == "complete"
-        assert row["oracle_concurrency_s"] >= 0
-    assert [row["states"] for row in rows] == [51, 2**8 + 2, 3**4, 11, 3]
+        assert 0 <= row["explore_min_s"] <= row["explore_s"]
+        assert 0 <= row["oracle_concurrency_min_s"] <= row["oracle_concurrency_s"]
+    assert [row["states"] for row in rows] == [51, 500, 2**8 + 2, 3**4, 11, 3]

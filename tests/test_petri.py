@@ -16,6 +16,8 @@ from tfgkit.petri import (
     NotEnabledError,
     PetriNet,
     StateEquation,
+    _compile,
+    _Packing,
     enabled,
     explore,
     fire,
@@ -289,6 +291,28 @@ ARCLESS = (  # idle has no arcs at all and never changes a marking
     PetriNet(("u", "v"), ("idle", "t"), {"t": {"u": 1}}, {"t": {"v": 1}}),
     Marking({"u": 1}),
 )
+# Nets whose readers share a pre-vector, or a place but not a pre-vector:
+EQUAL_PRE = (  # split and fork read the same {a: 2} and put different tokens
+    PetriNet(("a", "b", "c"), ("split", "fork", "join"),
+             {"split": {"a": 2}, "fork": {"a": 2}, "join": {"b": 1, "c": 1}},
+             {"split": {"b": 2}, "fork": {"b": 1, "c": 1}, "join": {"a": 2}}),
+    Marking({"a": 2}),
+)
+READ_AMONG_EQUAL = (  # look and take read {p: 2, q: 1}; look puts p back
+    PetriNet(("p", "q", "s", "u"), ("look", "take", "refill"),
+             {"look": {"p": 2, "q": 1}, "take": {"p": 2, "q": 1}, "refill": {"s": 1}},
+             {"look": {"p": 2, "s": 1}, "take": {"u": 1}, "refill": {"q": 1}}),
+    Marking({"p": 2, "q": 1}),
+)
+HUB_READERS = (  # go and sync both read hub, but sync also reads x, never marked
+    PetriNet(("hub", "x", "a", "b"), ("go", "sync", "back"),
+             {"go": {"hub": 1}, "sync": {"hub": 1, "x": 1}, "back": {"a": 1}},
+             {"go": {"a": 1}, "sync": {"b": 1}, "back": {"hub": 1}}),
+    Marking({"hub": 1}),
+)
+# 27 transitions: the chain's enabled one in window 0 and the loop's in
+# windows 2 and 3 leave window 1 empty
+WINDOWS = side_by_side(generators.chain_line(20), generators.choice_loop(3))
 
 
 # Nets on which the concurrency rows merge markings that share their upper
@@ -313,6 +337,11 @@ class TestPackedKernel:
     @example(SOURCE, 3, 300)
     @example(SOURCE, 3, 2)
     @example(ARCLESS, 1, 300)
+    @example(EQUAL_PRE, 2, 300)
+    @example(READ_AMONG_EQUAL, 2, 300)
+    @example(HUB_READERS, 1, 300)
+    @example(WINDOWS, 1, 300)
+    @example(WINDOWS, 1, 30)
     def test_explore_matches_reference(self, net_m0, max_token, max_states):
         net, m0 = net_m0
         space = explore(net, m0, max_states=max_states, max_token=max_token)
@@ -347,6 +376,50 @@ class TestPackedKernel:
                 ones += value
         assert mat.writes == ones
 
+    def test_readers_of_one_place_keep_their_own_pre(self):
+        """``back`` refills the hub, which ``go`` and ``sync`` both read: a
+        test shared by the readers of a place, rather than by equal
+        pre-vectors, would enable ``sync`` without its ``x``."""
+        net, m0 = HUB_READERS
+        space = explore(net, m0)
+        assert space.is_complete
+        assert space.markings == {Marking({"hub": 1}), Marking({"a": 1})}
+
+    def test_equal_pre_readers_share_one_test(self):
+        """Each ``back`` refills the hub that all 50 ``go`` transitions read
+        with pre {hub: 1}: its move re-tests them with one test, beside the
+        one of its own place."""
+        net, m0 = generators.choice_loop(50).build()
+        _, windows = _compile(net, _Packing(net.places, 2), m0._tokens)
+        moves = dict(zip(net.transitions, (move for (move,) in windows.values())))
+        for i in range(50):
+            _, _, tests, shared = moves[f"c_back{i}"]
+            assert len(tests) == 2 and not shared
+            assert sum(bits.bit_count() for _, bits in tests) == 51
+
+    def test_hub_compiles_to_memory_linear_in_the_arcs(self):
+        """200 writers refill a hub that 200 readers read, each with a place
+        of its own beside it, and 200 more read with pre {hub: 1}.  The
+        hub's 201 tests are one shared list, not a copy in each of the 400
+        moves that change the hub, and the ``go`` transitions, declared
+        among the others, still share one test."""
+        n = 200
+        pre, post = {}, {}
+        for i in range(n):
+            pre[f"read{i}"], post[f"read{i}"] = {"hub": 1, f"x{i}": 1}, {f"y{i}": 1}
+            pre[f"write{i}"], post[f"write{i}"] = {f"y{i}": 1}, {"hub": 1, f"x{i}": 1}
+            pre[f"go{i}"], post[f"go{i}"] = {"hub": 1}, {f"y{i}": 1}
+        places = ("hub", *(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)))
+        net = PetriNet(places, tuple(pre), pre, post)
+        _, windows = _compile(net, _Packing(net.places, 2), {"hub": 1, "x0": 1})
+        moves = [move for (move,) in windows.values()]
+        assert len(moves) == 3 * n
+        shared = {id(group): group for _, _, _, groups in moves for group in groups}
+        assert [len(group) for group in shared.values()] == [n + 1]
+        entries = sum(len(tests) for _, _, tests, _ in moves) + sum(map(len, shared.values()))
+        arcs = sum(len(arcs) for side in (pre, post) for arcs in side.values())
+        assert entries <= 2 * arcs
+
     def test_count_wider_than_its_field_is_not_stored(self):
         space = explore(T1, Marking({"a": 1}))
         for n in range(2, 100):
@@ -372,6 +445,9 @@ class TestGoal:
     @example(DRAINED_PAIR, 2, 300, 2)
     @example(SOURCE, 3, 300, 3)
     @example(ARCLESS, 1, 300, 1)
+    @example(EQUAL_PRE, 2, 300, 2)
+    @example(READ_AMONG_EQUAL, 2, 300, 1)
+    @example(WINDOWS, 1, 300, 50)
     def test_goal_stop_is_a_prefix_of_the_search(self, net_m0, max_token, max_states, pick):
         net, m0 = net_m0
         expected, _ = reference_explore(net, m0, max_states, max_token)
