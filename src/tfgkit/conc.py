@@ -10,9 +10,9 @@ rules; cells it cannot settle stay unknown.
 Both work on plain int rows, one 1-row and one 0-row per node, with bit
 ``i`` standing for ``graph.nodes[i]``: ``_seed`` writes the root relation
 into them, :func:`propagate` reads the root facts back and ORs each cone
-product into the 1-rows in one loop over the graph in topological order, so
-depth costs no stack, and each lift turns its rows into one
-:class:`ConcurrencyMatrix` at its end.
+product into the 1-rows in one pass that pushes masks down the graph in
+topological order, so depth costs no stack, and each lift turns its rows
+into one :class:`ConcurrencyMatrix` at its end.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
@@ -99,9 +99,10 @@ def propagate(
     concurrent with its successors, and each redundancy arc ``v -> w``
     makes the successors of ``v`` outside the cone of ``w`` concurrent with
     those of ``w``.  Each fact is one row OR in one pass over
-    ``graph.topo_order``: a node's row takes its cone, a mask in ``below``
-    is pushed down to the rows of every successor at once, and one
-    transpose writes the other side of the splits.  Only 1s are added, so
+    ``graph.topo_order``: a node ORs the splits of its live redundancy
+    parents into its mask in ``below``, its row takes its cone and that
+    mask, and it pushes the mask on to its children; one transpose writes
+    the other side of the splits.  Only 1s are added, so
     calling it again on its own result changes nothing; a 1 on a 0 of
     ``zeros`` raises :class:`InconsistentInputError`.
     """
@@ -126,22 +127,23 @@ def propagate(
             writes += succ[i].bit_count() * succ[j].bit_count()
     rows = [0] * len(graph.nodes)
     split_seen = False
-    parents, r_children = graph.parents, graph.r_children
+    children, r_parents = graph.children, graph.r_parents
     for v in graph.topo_order:
         i = index[v]
-        for u in parents[v]:
-            below[i] |= below[index[u]]
+        for u in r_parents[v]:
+            k = index[u]
+            if cone >> k & 1:
+                split = succ[k] & ~succ[i]
+                below[i] |= split
+                split_seen = True
+                writes += split.bit_count() * succ[i].bit_count()
         if cone >> i & 1:
             rows[i] = succ[i]
             below[i] |= 1 << i
             writes += succ[i].bit_count()
-            for w in r_children[v]:
-                j = index[w]
-                split = succ[i] & ~succ[j]
-                below[j] |= split
-                split_seen = True
-                writes += split.bit_count() * succ[j].bit_count()
         rows[i] |= below[i]
+        for w in children[v]:
+            below[index[w]] |= below[i]
     if split_seen:
         rows = [row | column for row, column in zip(rows, transpose(rows))]
     for i, (row, zero) in enumerate(zip(rows, zeros)):

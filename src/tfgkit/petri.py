@@ -89,11 +89,10 @@ class Marking:
 
     __slots__ = ("_tokens", "_hash")
 
-    def __init__(self, tokens: Mapping[str, int] | Iterable[tuple[str, int]] | None = None):
+    def __init__(self, tokens: Mapping[str, int] | None = None):
         items: dict[str, int] = {}
         if tokens is not None:
-            pairs = tokens.items() if isinstance(tokens, Mapping) else tokens
-            for place, count in pairs:
+            for place, count in tokens.items():
                 count = int(count)
                 if count < 0:
                     raise ValueError(f"negative token count for {place!r}")

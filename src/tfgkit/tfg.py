@@ -7,6 +7,8 @@ from the net); an agglomeration equation ``v = x1 + ... + xl`` contributes
 agglomeration arcs ``v -> xi`` (the xi were removed, v inserted).  A valuation
 of the roots then extends along the arcs to token counts for every removed
 place, which is what makes projections and concurrency propagation cheap.
+Walks read ``children``; the equation groups read ``a_children`` and
+``r_parents``; the roots are the nodes that no arc enters.
 
 Construction settles two of the structural checks: the nodes are exactly the
 places, the equations' variables and fresh constants (T1), and each
@@ -55,6 +57,11 @@ class TokenFlowGraph:
         Redundancy and agglomeration arcs as (source, target) pairs.
     p1, p2:
         Place sets of the original and the reduced net.
+
+    Three adjacency views in node order are derived on first use:
+    ``children`` over both arc kinds, and ``a_children`` and ``r_parents``,
+    the members of the two kinds of equation group.  ``roots`` and
+    ``topo_order`` read one count of incoming arcs.
     """
 
     nodes: tuple[str, ...]
@@ -84,30 +91,26 @@ class TokenFlowGraph:
         return self._adjacency(self.r_arcs | self.a_arcs)
 
     @cached_property
-    def parents(self) -> dict[str, tuple[str, ...]]:
-        return self._adjacency((dst, src) for src, dst in self.r_arcs | self.a_arcs)
-
-    @cached_property
     def a_children(self) -> dict[str, tuple[str, ...]]:
         return self._adjacency(self.a_arcs)
-
-    @cached_property
-    def r_children(self) -> dict[str, tuple[str, ...]]:
-        return self._adjacency(self.r_arcs)
 
     @cached_property
     def r_parents(self) -> dict[str, tuple[str, ...]]:
         return self._adjacency((dst, src) for src, dst in self.r_arcs)
 
     @cached_property
+    def _in_degree(self) -> Counter[str]:
+        return Counter(dst for _, dst in self.r_arcs | self.a_arcs)
+
+    @cached_property
     def roots(self) -> tuple[str, ...]:
-        return tuple(v for v in self.nodes if not self.parents[v])
+        return tuple(v for v in self.nodes if not self._in_degree[v])
 
     @cached_property
     def topo_order(self) -> tuple[str, ...]:
         """Roots-first topological order; requires acyclicity (check T5)."""
-        indeg = {v: len(self.parents[v]) for v in self.nodes}
-        ready = deque(v for v in self.nodes if indeg[v] == 0)
+        indeg = self._in_degree.copy()
+        ready = deque(self.roots)
         order: list[str] = []
         while ready:
             v = ready.popleft()
@@ -126,14 +129,8 @@ class TokenFlowGraph:
         children) and one per redundancy target (members: its redundancy
         parents).
         """
-        out = []
-        for v in self.nodes:
-            if self.a_children[v]:
-                out.append((v, self.a_children[v]))
-        for v in self.nodes:
-            if self.r_parents[v]:
-                out.append((v, self.r_parents[v]))
-        return tuple(out)
+        return tuple((v, members[v]) for members in (self.a_children, self.r_parents)
+                     for v in self.nodes if members[v])
 
     def successors(self, v: str) -> frozenset[str]:
         """Reflexive-transitive closure along both arc kinds."""
@@ -254,7 +251,7 @@ def check(
     const_set = set(graph.constants)
 
     for c in sorted(const_set):
-        if graph.parents[c]:
+        if graph._in_degree[c]:
             fail("T2", (c,), f"constant {c} has an incoming arc")
 
     both = graph.r_arcs & graph.a_arcs
@@ -262,8 +259,9 @@ def check(
         fail("T3", (src, dst), f"arc {src}->{dst} is both redundancy and agglomeration")
     a_targets = {dst for _, dst in graph.a_arcs}
     for v in graph.nodes:
-        if v in a_targets and len(graph.parents[v]) > 1:
-            fail("T3", (v,) + tuple(graph.parents[v]),
+        if v in a_targets and graph._in_degree[v] > 1:
+            parents = {src for src, dst in graph.r_arcs | graph.a_arcs if dst == v}
+            fail("T3", (v, *sorted(parents, key=graph.index.__getitem__)),
                  f"{v} has an incoming agglomeration arc plus another incoming arc")
 
     heads = Counter((eq.tag, eq.lhs) for eq in equations)
@@ -280,7 +278,7 @@ def check(
     if root_places != graph.p2:
         extra = tuple(sorted(root_places ^ graph.p2))
         fail("T6", extra, f"roots differ from reduced places on {extra}")
-    leaf_places = {v for v in graph.nodes if not graph.a_children[v]} - const_set
+    leaf_places = node_set - {src for src, _ in graph.a_arcs} - const_set
     if leaf_places != graph.p1:
         extra = tuple(sorted(leaf_places ^ graph.p1))
         fail("T6", extra, f"leaves differ from original places on {extra}")

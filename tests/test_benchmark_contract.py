@@ -1,4 +1,4 @@
-"""The names that the benchmark tracer in ``perfbench/tracing.py`` patches.
+"""The tfgkit names that the benchmark in ``perfbench/`` patches, reads and calls.
 
 The tracer records spans by swapping tfgkit functions, looked up by module
 and attribute name, for wrappers.  A renamed or moved function would break
@@ -74,3 +74,37 @@ def test_install_patches_every_name_and_uninstall_restores_it(tracing):
         assert after[name].keys() == namespace.keys(), name
         changed = [key for key, value in namespace.items() if after[name][key] is not value]
         assert not changed, (name, changed)
+
+
+# ``perfbench/run.py`` drives the library directly, and the tracer's depth
+# counter walks the graph through two of its public views: a rename breaks
+# the benchmark, so each is used here the way the benchmark uses it.
+
+# a2 -> a1 -> p1 -> p4 is the longest path: 3 arcs
+DEEP_EQUATIONS = "# A |- a1 = p1 + p2\n# A |- a2 = a1 + p3\n# R |- p4 = p1\n"
+DEEP_NET = "pl p1 1\npl p2 0\npl p3 0\npl p4 1\ntr t p1 p4 -> p2\ntr u p2 -> p3\ntr v p3 -> p1 p4\n"
+
+
+def test_graph_depth_reads_children_and_topo_order(tracing):
+    net, m0 = tfgkit.parse_net(DEEP_NET)
+    closed_net, closed_m0 = tfgkit.parse_net("pl a2 1\n")
+    closed = tfgkit.ReductionResult(
+        closed_net, closed_m0, tuple(tfgkit.parse_equations(DEEP_EQUATIONS)), 0.0
+    )
+    graph = tfgkit.build_graph(net, closed)
+    assert graph.topo_order[0] == "a2"
+    assert graph.children["a2"] == ("p3", "a1")
+    assert tracing.graph_depth(graph) == 3
+
+
+def test_session_calls_resolve():
+    assert isinstance(tfgkit.cli.NOMINAL_STATES_PER_SECOND, int)
+    assert tfgkit.cli.NOMINAL_STATES_PER_SECOND > 0
+    net, m0 = tfgkit.parse_net(DEEP_NET)
+    result = tfgkit.reduce(net, m0)
+    target = tfgkit.Marking({"p2": 1})
+    assert tfgkit.decide(net, m0, target, result).answer == tfgkit.REACHABLE
+    rel2 = tfgkit.ConcurrencyMatrix(("p", "q"), fill=0)
+    rel2.set("p", "p", 1)
+    rel2.set("q", "p", None)
+    assert (rel2.get("p", "p"), rel2.get("p", "q"), rel2.get("q", "q")) == (1, None, 0)

@@ -14,13 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, TWO_RINGS_TEXT, two_loops
-from tfgkit import tfg
+from tfgkit import conc as conc_mod
+from tfgkit import reach, tfg
 from tfgkit.cli import (
     EXIT_INPUT,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_UNKNOWN,
     _bench_targets,
+    _configure_logging,
     build_parser,
     main,
 )
@@ -523,6 +525,42 @@ class TestBench:
         capsys.readouterr()
         assert report.read_text().startswith("name\t")
 
+    @pytest.mark.parametrize("changes, columns, code", [
+        (["unknown"], "ok\tok", EXIT_OK),
+        (["unknown", "flip"], "FAIL\tFAIL", EXIT_NEGATIVE),
+    ])
+    def test_disagreement_reads_fail(self, changes, columns, code, tmp_path, capsys,
+                                     monkeypatch):
+        """An UNKNOWN verdict is skipped; a verdict or matrix that differs
+        from the oracle's marks its column FAIL and the run exits 1."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a1.net").write_text(A1_TEXT)
+        decide, lift = reach.Analysis.decide, conc_mod.matrix
+        pending = iter(changes)
+
+        def patched_decide(analysis, target):
+            verdict = decide(analysis, target)
+            change = next(pending, None)
+            if change == "unknown":
+                return reach.ReachVerdict(reach.UNKNOWN, "patched")
+            if change == "flip":
+                flipped = reach.UNREACHABLE if verdict.answer == reach.REACHABLE else reach.REACHABLE
+                return reach.ReachVerdict(flipped, "patched")
+            return verdict
+
+        def patched_matrix(graph, rel2):
+            out = lift(graph, rel2)
+            if "flip" in changes:
+                out.set("x", "x", 1 - out.get("x", "x"))
+            return out
+
+        monkeypatch.setattr(reach.Analysis, "decide", patched_decide)
+        monkeypatch.setattr(conc_mod, "matrix", patched_matrix)
+        assert main(["bench", str(corpus)]) == code
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.endswith(f"\t{columns}\tcomplete")
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -653,6 +691,22 @@ class TestInputErrors:
             main(["oracle", str(d1), flag, "0"])
         assert exc.value.code == EXIT_INPUT
         assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+    def test_limit_not_an_integer(self, d1, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(d1), "--max-states", "many"])
+        assert exc.value.code == EXIT_INPUT
+        assert "argument --max-states: invalid int value: 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, level", [
+        ("debug", logging.DEBUG), ("chatty", logging.INFO), ("basic_format", logging.INFO),
+    ])
+    def test_unknown_log_level_falls_back_to_info(self, name, level, monkeypatch):
+        configured = {}
+        monkeypatch.setenv("TFGKIT_LOG", name)
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: configured.update(kwargs))
+        _configure_logging()
+        assert configured["level"] == level
 
     def test_non_finite_timeout(self, d1, tmp_path, capsys):
         code = main(["reach", str(d1), query(tmp_path, "q=1"), "--timeout", "nan"])

@@ -405,6 +405,9 @@ class TestFillingRatio:
         mat = ConcurrencyMatrix(("a", "b", "c"))
         assert filling_ratio(mat) == pytest.approx(0.0)
 
+    def test_empty_matrix_is_full(self):
+        assert filling_ratio(ConcurrencyMatrix(())) == 1.0
+
     def test_half_known(self):
         mat = ConcurrencyMatrix(("a", "b", "c"))
         mat.set("a", "a", 1)
@@ -414,6 +417,10 @@ class TestFillingRatio:
 
 
 class TestRelation:
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate names in matrix order$"):
+            ConcurrencyMatrix(("a", "b", "a"))
+
     def test_restrict_to_any_subset_keeps_every_cell(self):
         rng = random.Random(7)
         names = [f"p{i}" for i in range(40)]

@@ -160,6 +160,17 @@ class TestEquations:
         with pytest.raises(ParseError):
             parse_equations("# R |- a = a")
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(tag="X", lhs="a", terms=("b",)), "bad tag 'X'"),
+        (dict(tag="R", lhs="a"), "rhs must be either variables or a constant"),
+        (dict(tag="R", lhs="a", terms=("b",), constant=1),
+         "rhs must be either variables or a constant"),
+        (dict(tag="R", lhs="a", constant=-1), "negative constant"),
+    ])
+    def test_equation_fields_checked(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TaggedEquation(**fields)
+
     def test_round_trip(self):
         eqs = parse_equations(CASCADE_EQUATIONS)
         assert write_equations(eqs) == CASCADE_EQUATIONS
@@ -191,6 +202,14 @@ class TestMatrix:
     def test_ragged_row(self):
         with pytest.raises(ParseError, match=r"^line 3: row has more than 2 symbols$"):
             parse_matrix("# order: a b\n1\n011\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        (("1", "01"), "row count does not match order length"),
+        (("1", "01", "0011"), "row 2 has 4 symbols, expected 3"),
+    ])
+    def test_document_rejects_bad_shape(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MatrixDocument(("a", "b", "c"), rows)
 
     @pytest.mark.parametrize("row", ["x01", "0x1", "01x", "0 1"])
     def test_document_rejects_bad_symbol(self, row):

@@ -65,6 +65,14 @@ class TestNetValidation:
         with pytest.raises(ValueError):
             PetriNet(("a",), ("t",), {"t": {"a": 0}}, {"t": {}})
 
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="^empty name$"):
+            PetriNet(("a", ""), (), {}, {})
+
+    def test_arcs_for_unknown_transition_rejected(self):
+        with pytest.raises(ValueError, match="^arcs for unknown transition 'u'$"):
+            PetriNet(("a",), ("t",), {"t": {"a": 1}}, {"u": {"a": 1}})
+
 
 class TestEnabledFire:
     def test_single_enabled(self):
@@ -108,6 +116,11 @@ class TestExplore:
     def test_initial_always_present(self):
         space = explore(U1, Marking({}), max_states=1, max_token=10)
         assert Marking({}) in space.markings
+
+    @pytest.mark.parametrize("max_states, max_token", [(0, 1), (1, 0)])
+    def test_limits_below_one_rejected(self, max_states, max_token):
+        with pytest.raises(ValueError, match="^limits must be at least 1$"):
+            explore(T1, Marking({"a": 1}), max_states=max_states, max_token=max_token)
 
 
 class TestOracles:
@@ -310,6 +323,22 @@ HUB_READERS = (  # go and sync both read hub, but sync also reads x, never marke
              {"go": {"a": 1}, "sync": {"b": 1}, "back": {"hub": 1}}),
     Marking({"hub": 1}),
 )
+
+
+def mutex(users: int) -> tuple[PetriNet, Marking]:
+    """``users`` processes that take turns holding one mutex token."""
+    b = generators.NetBuilder()
+    lock = b.place("mutex", 1)
+    for i in range(users):
+        idle, crit = b.place(f"idle{i}", 1), b.place(f"crit{i}")
+        b.transition(f"acq{i}", {lock: 1, idle: 1}, {crit: 1})
+        b.transition(f"rel{i}", {crit: 1}, {lock: 1, idle: 1})
+    return b.build()
+
+
+# every rel_i marks mutex, which six acquires read with six distinct
+# pre-vectors: more than the explorer inlines, so they share one hub list
+MUTEX = mutex(6)
 # 27 transitions: the chain's enabled one in window 0 and the loop's in
 # windows 2 and 3 leave window 1 empty
 WINDOWS = side_by_side(generators.chain_line(20), generators.choice_loop(3))
@@ -342,6 +371,7 @@ class TestPackedKernel:
     @example(HUB_READERS, 1, 300)
     @example(WINDOWS, 1, 300)
     @example(WINDOWS, 1, 30)
+    @example(MUTEX, 1, 300)
     def test_explore_matches_reference(self, net_m0, max_token, max_states):
         net, m0 = net_m0
         space = explore(net, m0, max_states=max_states, max_token=max_token)
@@ -448,6 +478,7 @@ class TestGoal:
     @example(EQUAL_PRE, 2, 300, 2)
     @example(READ_AMONG_EQUAL, 2, 300, 1)
     @example(WINDOWS, 1, 300, 50)
+    @example(MUTEX, 1, 300, 6)
     def test_goal_stop_is_a_prefix_of_the_search(self, net_m0, max_token, max_states, pick):
         net, m0 = net_m0
         expected, _ = reference_explore(net, m0, max_states, max_token)

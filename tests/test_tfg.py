@@ -161,6 +161,9 @@ class TestWellDefined:
         assert is_well_defined(graph, {k: 2, "c": 2, "x": 0})
         assert not is_well_defined(graph, {k: 1, "c": 1, "x": 0})
 
+    def test_defined_member_under_undefined_head(self, cascade):
+        assert not is_well_defined(cascade, {"p1": 1})
+
 
 class TestEnumerateExtensions:
     def test_cascade_four_configurations(self, cascade):
@@ -185,6 +188,17 @@ class TestEnumerateExtensions:
             tuple(sorted(restrict(c, ("x", "y")).items())) for c in got
         )
         assert restrictions == [(("x", 1),), (("y", 1),)]
+
+    @pytest.mark.parametrize("roots, message", [
+        ({"p1": 0}, "'p1' is not a root of the graph"),
+        ({"p0": -1}, "negative value for root 'p0'"),
+        ({"k0": 2}, "constant k0 pinned to a different value"),
+    ])
+    def test_root_valuation_checked(self, roots, message):
+        eqs = [*parse_equations(CASCADE_TEXT), TaggedEquation("R", "q", constant=1)]
+        graph = build(eqs, (*CASCADE_P1, "q"), CASCADE_P2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_extensions(graph, roots)
 
     def test_no_duplicates(self, cascade):
         got = enumerate_extensions(cascade, {"p0": 1, "p6": 1, "a2": 1})
