@@ -8,7 +8,9 @@ hold each net's reduction, graph and reduced relation in one
 component at a time; ``--max-states`` and ``--timeout`` bound the states
 stored over all components.  ``reach`` and ``conc`` get theirs from
 :func:`_analysis`, which checks an external reduced net against the net's
-initial marking.
+initial marking.  It takes the analysis that the one-shot
+:func:`tfgkit.reach.decide` keeps and reuses, so the verdict of ``reach``
+reads the graph that the check built.
 
 Exit codes are a stable contract: 0 success (or Reachable, or well-formed),
 1 negative verdict (Unreachable, check failed, disagreement), 2 input error,
@@ -144,8 +146,8 @@ def _analysis(net: PetriNet, m0: Marking, args: argparse.Namespace) -> reach.Ana
     """The :class:`reach.Analysis` of ``reach`` and ``conc``, within the
     exploration limits of ``args``.  An external reduced net must start at
     the projection of ``m0`` (condition A2), else its verdicts are wrong."""
-    analysis = reach.Analysis(net, m0, _reduction_inputs(net, m0, args),
-                              _effective_max_states(args), args.max_token)
+    analysis = reach._shared(net, m0, _reduction_inputs(net, m0, args),
+                             _effective_max_states(args), args.max_token)
     if args.equations is not None:
         if reach.project(analysis.graph, m0) != analysis.result.reduced_marking:
             raise CliError(f"{args.reduced_net}: initial marking is not the "

@@ -11,7 +11,10 @@ soon as it stores that part, and two places of different components are
 concurrent exactly when each is marked somewhere.  Each verdict carries a
 reason token naming the step that settled it.  :class:`Analysis` keeps one
 net's graph, state equation, component spaces and reduced relation across
-queries; it never explores the product of the components.
+queries; it never explores the product of the components.  The one-shot
+:func:`decide` keeps the :class:`Analysis` of its last call and reuses it
+while the calls name the same reduction, so a series of queries on one
+reduction builds one graph and explores each component at most twice.
 :func:`partition` reads the original state space off the reduced one, and
 :func:`validate_equivalence`, the exhaustive certificate, explores the full
 and the reduced net whole and checks them against each other with
@@ -248,9 +251,12 @@ class Analysis:
             return ReachVerdict(UNREACHABLE, STATE_EQUATION, projected)
         components = self._components
         verdict = ReachVerdict(REACHABLE, BACKEND_HIT, projected)
+        reused = 0  # components answered from a space an earlier call stored
         for part in components:
             goal = Marking({p: projected[p] for p in part.net.places})
+            stored = part.space
             space = self._space(part, goal)
+            reused += space is not None and space is stored
             if space is not None and goal in space:
                 continue
             if space is not None and space.is_complete:
@@ -258,10 +264,25 @@ class Analysis:
                 break
             verdict = ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
         log.debug("decide settled by search (%s): %r among %d stored reduced states "
-                  "in %d components", verdict.reason, projected,
+                  "in %d components%s", verdict.reason, projected,
                   sum(len(part.space) for part in components if part.space is not None),
-                  len(components))
+                  len(components), f", {reused} searched by earlier calls" if reused else "")
         return verdict
+
+
+_last: Analysis | None = None  # the one Analysis that the one-shot decide keeps
+
+
+def _shared(net: PetriNet, m0: Marking, result: ReductionResult,
+            max_states: int = 100_000, max_token: int = 1) -> Analysis:
+    """The :class:`Analysis` that :func:`decide` works on: the kept one when
+    it matches these arguments, else a new one kept in its place."""
+    global _last
+    last = _last
+    if (last is None or last.result is not result or last.net is not net or last.m0 != m0
+            or last.max_states != max_states or last.max_token != max_token):
+        last = _last = Analysis(net, m0, result, max_states, max_token)
+    return last
 
 
 def decide(
@@ -273,9 +294,14 @@ def decide(
     max_token: int = 1,
 ) -> ReachVerdict:
     """One-shot :meth:`Analysis.decide`.  ``result`` must tie ``net`` to its
-    reduced form; the graph and state equation are built and each component
-    of the reduced net searched for this one query."""
-    return Analysis(net, m0, result, max_states, max_token).decide(target)
+    reduced form.  A call reuses the :class:`Analysis` of the previous one
+    when both pass the same ``result`` and ``net`` objects, an equal ``m0``
+    and equal limits, and otherwise builds one that replaces it.  A series of
+    calls on one reduction thus builds one graph and state equation, searches
+    each component at most twice, and shares one ``max_states`` budget as
+    repeated :meth:`Analysis.decide` calls do: only when that budget binds
+    can a verdict differ from a fresh analysis's."""
+    return _shared(net, m0, result, max_states, max_token).decide(target)
 
 
 def partition(

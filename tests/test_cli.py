@@ -194,6 +194,26 @@ class TestReach:
         assert code == EXIT_OK
         assert capsys.readouterr().out == "REACHABLE backend-hit\n"
 
+    def test_external_equations_build_one_graph(self, a1, tmp_path, capsys, monkeypatch):
+        """The A2 check and the verdict share one analysis, so one graph."""
+        eq_path = tmp_path / "eq.txt"
+        net2_path = tmp_path / "reduced.net"
+        main(["reduce", str(a1), "--output", str(eq_path), "--reduced-net", str(net2_path)])
+        build_graph, built = reach.build_graph, []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return build_graph(*args, **kwargs)
+
+        monkeypatch.setattr(reach, "build_graph", counted)
+        code = main([
+            "reach", str(a1), query(tmp_path, "z=1"),
+            "--equations", str(eq_path), "--reduced-net", str(net2_path),
+        ])
+        assert code == EXIT_OK
+        assert len(built) == 1
+        capsys.readouterr()
+
     def test_external_equations_need_reduced_net(self, a1, tmp_path, capsys):
         eq_path = tmp_path / "eq.txt"
         eq_path.write_text("# A |- a1 = y + z\n")

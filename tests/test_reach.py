@@ -266,6 +266,91 @@ class TestAnalysis:
         assert capsys.readouterr().out.startswith("# order: p q r\n")
 
 
+class TestOneShot:
+    """The one-shot ``decide`` keeps the ``Analysis`` of its last call while
+    the calls pass the same result and net, an equal ``m0`` and equal
+    limits.  Each test reduces afresh, so its first call builds anew."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The graph builds behind ``decide``, and its explorations as
+        (component places, whether the search stopped at a goal)."""
+        built, explored = [], []
+
+        def graph(*args, **kwargs):
+            built.append(args)
+            return build_graph(*args, **kwargs)
+
+        def search(*args, **kwargs):
+            explored.append((args[0].places, kwargs.get("goal") is not None))
+            return explore(*args, **kwargs)
+
+        monkeypatch.setattr(tfgkit.reach, "build_graph", graph)
+        monkeypatch.setattr(tfgkit.reach, "explore", search)
+        return built, explored
+
+    def test_a_series_builds_one_graph_and_explores_each_component_twice_at_most(
+            self, counted):
+        built, explored = counted
+        net, m0 = composite(10)  # 13 reduced places in 4 components
+        result = reduce(net, m0)
+        targets = [t for seed in range(4) for t in _bench_targets(net, m0, seed)]
+        for target in targets:
+            decide(net, m0, target, result)
+        assert len(built) == 1
+        per_part: dict[tuple[str, ...], list[bool]] = {}
+        for places, goal in explored:
+            per_part.setdefault(places, []).append(goal)
+        assert len(per_part) == 4
+        assert all(goals in ([True], [True, False]) for goals in per_part.values())
+        assert [True, False] in per_part.values()
+
+    @pytest.mark.parametrize("change", ["result", "net", "m0", "max_states", "max_token"])
+    def test_a_changed_key_builds_a_new_analysis(self, change, counted):
+        built, _ = counted
+        net, m0 = parse_net(A1_TEXT)
+        result = reduce(net, m0)
+        key = dict(net=net, m0=m0, result=result, max_states=100_000, max_token=1)
+        other = dict(key, **{change: {
+            "result": ReductionResult(result.reduced_net, result.reduced_marking,
+                                      result.equations, result.ratio),
+            "net": parse_net(A1_TEXT)[0],
+            "m0": Marking({"y": 1}),
+            "max_states": 99_999,
+            "max_token": 2,
+        }[change]})
+        if change in ("result", "net"):  # equal, but another object
+            assert other[change] == key[change] and other[change] is not key[change]
+        target = Marking({"z": 1})
+        for args, graphs in ((key, 1), (key, 1), (other, 2), (other, 2), (key, 3)):
+            assert decide(target=target, **args).answer == REACHABLE
+            assert len(built) == graphs, args
+
+    @pytest.mark.parametrize("net_m0", [two_loops(), parse_net(TWO_RINGS_TEXT), composite(10)],
+                             ids=["two_loops", "two_rings", "composite10"])
+    def test_a_binding_budget_is_shared_as_on_one_analysis(self, net_m0):
+        net, m0 = net_m0
+        result = reduce(net, m0)
+        targets = [t for seed in (0, 1) for t in _bench_targets(net, m0, seed)]
+        one_shot = [decide(net, m0, t, result, max_states=1) for t in targets]
+        analysis = Analysis(net, m0, result, max_states=1)
+        assert one_shot == [analysis.decide(t) for t in targets]
+        assert UNKNOWN in {verdict.answer for verdict in one_shot}
+
+    def test_log_counts_the_components_searched_before(self, caplog, capsys):
+        net, m0 = two_loops()
+        result = reduce(net, m0)
+        decide(net, m0, Marking({"c_m0": 1, "d_m0": 1}), result)  # goal searches
+        decide(net, m0, Marking({"c_m1": 1, "d_m2": 1}), result)  # full explorations
+        caplog.set_level(logging.DEBUG, logger="tfgkit")
+        decide(net, m0, Marking({"c_hub": 1, "d_m1": 1}), result)
+        assert caplog.messages == [
+            "decide settled by search (backend-hit): Marking(c_hub=1 d_m1=1) "
+            "among 7 stored reduced states in 2 components, 2 searched by earlier calls",
+        ]
+        assert capsys.readouterr().out == ""
+
+
 # the components {a, b}, {iso} (no transition, marked) and {d, e} (dead),
 # with their places interleaved
 SPLIT_TEXT = (
@@ -310,6 +395,17 @@ class TestComponents:
         net, m0 = net_m0
         targets = [t for seed in (0, 1) for t in _bench_targets(net, m0, seed)]
         assert_agrees_with_oracles(net, m0, reduce(net, m0), targets)
+
+    @settings(max_examples=40)
+    @given(st.one_of(st.integers(0, 10_000).map(composite), bounded_nets()))
+    def test_one_shot_series_equals_fresh_analyses(self, net_m0):
+        """At the default budget, reusing one analysis across a series of
+        one-shot calls changes no answer, reason or projected marking."""
+        net, m0 = net_m0
+        result = reduce(net, m0)
+        targets = [t for seed in (0, 1) for t in _bench_targets(net, m0, seed)]
+        one_shot = [decide(net, m0, t, result) for t in targets]
+        assert one_shot == [Analysis(net, m0, result).decide(t) for t in targets]
 
     @pytest.mark.parametrize("seed", [0, 10, 21, 24, 35])
     def test_rel2_matches_pairwise_scan(self, seed):
