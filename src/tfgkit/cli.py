@@ -53,11 +53,11 @@ EXIT_UNKNOWN = 3
 
 # Cooperative timeout: wall-clock signals are nondeterministic, so --timeout
 # is converted into a state budget at a fixed nominal exploration rate: the
-# median petri.states_per_s of the incremental-enabledness explorer over six
-# runs (seeds 1-4) of `perfbench/run.py --workload product_explore --trace 1`
-# (194k-256k, median 235k; CPython 3.11 on a shared 2-core x86-64
+# median petri.states_per_s of the sleep-set explorer over three runs (seeds
+# 3-5) of `perfbench/run.py --workload product_explore --trace 1`
+# (393k-447k, median 446k; CPython 3.11 on a shared 2-core x86-64
 # container), rounded down to two significant digits.
-NOMINAL_STATES_PER_SECOND = 230_000
+NOMINAL_STATES_PER_SECOND = 440_000
 
 
 class CliError(Exception):

@@ -41,6 +41,41 @@ skipped by a jump to the lowest set bit.  Bits are still expanded from low
 to high, which is declaration order, so the stored set and every truncation
 point are those of a full scan.
 
+Sleep sets
+----------
+On a net made of independent parts, most firings lead back to a stored
+marking: ``a`` then ``b`` reaches what ``b`` then ``a`` already did.  The
+search skips them with sleep sets (Godefroid, "Partial-Order Methods for the
+Verification of Concurrent Systems", LNCS 1032, 1996).  Beside its enabled
+mask, each queued marking carries a sleep mask ``z`` of enabled transitions,
+and only the transitions of ``mask & ~z`` fire at it.  A transition ``u``
+*depends* on ``t`` when ``u`` reads a place that ``t`` reads or changes.
+When ``t`` fires at ``m`` and stores a new marking ``m2``, ``m2`` sleeps on
+
+    z2 = (z | the transitions fired at m before t) minus the dependents of t
+
+which the search takes as ``sleep & (mask & keep) & wake``: ``keep`` drops
+the readers of the places that ``t`` changes, and ``wake`` those of the
+places that it reads and puts back.  So a member ``u`` of ``z2`` is enabled
+at ``m`` and at ``m2``, since ``t`` changes no place ``u`` reads, and ``t``
+is still enabled after ``u``, since ``u`` reads no place ``t`` reads, and a
+transition can only lower a place it reads.  The relation need not be
+symmetric: a transition that only puts tokens on a place that ``t`` reads
+cannot disable ``t``.
+
+Every skipped firing reaches a stored marking: when ``m2`` is expanded,
+``m2 + u`` has been stored for each ``u`` of ``z2``, or the search has
+stopped.  By induction on the order of expansion, ``m + u`` was stored
+before ``m2``: when ``u`` fired at ``m``, or by the claim for ``m`` when
+``u`` slept there.  So ``m + u`` is expanded first, with ``t`` enabled.
+Either ``t`` fires there and stores ``m + u + t = m2 + u``, or stops the
+search at a limit, or ``t`` sleeps at ``m + u`` and the claim for ``m + u``
+applies.  A full scan would have found every skipped successor in the
+stored set and passed over it, so the stored set, its order, every
+``max-states`` and ``max-token`` truncation point and the goal stop are
+exactly those of a full scan.  On ``two_phase_branches(14)`` the search
+fires 16,440 edges for its 16,386 states, against 115,573 without sleep sets.
+
 One encoding serves safe nets (``max_token=1``) and bounded ones alike.
 :class:`StateSpace` keeps the packed set; ``len(space)`` and ``m in space``
 work on it directly, and ``space.markings`` decodes it to :class:`Marking`
@@ -289,15 +324,20 @@ def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tup
     """The mask of the transitions enabled at the counts ``tokens``, and
     every transition's move in a window table.
 
-    A move is ``(delta, keep, tests, shared)``: the packed ``post - pre``;
-    the complement of ``touched``, which clears the readers of the places
-    that the move changes from a parent's mask; and the tests that re-arm
-    them.  A test ``[pre, bits]`` holds a packed pre-vector and the mask of
-    every transition that has it.  Each place lists the tests of its
-    readers, so a transition finds the test of its pre-vector, if an earlier
-    transition made it, among those of any one place it reads: in the list,
-    or by pre once the list is longer than ``_INLINE``, so that a hub costs
-    no rescan.  ``tests`` concatenates the lists of the places that the move
+    A move is ``(delta, keep, tests, shared, bit, wake)``: the packed
+    ``post - pre``; the complement of ``touched``, which clears the readers
+    of the places that the move changes from a parent's mask; the tests that
+    re-arm them; the transition's own bit; and the complement of the readers
+    of the places it reads and does not change, which with ``keep`` clears
+    its dependents from a sleep mask (see the module doc).  ``wake`` is -1,
+    so no mask as wide as the transitions is built for it, when the
+    transition changes every place it reads, the common case.  A test
+    ``[pre, bits]`` holds a packed pre-vector and the mask of every
+    transition that has it.  Each place lists the tests of its readers, so a
+    transition finds the test of its pre-vector, if an earlier transition
+    made it, among those of any one place it reads: in the list, or by pre
+    once the list is longer than ``_INLINE``, so that a hub costs no
+    rescan.  ``tests`` concatenates the lists of the places that the move
     changes, so the search runs one loop per successor; a list of more than
     ``_INLINE`` tests, such as that of a hub whose readers also read places
     of their own, is not copied but shared, through ``shared``.  So a move
@@ -319,11 +359,14 @@ def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tup
         pre_arcs, post_arcs = net.pre.get(t, no_arcs), net.post.get(t, no_arcs)
         pre = post = 0
         places = []
+        kept = ()  # the places t reads and does not change
         ready = bit
         for p, w in pre_arcs.items():
             pre += w << index[p] * width
             if post_arcs.get(p) != w:
                 places.append(p)
+            else:
+                kept += (p,)
             if tokens.get(p, 0) < w:
                 ready = 0
         for q, w in post_arcs.items():
@@ -360,11 +403,11 @@ def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tup
                     elif len(group) > _INLINE:
                         entry[2] = {old[0]: old for old in group}
         enabled |= ready
-        changed.append((post - pre, places))
+        changed.append((post - pre, places, kept, bit))
         bit <<= 1
     windows = _Windows()
     keys = [j >> 3 << 8 | 1 << (j & 7) for j in range(len(changed))]  # one-bit window keys
-    for key, (delta, places) in zip(keys, changed):
+    for key, (delta, places, kept, bit) in zip(keys, changed):
         touched = 0
         inline = []
         shared = ()
@@ -377,7 +420,10 @@ def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tup
                     shared += (group,)
                 else:
                     inline += group
-        windows[key] = ((delta, ~touched, inline, shared),)
+        kept_readers = 0
+        for p in kept:
+            kept_readers |= readers[p][0]
+        windows[key] = ((delta, ~touched, inline, shared, bit, ~kept_readers),)
     return enabled, windows
 
 
@@ -387,11 +433,15 @@ def _search(seen: set[int], start: int, mask: int, windows: _Windows, guards: in
     that adds each stored marking to ``seen`` and returns the status:
     ``truncated(...)`` as soon as a limit or ``target`` is hit.  A marking's
     mask is read a window of 8 bits at a time, in ``windows``; while the
-    lowest window is empty, the mask jumps to the lowest set bit's window."""
-    queue = deque([(start, mask)])
+    lowest window is empty, the mask jumps to the lowest set bit's window.
+    Each queued marking also carries its sleep mask, and the transitions in
+    it are not fired; ``sleep`` gains the bit of each transition fired at
+    the marking, so that it holds the ``z | fired before t`` of the module
+    doc when a successor is stored."""
+    queue = deque([(start, mask, 0)])
     while queue:
-        m, mask = queue.popleft()
-        rest = mask
+        m, mask, sleep = queue.popleft()
+        rest = mask ^ sleep  # the sleep set is a subset of the enabled mask
         key = 0  # window index << 8
         while rest:
             byte = rest & 255
@@ -401,9 +451,10 @@ def _search(seen: set[int], start: int, mask: int, windows: _Windows, guards: in
                 key += skip << 5
                 byte = rest & 255
             rest >>= 8
-            for delta, keep, tests, shared in windows[key | byte]:
+            for delta, keep, tests, shared, bit, wake in windows[key | byte]:
                 m2 = m + delta
                 if m2 in seen:
+                    sleep |= bit
                     continue
                 if (m2 + cap) & guards:
                     return truncated("max-token")
@@ -411,6 +462,7 @@ def _search(seen: set[int], start: int, mask: int, windows: _Windows, guards: in
                     return truncated("max-states")
                 seen.add(m2)
                 mask2 = mask & keep
+                sleep2 = sleep & mask2 & wake
                 armed = m2 | guards
                 for pre, bits in tests:
                     if (armed - pre) & guards == guards:
@@ -419,7 +471,8 @@ def _search(seen: set[int], start: int, mask: int, windows: _Windows, guards: in
                     for pre, bits in group:
                         if (armed - pre) & guards == guards:
                             mask2 |= bits
-                queue.append((m2, mask2))
+                queue.append((m2, mask2, sleep2))
+                sleep |= bit
                 if m2 == target:
                     return truncated("goal")
             key += 256
@@ -438,7 +491,10 @@ def explore(
     Stops as soon as the visited set would exceed ``max_states`` or a fired
     marking holds more than ``max_token`` tokens on some place; the returned
     status names the limit.  The marking set itself does not depend on
-    transition declaration order, only the truncation point does.  Raises
+    transition declaration order, only the truncation point does.  Sleep
+    sets skip only firings whose successor is already stored (the induction
+    in the module doc), so the stored set and the truncation point are those
+    of a search that fires every enabled transition.  Raises
     ValueError when ``m0`` marks a place outside ``net.places``.
 
     With a ``goal``, the search also stops as soon as it stores ``goal``

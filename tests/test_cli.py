@@ -176,7 +176,7 @@ class TestReach:
         path = tmp_path / "choice.net"
         path.write_text(write_net(net, m0))
         code = main([
-            "reach", str(path), query(tmp_path, "c_m2=1"), "--timeout", "0.00001",
+            "reach", str(path), query(tmp_path, "c_m2=1"), "--timeout", "0.000005",
         ])
         assert code == EXIT_UNKNOWN
         capsys.readouterr()

@@ -324,6 +324,27 @@ HUB_READERS = (  # go and sync both read hub, but sync also reads x, never marke
     Marking({"hub": 1}),
 )
 
+# Nets where a firing must wake a sleeping transition, or need not:
+LOOK_BESIDE_TAKE = (  # look puts back the p it reads, and take consumes it
+    PetriNet(("p", "s", "x", "y"), ("take", "look"),
+             {"take": {"p": 1}, "look": {"p": 1, "s": 1}},
+             {"take": {"y": 1}, "look": {"p": 1, "x": 1}}),
+    Marking({"p": 1, "s": 1}),
+)
+PRODUCER_INTO_READ = (  # make only puts a token on the p that eat reads
+    PetriNet(("s", "p", "q"), ("make", "eat"),
+             {"make": {"s": 1}, "eat": {"p": 1}}, {"make": {"p": 1}, "eat": {"q": 1}}),
+    Marking({"s": 1, "p": 1}),
+)
+TWO_PRODUCERS = (  # a and b never read p, and together put 2 tokens on it
+    PetriNet(("s", "r", "p"), ("a", "b"),
+             {"a": {"s": 1}, "b": {"r": 1}}, {"a": {"p": 1}, "b": {"p": 1}}),
+    Marking({"s": 1, "r": 1}),
+)
+# independent blocks: 3 x 3 x 6 = 54 and 3 x 4 x 3 = 36 states
+BLOCKS = side_by_side(generators.choice_loop(2), generators.ring(3), generators.two_phase_branches(2))
+MORE_BLOCKS = side_by_side(generators.fork_join(2), generators.choice_loop(3), generators.ring(3))
+
 
 def mutex(users: int) -> tuple[PetriNet, Marking]:
     """``users`` processes that take turns holding one mutex token."""
@@ -372,6 +393,21 @@ class TestPackedKernel:
     @example(WINDOWS, 1, 300)
     @example(WINDOWS, 1, 30)
     @example(MUTEX, 1, 300)
+    @example(LOOK_BESIDE_TAKE, 1, 300)
+    @example(LOOK_BESIDE_TAKE, 1, 3)
+    @example(PRODUCER_INTO_READ, 2, 300)
+    @example(PRODUCER_INTO_READ, 2, 4)
+    @example(PRODUCER_INTO_READ, 1, 300)
+    @example(TWO_PRODUCERS, 1, 300)
+    @example(TWO_PRODUCERS, 2, 300)
+    @example(TWO_PRODUCERS, 2, 3)
+    @example(BLOCKS, 1, 300)
+    @example(BLOCKS, 1, 10)
+    @example(BLOCKS, 1, 20)
+    @example(BLOCKS, 1, 31)
+    @example(MORE_BLOCKS, 1, 300)
+    @example(MORE_BLOCKS, 1, 7)
+    @example(MORE_BLOCKS, 1, 20)
     def test_explore_matches_reference(self, net_m0, max_token, max_states):
         net, m0 = net_m0
         space = explore(net, m0, max_states=max_states, max_token=max_token)
@@ -423,7 +459,7 @@ class TestPackedKernel:
         _, windows = _compile(net, _Packing(net.places, 2), m0._tokens)
         moves = dict(zip(net.transitions, (move for (move,) in windows.values())))
         for i in range(50):
-            _, _, tests, shared = moves[f"c_back{i}"]
+            _, _, tests, shared, _, _ = moves[f"c_back{i}"]
             assert len(tests) == 2 and not shared
             assert sum(bits.bit_count() for _, bits in tests) == 51
 
@@ -444,9 +480,9 @@ class TestPackedKernel:
         _, windows = _compile(net, _Packing(net.places, 2), {"hub": 1, "x0": 1})
         moves = [move for (move,) in windows.values()]
         assert len(moves) == 3 * n
-        shared = {id(group): group for _, _, _, groups in moves for group in groups}
+        shared = {id(group): group for _, _, _, groups, _, _ in moves for group in groups}
         assert [len(group) for group in shared.values()] == [n + 1]
-        entries = sum(len(tests) for _, _, tests, _ in moves) + sum(map(len, shared.values()))
+        entries = sum(len(tests) for _, _, tests, _, _, _ in moves) + sum(map(len, shared.values()))
         arcs = sum(len(arcs) for side in (pre, post) for arcs in side.values())
         assert entries <= 2 * arcs
 
@@ -479,6 +515,12 @@ class TestGoal:
     @example(READ_AMONG_EQUAL, 2, 300, 1)
     @example(WINDOWS, 1, 300, 50)
     @example(MUTEX, 1, 300, 6)
+    @example(BLOCKS, 1, 300, 4)
+    @example(BLOCKS, 1, 300, 16)
+    @example(BLOCKS, 1, 300, 23)
+    @example(BLOCKS, 1, 300, 53)
+    @example(MORE_BLOCKS, 1, 300, 9)
+    @example(MORE_BLOCKS, 1, 300, 35)
     def test_goal_stop_is_a_prefix_of_the_search(self, net_m0, max_token, max_states, pick):
         net, m0 = net_m0
         expected, _ = reference_explore(net, m0, max_states, max_token)
