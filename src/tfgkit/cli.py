@@ -53,11 +53,11 @@ EXIT_UNKNOWN = 3
 
 # Cooperative timeout: wall-clock signals are nondeterministic, so --timeout
 # is converted into a state budget at a fixed nominal exploration rate: the
-# median petri.states_per_s of the sleep-set explorer over three runs (seeds
-# 3-5) of `perfbench/run.py --workload product_explore --trace 1`
-# (393k-447k, median 446k; CPython 3.11 on a shared 2-core x86-64
-# container), rounded down to two significant digits.
-NOMINAL_STATES_PER_SECOND = 440_000
+# median petri.states_per_s of the explorer over three runs (seeds 3-5) of
+# `perfbench/run.py --workload product_explore --trace 1` (557k-634k,
+# median 621k; CPython 3.11 on a shared 2-core x86-64 container), rounded
+# down to two significant digits.
+NOMINAL_STATES_PER_SECOND = 620_000
 
 
 class CliError(Exception):
@@ -119,7 +119,9 @@ def _effective_max_states(args: argparse.Namespace) -> int:
     if args.timeout is not None:
         if not math.isfinite(args.timeout) or args.timeout <= 0:
             raise CliError(f"--timeout must be finite and positive, got {args.timeout}")
-        budget = min(budget, max(1, int(args.timeout * NOMINAL_STATES_PER_SECOND)))
+        states = args.timeout * NOMINAL_STATES_PER_SECOND  # inf past the float range
+        if states < budget:
+            budget = max(1, int(states))
     return budget
 
 

@@ -34,12 +34,9 @@ of their bits: the ``b`` branches that leave a choice hub cost one test, not
 ``b``.  So a firing re-tests each distinct pre-vector that reads a place it
 changes once, and no other transition of the net.
 
-The mask is expanded 8 transitions at a time.  A lazily filled table maps
-each value of an 8-bit window to the tuple of its transitions' moves, so
-one lookup yields up to 8 moves, and a window that holds no set bit is
-skipped by a jump to the lowest set bit.  Bits are still expanded from low
-to high, which is declaration order, so the stored set and every truncation
-point are those of a full scan.
+The mask is expanded one set bit at a time, from low to high, which is
+declaration order: the lowest set bit's position indexes the list of
+compiled moves.
 
 Sleep sets
 ----------
@@ -303,41 +300,23 @@ def fire(net: PetriNet, m: Marking, t: str) -> Marking:
 _INLINE = 4
 
 
-class _Windows(dict):
-    """Moves by window of the enabled mask: key ``k << 8 | byte`` holds the
-    moves of transitions ``8k + i`` for the set bits ``i`` of ``byte``, in
-    bit order, so a window has at most 256 keys.  ``_compile`` stores the
-    one-bit keys, and the others are built from them on first use."""
-
-    def __missing__(self, key: int) -> tuple:
-        out = ()
-        high, rest = key & -256, key & 255
-        while rest:
-            low = rest & -rest
-            out += self[high | low]
-            rest -= low
-        self[key] = out
-        return out
-
-
-def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tuple[int, _Windows]:
+def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tuple[int, list[tuple]]:
     """The mask of the transitions enabled at the counts ``tokens``, and
-    every transition's move in a window table.
+    the list of every transition's move, in declaration order.
 
-    A move is ``(delta, keep, tests, shared, bit, wake)``: the packed
+    A move is ``(delta, keep, tests, shared, wake)``: the packed
     ``post - pre``; the complement of ``touched``, which clears the readers
     of the places that the move changes from a parent's mask; the tests that
-    re-arm them; the transition's own bit; and the complement of the readers
-    of the places it reads and does not change, which with ``keep`` clears
-    its dependents from a sleep mask (see the module doc).  ``wake`` is -1,
-    so no mask as wide as the transitions is built for it, when the
-    transition changes every place it reads, the common case.  A test
-    ``[pre, bits]`` holds a packed pre-vector and the mask of every
-    transition that has it.  Each place lists the tests of its readers, so a
-    transition finds the test of its pre-vector, if an earlier transition
-    made it, among those of any one place it reads: in the list, or by pre
-    once the list is longer than ``_INLINE``, so that a hub costs no
-    rescan.  ``tests`` concatenates the lists of the places that the move
+    re-arm them; and the complement of the readers of the places it reads
+    and does not change, which with ``keep`` clears its dependents from a
+    sleep mask (see the module doc).  ``wake`` is -1, so no mask as wide as
+    the transitions is built for it, when the transition changes every place
+    it reads, the common case.  A test ``[pre, bits]`` holds a packed
+    pre-vector and the mask of every transition that has it.  Each place
+    lists the tests of its readers, so a transition finds the test of its
+    pre-vector, if an earlier transition made it, among those of any one
+    place it reads: in the list, or by pre once the list is longer than
+    ``_INLINE``, so that a hub costs no rescan.  ``tests`` concatenates the lists of the places that the move
     changes, so the search runs one loop per successor; a list of more than
     ``_INLINE`` tests, such as that of a hub whose readers also read places
     of their own, is not copied but shared, through ``shared``.  So a move
@@ -403,11 +382,10 @@ def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tup
                     elif len(group) > _INLINE:
                         entry[2] = {old[0]: old for old in group}
         enabled |= ready
-        changed.append((post - pre, places, kept, bit))
+        changed.append((post - pre, places, kept))
         bit <<= 1
-    windows = _Windows()
-    keys = [j >> 3 << 8 | 1 << (j & 7) for j in range(len(changed))]  # one-bit window keys
-    for key, (delta, places, kept, bit) in zip(keys, changed):
+    moves = []
+    for delta, places, kept in changed:
         touched = 0
         inline = []
         shared = ()
@@ -423,59 +401,52 @@ def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tup
         kept_readers = 0
         for p in kept:
             kept_readers |= readers[p][0]
-        windows[key] = ((delta, ~touched, inline, shared, bit, ~kept_readers),)
-    return enabled, windows
+        moves.append((delta, ~touched, inline, shared, ~kept_readers))
+    return enabled, moves
 
 
-def _search(seen: set[int], start: int, mask: int, windows: _Windows, guards: int, cap: int,
+def _search(seen: set[int], start: int, mask: int, moves: list[tuple], guards: int, cap: int,
             max_states: int, target: int) -> str:
     """Breadth-first search from ``start``, whose enabled mask is ``mask``,
     that adds each stored marking to ``seen`` and returns the status:
-    ``truncated(...)`` as soon as a limit or ``target`` is hit.  A marking's
-    mask is read a window of 8 bits at a time, in ``windows``; while the
-    lowest window is empty, the mask jumps to the lowest set bit's window.
-    Each queued marking also carries its sleep mask, and the transitions in
-    it are not fired; ``sleep`` gains the bit of each transition fired at
-    the marking, so that it holds the ``z | fired before t`` of the module
-    doc when a successor is stored."""
+    ``truncated(...)`` as soon as a limit or ``target`` is hit.  The
+    transitions of a marking's mask fire lowest bit first, each reading its
+    move at the bit's position in ``moves``.  Each queued marking also
+    carries its sleep mask, and the transitions in it are not fired;
+    ``sleep`` gains the bit of each transition fired at the marking, so that
+    it holds the ``z | fired before t`` of the module doc when a successor
+    is stored."""
     queue = deque([(start, mask, 0)])
     while queue:
         m, mask, sleep = queue.popleft()
         rest = mask ^ sleep  # the sleep set is a subset of the enabled mask
-        key = 0  # window index << 8
         while rest:
-            byte = rest & 255
-            if not byte:  # jump to the window of the lowest set bit
-                skip = (rest & -rest).bit_length() - 1 & -8
-                rest >>= skip
-                key += skip << 5
-                byte = rest & 255
-            rest >>= 8
-            for delta, keep, tests, shared, bit, wake in windows[key | byte]:
-                m2 = m + delta
-                if m2 in seen:
-                    sleep |= bit
-                    continue
-                if (m2 + cap) & guards:
-                    return truncated("max-token")
-                if len(seen) >= max_states:
-                    return truncated("max-states")
-                seen.add(m2)
-                mask2 = mask & keep
-                sleep2 = sleep & mask2 & wake
-                armed = m2 | guards
-                for pre, bits in tests:
+            bit = rest & -rest
+            rest ^= bit
+            delta, keep, tests, shared, wake = moves[bit.bit_length() - 1]
+            m2 = m + delta
+            if m2 in seen:
+                sleep |= bit
+                continue
+            if (m2 + cap) & guards:
+                return truncated("max-token")
+            if len(seen) >= max_states:
+                return truncated("max-states")
+            seen.add(m2)
+            mask2 = mask & keep
+            sleep2 = sleep & mask2 & wake
+            armed = m2 | guards
+            for pre, bits in tests:
+                if (armed - pre) & guards == guards:
+                    mask2 |= bits
+            for group in shared:
+                for pre, bits in group:
                     if (armed - pre) & guards == guards:
                         mask2 |= bits
-                for group in shared:
-                    for pre, bits in group:
-                        if (armed - pre) & guards == guards:
-                            mask2 |= bits
-                queue.append((m2, mask2, sleep2))
-                sleep |= bit
-                if m2 == target:
-                    return truncated("goal")
-            key += 256
+            queue.append((m2, mask2, sleep2))
+            sleep |= bit
+            if m2 == target:
+                return truncated("goal")
     return COMPLETE
 
 
@@ -521,9 +492,9 @@ def explore(
         return StateSpace(packing, frozenset([start]), truncated("max-token"))
     guards = packing.guards
     cap = packing.ones * ((1 << packing.bits) - 1 - max_token)
-    mask, windows = _compile(net, packing, m0._tokens)
+    mask, moves = _compile(net, packing, m0._tokens)
     seen = {start}
-    status = _search(seen, start, mask, windows, guards, cap, max_states, target)
+    status = _search(seen, start, mask, moves, guards, cap, max_states, target)
     return StateSpace(packing, frozenset(seen), status)
 
 

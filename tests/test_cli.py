@@ -176,7 +176,7 @@ class TestReach:
         path = tmp_path / "choice.net"
         path.write_text(write_net(net, m0))
         code = main([
-            "reach", str(path), query(tmp_path, "c_m2=1"), "--timeout", "0.000005",
+            "reach", str(path), query(tmp_path, "c_m2=1"), "--timeout", "0.000004",
         ])
         assert code == EXIT_UNKNOWN
         capsys.readouterr()
@@ -732,6 +732,18 @@ class TestInputErrors:
         code = main(["reach", str(d1), query(tmp_path, "q=1"), "--timeout", "nan"])
         assert code == EXIT_INPUT
         assert "--timeout must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reach", "oracle"])
+    def test_timeout_past_the_float_range_keeps_max_states(self, command, d1, tmp_path, capsys):
+        """A finite timeout whose state count overflows a float leaves
+        --max-states as the budget."""
+        argv = [command, str(d1), "--max-states", "3"]
+        if command == "reach":
+            argv.insert(2, query(tmp_path, "q=1"))
+        code = main(argv)
+        expected = capsys.readouterr()
+        assert main(argv + ["--timeout", "1e308"]) == code
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command", ["reach", "conc", "oracle"])

@@ -360,9 +360,12 @@ def mutex(users: int) -> tuple[PetriNet, Marking]:
 # every rel_i marks mutex, which six acquires read with six distinct
 # pre-vectors: more than the explorer inlines, so they share one hub list
 MUTEX = mutex(6)
-# 27 transitions: the chain's enabled one in window 0 and the loop's in
-# windows 2 and 3 leave window 1 empty
+# 27 transitions: the chain's enabled one at position 0 and the loop's at
+# 21, 23 and 25, with no enabled transition between them
 WINDOWS = side_by_side(generators.chain_line(20), generators.choice_loop(3))
+# 47 transitions: the loop's enabled ones at 41, 43 and 45, more than one
+# 30-bit CPython int digit above the chain's at position 0
+WIDE = side_by_side(generators.chain_line(40), generators.choice_loop(3))
 
 
 # Nets on which the concurrency rows merge markings that share their upper
@@ -392,6 +395,8 @@ class TestPackedKernel:
     @example(HUB_READERS, 1, 300)
     @example(WINDOWS, 1, 300)
     @example(WINDOWS, 1, 30)
+    @example(WIDE, 1, 300)
+    @example(WIDE, 1, 60)
     @example(MUTEX, 1, 300)
     @example(LOOK_BESIDE_TAKE, 1, 300)
     @example(LOOK_BESIDE_TAKE, 1, 3)
@@ -456,10 +461,10 @@ class TestPackedKernel:
         with pre {hub: 1}: its move re-tests them with one test, beside the
         one of its own place."""
         net, m0 = generators.choice_loop(50).build()
-        _, windows = _compile(net, _Packing(net.places, 2), m0._tokens)
-        moves = dict(zip(net.transitions, (move for (move,) in windows.values())))
+        _, moves = _compile(net, _Packing(net.places, 2), m0._tokens)
+        moves = dict(zip(net.transitions, moves))
         for i in range(50):
-            _, _, tests, shared, _, _ = moves[f"c_back{i}"]
+            _, _, tests, shared, _ = moves[f"c_back{i}"]
             assert len(tests) == 2 and not shared
             assert sum(bits.bit_count() for _, bits in tests) == 51
 
@@ -477,12 +482,11 @@ class TestPackedKernel:
             pre[f"go{i}"], post[f"go{i}"] = {"hub": 1}, {f"y{i}": 1}
         places = ("hub", *(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)))
         net = PetriNet(places, tuple(pre), pre, post)
-        _, windows = _compile(net, _Packing(net.places, 2), {"hub": 1, "x0": 1})
-        moves = [move for (move,) in windows.values()]
+        _, moves = _compile(net, _Packing(net.places, 2), {"hub": 1, "x0": 1})
         assert len(moves) == 3 * n
-        shared = {id(group): group for _, _, _, groups, _, _ in moves for group in groups}
+        shared = {id(group): group for _, _, _, groups, _ in moves for group in groups}
         assert [len(group) for group in shared.values()] == [n + 1]
-        entries = sum(len(tests) for _, _, tests, _, _, _ in moves) + sum(map(len, shared.values()))
+        entries = sum(len(tests) for _, _, tests, _, _ in moves) + sum(map(len, shared.values()))
         arcs = sum(len(arcs) for side in (pre, post) for arcs in side.values())
         assert entries <= 2 * arcs
 
@@ -514,6 +518,7 @@ class TestGoal:
     @example(EQUAL_PRE, 2, 300, 2)
     @example(READ_AMONG_EQUAL, 2, 300, 1)
     @example(WINDOWS, 1, 300, 50)
+    @example(WIDE, 1, 300, 100)
     @example(MUTEX, 1, 300, 6)
     @example(BLOCKS, 1, 300, 4)
     @example(BLOCKS, 1, 300, 16)
