@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import tfgkit.petri
 from conftest import side_by_side
 from tfgkit import generators
 from tfgkit.petri import (
@@ -16,8 +17,10 @@ from tfgkit.petri import (
     NotEnabledError,
     PetriNet,
     StateEquation,
+    _column_rows,
     _compile,
     _Packing,
+    _peeled_rows,
     enabled,
     explore,
     fire,
@@ -378,6 +381,24 @@ LONE_UPPER = (  # {b} lies above a, the lowest place of the highest marking {a, 
     PetriNet(("a", "b", "c"), ("t",), {"t": {"a": 1, "c": 1}}, {"t": {"b": 1}}),
     Marking({"a": 1, "c": 1}),
 )
+# Nets whose stored markings number at least their places squared, so that
+# the rows are built column-wise: 16 places and 256 states, and 14 places
+# and 288 states at max_token 2
+FOUR_LOOPS = side_by_side(*(generators.choice_loop(3, f"c{i}") for i in range(4)))
+BOUNDED_LOOPS = side_by_side(TWO_TOKENS, generators.choice_loop(3, "a"),
+                             generators.choice_loop(3, "b"), generators.ring(3))
+# p0 and p1 each move a token to p5; p6 is marked beside p5 only while p5
+# holds 2, and p4 lets p5 empty out.  At max_token 2 the fields are 3 bits
+# wide, so p5's value bits 15 and 16 lie in two bytes, and its partner p6 is
+# seen through bit 16 alone; the empty marking is stored too
+STRADDLE = (
+    PetriNet(tuple(f"p{i}" for i in range(7)), ("t", "u", "v", "x", "y"),
+             {"t": {"p0": 1}, "u": {"p1": 1, "p2": 1}, "v": {"p6": 1},
+              "x": {"p5": 1, "p4": 1}, "y": {"p4": 1}},
+             {"t": {"p5": 1, "p2": 1}, "u": {"p5": 1, "p6": 1}, "v": {"p4": 1},
+              "x": {"p4": 1}}),
+    Marking({"p0": 1, "p1": 1}),
+)
 
 
 class TestPackedKernel:
@@ -430,6 +451,8 @@ class TestPackedKernel:
     @example(generators.isolated_places(30, 5).build(), 1, random.Random(3))
     @example(generators.fork_join(20).build(), 1, random.Random(4))
     @example(LONE_UPPER, 1, random.Random(5))
+    @example(FOUR_LOOPS, 1, random.Random(6))
+    @example(BOUNDED_LOOPS, 2, random.Random(7))
     def test_concurrency_matches_pairwise_scan(self, net_m0, max_token, rng):
         net, m0 = net_m0
         space = explore(net, m0, max_states=300, max_token=max_token)
@@ -446,6 +469,18 @@ class TestPackedKernel:
                 assert mat.get(p, q) == value, (p, q)
                 ones += value
         assert mat.writes == ones
+
+    @pytest.mark.parametrize("net_m0, max_token, peeled", [
+        (FOUR_LOOPS, 1, False),
+        (BOUNDED_LOOPS, 2, False),
+        (generators.chain_line(25).build(), 1, True),  # 26 places and states
+        (STRADDLE, 2, True),  # 7 places, 9 states
+    ])
+    def test_rows_are_columns_when_states_outnumber_places_squared(
+            self, net_m0, max_token, peeled, monkeypatch):
+        space = explore(*net_m0, max_token=max_token)
+        monkeypatch.setattr(tfgkit.petri, "_column_rows" if peeled else "_peeled_rows", refuse)
+        oracle_concurrency(space, net_m0[0].places)
 
     def test_readers_of_one_place_keep_their_own_pre(self):
         """``back`` refills the hub, which ``go`` and ``sync`` both read: a
@@ -504,6 +539,58 @@ class TestPackedKernel:
         assert Marking({**dict(m0.items()), "elsewhere": 1}) not in space
         with pytest.raises(ValueError):
             explore(net, Marking({**dict(m0.items()), "elsewhere": 1}))
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("unexpected call")
+
+
+def scanned_rows(space) -> list[int]:
+    """The rows of ``_marked_rows`` from the decoded markings, pair by pair."""
+    places = space._packing.places
+    marked = [{i for i, p in enumerate(places) if m[p]} for m in space.markings]
+    return [sum(1 << k for k in range(len(places)) if any(i in s and k in s for s in marked))
+            for i in range(len(places))]
+
+
+class TestMarkedRows:
+    """The concurrency rows built column-wise against the peel, on spaces on
+    both sides of the rule that picks one of them."""
+
+    def test_corpus(self, corpus):
+        for inst in corpus:
+            for space in (inst.space1, inst.space2):
+                assert _column_rows(space) == _peeled_rows(space), inst.name
+
+    @pytest.mark.parametrize("net_m0", [
+        *(generators.composite(seed) for seed in range(60)),
+        generators.two_phase_branches(10).build(),  # 22 places, 1,026 states
+        generators.diamond_chain(7),  # 35 places, 2,187 states
+    ])
+    def test_generated(self, net_m0):
+        space = explore(*net_m0)
+        assert _column_rows(space) == _peeled_rows(space)
+
+    @pytest.mark.parametrize("max_token", [2, 3])
+    @pytest.mark.parametrize("net_m0", [STRADDLE, BOUNDED_BY_RING], ids=["straddle", "two_tokens"])
+    def test_counts_of_two(self, net_m0, max_token):
+        space = explore(*net_m0, max_token=max_token)
+        assert space.is_complete and not is_safe(space)
+        assert _column_rows(space) == _peeled_rows(space) == scanned_rows(space)
+
+    def test_straddling_field_and_empty_marking(self):
+        space = explore(*STRADDLE, max_token=2)
+        assert space._packing.width == 3 and len(space) == 9
+        assert Marking({"p5": 2, "p6": 1}) in space and Marking({}) in space
+        # p5 is marked beside p1 and p2 with 1 token, beside p6 with 2, and
+        # beside p4 with either
+        assert _column_rows(space)[5] == 0b1110110
+
+    @pytest.mark.parametrize("tokens", [0, 1])
+    def test_one_place_one_state(self, tokens):
+        space = explore(PetriNet(("a",), (), {}, {}), Marking({"a": tokens}))
+        assert len(space) == 1
+        assert _column_rows(space) == _peeled_rows(space) == [tokens]
 
 
 class TestGoal:

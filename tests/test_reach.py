@@ -19,7 +19,7 @@ from conftest import (
 )
 from tfgkit.cli import EXIT_OK, _bench_targets, main
 from tfgkit.conc import matrix
-from tfgkit.generators import chain_line, composite
+from tfgkit.generators import chain_line, composite, diamond_chain, two_phase_branches
 from tfgkit.net_io import TaggedEquation
 from tfgkit.net_io import parse_equations, parse_net, write_net
 from tfgkit.petri import (
@@ -414,6 +414,15 @@ class TestComponents:
         reduced = analysis.result.reduced_net
         space2 = explore(reduced, analysis.result.reduced_marking)
         assert analysis.rel2.lower_rows() == pairwise_rows(space2.markings, reduced.places)
+
+    @pytest.mark.parametrize("net_m0, components, states", [
+        *((two_phase_branches(w).build(), 1, 2**w + 2) for w in (3, 6, 10)),
+        *((diamond_chain(k), k, 3**k) for k in (2, 4, 6)),
+    ])
+    def test_component_spaces_stay_flat_while_the_full_space_explodes(
+            self, net_m0, components, states):
+        assert [len(space) for space in Analysis(*net_m0).spaces] == [2] * components
+        assert len(explore(*net_m0)) == states
 
     @pytest.mark.parametrize("identity", [True, False], ids=["unreduced", "reduced"])
     def test_isolated_place_and_dead_component(self, identity):
