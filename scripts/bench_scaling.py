@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle on scalable generator families.
 
-For each family and size, the full net is explored with ``explore`` and its
-concurrency relation computed with ``oracle_concurrency``; each row holds the
-state count, the exploration status, the median over 5 runs of both times
-and of the exploration rate, and the minimum of both times.  The runs are
-interleaved: each of the 5 passes times every row once, so a burst of load
-on the machine moves one run of many rows rather than every run of one.
-Load only ever adds time, so a change is judged on the minimums
-(``explore_min_s``, ``oracle_concurrency_min_s``).  Run from the repo root:
+For each family and size, the full net is explored with ``explore``, its
+concurrency relation computed with ``oracle_concurrency`` and that matrix
+written as text with ``write_matrix(to_document(...))``; each row holds the
+state count, the exploration status, the median over 5 runs of the three
+times and of the exploration rate, and the minimum of the three times.  The
+runs are interleaved: each of the 5 passes times every row once, so a burst
+of load on the machine moves one run of many rows rather than every run of
+one.  Load only ever adds time, so a change is judged on the minimums
+(``explore_min_s``, ``oracle_concurrency_min_s``, ``matrix_text_min_s``).
+Run from the repo root:
 
     PYTHONPATH=src python scripts/bench_scaling.py [--output BENCH_explore.json]
 """
@@ -25,6 +27,8 @@ import time
 from pathlib import Path
 
 from tfgkit import generators as gen
+from tfgkit.conc import to_document
+from tfgkit.net_io import write_matrix
 from tfgkit.petri import explore, oracle_concurrency
 
 MAX_STATES = 1_000_000
@@ -42,26 +46,34 @@ FAMILIES = {
 }
 
 
-def time_once(net, m0) -> tuple[int, str, float, float | None]:
+Run = tuple[int, str, float, float | None, float | None]
+
+
+def time_once(net, m0) -> Run:
     """States, status and seconds of one ``explore``, plus the seconds of
-    ``oracle_concurrency`` on its space when that is complete."""
+    ``oracle_concurrency`` on its space and of writing that matrix as text
+    when the space is complete."""
     start = time.perf_counter()
     space = explore(net, m0, max_states=MAX_STATES)
     explore_s = time.perf_counter() - start
-    oracle_s = None
+    oracle_s = text_s = None
     if space.is_complete:
         start = time.perf_counter()
-        oracle_concurrency(space, net.places)
+        matrix = oracle_concurrency(space, net.places)
         oracle_s = time.perf_counter() - start
-    return len(space), space.status, explore_s, oracle_s
+        start = time.perf_counter()
+        write_matrix(to_document(matrix))
+        text_s = time.perf_counter() - start
+    return len(space), space.status, explore_s, oracle_s, text_s
 
 
-def summarize(family: str, size: int, runs: list[tuple[int, str, float, float | None]]) -> dict:
+def summarize(family: str, size: int, runs: list[Run]) -> dict:
     """One row: the last run's states and status, the median and the
     minimum times."""
     states, status = runs[-1][:2]
     explore_s = [run[2] for run in runs]
     oracle_s = [run[3] for run in runs if run[3] is not None]
+    text_s = [run[4] for run in runs if run[4] is not None]
     seconds = statistics.median(explore_s)
     return {
         "family": family,
@@ -72,6 +84,8 @@ def summarize(family: str, size: int, runs: list[tuple[int, str, float, float | 
         "explore_min_s": min(explore_s),
         "oracle_concurrency_s": statistics.median(oracle_s) if oracle_s else None,
         "oracle_concurrency_min_s": min(oracle_s) if oracle_s else None,
+        "matrix_text_s": statistics.median(text_s) if text_s else None,
+        "matrix_text_min_s": min(text_s) if text_s else None,
         "states_per_s": states / seconds if seconds else None,
     }
 

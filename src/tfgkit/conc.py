@@ -274,8 +274,13 @@ def filling_ratio(matrix: ConcurrencyMatrix) -> float:
 
 
 def to_document(matrix: ConcurrencyMatrix) -> MatrixDocument:
-    return MatrixDocument(matrix.order, tuple(matrix.lower_rows()))
+    """The lower triangle of ``matrix``: row ``i`` masked to columns 0..i."""
+    masks = [(2 << i) - 1 for i in range(len(matrix.order))]
+    known, ones = (tuple(map(int.__and__, rows, masks)) for rows in (matrix.known, matrix.ones))
+    return MatrixDocument(matrix.order, known, ones)
 
 
 def from_document(doc: MatrixDocument) -> ConcurrencyMatrix:
-    return ConcurrencyMatrix.from_lower_rows(doc.place_order, doc.rows)
+    """The symmetric matrix whose lower triangle ``doc`` holds."""
+    known, ones = ([r | c for r, c in zip(rows, transpose(rows))] for rows in (doc.known, doc.ones))
+    return ConcurrencyMatrix.from_rows(doc.place_order, ones, [k & ~o for k, o in zip(known, ones)])

@@ -11,9 +11,9 @@ comment.  Names must start with a letter or underscore: a purely numeric
 token in an equation file always denotes a constant, so numeric names are
 rejected everywhere for coherence.
 
-A concurrency matrix row is one ``0/1/.`` string from the file through
-:class:`MatrixDocument` to :meth:`ConcurrencyMatrix.from_lower_rows`, and back
-from :meth:`ConcurrencyMatrix.lower_rows`.
+A concurrency matrix row is a pair of int bitsets, ``known`` and ``ones``,
+from the file through :class:`MatrixDocument` to the lifts and back; only
+:func:`parse_matrix` and :func:`write_matrix` spell its ``0/1/.`` symbols.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from tfgkit.petri import Marking, PetriNet
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
 # a stretch of symbols, the last one optionally repeated as ``<symbol>(<count>)``
-_RUN_RE = re.compile(r"([01.]+)(?:\((\d+)\))?")
-_LONG_RUN_RE = re.compile(r"([01.])\1{3,}")  # what the writer compresses
+_RUN_RE = re.compile(r"([01.]+)(?:\(([0-9]+)\))?")
+_COUNT_RE = re.compile(r"[0-9]+\Z")  # ASCII: \d and str.isdecimal take any script's digits
+_KNOWN_DIGITS = str.maketrans("10.", "110")
 
 
 class ParseError(ValueError):
@@ -63,7 +64,7 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
     def parse_arc(word: str, line: int) -> tuple[str, int]:
         if "*" in word:
             name, _, weight = word.partition("*")
-            if not weight.isdecimal() or int(weight) < 1:
+            if not _COUNT_RE.match(weight) or int(weight) < 1:
                 raise ParseError(f"bad arc weight in {word!r}", line)
             return name, int(weight)
         return word, 1
@@ -79,7 +80,7 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
             name = _check_name(words[1], lineno)
             if name in tokens or name in pre:
                 raise ParseError(f"name {name!r} already declared", lineno)
-            if not words[2].isdecimal():
+            if not _COUNT_RE.match(words[2]):
                 raise ParseError(f"bad token count {words[2]!r}", lineno)
             places.append(name)
             tokens[name] = int(words[2])
@@ -136,7 +137,7 @@ def _local(tag: str) -> str:
 
 def _pnml_count(text: str | None, default: int, what: str) -> int:
     """Nonnegative integer from a PNML ``<text>``; ``default`` when absent."""
-    if text and not text.isdecimal():
+    if text and not _COUNT_RE.match(text):
         raise ParseError(f"bad {what} {text!r}")
     return int(text) if text else default
 
@@ -271,7 +272,7 @@ def parse_equations(text: str) -> list[TaggedEquation]:
         terms = [term.strip() for term in rhs.split("+")]
         if any(not term for term in terms):
             raise ParseError("empty term on rhs", lineno)
-        if any(term.isdecimal() for term in terms):
+        if any(_COUNT_RE.match(term) for term in terms):
             if len(terms) != 1:
                 raise ParseError("a constant must be the only rhs term", lineno)
             eq = TaggedEquation(tag, lhs, constant=int(terms[0]))
@@ -296,25 +297,24 @@ def write_equations(equations: Iterable[TaggedEquation]) -> str:
 
 @dataclass(frozen=True)
 class MatrixDocument:
-    """Triangular matrix text: a name order plus one row string per name.
+    """Triangular matrix text: a name order plus two int rows per name.
 
-    Row ``i`` spells the pairs with the first ``i + 1`` names as ``i + 1``
-    symbols from ``0``, ``1`` and ``.`` (unknown): the strings that
-    :meth:`ConcurrencyMatrix.lower_rows` writes and
-    :meth:`ConcurrencyMatrix.from_lower_rows` reads.
+    ``known[i]`` has bit ``j`` when cell (i, j) is settled and ``ones[i]``
+    when it is 1, for ``j <= i`` only: row ``i`` has no bit above ``i``, and
+    ``ones[i]`` is a subset of ``known[i]``.  Row ``i`` is written as
+    ``i + 1`` symbols from ``0``, ``1`` and ``.`` (unknown), column 0 first.
     """
 
     place_order: tuple[str, ...]
-    rows: tuple[str, ...]
+    known: tuple[int, ...]
+    ones: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) != len(self.place_order):
+        if not len(self.place_order) == len(self.known) == len(self.ones):
             raise ValueError("row count does not match order length")
-        for i, row in enumerate(self.rows):
-            if len(row) != i + 1:
-                raise ValueError(f"row {i} has {len(row)} symbols, expected {i + 1}")
-            if row.strip("01."):
-                raise ValueError(f"bad symbol in row {i}: {row!r}")
+        for i, (known, ones) in enumerate(zip(self.known, self.ones)):
+            if known >> i + 1 or ones & ~known:  # a negative row shifts to -1
+                raise ValueError(f"row {i} has a bit above column {i} or a 1 outside known")
 
 
 def _expand_row(line: str, width: int, lineno: int) -> str:
@@ -375,15 +375,39 @@ def parse_matrix(text: str) -> MatrixDocument:
         raise ParseError("name repeated in '# order:' header", header_line[0])
     if len(body) != len(names):
         raise ParseError(f"expected {len(names)} rows, found {len(body)}", header_line[0])
-    rows = tuple(_expand_row(line, i + 1, lineno) for i, (lineno, line) in enumerate(body))
-    return MatrixDocument(tuple(names), rows)
+    # each row reversed, so that column 0 is bit 0
+    rows = [_expand_row(line, i + 1, lineno)[::-1] for i, (lineno, line) in enumerate(body)]
+    known = tuple(int(row.translate(_KNOWN_DIGITS), 2) for row in rows)
+    ones = tuple(int(row.replace(".", "0"), 2) for row in rows)
+    return MatrixDocument(tuple(names), known, ones)
 
 
 def write_matrix(doc: MatrixDocument) -> str:
-    """Matrix text of ``doc``, every run of four or more equal symbols
-    written as ``<symbol>(<count>)``."""
+    """Matrix text of ``doc``, every maximal run of four or more equal
+    symbols written as ``<symbol>(<count>)``.  A row is spelled once, in C,
+    and its runs are found on its bits: bit ``j`` of ``same`` says that cells
+    ``j`` and ``j + 1`` are equal.  So a run, not a cell, is a Python step."""
     lines = ["# order: " + " ".join(doc.place_order)]
-    lines.extend(_LONG_RUN_RE.sub(lambda run: f"{run[1]}({len(run[0])})", row) for row in doc.rows)
+    for i, (known, ones) in enumerate(zip(doc.known, doc.ones)):
+        full = (2 << i) - 1
+        if known == full:
+            text = format(ones, f"0{i + 1}b")[::-1]
+        else:  # binary digits read as hex, so that an unknown cell adds 2
+            spelled = int(format(ones, "b"), 16) + 2 * int(format(full ^ known, "b"), 16)
+            text = format(spelled, f"0{i + 1}x").replace("2", ".")[::-1]
+        same = ~(known ^ known >> 1 | ones ^ ones >> 1) & full >> 1
+        starts = same & same >> 1 & same >> 2
+        first = starts & ~(same << 1)  # where each maximal run of 4+ begins
+        last = starts << 3 & ~same  # and where it ends
+        pieces, at = [], 0
+        while first:
+            begin = (first & -first).bit_length() - 1
+            end = (last & -last).bit_length() - 1
+            first &= first - 1
+            last &= last - 1
+            pieces += (text[at : begin + 1], f"({end - begin + 1})")
+            at = end + 1
+        lines.append("".join(pieces) + text[at:])
     return "\n".join(lines) + "\n"
 
 
@@ -398,7 +422,7 @@ def parse_marking_query(text: str, places: Iterable[str]) -> Marking:
     seen: dict[str, int] = {}
     for token in text.split():
         name, sep, value = token.partition("=")
-        if not sep or not value.isdecimal():
+        if not sep or not _COUNT_RE.match(value):
             raise ParseError(f"bad assignment {token!r}")
         _check_name(name, None)
         if name in seen:

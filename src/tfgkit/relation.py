@@ -94,19 +94,6 @@ class ConcurrencyMatrix:
             out.known = [one | zero for one, zero in zip(ones, zeros)]
         return out
 
-    @classmethod
-    def from_lower_rows(cls, order, rows):
-        """Inverse of :meth:`lower_rows`: row ``i`` spells cells (i, 0..i)."""
-        out = cls(order)
-        lower_known, lower_ones = [], []
-        for row in rows:
-            text = row[::-1]
-            lower_known.append(int(text.translate(_KNOWN_DIGITS), 2))
-            lower_ones.append(int(text.translate(_ONE_DIGITS), 2))
-        out.known = [row | col for row, col in zip(lower_known, transpose(lower_known))]
-        out.ones = [row | col for row, col in zip(lower_ones, transpose(lower_ones))]
-        return out
-
     @property
     def full(self) -> int:
         """Mask of every position."""
@@ -137,24 +124,11 @@ class ConcurrencyMatrix:
             ones[i] &= ~bit_j
             ones[j] &= ~bit_i
 
-    def lower_rows(self) -> list[str]:
-        """Row ``i`` spells cells (i, 0..i) as ``1``, ``0`` or ``.`` (unknown)."""
-        out = []
-        for i, (known, ones) in enumerate(zip(self.known, self.ones)):
-            mask, width = (1 << i + 1) - 1, f"0{i + 1}b"
-            row = format(ones & mask, width)[::-1]
-            if known & mask != mask:
-                digits = format(known & mask, width)[::-1]
-                row = "".join(o if k == "1" else "." for k, o in zip(digits, row))
-            out.append(row)
-        return out
-
     def cells(self) -> Iterator[tuple[str, str, int | None]]:
         """Triangular cells as (row name, column name), column <= row, and value."""
-        symbol = {"1": 1, "0": 0, ".": UNKNOWN}
-        for v, row in zip(self.order, self.lower_rows()):
-            for w, digit in zip(self.order, row):
-                yield v, w, symbol[digit]
+        for i, v in enumerate(self.order):
+            for w in self.order[: i + 1]:
+                yield v, w, self.get(v, w)
 
     def known_count(self) -> int:
         """Settled triangular cells."""
@@ -191,7 +165,3 @@ class ConcurrencyMatrix:
 
     def __repr__(self) -> str:
         return f"ConcurrencyMatrix(n={len(self.order)}, known={self.known_count()})"
-
-
-_KNOWN_DIGITS = str.maketrans("10.", "110")
-_ONE_DIGITS = str.maketrans("10.", "100")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from tfgkit.generators import NetBuilder, choice_loop
 from tfgkit.net_io import parse_net
 from tfgkit.petri import Marking, PetriNet, StateSpace, explore
 from tfgkit.reductions import ReductionResult, build_graph, reduce
+from tfgkit.relation import ConcurrencyMatrix
 from tfgkit.tfg import TokenFlowGraph
 
 settings.register_profile(
@@ -76,10 +78,34 @@ def two_loops() -> tuple[PetriNet, Marking]:
 
 def pairwise_rows(markings, order) -> list[str]:
     """The concurrency relation over ``order`` in the form of
-    ``ConcurrencyMatrix.lower_rows``, found by testing every pair of places
-    in every marking."""
+    :func:`lower_rows`, found by testing every pair of places in every
+    marking."""
     return ["".join(str(int(any(m[p] > 0 and m[q] > 0 for m in markings))) for q in order[: i + 1])
             for i, p in enumerate(order)]
+
+
+def lower_rows(matrix: ConcurrencyMatrix) -> list[str]:
+    """Row ``i`` spells cells (i, 0..i) of ``matrix`` as ``1``, ``0`` or
+    ``.`` (unknown)."""
+    out = []
+    for i, (known, ones) in enumerate(zip(matrix.known, matrix.ones)):
+        mask, width = (1 << i + 1) - 1, f"0{i + 1}b"
+        row = format(ones & mask, width)[::-1]
+        if known & mask != mask:
+            digits = format(known & mask, width)[::-1]
+            row = "".join(o if k == "1" else "." for k, o in zip(digits, row))
+        out.append(row)
+    return out
+
+
+def reference_matrix_text(matrix: ConcurrencyMatrix) -> str:
+    """The matrix text that ``write_matrix(to_document(matrix))`` must
+    write, spelled cell by cell and compressed by a regex: every maximal
+    run of four or more equal symbols becomes ``<symbol>(<count>)``."""
+    lines = ["# order: " + " ".join(matrix.order)]
+    lines.extend(re.sub(r"([01.])\1{3,}", lambda run: f"{run[1]}({len(run[0])})", row)
+                 for row in lower_rows(matrix))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

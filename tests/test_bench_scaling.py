@@ -27,10 +27,12 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
     rows = document["rows"]
     assert [row["family"] for row in rows] == list(module.FAMILIES)
     keys = {"family", "size", "states", "status", "explore_s", "explore_min_s",
-            "oracle_concurrency_s", "oracle_concurrency_min_s", "states_per_s"}
+            "oracle_concurrency_s", "oracle_concurrency_min_s", "matrix_text_s",
+            "matrix_text_min_s", "states_per_s"}
     for row in rows:
         assert set(row) == keys
         assert row["status"] == "complete"
         assert 0 <= row["explore_min_s"] <= row["explore_s"]
         assert 0 <= row["oracle_concurrency_min_s"] <= row["oracle_concurrency_s"]
+        assert 0 <= row["matrix_text_min_s"] <= row["matrix_text_s"]
     assert [row["states"] for row in rows] == [51, 500, 2**8 + 2, 3**4, 11, 3]

@@ -836,10 +836,12 @@ def golden_text(tmp: Path) -> str:
         res = reduce(net, m0)
         space2 = explore(res.reduced_net, res.reduced_marking)
         doc = to_document(oracle_concurrency(space2, res.reduced_net.places))
-        rows = list(doc.rows)
-        if rows:  # mask one cell of the reduced net's relation
-            rows[-1] = "." + rows[-1][1:]
-        (tmp / "rel2.txt").write_text(write_matrix(MatrixDocument(doc.place_order, tuple(rows))))
+        known, ones = list(doc.known), list(doc.ones)
+        if known:  # mask the first cell of the reduced net's last row
+            known[-1] &= ~1
+            ones[-1] &= ~1
+        masked = MatrixDocument(doc.place_order, tuple(known), tuple(ones))
+        (tmp / "rel2.txt").write_text(write_matrix(masked))
         sections.append(_run(["conc", name, "--rel2", f"{tmp}/rel2.txt"], tmp, ("rel2.txt",)))
         sections.append(_run(["tfg-check", name], tmp))
         sections.append(_run(["oracle", name, "--conc"], tmp))

@@ -4,10 +4,10 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, load_instance, marking_key
+from conftest import CORPUS_DIR, load_instance, marking_key, reference_matrix_text
 from test_reach import closed_form_chain
 from tfgkit import generators
 from tfgkit.conc import (
@@ -486,6 +486,28 @@ class TestRelation:
             assert transpose(flipped) == rows
 
 
+@st.composite
+def run_matrices(draw) -> ConcurrencyMatrix:
+    """Partial matrices of 0-60 places whose lower triangle, read row by
+    row, is drawn as runs of equal cells: short runs of 1-6 cells, so runs
+    of exactly 3, 4 and 5 cells occur, and long ones of up to two rows,
+    which end on a diagonal or cover a whole row."""
+    n = draw(st.integers(0, 60))
+    ones, zeros = [0] * n, [0] * n
+    cells = [(i, j) for i in range(n) for j in range(i + 1)]
+    at = 0
+    while at < len(cells):
+        value = draw(st.sampled_from((0, 1, UNKNOWN)))
+        length = draw(st.integers(1, 6) | st.integers(1, 2 * n + 1))
+        for i, j in cells[at : at + length]:
+            if value is not UNKNOWN:
+                rows = ones if value else zeros
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        at += length
+    return ConcurrencyMatrix.from_rows([f"p{i}" for i in range(n)], ones, zeros)
+
+
 class TestDocumentConversion:
     def test_round_trip(self, cascade):
         mat = matrix(cascade, cascade_rel2())
@@ -522,6 +544,17 @@ class TestDocumentConversion:
                     rows[j] |= 1 << i
         mat = ConcurrencyMatrix.from_rows([f"p{i}" for i in range(n)], ones, zeros)
         assert from_document(parse_matrix(write_matrix(to_document(mat)))) == mat
+
+    @given(run_matrices())
+    @example(ConcurrencyMatrix(("a", "b", "c", "d", "e"), fill=0))
+    @example(ConcurrencyMatrix(("a", "b", "c", "d", "e")))
+    def test_writer_matches_reference(self, mat):
+        """The writer's bytes are those of a cell-by-cell spelling whose
+        runs of four or more equal symbols a regex compresses."""
+        assert write_matrix(to_document(mat)) == reference_matrix_text(mat)
+
+    def test_empty_matrix_text(self):
+        assert write_matrix(to_document(ConcurrencyMatrix(()))) == "# order: \n"
 
 
 def writes_text(instances) -> str:

@@ -1,5 +1,8 @@
 """Text format round-trips and parse errors."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -177,48 +180,58 @@ class TestEquations:
         assert parse_equations(write_equations(eqs)) == list(eqs)
 
 
+def _rows(*spelled: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``known`` and ``ones`` rows of rows spelled as in a matrix file,
+    column 0 first."""
+    return (tuple(sum(1 << j for j, c in enumerate(row) if c != ".") for row in spelled),
+            tuple(sum(1 << j for j, c in enumerate(row) if c == "1") for row in spelled))
+
+
 class TestMatrix:
     def test_single_nondead_place(self):
-        doc = MatrixDocument(("p",), ("1",))
+        doc = MatrixDocument(("p",), *_rows("1"))
         assert write_matrix(doc) == "# order: p\n1\n"
 
     def test_run_length_written_at_four(self):
-        rows = tuple("0" * i + "1" for i in range(0, 6))
-        doc = MatrixDocument(("a", "b", "c", "d", "e", "f"), rows)
+        doc = MatrixDocument(("a", "b", "c", "d", "e", "f"), *_rows(*("0" * i + "1" for i in range(6))))
         text = write_matrix(doc)
         assert "0(5)1" in text
         assert parse_matrix(text) == doc
 
     def test_short_runs_stay_literal(self):
-        doc = MatrixDocument(("a", "b", "c"), ("1", "01", "001"))
+        doc = MatrixDocument(("a", "b", "c"), *_rows("1", "01", "001"))
         text = write_matrix(doc)
         assert "(" not in text.splitlines()[2]
 
     def test_triangular_parse(self):
         doc = parse_matrix("# order: a b\n1\n01\n")
         assert doc.place_order == ("a", "b")
-        assert doc.rows == ("1", "01")
+        assert (doc.known, doc.ones) == _rows("1", "01")
+
+    def test_readme_example_is_what_the_writer_writes(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = re.search(r"```\n(# order:.*?)```", readme, re.DOTALL)[1]
+        assert "(" in example
+        assert write_matrix(parse_matrix(example)) == example
 
     def test_ragged_row(self):
         with pytest.raises(ParseError, match=r"^line 3: row has more than 2 symbols$"):
             parse_matrix("# order: a b\n1\n011\n")
 
-    @pytest.mark.parametrize("rows, message", [
-        (("1", "01"), "row count does not match order length"),
-        (("1", "01", "0011"), "row 2 has 4 symbols, expected 3"),
+    @pytest.mark.parametrize("known, ones, message", [
+        ((1, 3), (1, 2), "row count does not match order length"),
+        ((1, 3, 15), (1, 2, 8), "row 2 has a bit above column 2 or a 1 outside known"),
+        ((1, 3, -1), (1, 2, 4), "row 2 has a bit above column 2 or a 1 outside known"),
+        ((1, 3, 3), (1, 2, 4), "row 2 has a bit above column 2 or a 1 outside known"),
+        ((1, 3, 7), (1, 2, -4), "row 2 has a bit above column 2 or a 1 outside known"),
     ])
-    def test_document_rejects_bad_shape(self, rows, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            MatrixDocument(("a", "b", "c"), rows)
-
-    @pytest.mark.parametrize("row", ["x01", "0x1", "01x", "0 1"])
-    def test_document_rejects_bad_symbol(self, row):
-        with pytest.raises(ValueError):
-            MatrixDocument(("a", "b", "c"), ("1", "01", row))
+    def test_document_rejects_bad_shape(self, known, ones, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MatrixDocument(("a", "b", "c"), known, ones)
 
     def test_run_filling_the_row_accepted(self):
         doc = parse_matrix("# order: a b c\n1\n0(2)\n.(02)1\n")
-        assert doc.rows == ("1", "00", "..1")
+        assert (doc.known, doc.ones) == _rows("1", "00", "..1")
 
     def test_zero_run_count_rejected(self):
         with pytest.raises(ParseError) as exc:
@@ -245,7 +258,7 @@ class TestMatrix:
 
     def test_unknown_symbol_preserved(self):
         doc = parse_matrix("# order: a b\n.\n01\n")
-        assert doc.rows[0] == "."
+        assert (doc.known[0], doc.ones[0]) == (0, 0)
 
     @given(
         st.integers(1, 8).flatmap(
@@ -266,7 +279,7 @@ class TestMatrix:
         for i in range(n):
             rows.append("".join(flat[at : at + i + 1]))
             at += i + 1
-        doc = MatrixDocument(order, tuple(rows))
+        doc = MatrixDocument(order, *_rows(*rows))
         assert parse_matrix(write_matrix(doc)) == doc
 
 
@@ -321,6 +334,14 @@ PARSE_ERRORS = [
     (parse_matrix, "\n# note\n1\n", "missing '# order:' header", 2),
     (parse_matrix, "# order: p q\n1\n", "expected 2 rows, found 1", 1),
     (_query, "p=1 q", "bad assignment 'q'", None),
+    # digits of other scripts, which ``int`` would read
+    (parse_net, "pl p \u0663\n", "bad token count '\u0663'", 1),
+    (parse_net, "pl p 1\ntr t p*\u0663 -> p\n", "bad arc weight in 'p*\u0663'", 2),
+    (parse_pnml, _pnml('<place id="p"><initialMarking><text>\u0663</text></initialMarking></place>'),
+     "bad initial marking of 'p' '\u0663'", None),
+    (parse_equations, "# R |- p = \u0663\n", "invalid name '\u0663'", 1),
+    (parse_matrix, "# order: a b c\n1\n01\n0(\u0663)\n", "bad matrix symbol at column 2", 4),
+    (_query, "p=\u0663", "bad assignment 'p=\u0663'", None),
 ]
 
 

@@ -13,6 +13,7 @@ from conftest import (
     BOUNDED_MAX_TOKEN,
     TWO_RINGS_TEXT,
     bounded_nets,
+    lower_rows,
     marking_key,
     pairwise_rows,
     two_loops,
@@ -413,7 +414,7 @@ class TestComponents:
         analysis = Analysis(*composite(seed))
         reduced = analysis.result.reduced_net
         space2 = explore(reduced, analysis.result.reduced_marking)
-        assert analysis.rel2.lower_rows() == pairwise_rows(space2.markings, reduced.places)
+        assert lower_rows(analysis.rel2) == pairwise_rows(space2.markings, reduced.places)
 
     @pytest.mark.parametrize("net_m0, components, states", [
         *((two_phase_branches(w).build(), 1, 2**w + 2) for w in (3, 6, 10)),
@@ -435,7 +436,7 @@ class TestComponents:
         if identity:
             rel2 = Analysis(net, m0, result).rel2
             # a, b alternate; iso is marked beside both; d and e are dead
-            assert rel2.lower_rows() == ["1", "11", "000", "0101", "00000"]
+            assert lower_rows(rel2) == ["1", "11", "000", "0101", "00000"]
 
     def test_refuted_target_never_splits(self, monkeypatch):
         monkeypatch.setattr(tfgkit.reach, "_split", refuse)
