@@ -243,8 +243,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     space = explore(
         net, m0, max_states=_effective_max_states(args), max_token=args.max_token
     )
-    # a space cut at the token cap saw a place exceed it
-    safe = space.status != truncated("max-token") and is_safe(space)
+    # a space cut at the token cap saw a place exceed it; any other space
+    # stored no count above the cap, so at a cap of 1 it needs no scan
+    safe = space.status != truncated("max-token") and (args.max_token == 1 or is_safe(space))
     print(f"states {len(space)} status {space.status} safe {'yes' if safe else 'no'}")
     if args.conc:
         matrix = oracle_concurrency(space, net.places)

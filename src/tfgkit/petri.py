@@ -9,9 +9,9 @@ Packed markings
 Inside the explorer a marking is one Python ``int``.  Place ``i`` of
 ``net.places`` owns bits ``[i*w, (i+1)*w)``: ``w - 1`` value bits holding its
 token count, topped by a guard bit that a stored marking always keeps clear.
-The value bits hold ``max_token`` plus the largest arc weight, which bounds
-both a successor before its token check and every pre weight, and every
-count of ``m0``.  With ``G`` the mask of all guard bits, each transition is
+The value bits hold ``max_token`` plus the net's ``heaviest`` arc weight,
+which bounds both a successor before its token check and every pre weight,
+and every count of ``m0``.  With ``G`` the mask of all guard bits, each transition is
 compiled once into the ints ``pre`` and ``post`` of its arc weights, and
 
 - it is enabled at ``m`` when ``((m | G) - pre) & G == G``: the set guards
@@ -27,12 +27,26 @@ carries an ``int`` mask of the transitions enabled at it, bit ``j`` for the
 ``j``-th transition.  A transition's ``touched`` mask holds every transition
 that reads a place whose count it changes (pre weight unequal to post
 weight).  A successor's mask is its parent's mask without ``touched``, plus
-the members of ``touched`` that pass the test above at the successor: the
+the members of ``touched`` that are enabled at the successor: the
 enabledness of any other transition cannot have changed.  Transitions with
 equal ``pre`` pass or fail together, so they share one test, which sets all
-of their bits: the ``b`` branches that leave a choice hub cost one test, not
-``b``.  So a firing re-tests each distinct pre-vector that reads a place it
-changes once, and no other transition of the net.
+of their bits.  For most of these tests the move of ``t`` knows the answer
+when it is compiled:
+
+- a sure pass: ``t`` was enabled at the parent, so the successor holds at
+  least ``post_t[q]`` on every place ``q``, and a test whose every weight is
+  at most ``t``'s post weight on that place passes; its bits are a constant
+  of the move;
+- a sure fail: no stored count exceeds ``max_token``, so ``t`` leaves at
+  most ``max_token - pre_t[q] + post_t[q]`` on ``q``; when that is below
+  the least weight of ``q``'s readers, none of them is tested;
+- any other test is listed once per move, however many of the places it
+  reads the move changes.
+
+On a safe net, then, a firing tests only the readers of a place it fills
+that also read a place it does not fill, such as the join of
+``two_phase_branches`` after one step: a ring, a chain, a choice loop's
+branches, a diamond block and a fork's join need no test at all.
 
 The mask is expanded one set bit at a time, from low to high, which is
 declaration order: the lowest set bit's position indexes the list of
@@ -51,9 +65,10 @@ When ``t`` fires at ``m`` and stores a new marking ``m2``, ``m2`` sleeps on
 
     z2 = (z | the transitions fired at m before t) minus the dependents of t
 
-which the search takes as ``sleep & (mask & keep) & wake``: ``keep`` drops
-the readers of the places that ``t`` changes, and ``wake`` those of the
-places that it reads and puts back.  So a member ``u`` of ``z2`` is enabled
+which the search takes as ``sleep & nap``: ``sleep`` is ``z`` plus the
+transitions fired so far, all enabled at ``m``, and ``nap``, one mask per
+move, drops the readers of the places that ``t`` changes and of those that
+it reads and puts back.  So a member ``u`` of ``z2`` is enabled
 at ``m`` and at ``m2``, since ``t`` changes no place ``u`` reads, and ``t``
 is still enabled after ``u``, since ``u`` reads no place ``t`` reads, and a
 transition can only lower a place it reads.  The relation need not be
@@ -100,8 +115,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import repeat
 from typing import Iterable, Mapping
@@ -176,12 +190,17 @@ class PetriNet:
     pre, post:
         Per transition, the weighted input (resp. output) places.  Only
         nonzero weights are stored.
+    heaviest:
+        No arc weighs more: the largest weight, 0 without arcs, found while
+        the arcs are checked.  A net built from parts of another carries
+        that net's.
     """
 
     places: tuple[str, ...]
     transitions: tuple[str, ...]
     pre: Mapping[str, Mapping[str, int]]
     post: Mapping[str, Mapping[str, int]]
+    heaviest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pset, tset = set(self.places), set(self.transitions)
@@ -192,6 +211,7 @@ class PetriNet:
         for name in list(self.places) + list(self.transitions):
             if not name:
                 raise ValueError("empty name")
+        heaviest = 0
         for side in (self.pre, self.post):
             for t, arcs in side.items():
                 if t not in tset:
@@ -201,6 +221,20 @@ class PetriNet:
                         raise ValueError(f"arc to unknown place {p!r}")
                     if w <= 0:
                         raise ValueError(f"nonpositive arc weight on {t!r}/{p!r}")
+                    if w > heaviest:
+                        heaviest = w
+        object.__setattr__(self, "heaviest", heaviest)
+
+    @classmethod
+    def _unchecked(cls, places: tuple[str, ...], transitions: tuple[str, ...],
+                   pre: Mapping[str, Mapping[str, int]], post: Mapping[str, Mapping[str, int]],
+                   heaviest: int) -> PetriNet:
+        """The net of these parts without the checks of ``__post_init__``,
+        for parts taken from a net that passed them, whose ``heaviest`` is
+        given."""
+        net = object.__new__(cls)
+        net.__dict__.update(places=places, transitions=transitions, pre=pre, post=post, heaviest=heaviest)
+        return net
 
     def pre_of(self, t: str) -> Mapping[str, int]:
         return self.pre.get(t, {})
@@ -307,35 +341,50 @@ def fire(net: PetriNet, m: Marking, t: str) -> Marking:
 _INLINE = 4
 
 
-def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tuple[int, list[tuple]]:
+def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int],
+             max_token: int) -> tuple[int, list[tuple]]:
     """The mask of the transitions enabled at the counts ``tokens``, and
     the list of every transition's move, in declaration order.
 
-    A move is ``(delta, keep, tests, shared, wake)``: the packed
+    A move is ``(delta, keep, sure, nap, tests, shared)``: the packed
     ``post - pre``; the complement of ``touched``, which clears the readers
-    of the places that the move changes from a parent's mask; the tests that
-    re-arm them; and the complement of the readers of the places it reads
-    and does not change, which with ``keep`` clears its dependents from a
-    sleep mask (see the module doc).  ``wake`` is -1, so no mask as wide as
-    the transitions is built for it, when the transition changes every place
-    it reads, the common case.  A test ``[pre, bits]`` holds a packed
-    pre-vector and the mask of every transition that has it.  Each place
-    lists the tests of its readers, so a transition finds the test of its
-    pre-vector, if an earlier transition made it, among those of any one
-    place it reads: in the list, or by pre once the list is longer than
-    ``_INLINE``, so that a hub costs no rescan.  ``tests`` concatenates the lists of the places that the move
-    changes, so the search runs one loop per successor; a list of more than
-    ``_INLINE`` tests, such as that of a hub whose readers also read places
-    of their own, is not copied but shared, through ``shared``.  So a move
-    holds at most ``_INLINE`` tests per arc, and the compiled moves take
-    memory linear in the arcs.
+    of the places that the move changes from a parent's mask; the readers
+    that it surely re-enables; the complement of its dependents, which
+    clears them from a sleep mask; and the tests of the readers whose
+    answer depends on the marking (see the module doc).  ``nap`` is
+    ``keep`` itself, so no mask as wide as the transitions is built for it,
+    when the transition changes every place it reads, the common case.
 
-    One pass over the transitions finds the tests, the readers and the
-    initial mask; a second builds the moves, once every reader of every
-    place is known."""
+    A test ``[pre, bits, arcs, stamp]`` holds a packed pre-vector, the mask
+    of every transition that has it, their arcs and the last move that
+    listed it.  Each place lists the tests of its readers, so a transition
+    finds the test of its pre-vector, if an earlier transition made it,
+    among those of any one place it reads: in the list, or by pre once the
+    list is longer than ``_INLINE``, so that a hub costs no rescan.  A place
+    also keeps its test of pre ``{place: 1}`` apart from the others.  A move
+    sorts the tests of the places it changes, each once:
+
+    - a place that it leaves below the least weight of its readers, since
+      no stored count exceeds ``max_token``, gives no test at all; on a
+      safe net, that is every place it takes a token from;
+    - a test whose every weight the move's own post covers surely passes,
+      since the move was enabled, and its bits go into ``sure``; the test
+      of pre ``{q: 1}`` of a place ``q`` that the move fills is one, found
+      without a look at its arcs;
+    - any other test is listed, once, in ``tests``, or, when the move
+      changes a place with more than ``_INLINE`` such tests, such as a hub
+      whose readers also read places of their own, in that place's list,
+      which is not copied but shared, through ``shared``.
+
+    So a move holds at most ``_INLINE`` tests per arc, and the compiled
+    moves take memory linear in the arcs.  One pass over the transitions
+    finds the tests, the readers and the initial mask; a second builds the
+    moves, once every reader of every place is known."""
     index, width = packing.index, packing.width
     # place -> [bits of its readers, their tests, those tests by pre once
-    # there are more than _INLINE of them, else None]
+    # there are more than _INLINE of them, else None, the least weight
+    # they read the place with, the test of pre {place: 1} or None, the
+    # other tests]
     readers: dict[str, list] = {}
     enabled = 0
     changed = []
@@ -344,21 +393,13 @@ def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tup
     for t in net.transitions:
         pre_arcs, post_arcs = net.pre.get(t, no_arcs), net.post.get(t, no_arcs)
         pre = post = 0
-        places = []
-        kept = ()  # the places t reads and does not change
         ready = bit
         for p, w in pre_arcs.items():
             pre += w << index[p] * width
-            if post_arcs.get(p) != w:
-                places.append(p)
-            else:
-                kept += (p,)
             if tokens.get(p, 0) < w:
                 ready = 0
         for q, w in post_arcs.items():
             post += w << index[q] * width
-            if q not in pre_arcs:
-                places.append(q)
         # a transition with the same pre reads p, the last place t reads
         entry = readers.get(p) if pre_arcs else None
         test = None
@@ -375,40 +416,87 @@ def _compile(net: PetriNet, packing: _Packing, tokens: Mapping[str, int]) -> tup
             for p in pre_arcs:
                 readers[p][0] |= bit
         else:
-            test = [pre, bit]
-            for p in pre_arcs:
+            test = [pre, bit, pre_arcs, -1]
+            lone = len(pre_arcs) == 1
+            for p, w in pre_arcs.items():
                 entry = readers.get(p)
                 if entry is None:
-                    readers[p] = [bit, [test], None]
+                    entry = readers[p] = [bit, [test], None, w, None, []]
                 else:
                     entry[0] |= bit
+                    if w < entry[3]:
+                        entry[3] = w
                     group = entry[1]
                     group.append(test)
                     if entry[2] is not None:
                         entry[2][pre] = test
                     elif len(group) > _INLINE:
                         entry[2] = {old[0]: old for old in group}
+                if lone and w == 1:
+                    entry[4] = test
+                else:
+                    entry[5].append(test)
         enabled |= ready
-        changed.append((post - pre, places, kept))
+        changed.append((post - pre, pre_arcs, post_arcs))
         bit <<= 1
     moves = []
-    for delta, places, kept in changed:
-        touched = 0
-        inline = []
+    for stamp, (delta, pre_arcs, post_arcs) in enumerate(changed):
+        touched = kept = sure = 0
+        listed = []
+        hubs = ()  # the places whose shared list the move tests
         shared = ()
-        for p in places:
-            entry = readers.get(p)
-            if entry is not None:
-                touched |= entry[0]
-                group = entry[1]
-                if len(group) > _INLINE:
-                    shared += (group,)
-                else:
-                    inline += group
-        kept_readers = 0
-        for p in kept:
-            kept_readers |= readers[p][0]
-        moves.append((delta, ~touched, inline, shared, ~kept_readers))
+        for p, w in pre_arcs.items():
+            entry = readers[p]
+            back = post_arcs.get(p, 0)
+            if back == w:
+                kept |= entry[0]
+                continue
+            touched |= entry[0]
+            if max_token - w + back < entry[3]:
+                continue  # no stored marking holds what a reader of p takes
+            group = entry[1]
+            if len(group) > _INLINE:
+                hubs += (p,)
+                shared += (group,)
+            else:
+                listed += group
+        for q in post_arcs:
+            if q in pre_arcs:
+                continue
+            entry = readers.get(q)
+            if entry is None:
+                continue
+            touched |= entry[0]
+            if entry[4]:  # the test of pre {q: 1} passes
+                sure |= entry[4][1]
+            group = entry[5]
+            if len(group) > _INLINE:
+                hubs += (q,)
+                shared += (group,)
+            elif group:
+                listed += group
+        tests = listed
+        if listed:
+            tests = []
+            for test in listed:
+                if test[3] == stamp:
+                    continue
+                test[3] = stamp
+                arcs = test[2]
+                if len(arcs) <= len(post_arcs):
+                    for q, w in arcs.items():
+                        if post_arcs.get(q, 0) < w:
+                            break
+                    else:
+                        sure |= test[1]
+                        continue
+                tests.append(test)
+            if hubs:  # a test of a shared list is listed there only
+                tests = [test for test in tests if not any(q in test[2] for q in hubs)]
+        keep = nap = ~touched
+        if kept:
+            nap = ~(touched | kept)
+        moves.append((delta, keep, sure, nap, tests, shared))
     return enabled, moves
 
 
@@ -416,44 +504,51 @@ def _search(seen: set[int], start: int, mask: int, moves: list[tuple], guards: i
             max_states: int, target: int) -> str:
     """Breadth-first search from ``start``, whose enabled mask is ``mask``,
     that adds each stored marking to ``seen`` and returns the status:
-    ``truncated(...)`` as soon as a limit or ``target`` is hit.  The
-    transitions of a marking's mask fire lowest bit first, each reading its
-    move at the bit's position in ``moves``.  Each queued marking also
-    carries its sleep mask, and the transitions in it are not fired;
-    ``sleep`` gains the bit of each transition fired at the marking, so that
-    it holds the ``z | fired before t`` of the module doc when a successor
-    is stored."""
-    queue = deque([(start, mask, 0)])
-    while queue:
-        m, mask, sleep = queue.popleft()
-        rest = mask ^ sleep  # the sleep set is a subset of the enabled mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            delta, keep, tests, shared, wake = moves[bit.bit_length() - 1]
-            m2 = m + delta
-            if m2 in seen:
-                sleep |= bit
-                continue
-            if (m2 + cap) & guards:
-                return truncated("max-token")
-            if len(seen) >= max_states:
-                return truncated("max-states")
-            seen.add(m2)
-            mask2 = mask & keep
-            sleep2 = sleep & mask2 & wake
-            armed = m2 | guards
-            for pre, bits in tests:
-                if (armed - pre) & guards == guards:
-                    mask2 |= bits
-            for group in shared:
-                for pre, bits in group:
+    ``truncated(...)`` as soon as a limit or ``target`` is hit.  The search
+    expands one level of queued markings at a time, in the order they were
+    stored.  The transitions of a marking's mask fire lowest bit first, each
+    reading its move at the bit's position in ``moves``.  Each queued
+    marking also carries its sleep mask, and the transitions in it are not
+    fired; ``sleep`` gains the bit of each transition fired at the marking,
+    so that it holds the ``z | fired before t`` of the module doc when a
+    successor is stored."""
+    size = len(seen)
+    add = seen.add
+    level = [(start, mask, 0)]
+    while level:
+        queue = []
+        for m, mask, sleep in level:
+            rest = mask ^ sleep  # the sleep set is a subset of the enabled mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                delta, keep, sure, nap, tests, shared = moves[bit.bit_length() - 1]
+                m2 = m + delta
+                add(m2)  # hashes m2 once, where `in` and `add` would hash it twice
+                if len(seen) == size:  # m2 was stored before
+                    sleep |= bit
+                    continue
+                if (m2 + cap) & guards:
+                    seen.discard(m2)
+                    return truncated("max-token")
+                if size == max_states:
+                    seen.discard(m2)
+                    return truncated("max-states")
+                size += 1
+                mask2 = mask & keep | sure
+                armed = m2 | guards
+                for pre, bits, _, _ in tests:
                     if (armed - pre) & guards == guards:
                         mask2 |= bits
-            queue.append((m2, mask2, sleep2))
-            sleep |= bit
-            if m2 == target:
-                return truncated("goal")
+                for group in shared:
+                    for pre, bits, _, _ in group:
+                        if (armed - pre) & guards == guards:
+                            mask2 |= bits
+                queue.append((m2, mask2, sleep & nap))
+                sleep |= bit
+                if m2 == target:
+                    return truncated("goal")
+        level = queue
     return COMPLETE
 
 
@@ -482,9 +577,8 @@ def explore(
     """
     if max_states < 1 or max_token < 1:
         raise ValueError("limits must be at least 1")
-    weights = [w for side in (net.pre, net.post) for arcs in side.values() for w in arcs.values()]
     most = max(m0._tokens.values(), default=0)
-    widest = max(max_token + max(weights, default=0), most)
+    widest = max(max_token + net.heaviest, most)
     packing = _Packing(net.places, widest.bit_length())
     start = packing.encode(m0)
     if start is None:  # every count fits, so some place is outside the layout
@@ -499,7 +593,7 @@ def explore(
         return StateSpace(packing, frozenset([start]), truncated("max-token"))
     guards = packing.guards
     cap = packing.ones * ((1 << packing.bits) - 1 - max_token)
-    mask, moves = _compile(net, packing, m0._tokens)
+    mask, moves = _compile(net, packing, m0._tokens, max_token)
     seen = {start}
     status = _search(seen, start, mask, moves, guards, cap, max_states, target)
     return StateSpace(packing, frozenset(seen), status)

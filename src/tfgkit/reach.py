@@ -142,8 +142,8 @@ def _split(net: PetriNet, m0: Marking) -> list[_Component]:
             groups[find(places[0])][1].append(t)
     out = []
     for places, ts in groups.values():
-        part = PetriNet(tuple(places), tuple(ts),
-                        {t: net.pre_of(t) for t in ts}, {t: net.post_of(t) for t in ts})
+        part = PetriNet._unchecked(tuple(places), tuple(ts), {t: net.pre_of(t) for t in ts},
+                                   {t: net.post_of(t) for t in ts}, net.heaviest)
         out.append(_Component(part, Marking({p: m0[p] for p in places})))
     return out
 

@@ -84,6 +84,10 @@ def two(tmp_path):
     return path
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("not expected to be called")
+
+
 def query(tmp_path, text):
     path = tmp_path / "query.txt"
     path.write_text(text)
@@ -467,6 +471,17 @@ class TestOracle:
         assert captured.out == "states 3 status truncated(max-token) safe no\n"
         assert captured.err == (
             "error: state space truncated(max-token); a place exceeds the token cap of 2\n"
+        )
+
+    def test_safe_at_a_cap_of_one_needs_no_scan(self, d1, monkeypatch, capsys):
+        """At a token cap of 1, a complete or budget-cut search stores no
+        count above 1, so the summary reads safety off the status."""
+        monkeypatch.setattr("tfgkit.cli.is_safe", refuse)
+        assert main(["oracle", str(d1)]) == EXIT_OK
+        assert main(["oracle", str(d1), "--max-states", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "states 2 status complete safe yes\n"
+            "states 1 status truncated(max-states) safe yes\n"
         )
 
     def test_bounded_net_matrix(self, two, capsys):

@@ -344,6 +344,44 @@ TWO_PRODUCERS = (  # a and b never read p, and together put 2 tokens on it
              {"a": {"s": 1}, "b": {"r": 1}}, {"a": {"p": 1}, "b": {"p": 1}}),
     Marking({"s": 1, "r": 1}),
 )
+# Nets at the edges of what a move can tell about a reader in advance:
+REFILL_TWO = (  # put leaves 2 tokens on p, exactly what take needs: take surely passes
+    PetriNet(("s", "p", "q"), ("put", "take"),
+             {"put": {"s": 1}, "take": {"p": 2}}, {"put": {"p": 2}, "take": {"q": 1}}),
+    Marking({"s": 1}),
+)
+REFILL_ONE = (  # put leaves 1 token on p, one fewer than take needs: take is tested
+    PetriNet(("s", "p", "q"), ("put", "take"),
+             {"put": {"s": 1}, "take": {"p": 2}}, {"put": {"p": 1}, "take": {"q": 1}}),
+    Marking({"s": 2}),
+)
+
+
+def nip_and_gulp(tokens: int) -> tuple[PetriNet, Marking]:
+    """nip takes 1 of p's ``tokens`` and gulp takes 2: after nip, p keeps
+    at most one token fewer than the token cap, which is below gulp's
+    weight only at a cap of 2."""
+    return (PetriNet(("p", "q", "r"), ("nip", "gulp"),
+                     {"nip": {"p": 1}, "gulp": {"p": 2}}, {"nip": {"q": 1}, "gulp": {"r": 1}}),
+            Marking({"p": tokens}))
+
+
+LOOK_TWICE = (  # look reads 2 of p and puts them back; take drains p one token at a time
+    PetriNet(("p", "s", "x", "y"), ("look", "take"),
+             {"look": {"p": 2, "s": 1}, "take": {"p": 1}}, {"look": {"p": 2, "x": 1}, "take": {"y": 1}}),
+    Marking({"p": 2, "s": 1}),
+)
+
+
+def gated_join(width: int) -> tuple[PetriNet, Marking]:
+    """``fork_join(width)`` whose join also takes the token of a gate, so
+    that the fork, which fills every branch, cannot tell that join passes."""
+    b = generators.fork_join(width)
+    b.place("gate", 1)
+    b.pre["f_join"]["gate"] = 1
+    return b.build()
+
+
 # independent blocks: 3 x 3 x 6 = 54 and 3 x 4 x 3 = 36 states
 BLOCKS = side_by_side(generators.choice_loop(2), generators.ring(3), generators.two_phase_branches(2))
 MORE_BLOCKS = side_by_side(generators.fork_join(2), generators.choice_loop(3), generators.ring(3))
@@ -434,6 +472,18 @@ class TestPackedKernel:
     @example(MORE_BLOCKS, 1, 300)
     @example(MORE_BLOCKS, 1, 7)
     @example(MORE_BLOCKS, 1, 20)
+    @example(REFILL_TWO, 2, 300)
+    @example(REFILL_TWO, 3, 300)
+    @example(REFILL_ONE, 2, 300)
+    @example(REFILL_ONE, 3, 300)
+    @example(nip_and_gulp(2), 2, 300)
+    @example(nip_and_gulp(2), 3, 300)
+    @example(nip_and_gulp(3), 3, 300)
+    @example(DRAINED_PAIR, 3, 300)
+    @example(LOOK_TWICE, 2, 300)
+    @example(LOOK_TWICE, 3, 300)
+    @example(gated_join(50), 1, 300)
+    @example(generators.fork_join(50).build(), 2, 300)
     def test_explore_matches_reference(self, net_m0, max_token, max_states):
         net, m0 = net_m0
         space = explore(net, m0, max_states=max_states, max_token=max_token)
@@ -493,22 +543,31 @@ class TestPackedKernel:
 
     def test_equal_pre_readers_share_one_test(self):
         """Each ``back`` refills the hub that all 50 ``go`` transitions read
-        with pre {hub: 1}: its move re-tests them with one test, beside the
-        one of its own place."""
+        with pre {hub: 1}.  Their one test surely passes after it, so its
+        move sets their 50 bits at once and lists no test.  At a token cap
+        of 1, ``back`` leaves its own place empty, so it lists no test for
+        itself either; at a cap of 2 that place may keep a token, and its
+        move lists the one test of ``back`` itself."""
         net, m0 = generators.choice_loop(50).build()
-        _, moves = _compile(net, _Packing(net.places, 2), m0._tokens)
-        moves = dict(zip(net.transitions, moves))
-        for i in range(50):
-            _, _, tests, shared, _ = moves[f"c_back{i}"]
-            assert len(tests) == 2 and not shared
-            assert sum(bits.bit_count() for _, bits in tests) == 51
+        bits = {t: 1 << i for i, t in enumerate(net.transitions)}
+        go = sum(bits[f"c_go{i}"] for i in range(50))
+        for max_token in (1, 2):
+            _, moves = _compile(net, _Packing(net.places, 2), m0._tokens, max_token)
+            moves = dict(zip(net.transitions, moves))
+            for i in range(50):
+                _, _, sure, _, tests, shared = moves[f"c_back{i}"]
+                assert sure == go and not shared
+                own = [bits[f"c_back{i}"]] if max_token == 2 else []
+                assert [test_bits for _, test_bits, _, _ in tests] == own
 
     def test_hub_compiles_to_memory_linear_in_the_arcs(self):
         """200 writers refill a hub that 200 readers read, each with a place
         of its own beside it, and 200 more read with pre {hub: 1}.  The
-        hub's 201 tests are one shared list, not a copy in each of the 400
-        moves that change the hub, and the ``go`` transitions, declared
-        among the others, still share one test."""
+        hub's 200 tests of two places are one shared list, not a copy in
+        each of the 200 moves that refill the hub; a writer, which also
+        refills its reader's own place, surely re-enables that reader and
+        the ``go`` transitions, declared among the others, which share one
+        test."""
         n = 200
         pre, post = {}, {}
         for i in range(n):
@@ -517,13 +576,42 @@ class TestPackedKernel:
             pre[f"go{i}"], post[f"go{i}"] = {"hub": 1}, {f"y{i}": 1}
         places = ("hub", *(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)))
         net = PetriNet(places, tuple(pre), pre, post)
-        _, moves = _compile(net, _Packing(net.places, 2), {"hub": 1, "x0": 1})
+        _, moves = _compile(net, _Packing(net.places, 2), {"hub": 1, "x0": 1}, 1)
         assert len(moves) == 3 * n
-        shared = {id(group): group for _, _, _, groups, _ in moves for group in groups}
-        assert [len(group) for group in shared.values()] == [n + 1]
-        entries = sum(len(tests) for _, _, tests, _, _ in moves) + sum(map(len, shared.values()))
+        shared = {id(group): group for _, _, _, _, _, groups in moves for group in groups}
+        assert [len(group) for group in shared.values()] == [n]
+        entries = sum(len(tests) for *_, tests, _ in moves) + sum(map(len, shared.values()))
         arcs = sum(len(arcs) for side in (pre, post) for arcs in side.values())
         assert entries <= 2 * arcs
+        bits = {t: 1 << i for i, t in enumerate(net.transitions)}
+        go = sum(bits[f"go{i}"] for i in range(n))
+        for i in range(n):
+            _, _, sure, _, tests, groups = moves[3 * i + 1]
+            assert sure == go | bits[f"read{i}"] and not tests and len(groups) == 1
+
+    @pytest.mark.parametrize("net_m0", [
+        generators.fork_join(50).build(), gated_join(50), MUTEX, HUB_READERS,
+        generators.duplicate_ladder(20).build(),
+    ])
+    @pytest.mark.parametrize("max_token", [1, 2])
+    def test_moves_hold_no_repeated_test(self, net_m0, max_token):
+        """A test that reads several places a move changes is listed once,
+        among the move's own tests or in a shared list.  The fork of
+        ``fork_join(50)`` fills all 50 places that join reads, so join
+        surely passes after it, unless join also waits on a gate; then
+        join's test is listed once, not once per branch."""
+        net, m0 = net_m0
+        _, moves = _compile(net, _Packing(net.places, 3), m0._tokens, max_token)
+        for _, _, _, _, tests, groups in moves:
+            listed = [id(test) for test in tests] + [id(test) for group in groups for test in group]
+            assert len(listed) == len(set(listed))
+        if net.transitions[:2] == ("f_fork", "f_join"):
+            _, _, sure, _, tests, _ = moves[0]
+            gated = "gate" in net.places
+            assert bool(sure & 2) != gated
+            # at a cap of 2, start may keep a token after the fork
+            expected = [1] * (max_token == 2) + [2] * gated
+            assert [test_bits for _, test_bits, _, _ in tests] == expected
 
     def test_count_wider_than_its_field_is_not_stored(self):
         space = explore(T1, Marking({"a": 1}))

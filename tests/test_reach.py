@@ -44,6 +44,7 @@ from tfgkit.reach import (
     UNREACHABLE,
     Analysis,
     ReachVerdict,
+    _split,
     decide,
     partition,
     project,
@@ -407,6 +408,24 @@ class TestComponents:
         targets = [t for seed in (0, 1) for t in _bench_targets(net, m0, seed)]
         one_shot = [decide(net, m0, t, result) for t in targets]
         assert one_shot == [Analysis(net, m0, result).decide(t) for t in targets]
+
+    @settings(max_examples=40)
+    @given(st.one_of(st.integers(0, 10_000).map(composite), bounded_nets()))
+    def test_component_nets_pass_the_checks_they_skip(self, net_m0):
+        """``_split`` builds each component net without ``PetriNet``'s
+        checks; the checked constructor accepts its parts and builds an
+        equal net, whose arcs weigh no more than the reduced net's
+        ``heaviest``, and the components share out the places and the
+        transitions with arcs."""
+        result = reduce(*net_m0)
+        reduced = result.reduced_net
+        parts = [part.net for part in _split(reduced, result.reduced_marking)]
+        for net in parts:
+            checked = PetriNet(net.places, net.transitions, net.pre, net.post)
+            assert checked == net and checked.heaviest <= net.heaviest
+        assert sorted(p for net in parts for p in net.places) == sorted(reduced.places)
+        assert sorted(t for net in parts for t in net.transitions) == sorted(
+            t for t in reduced.transitions if reduced.pre_of(t) or reduced.post_of(t))
 
     @pytest.mark.parametrize("seed", [0, 10, 21, 24, 35])
     def test_rel2_matches_pairwise_scan(self, seed):
