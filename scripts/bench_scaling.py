@@ -43,6 +43,9 @@ FAMILIES = {
     # 3 states, one of them with every branch marked: no two markings share
     # their upper places, so the oracle's rows merge nothing
     "fork_join": ((100, 500, 1000, 2000), lambda w: gen.fork_join(w).build()),
+    # one state per stage, each marking as wide as the net: the oracle's
+    # widest linear case
+    "duplicate_ladder": ((500, 1000, 2000), lambda s: gen.duplicate_ladder(s).build()),
 }
 
 

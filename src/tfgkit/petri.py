@@ -96,15 +96,14 @@ and :func:`random_walk` remain the public API at the edges.
 
 The concurrency oracle reads the same packed set: the row of a place is the
 union of the marked-place sets (guard bits only) of the stored markings
-that mark it.  ``_marked_rows`` builds the rows in one of two ways, chosen
-by one rule.  When the stored markings number at least the places squared,
-the narrow, state-exploding spaces, it builds one bitset over the markings
-per place, with every per-marking step in C, and two places are concurrent
-when their bitsets meet: its Python work is the pairs of places, at most
-one step per stored marking.  Otherwise it peels places off the bottom of
-the layout and merges the sets that agree on the places left, so markings
-that share their upper places are handled once, together.  Each form loses
-badly on the other's side, so both stay (figures at ``_marked_rows``).
+that mark it.  ``_marked_rows`` builds the rows in one of two forms, and
+takes the one with fewer Python steps.  The column form builds one bitset
+over the markings per place, with every per-marking step in C; two places
+are concurrent when their bitsets meet, so its Python work is the pairs of
+places.  The set form walks each distinct marked-place set once and ORs it
+into the row of every place it marks, so its Python work is the sets'
+summed sizes.  Narrow, state-exploding spaces take the columns, wide ones
+with few distinct sets take the sets (figures at ``_marked_rows``).
 
 :class:`StateEquation` refutes a marking without any search: a reachable
 marking ``m`` satisfies ``m = m0 + C·σ`` for the incidence matrix ``C`` and
@@ -680,21 +679,26 @@ def _marked_rows(space: StateSpace) -> list[int]:
     marked together with ``i`` in some stored marking; bit ``i`` itself is
     set when ``i`` is marked at all.
 
-    Built column-wise by :func:`_column_rows` when the stored markings
-    number at least the places squared, else by :func:`_peeled_rows`.  The
-    column form does all of its per-marking work in C and then one Python
-    step per pair of places, which under that rule is at most one per
-    stored marking, the least the peel can take; so the rule has no tuning
-    constant.  Both forms stay because each loses badly on the other's
-    side.  Measured in process (CPython 3.11), the columns cost 1.8x the
-    peel on ``chain_line(25)``, 22x on ``fork_join(2000)`` and 62x on
-    ``duplicate_ladder(1000)``, where there are about as many states as
-    places or fewer; the peel costs 3-11x the columns on the spaces the rule
-    sends to them, such as ``two_phase_branches(10..16)``,
-    ``diamond_chain(7..10)`` and the block products of the benchmark."""
-    if len(space._packing.places) ** 2 <= len(space):
+    Built in one of two forms.  :func:`_column_rows` does all of its
+    per-marking work in C and then one Python step per pair of places, n**2
+    for n places.  :func:`_set_rows` takes one Python step per place of each
+    distinct marked-place set.  The columns are taken when their n**2 steps
+    are at most the stored markings, without building the sets, or at most
+    the sets' summed sizes; so the rule is a cost comparison with no tuning
+    constant.  Each form loses badly on the other's side.  Measured in
+    process (CPython 3.11, 2 cores), the columns cost 4.9x the sets on
+    ``chain_line(25)``, 150x on ``duplicate_ladder(1000)`` and 370x on
+    ``fork_join(2000)``; the sets, with the sets built, cost 2-7x the
+    columns on ``two_phase_branches(6..10)`` and ``diamond_chain(5..7)`` and
+    14-16x on ``two_phase_branches(16)`` and ``diamond_chain(10)``."""
+    packing = space._packing
+    squared = len(packing.places) ** 2
+    if squared <= len(space):
         return _column_rows(space)
-    return _peeled_rows(space)
+    occupied = {((m | packing.guards) - packing.ones) & packing.guards for m in space._packed}
+    if squared <= sum(map(int.bit_count, occupied)):
+        return _column_rows(space)
+    return _set_rows(packing, occupied)
 
 
 @cache
@@ -730,71 +734,25 @@ def _column_rows(space: StateSpace) -> list[int]:
     return [sum(1 << k for k, other in enumerate(columns) if column & other) for column in columns]
 
 
-def _peeled_rows(space: StateSpace) -> list[int]:
-    """:func:`_marked_rows` by peeling places off the bottom of the layout.
-
-    The work is done on items ``(rest, acc)`` of guard-bit sets: ``acc`` is
-    the union of the marked-place sets merged into the item, and each of
-    them marks all of ``rest``.  A place of ``rest`` is therefore marked
-    together with exactly the places of ``acc`` in those markings, so it is
-    *peeled*: its row takes ``acc`` and it leaves ``rest``, while ``acc``
-    stays as it is.  Each distinct set starts as its own item.  A level
-    peels every item's places up to a cut place, and at least its lowest
-    one, then merges the items whose ``rest`` is now equal by uniting their
-    ``acc``.  Every marking that marks a place lies in exactly one item when
-    that place is peeled, so each row comes out exact.
-
-    The first cut is the lowest place of the highest set; each later one is
-    the highest lowest place among the items, so that every item meets it.
-    On the disjoint products of blocks that the generators build, the
-    markings that agree above the first block become one item once that
-    block is peeled, and so on up the blocks.  Where sets never merge, a
-    level costs a dict entry per item and saves nothing, so once a level
-    ends with as many items as it began with, the cut goes above every
-    place and the next level peels each item to the end."""
-    packing = space._packing
-    ones, guards, width = packing.ones, packing.guards, packing.width
-    # by_length[(i + 1) * width]: guard bits of every place marked together
-    # with layout place i, indexed by the bit length of i's guard bit
-    by_length = [0] * (len(packing.places) * width + 1)
-    occupied = {((m | guards) - ones) & guards for m in space._packed}
-    occupied.discard(0)  # the empty marking marks no place
-    count = len(occupied)
-    items = zip(occupied, occupied)
-    cut = max(occupied, default=0)
-    cut &= -cut
-    while count:
-        merged: dict[int, int] = {}
-        top = 0  # the highest lowest place among the merged items
-        bound = cut << 1
-        for rest, acc in items:
-            if rest < bound:  # no place above the cut: peel them all
-                while rest:
-                    low = rest & -rest
-                    by_length[low.bit_length()] |= acc
-                    rest ^= low
-                continue
-            low = rest & -rest
-            while True:
-                by_length[low.bit_length()] |= acc
-                rest ^= low
-                low = rest & -rest
-                if low > cut or not low:
-                    break
-            if rest:
-                merged[rest] = merged.get(rest, 0) | acc
-                if low > top:
-                    top = low
-        cut = guards if len(merged) == count else top
-        count = len(merged)
-        items = merged.items()
-    marked = []  # the same sets, one bit per layout place
-    for row in by_length[width::width]:
-        first = max((row & -row).bit_length() // width - 1, 0)  # lowest marked place, 0 if none
-        digits = format(row >> first * width, "b")  # from that place's field up
-        guards_only = digits[(len(digits) - width) % width :: width]  # each field's guard digit
-        marked.append(int(guards_only or "0", 2) << first)
-    return marked
+def _set_rows(packing: _Packing, occupied: set[int]) -> list[int]:
+    """:func:`_marked_rows` from the distinct marked-place sets ``occupied``,
+    guard bits only: each set, as one bit per place, is ORed into the row of
+    every place that it marks.  Place ``i``'s guard bit is bit
+    ``i * width + bits``, so its bit length over ``width`` is ``i + 1``."""
+    width = packing.width
+    rows = [0] * len(packing.places)
+    for guards in occupied:
+        marked = []
+        mask = 0
+        while guards:
+            low = guards & -guards
+            i = low.bit_length() // width - 1
+            marked.append(i)
+            mask |= 1 << i
+            guards ^= low
+        for i in marked:
+            rows[i] |= mask
+    return rows
 
 
 def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyMatrix:

@@ -1,8 +1,9 @@
-"""``scripts/bench_scaling.py`` at its smallest sizes, and the keys it writes.
+"""``scripts/bench_scaling.py`` at its smallest sizes, and the keys it writes;
+and the committed ``BENCH_explore*.json`` pair against its families.
 
 The script is loaded from its source without importing it as a module file,
-so no bytecode is written beside it; the test shrinks its families to their
-smallest size and its repeats to one before running it.
+so no bytecode is written beside it; the first test shrinks its families to
+their smallest size and its repeats to one before running it.
 """
 
 from __future__ import annotations
@@ -11,12 +12,18 @@ import json
 import types
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_scaling.py"
+
+
+def load_script() -> types.ModuleType:
+    module = types.ModuleType("bench_scaling")
+    exec(compile(SCRIPT.read_text(), str(SCRIPT), "exec"), module.__dict__)
+    return module
 
 
 def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
-    module = types.ModuleType("bench_scaling")
-    exec(compile(SCRIPT.read_text(), str(SCRIPT), "exec"), module.__dict__)
+    module = load_script()
     module.REPEATS = 1
     module.FAMILIES = {f: (sizes[:1], build) for f, (sizes, build) in module.FAMILIES.items()}
     out = tmp_path / "BENCH_explore.json"
@@ -35,4 +42,18 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
         assert 0 <= row["explore_min_s"] <= row["explore_s"]
         assert 0 <= row["oracle_concurrency_min_s"] <= row["oracle_concurrency_s"]
         assert 0 <= row["matrix_text_min_s"] <= row["matrix_text_s"]
-    assert [row["states"] for row in rows] == [51, 500, 2**8 + 2, 3**4, 11, 3]
+    assert [row["states"] for row in rows] == [51, 500, 2**8 + 2, 3**4, 11, 3, 501]
+
+
+def test_committed_pair_holds_the_families_rows():
+    """The before and after files hold exactly the script's ``(family,
+    size)`` rows, in its order, and agree on every row's states and
+    status."""
+    families = load_script().FAMILIES
+    expected = [(family, size) for family, (sizes, _) in families.items() for size in sizes]
+    before, after = (json.loads((ROOT / name).read_text())["rows"]
+                     for name in ("BENCH_explore.before.json", "BENCH_explore.json"))
+    for rows in (before, after):
+        assert [(row["family"], row["size"]) for row in rows] == expected
+    assert [(row["states"], row["status"]) for row in before] == \
+        [(row["states"], row["status"]) for row in after]

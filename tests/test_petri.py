@@ -20,7 +20,7 @@ from tfgkit.petri import (
     _column_rows,
     _compile,
     _Packing,
-    _peeled_rows,
+    _set_rows,
     enabled,
     explore,
     fire,
@@ -415,7 +415,7 @@ TWO_PHASE_BY_RING = side_by_side(generators.two_phase_branches(3), generators.ri
 TWO_TOKENS = generators.ring(3, "w")  # 6 markings, 2 tokens on one place in 3 of them
 TWO_TOKENS.tokens["w_p0"] = 2
 BOUNDED_BY_RING = side_by_side(TWO_TOKENS, generators.ring(3))
-LONE_UPPER = (  # {b} lies above a, the lowest place of the highest marking {a, c}
+LONE_UPPER = (  # {b} lies between the places of the other marking, {a, c}
     PetriNet(("a", "b", "c"), ("t",), {"t": {"a": 1, "c": 1}}, {"t": {"b": 1}}),
     Marking({"a": 1, "c": 1}),
 )
@@ -520,16 +520,22 @@ class TestPackedKernel:
                 ones += value
         assert mat.writes == ones
 
-    @pytest.mark.parametrize("net_m0, max_token, peeled", [
-        (FOUR_LOOPS, 1, False),
-        (BOUNDED_LOOPS, 2, False),
-        (generators.chain_line(25).build(), 1, True),  # 26 places and states
-        (STRADDLE, 2, True),  # 7 places, 9 states
+    @pytest.mark.parametrize("net_m0, max_token, form", [
+        (FOUR_LOOPS, 1, "columns_by_states"),  # 16 places, 256 states
+        (BOUNDED_LOOPS, 2, "columns_by_states"),  # 14 places, 288 states
+        (generators.two_phase_branches(8).build(), 1, "columns_by_sizes"),  # 18 places, 258 states
+        (generators.diamond_chain(5), 1, "columns_by_sizes"),  # 25 places, 243 states
+        (generators.chain_line(25).build(), 1, "sets"),  # 26 places and states
+        (STRADDLE, 2, "sets"),  # 7 places, 9 states
     ])
-    def test_rows_are_columns_when_states_outnumber_places_squared(
-            self, net_m0, max_token, peeled, monkeypatch):
+    def test_rows_take_the_form_with_fewer_steps(self, net_m0, max_token, form, monkeypatch):
+        """The columns when the places squared are at most the stored
+        markings, or else at most the summed sizes of the distinct
+        marked-place sets; the sets otherwise."""
         space = explore(*net_m0, max_token=max_token)
-        monkeypatch.setattr(tfgkit.petri, "_column_rows" if peeled else "_peeled_rows", refuse)
+        squared = len(space._packing.places) ** 2
+        assert (squared <= len(space)) == (form == "columns_by_states")
+        monkeypatch.setattr(tfgkit.petri, "_set_rows" if form != "sets" else "_column_rows", refuse)
         oracle_concurrency(space, net_m0[0].places)
 
     def test_readers_of_one_place_keep_their_own_pre(self):
@@ -633,6 +639,14 @@ def refuse(*args, **kwargs):
     raise AssertionError("unexpected call")
 
 
+def set_rows(space) -> list[int]:
+    """The rows of ``_set_rows`` over the distinct marked-place sets of
+    ``space``, built the way ``_marked_rows`` builds them."""
+    packing = space._packing
+    occupied = {((m | packing.guards) - packing.ones) & packing.guards for m in space._packed}
+    return _set_rows(packing, occupied)
+
+
 def scanned_rows(space) -> list[int]:
     """The rows of ``_marked_rows`` from the decoded markings, pair by pair."""
     places = space._packing.places
@@ -642,29 +656,36 @@ def scanned_rows(space) -> list[int]:
 
 
 class TestMarkedRows:
-    """The concurrency rows built column-wise against the peel, on spaces on
-    both sides of the rule that picks one of them."""
+    """The concurrency rows built column-wise and from the distinct
+    marked-place sets, against each other and against a pairwise scan, on
+    spaces on both sides of the rule that picks one of them."""
 
     def test_corpus(self, corpus):
         for inst in corpus:
             for space in (inst.space1, inst.space2):
-                assert _column_rows(space) == _peeled_rows(space), inst.name
+                assert _column_rows(space) == set_rows(space) == scanned_rows(space), inst.name
 
     @pytest.mark.parametrize("net_m0", [
         *(generators.composite(seed) for seed in range(60)),
+        generators.two_phase_branches(8).build(),  # 18 places, 258 states
         generators.two_phase_branches(10).build(),  # 22 places, 1,026 states
+        generators.diamond_chain(5),  # 25 places, 243 states
         generators.diamond_chain(7),  # 35 places, 2,187 states
+        generators.fork_join(20).build(),  # 22 places, 3 states
+        generators.duplicate_ladder(20).build(),  # 41 places, 21 states
+        generators.isolated_places(30, 5).build(),  # 35 places, 1 state
+        generators.chain_line(25).build(),  # 26 places and states
     ])
     def test_generated(self, net_m0):
         space = explore(*net_m0)
-        assert _column_rows(space) == _peeled_rows(space)
+        assert _column_rows(space) == set_rows(space) == scanned_rows(space)
 
     @pytest.mark.parametrize("max_token", [2, 3])
     @pytest.mark.parametrize("net_m0", [STRADDLE, BOUNDED_BY_RING], ids=["straddle", "two_tokens"])
     def test_counts_of_two(self, net_m0, max_token):
         space = explore(*net_m0, max_token=max_token)
         assert space.is_complete and not is_safe(space)
-        assert _column_rows(space) == _peeled_rows(space) == scanned_rows(space)
+        assert _column_rows(space) == set_rows(space) == scanned_rows(space)
 
     def test_straddling_field_and_empty_marking(self):
         space = explore(*STRADDLE, max_token=2)
@@ -672,13 +693,13 @@ class TestMarkedRows:
         assert Marking({"p5": 2, "p6": 1}) in space and Marking({}) in space
         # p5 is marked beside p1 and p2 with 1 token, beside p6 with 2, and
         # beside p4 with either
-        assert _column_rows(space)[5] == 0b1110110
+        assert _column_rows(space)[5] == set_rows(space)[5] == 0b1110110
 
     @pytest.mark.parametrize("tokens", [0, 1])
     def test_one_place_one_state(self, tokens):
         space = explore(PetriNet(("a",), (), {}, {}), Marking({"a": tokens}))
         assert len(space) == 1
-        assert _column_rows(space) == _peeled_rows(space) == [tokens]
+        assert _column_rows(space) == set_rows(space) == scanned_rows(space) == [tokens]
 
 
 class TestGoal:
