@@ -107,7 +107,10 @@ with few distinct sets take the sets (figures at ``_marked_rows``).
 
 :class:`StateEquation` refutes a marking without any search: a reachable
 marking ``m`` satisfies ``m = m0 + C·σ`` for the incidence matrix ``C`` and
-some firing count vector ``σ`` (Murata, Proc. IEEE 1989).
+some firing count vector ``σ`` (Murata, Proc. IEEE 1989).  It derives a
+basis of the P-flows, the ``y`` with ``yᵀC = 0``, once, from an integer
+echelon basis of ``C``'s columns, so a test is one dot product per flow
+through the places that ``m`` marks: ``y·m`` must equal ``y·m0``.
 """
 
 from __future__ import annotations
@@ -258,11 +261,18 @@ class _Packing:
     def encode(self, m: Marking) -> int | None:
         """Packed form of ``m``, or None when no field can hold it: it names a
         place outside the layout or a count too wide for the value bits."""
+        index = self.index
+        if not index.keys() >= m._tokens.keys():
+            return None
+        return self.pack((index[p], n) for p, n in m._tokens.items())
+
+    def pack(self, fields: Iterable[tuple[int, int]]) -> int | None:
+        """Packed marking with count ``n`` at layout position ``i`` for each
+        ``(i, n)`` of ``fields``, or None when a count is too wide."""
         limit = 1 << self.bits
         out = 0
-        for p, n in m._tokens.items():
-            i = self.index.get(p)
-            if i is None or n >= limit:
+        for i, n in fields:
+            if n >= limit:
                 return None
             out |= n << (i * self.width)
         return out
@@ -306,6 +316,13 @@ class StateSpace:
 
     def __contains__(self, m: Marking) -> bool:
         packed = self._packing.encode(m)
+        return packed is not None and packed in self._packed
+
+    def holds(self, fields: Iterable[tuple[int, int]]) -> bool:
+        """Whether the marking with count ``n`` at layout position ``i``, for
+        each ``(i, n)`` of ``fields``, is stored: ``m in space`` without a
+        :class:`Marking`."""
+        packed = self._packing.pack(fields)
         return packed is not None and packed in self._packed
 
 
@@ -602,59 +619,113 @@ class StateEquation:
     """The state equation ``m = m0 + C·σ`` of a net, as a test of markings.
 
     A reachable marking ``m`` has ``m - m0`` in the span of the incidence
-    columns ``C``, so a nonzero remainder of ``m - m0`` against that span
-    proves ``m`` unreachable.  The columns are eliminated once, with exact
-    integers, into an echelon basis of sparse vectors (place position ->
-    coefficient), each keyed by its highest place position.  Pivoting on
-    the highest position keeps a hub place shared by many transitions out
-    of the pivots: on a lowest-position pivot, every column through the hub
-    would be reduced against a growing chain of basis vectors.
+    columns ``C``.  The columns are eliminated once, with exact integers,
+    into an echelon basis of sparse vectors (place position -> coefficient),
+    each keyed by its highest place position.  Pivoting on the highest
+    position keeps a hub place shared by many transitions out of the
+    pivots: on a lowest-position pivot, every column through the hub would
+    be reduced against a growing chain of basis vectors.
+
+    A vector lies in that span exactly when it is orthogonal to every
+    P-flow, an integer ``y`` with ``yᵀC = 0`` (a place invariant: Murata,
+    Proc. IEEE 1989).  :func:`_flows` reads a basis of the P-flows off the
+    echelon basis, so ``m`` is refuted when ``y·m ≠ y·m0`` for one of them,
+    and a test costs the flows through the places that ``m`` marks.
     """
 
     def __init__(self, net: PetriNet, m0: Marking):
-        self._index = {p: i for i, p in enumerate(net.places)}
-        self._m0 = m0
-        self._basis: dict[int, dict[int, int]] = {}
+        # a place outside the net that m0 marks is one no transition touches
+        places = (*net.places, *sorted(m0.support() - set(net.places)))
+        index = {p: i for i, p in enumerate(places)}
+        basis: dict[int, dict[int, int]] = {}
         for t in net.transitions:
-            column = {self._index[p]: -w for p, w in net.pre_of(t).items()}
+            column = {index[p]: -w for p, w in net.pre_of(t).items()}
             for p, w in net.post_of(t).items():
-                i = self._index[p]
+                i = index[p]
                 column[i] = column.get(i, 0) + w
-            rest = self._reduce({i: x for i, x in column.items() if x})
+            rest = _remainder(basis, {i: x for i, x in column.items() if x})
             if rest:
-                self._basis[max(rest)] = rest
-
-    def _reduce(self, v: dict[int, int]) -> dict[int, int]:
-        """Remainder of ``v`` against the basis, up to a nonzero factor."""
-        while v:
-            top = max(v)
-            b = self._basis.get(top)
-            if b is None:
-                return v
-            d = math.gcd(b[top], v[top])
-            f, g = b[top] // d, v[top] // d
-            combined = {i: f * x for i, x in v.items()}
-            for i, x in b.items():
-                combined[i] = combined.get(i, 0) - g * x
-            v = {i: x for i, x in combined.items() if x}
-            if v:
-                d = math.gcd(*v.values())
-                if d > 1:
-                    v = {i: x // d for i, x in v.items()}
-        return v
+                basis[max(rest)] = rest
+        # per place, its (flow, coefficient) pairs; per flow, -(y·m0) when nonzero
+        self._columns: dict[str, list[tuple[int, int]]] = {p: [] for p in places}
+        self._offsets: dict[int, int] = {}
+        for k, y in enumerate(_flows(basis, len(places))):
+            at_m0 = 0
+            for i, x in y.items():
+                self._columns[places[i]].append((k, x))
+                at_m0 += x * m0[places[i]]
+            if at_m0:
+                self._offsets[k] = -at_m0
 
     def admits(self, m: Marking) -> bool:
         """False when ``m`` is proven unreachable from ``m0``; True says
         only that the state equation has a rational solution."""
-        diff = {}
-        for p in m.support() | self._m0.support():
-            d = m[p] - self._m0[p]
-            if d:
-                i = self._index.get(p)
-                if i is None:  # no transition touches a non-place
-                    return False
-                diff[i] = d
-        return not self._reduce(diff)
+        residual = self._offsets.copy()
+        columns = self._columns
+        for p, n in m._tokens.items():
+            column = columns.get(p)
+            if column is None:  # no transition touches a non-place
+                return False
+            for k, x in column:
+                residual[k] = residual.get(k, 0) + x * n
+        return not any(residual.values())
+
+
+def _remainder(basis: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    """Remainder of ``v`` against the echelon ``basis``, up to a nonzero factor."""
+    while v:
+        top = max(v)
+        b = basis.get(top)
+        if b is None:
+            return v
+        d = math.gcd(b[top], v[top])
+        f, g = b[top] // d, v[top] // d
+        combined = {i: f * x for i, x in v.items()}
+        for i, x in b.items():
+            combined[i] = combined.get(i, 0) - g * x
+        v = {i: x for i, x in combined.items() if x}
+        if v:
+            d = math.gcd(*v.values())
+            if d > 1:
+                v = {i: x // d for i, x in v.items()}
+    return v
+
+
+def _flows(basis: dict[int, dict[int, int]], n: int) -> list[dict[int, int]]:
+    """A basis of the P-flows over ``n`` positions, for the echelon ``basis``
+    of the incidence columns: for each position ``f`` that keys no basis
+    vector, in increasing order, the integer ``y`` orthogonal to every basis
+    vector with ``y[f] > 0`` and zero on every other such position.
+
+    By integer back-substitution: a basis vector ``b`` keyed ``t`` fixes
+    ``y[t] = -(Σ y[i]·b[i] for i < t) / b[t]``, and ``y`` is scaled up
+    first when ``b[t]`` does not divide the sum.  The keys are solved in
+    increasing order, each for the flows nonzero on its vector, so the work
+    is the flows that meet each vector."""
+    flows = {f: {f: 1} for f in range(n) if f not in basis}
+    holders = {f: [f] for f in flows}  # position -> the flows nonzero there
+    for t in sorted(basis):
+        b = basis[t]
+        sums: dict[int, int] = {}
+        for i, x in b.items():
+            for f in holders.get(i, ()):
+                sums[f] = sums.get(f, 0) + flows[f][i] * x
+        bt = b[t]
+        for f, s in sums.items():
+            if s:
+                y = flows[f]
+                if s % bt:
+                    scale = abs(bt) // math.gcd(s, bt)
+                    for i in y:
+                        y[i] *= scale
+                    s *= scale
+                y[t] = -s // bt
+                holders.setdefault(t, []).append(f)
+    out = []
+    for y in flows.values():
+        d = math.gcd(*y.values())
+        out.append({i: x // d for i, x in y.items()} if d > 1 else y)
+    return out
 
 
 def is_safe(space: StateSpace) -> bool:
@@ -765,11 +836,14 @@ def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyM
         raise IncompleteStateSpaceError(space.status)
     order = tuple(places)
     packing = space._packing
-    # a name outside the layout is never marked
-    outside = [p for p in order if p not in packing.index]
-    everything = packing.places + tuple(outside)
-    marked = _marked_rows(space) + [0] * len(outside)
-    mat = ConcurrencyMatrix.from_rows(everything, marked).restrict(order)
+    if order == packing.places:  # the layout itself, as for every net.places order
+        mat = ConcurrencyMatrix.from_rows(order, _marked_rows(space))
+    else:
+        # a name outside the layout is never marked
+        outside = [p for p in order if p not in packing.index]
+        everything = packing.places + tuple(outside)
+        marked = _marked_rows(space) + [0] * len(outside)
+        mat = ConcurrencyMatrix.from_rows(everything, marked).restrict(order)
     mat.writes = mat.ones_count()
     return mat
 

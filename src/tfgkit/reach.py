@@ -4,12 +4,17 @@ A query over the original places is projected bottom-up to a unique candidate
 marking of the reduced net; when the projection is inconsistent the query is
 unreachable outright.  Otherwise the reduced net's state equation may refute
 the candidate without any search, and if it does not, breadth-first searches
-settle it.  The reduced net falls apart into connected components that share
-no place and no transition, so its reachable set is the product of theirs:
-each component is searched for its own part of the candidate, stopping as
-soon as it stores that part, and two places of different components are
-concurrent exactly when each is marked somewhere.  Each verdict carries a
-reason token naming the step that settled it.  :class:`Analysis` keeps one
+settle it.  Both refutations are linear maps, compiled once: the graph keeps
+its :class:`tfg.Projection`, which costs a query the nodes above the
+target's marked places, and the :class:`StateEquation` keeps a basis of the
+reduced net's P-flows, which costs it the flows through the candidate's
+marked places.  The reduced net falls apart into connected components that
+share no place and no transition, so its reachable set is the product of
+theirs: each component is searched for its own part of the candidate,
+stopping as soon as it stores that part, and looked up in a stored space as
+one packed marking; two places of different components are concurrent
+exactly when each is marked somewhere.  Each verdict carries a reason token
+naming the step that settled it.  :class:`Analysis` keeps one
 net's graph, state equation, component spaces and reduced relation across
 queries; it never explores the product of the components.  The one-shot
 :func:`decide` keeps the :class:`Analysis` of its last call and reuses it
@@ -96,15 +101,11 @@ def project(graph: tfg.TokenFlowGraph, target: Marking) -> Marking | None:
 
     ``target`` valuates the original places (absent means zero).  None means
     no total well-defined configuration agrees with the target, which rules
-    out reachability regardless of the initial marking.
+    out reachability regardless of the initial marking.  The graph compiles
+    its :class:`tfg.Projection` on the first call and keeps it, so a call
+    costs the nodes above the target's marked places.
     """
-    stray = target.support() - graph.p1
-    if stray:
-        raise ValueError(f"target mentions non-places {sorted(stray)}")
-    c = tfg.bottom_up(graph, target)
-    if not tfg.is_well_defined(graph, c):
-        return None
-    return tfg.restrict(c, graph.p2)
+    return graph.projection(target)
 
 
 @dataclass(eq=False)
@@ -185,6 +186,13 @@ class Analysis:
     def _components(self) -> list[_Component]:
         return _split(self.result.reduced_net, self.result.reduced_marking)
 
+    @cached_property
+    def _positions(self) -> dict[str, tuple[int, int]]:
+        """Per reduced place, the number of its component and its position
+        among that component's places."""
+        return {p: (k, i) for k, part in enumerate(self._components)
+                for i, p in enumerate(part.net.places)}
+
     def _space(self, part: _Component, goal: Marking | None = None) -> StateSpace | None:
         """``part``'s space: on its first request a search that stops at
         ``goal``, after that its full exploration, each within what the
@@ -250,23 +258,31 @@ class Analysis:
             log.debug("decide settled by state equation: %r", projected)
             return ReachVerdict(UNREACHABLE, STATE_EQUATION, projected)
         components = self._components
+        fields: list[list[tuple[int, int]]] = [[] for _ in components]
+        positions = self._positions
+        for p, n in projected._tokens.items():
+            k, i = positions[p]
+            fields[k].append((i, n))
         verdict = ReachVerdict(REACHABLE, BACKEND_HIT, projected)
         reused = 0  # components answered from a space an earlier call stored
-        for part in components:
-            goal = Marking({p: projected[p] for p in part.net.places})
+        for part, part_fields in zip(components, fields):
             stored = part.space
+            goal = None
+            if stored is None:
+                goal = Marking({part.net.places[i]: n for i, n in part_fields})
             space = self._space(part, goal)
             reused += space is not None and space is stored
-            if space is not None and goal in space:
+            if space is not None and space.holds(part_fields):
                 continue
             if space is not None and space.is_complete:
                 verdict = ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)
                 break
             verdict = ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
-        log.debug("decide settled by search (%s): %r among %d stored reduced states "
-                  "in %d components%s", verdict.reason, projected,
-                  sum(len(part.space) for part in components if part.space is not None),
-                  len(components), f", {reused} searched by earlier calls" if reused else "")
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("decide settled by search (%s): %r among %d stored reduced states "
+                      "in %d components%s", verdict.reason, projected,
+                      sum(len(part.space) for part in components if part.space is not None),
+                      len(components), f", {reused} searched by earlier calls" if reused else "")
         return verdict
 
 

@@ -10,6 +10,12 @@ place, which is what makes projections and concurrency propagation cheap.
 Walks read ``children``; the equation groups read ``a_children`` and
 ``r_parents``; the roots are the nodes that no arc enters.
 
+The other way, a marking of the original places projects to the roots:
+each agglomeration head sums the places below it, and the redundancy
+groups must balance.  A graph compiles that projection once, on first use,
+into a :class:`Projection` of linear terms, so a projected marking costs
+the nodes above its marked places rather than the graph.
+
 Construction settles two of the structural checks: the nodes are exactly the
 places, the equations' variables and fresh constants (T1), and each
 equation's arcs form one group, so groups and equations correspond one for
@@ -149,6 +155,11 @@ class TokenFlowGraph:
                 acc |= succ[index[w]]
             succ[index[v]] = acc
         return tuple(succ)
+
+    @cached_property
+    def projection(self) -> Projection:
+        """The :class:`Projection` of this graph, compiled on first use."""
+        return Projection(self)
 
 
 def _fresh_constant_names(equations, used: set[str]) -> dict[int, str]:
@@ -312,23 +323,78 @@ def is_well_defined(graph: TokenFlowGraph, c: Configuration) -> bool:
     return True
 
 
-def bottom_up(graph: TokenFlowGraph, m: Marking) -> dict[str, int]:
-    """Configuration read upwards from a marking of the original places.
+class Projection:
+    """The projection of original markings onto the reduced places, compiled
+    once for a graph that passed :func:`build`; see :func:`tfgkit.reach.project`.
 
-    The original places take their counts from ``m`` (absent means zero) and
-    constants their stored values; every node with agglomeration children
-    then receives the sum of those children.  One pass in reverse
-    topological order, so the depth of the graph costs no stack.  The
-    result need not be well defined; redundancy targets outside the
-    original places stay undefined.
-    """
-    c = {p: m[p] for p in graph.p1}
-    c.update(graph.constants)
-    for v in reversed(graph.topo_order):
-        splits = graph.a_children[v]
-        if splits:
-            c[v] = sum(c[w] for w in splits)
-    return c
+    On such a graph every node is an original place, a constant or the
+    source of agglomeration arcs (T6), and each agglomeration target has a
+    unique parent (T3): the agglomeration arcs form a forest whose leaves
+    are original places.  Reading the graph bottom-up from a marking, a node
+    takes the summed counts of the places below it, so the agglomeration
+    groups hold by construction and a node no marked place lies below holds
+    zero.  What is left of :func:`is_well_defined` is a static verdict,
+    whether the defined nodes meet every arc at both ends or neither, and
+    the redundancy groups: each group's residual, its head's value minus its
+    members' sum, is a constant offset (its constant members) plus one term
+    per node in it.
+
+    A query adds each marked place's count to the place and to its
+    ancestors, visiting every touched node once: the walks up from the
+    marked places stop at a node an earlier walk reached, and the touched
+    nodes then pass their sums to their parents children first, by their
+    position in ``topo_order``.  The residuals of the touched nodes' groups
+    are checked, and the touched roots read off."""
+
+    __slots__ = ("p1", "p2", "parent", "rank", "terms", "offsets", "defined")
+
+    def __init__(self, graph: TokenFlowGraph):
+        self.p1 = graph.p1
+        self.p2 = graph.p2
+        self.parent = {w: v for v, w in graph.a_arcs}
+        self.rank = {v: i for i, v in enumerate(graph.topo_order)}
+        constants = graph.constants
+        defined = graph.p1 | constants.keys() | {v for v, _ in graph.a_arcs}
+        arcs = graph.r_arcs | graph.a_arcs
+        self.defined = all((v in defined) == (w in defined) for v, w in arcs)
+        terms: dict[str, list[tuple[str, int]]] = {}
+        offsets: dict[str, int] = {}
+        for x, head in graph.r_arcs:
+            if head not in offsets:  # a constant never heads a group (T2)
+                offsets[head] = 0
+                terms.setdefault(head, []).append((head, 1))
+            if x in constants:
+                offsets[head] -= constants[x]
+            else:
+                terms.setdefault(x, []).append((head, -1))
+        self.terms = terms
+        self.offsets = {head: r for head, r in offsets.items() if r}
+
+    def __call__(self, target: Marking) -> Marking | None:
+        marked = target._tokens
+        if not self.p1.issuperset(marked):
+            raise ValueError(f"target mentions non-places {sorted(marked.keys() - self.p1)}")
+        if not self.defined:
+            return None
+        parent = self.parent
+        value = dict(marked)
+        for p in marked.keys() & parent.keys():
+            v = parent[p]
+            while v is not None and v not in value:
+                value[v] = 0
+                v = parent.get(v)
+        for v in sorted(value.keys() & parent.keys(), key=self.rank.__getitem__, reverse=True):
+            value[parent[v]] += value[v]
+        residual = self.offsets.copy()
+        terms = self.terms
+        for v in value.keys() & terms.keys():
+            n = value[v]
+            for head, sign in terms[v]:
+                residual[head] = residual.get(head, 0) + sign * n
+        if any(residual.values()):
+            return None
+        p2 = self.p2
+        return Marking({v: n for v, n in value.items() if v in p2})
 
 
 def restrict(c: Configuration, places: Iterable[str]) -> Marking:

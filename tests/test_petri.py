@@ -19,7 +19,9 @@ from tfgkit.petri import (
     StateEquation,
     _column_rows,
     _compile,
+    _flows,
     _Packing,
+    _remainder,
     _set_rows,
     enabled,
     explore,
@@ -268,10 +270,10 @@ def reference_explore(net, m0, max_states, max_token):
 
 
 @st.composite
-def weighted_nets(draw):
-    n_places = draw(st.integers(1, 5))
+def weighted_nets(draw, most: int = 5):
+    n_places = draw(st.integers(1, most))
     places = tuple(f"p{i}" for i in range(n_places))
-    transitions = tuple(f"t{i}" for i in range(draw(st.integers(0, 5))))
+    transitions = tuple(f"t{i}" for i in range(draw(st.integers(0, most))))
     arcs = st.dictionaries(st.sampled_from(places), st.integers(1, 3), max_size=3)
     pre = {t: draw(arcs) for t in transitions}
     post = {t: draw(arcs) for t in transitions}
@@ -520,6 +522,22 @@ class TestPackedKernel:
                 ones += value
         assert mat.writes == ones
 
+    @given(nets_under_test, st.integers(1, 3))
+    @example(generators.fork_join(20).build(), 1)
+    def test_layout_order_needs_no_restrict(self, net_m0, max_token):
+        """Over the layout's own order the rows are the matrix as they are:
+        the cells and ``writes`` of the restricted form, with no restrict."""
+        net, m0 = net_m0
+        space = explore(net, m0, max_states=300, max_token=max_token)
+        if not space.is_complete:
+            return
+        wider = oracle_concurrency(space, (*net.places, "elsewhere"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tfgkit.petri.ConcurrencyMatrix, "restrict", refuse)
+            mat = oracle_concurrency(space, net.places)
+        assert mat == wider.restrict(net.places)
+        assert mat.writes == wider.writes
+
     @pytest.mark.parametrize("net_m0, max_token, form", [
         (FOUR_LOOPS, 1, "columns_by_states"),  # 16 places, 256 states
         (BOUNDED_LOOPS, 2, "columns_by_states"),  # 14 places, 288 states
@@ -759,6 +777,57 @@ class TestGoal:
         assert not equation.admits(Marking({"a": 1, "b": 1}))
         assert not equation.admits(Marking({}))
         assert not equation.admits(Marking({"a": 1, "elsewhere": 1}))
+
+    @given(weighted_nets(most=8), st.randoms(use_true_random=False))
+    @example((PetriNet(("a", "b"), ("t",), {"t": {"a": 2}}, {"t": {"b": 3}}), Marking({"a": 2})),
+             random.Random(0))
+    def test_flows_decide_as_the_echelon_remainder(self, net_m0, rng):
+        """``admits`` through the P-flows gives the verdict of the remainder
+        of ``m - m0`` against the echelon basis, on arc weights 1-3, where
+        back-substitution divides inexactly; every flow is orthogonal to
+        every incidence column, one per position that keys no basis
+        vector."""
+        net, m0 = net_m0
+        index = {p: i for i, p in enumerate(net.places)}
+        columns, basis = [], {}
+        for t in net.transitions:
+            column = {}
+            for p, w in net.pre_of(t).items():
+                column[index[p]] = -w
+            for p, w in net.post_of(t).items():
+                column[index[p]] = column.get(index[p], 0) + w
+            columns.append({i: x for i, x in column.items() if x})
+            rest = _remainder(basis, columns[-1])
+            if rest:
+                basis[max(rest)] = rest
+        flows = _flows(basis, len(net.places))
+        assert len(flows) == len(net.places) - len(basis)
+        assert all(sum(y.get(i, 0) * x for i, x in c.items()) == 0 for y in flows for c in columns)
+
+        def echelon_admits(m: Marking) -> bool:
+            diff = {}
+            for p in m.support() | m0.support():
+                if m[p] != m0[p]:
+                    if p not in index:
+                        return False
+                    diff[index[p]] = m[p] - m0[p]
+            return not _remainder(basis, diff)
+
+        targets = [Marking({p: rng.randint(0, 4) for p in net.places}) for _ in range(20)]
+        for _ in range(20):  # m0 plus a random firing count vector, when nonnegative
+            tokens = dict(m0.items())
+            for t in net.transitions:
+                k = rng.randint(0, 2)
+                for p, w in net.post_of(t).items():
+                    tokens[p] = tokens.get(p, 0) + k * w
+                for p, w in net.pre_of(t).items():
+                    tokens[p] = tokens.get(p, 0) - k * w
+            if min(tokens.values(), default=0) >= 0:
+                targets.append(Marking(tokens))
+        targets.append(Marking({**dict(m0.items()), "elsewhere": 1}))
+        equation = StateEquation(net, m0)
+        for target in targets:
+            assert equation.admits(target) == echelon_admits(target), target
 
     @pytest.mark.parametrize("family", ["choice_loop", "diamond_chain"])
     def test_basis_of_a_wide_reduced_net_builds_fast(self, family):

@@ -2,17 +2,25 @@
 
 import itertools
 import logging
+import random
+import re
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tfgkit.cli
+import tfgkit.petri
 import tfgkit.reach
+import tfgkit.tfg
 from conftest import (
     BOUNDED_MAX_TOKEN,
+    CORPUS_DIR,
     TWO_RINGS_TEXT,
     bounded_nets,
+    load_instance,
     lower_rows,
     marking_key,
     pairwise_rows,
@@ -50,7 +58,9 @@ from tfgkit.reach import (
     project,
 )
 from tfgkit.reductions import ReductionResult, build_graph, reduce
-from tfgkit.tfg import bottom_up, build, enumerate_extensions, restrict
+from tfgkit.tfg import build, enumerate_extensions, is_well_defined, restrict
+
+GOLDEN_VERDICTS = Path(__file__).resolve().parent / "golden" / "decide.txt"
 
 CASCADE_TEXT = """\
 # R |- p5 = p4
@@ -77,18 +87,22 @@ def cascade():
 
 
 class TestBottomUp:
+    """``project`` reads the graph bottom-up: a head takes the sum of the
+    places below it."""
+
     def test_doubled_roots_double_the_heads(self, cascade):
-        c = bottom_up(cascade, Marking({"p1": 2, "p3": 1, "p4": 1, "p5": 1}))
-        assert c["a1"] == 2
-        assert c["a2"] == 2
+        # a1 = p2 + p1 = 2 and a2 = p4 + p3 = 2, so a1 = a2 holds
+        projected = project(cascade, Marking({"p1": 2, "p3": 1, "p4": 1, "p5": 1}))
+        assert projected == Marking({"a2": 2})
+        assert project(cascade, Marking({"p1": 1, "p3": 1, "p4": 1, "p5": 1})) is None
 
     def test_isolated_node_untouched(self, cascade):
-        c = bottom_up(cascade, Marking({"p0": 1}))
-        assert c["p0"] == 1
+        projected = project(cascade, Marking({"p0": 1}))
+        assert projected["p0"] == 1
 
     def test_zero_marking_zeroes_variables(self, cascade):
-        c = bottom_up(cascade, Marking({}))
-        assert c["a1"] == 0 and c["a2"] == 0
+        projected = project(cascade, Marking({}))
+        assert projected["a2"] == 0 and projected == Marking({})
 
 
 def closed_form_chain(length: int):
@@ -124,6 +138,19 @@ class TestDepth:
         verdict = decide(net, m0, Marking({"h_p0": 1, "h_p9": 1}), result)
         assert (verdict.answer, verdict.reason) == (UNREACHABLE, STATE_EQUATION)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_project_a_target_marking_every_leaf(self, count):
+        """Every one of the 5,000 leaves under ``a4999``: a walk from each
+        leaf to the root would take 12.5 million steps."""
+        net, m0, result = closed_form_chain(5000)
+        graph = build_graph(net, result)
+        graph.projection  # compiled once, outside the timed call
+        target = Marking({p: count for p in net.places})
+        start = time.perf_counter()
+        projected = project(graph, target)
+        assert time.perf_counter() - start < 1.0
+        assert projected == Marking({"h_p0": count, "a4999": 5000 * count})
+
 
 class TestProject:
     def test_doubled_target_projects(self, cascade):
@@ -140,6 +167,77 @@ class TestProject:
     def test_rejects_non_p1_names(self, cascade):
         with pytest.raises(ValueError):
             project(cascade, Marking({"a2": 1}))
+
+
+def reference_project(graph, target: Marking) -> Marking | None:
+    """``project`` as a walk over the whole graph: the original places take
+    their counts, the constants their values and every agglomeration head
+    the sum of its children, in reverse topological order; the result is
+    checked with ``is_well_defined`` and restricted to the roots."""
+    stray = target.support() - graph.p1
+    if stray:
+        raise ValueError(f"target mentions non-places {sorted(stray)}")
+    c = {p: target[p] for p in graph.p1}
+    c.update(graph.constants)
+    for v in reversed(graph.topo_order):
+        splits = graph.a_children[v]
+        if splits:
+            c[v] = sum(c[w] for w in splits)
+    if not is_well_defined(graph, c):
+        return None
+    return restrict(c, graph.p2)
+
+
+def assert_projects_as_reference(graph, target: Marking) -> None:
+    try:
+        expected = reference_project(graph, target)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=re.escape(str(error))):
+            project(graph, target)
+        return
+    assert project(graph, target) == expected, target
+
+
+def drawn_targets(places, rng: random.Random, count: int) -> list[Marking]:
+    """``count`` markings of random subsets of ``places`` with counts 1-3,
+    every fifth one naming a stray place too."""
+    out = []
+    for i in range(count):
+        marked = rng.sample(places, rng.randint(0, len(places)))
+        tokens = {p: rng.randint(1, 3) for p in marked}
+        if i % 5 == 4:
+            tokens["stray"] = 1
+        out.append(Marking(tokens))
+    return out
+
+
+class TestCompiledProjection:
+    """The compiled ``project`` against the whole-graph walk it replaced,
+    on reachable markings, doubled ones, random counts up to 3 and names
+    outside the net."""
+
+    def test_corpus(self, corpus):
+        rng = random.Random(0)
+        for inst in corpus:
+            places = list(inst.net.places)
+            reached = sorted(inst.space1.markings, key=marking_key)
+            doubled = [Marking({p: 2 * n for p, n in m.items()}) for m in reached]
+            for target in [*reached, *doubled, *drawn_targets(places, rng, 40)]:
+                assert_projects_as_reference(inst.graph, target)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10_000).map(composite), st.randoms(use_true_random=False))
+    def test_composites(self, net_m0, rng):
+        net, m0 = net_m0
+        graph = build_graph(net, reduce(net, m0))
+        walks = [random_walk(net, m0, steps=k, seed=k) for k in range(0, 30, 3)]
+        for target in [*walks, *drawn_targets(list(net.places), rng, 20)]:
+            assert_projects_as_reference(graph, target)
+
+    def test_cascade(self, cascade):
+        rng = random.Random(1)
+        for target in drawn_targets(list(CASCADE_P1), rng, 200):
+            assert_projects_as_reference(cascade, target)
 
 
 class TestDecide:
@@ -248,6 +346,41 @@ class TestAnalysis:
             "decide settled by search (backend-hit): Marking(c_m1=1 d_m2=1) "
             "among 7 stored reduced states in 2 components",
         ]
+
+    def test_decide_calls_project_through_the_module(self, monkeypatch):
+        """Tracers time ``reach.project`` by replacing the module attribute,
+        so ``decide`` must look it up there on every call."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return project(*args)
+
+        analysis = Analysis(*parse_net(A1_TEXT))
+        monkeypatch.setattr(tfgkit.reach, "project", counted)
+        assert analysis.decide(Marking({"z": 1})).answer == REACHABLE
+        assert len(calls) == 1
+
+    def test_a_series_compiles_the_projection_and_the_flows_once(self, monkeypatch):
+        compiled, flows = [], []
+        compile_projection, flow_basis = tfgkit.tfg.Projection, tfgkit.petri._flows
+
+        def projection(graph):
+            compiled.append(graph)
+            return compile_projection(graph)
+
+        def counted_flows(*args):
+            flows.append(args)
+            return flow_basis(*args)
+
+        net, m0 = composite(10)  # 13 reduced places in 4 components
+        targets = [t for seed in range(4) for t in _bench_targets(net, m0, seed)]
+        analysis = Analysis(net, m0)
+        monkeypatch.setattr(tfgkit.tfg, "Projection", projection)
+        monkeypatch.setattr(tfgkit.petri, "_flows", counted_flows)
+        verdicts = [analysis.decide(t) for t in targets]
+        assert {v.reason for v in verdicts} >= {STATE_EQUATION, BACKEND_HIT}
+        assert len(compiled) == 1 and len(flows) == 1
 
     def test_reduces_when_no_result_is_given(self, corpus):
         for inst in corpus:
@@ -590,3 +723,33 @@ class TestPartition:
                 total += len(block)
             assert total == len(union), f"{inst.name}: blocks overlap"
             assert union == set(inst.space1.markings), inst.name
+
+
+def verdicts_text(instances) -> str:
+    """Per corpus net, the verdict of one ``Analysis`` on each bench target
+    of seeds 0 and 1, in turn: the target, answer, reason and projected
+    marking."""
+    lines = []
+    for inst in instances:
+        analysis = Analysis(inst.net, inst.m0, inst.result)
+        for target in (t for seed in (0, 1) for t in _bench_targets(inst.net, inst.m0, seed)):
+            verdict = analysis.decide(target)
+            lines.append(f"{inst.name} {target!r} {verdict.answer} {verdict.reason} "
+                         f"{verdict.projected!r}\n")
+    return "".join(lines)
+
+
+class TestPinnedVerdicts:
+    def test_golden(self, corpus):
+        """Answer, reason and projected marking of every bench target match
+        the committed ones.
+
+        Regenerate with ``PYTHONPATH=src python tests/test_reach.py``.
+        """
+        assert verdicts_text(corpus) == GOLDEN_VERDICTS.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN_VERDICTS.write_text(
+        verdicts_text([load_instance(path) for path in sorted(CORPUS_DIR.glob("*.net"))])
+    )
