@@ -149,6 +149,26 @@ def chain_line(length: int, prefix: str = "h") -> NetBuilder:
     return b
 
 
+def fan_in_chain(k: int, prefix: str = "n") -> NetBuilder:
+    """``k`` sources, the first one marked, each feeding one empty hub
+    through its own transition; the hub heads a chain of ``k`` empty places
+    that returns to the marked source.  2k + 1 places, k + 2 markings.  The
+    chain agglomerates onto the hub, so every merge carries the hub's k
+    producers along."""
+    b = NetBuilder()
+    sources = [b.place(f"{prefix}_s{i}", 1 if i == 0 else 0) for i in range(k)]
+    hub = b.place(f"{prefix}_hub")
+    for i, source in enumerate(sources):
+        b.transition(f"{prefix}_in{i}", {source: 1}, {hub: 1})
+    prev = hub
+    for i in range(1, k + 1):
+        cur = b.place(f"{prefix}_c{i}")
+        b.transition(f"{prefix}_t{i}", {prev: 1}, {cur: 1})
+        prev = cur
+    b.transition(f"{prefix}_wrap", {prev: 1}, {sources[0]: 1})
+    return b
+
+
 def isolated_places(marked: int, empty: int, prefix: str = "i") -> NetBuilder:
     """Places no transition touches; all of them reduce to constants."""
     b = NetBuilder()

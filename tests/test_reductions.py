@@ -1,5 +1,6 @@
 """Reduction rules, ratios, and the E-equivalence validator."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ RING_TEXT = "pl a 1\npl b 0\ntr t a -> b\ntr u b -> a\n"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "reduce.txt"
 GOLDEN_SCALED = GOLDEN_DIR / "reduce_scaled.txt"
+GOLDEN_RANDOM = GOLDEN_DIR / "reduce_random.txt"
 
 
 def _sections(nets) -> str:
@@ -65,6 +67,56 @@ def scaled_golden_text() -> str:
         ("ring(50)", generators.ring(50).build()),
     ]
     nets += [(f"composite({seed}, 8)", generators.composite(seed, 8)) for seed in range(20)]
+    return _sections(nets)
+
+
+def random_net(seed: int) -> tuple[PetriNet, Marking]:
+    """Seeded net of 6-12 places and arc weights 1-3, with shared inputs and
+    self-loops, plus up to two twins, which copy a place's columns, and up
+    to two relays: one or two feeders into a run of empty places."""
+    rng = random.Random(seed)
+    places = [f"p{i}" for i in range(rng.randint(6, 12))]
+    tokens = {p: rng.choice((0, 0, 0, 1)) for p in places}
+
+    def weight() -> int:
+        return rng.choice((1, 1, 1, 1, 2, 3))
+
+    pre: dict[str, dict[str, int]] = {}
+    post: dict[str, dict[str, int]] = {}
+    for j in range(rng.randint(len(places) // 2, len(places))):
+        t = f"t{j}"
+        pre[t] = {p: weight() for p in rng.sample(places, rng.choice((0, 1, 1, 2)))}
+        post[t] = {p: weight() for p in rng.sample(places, rng.choice((0, 1, 1, 2)))}
+        if rng.random() < 0.2:
+            p = rng.choice(places)
+            pre[t][p] = post[t][p] = weight()
+    for _ in range(rng.randint(0, 2)):
+        p, twin = rng.choice(places), f"p{len(places)}"
+        places.append(twin)
+        tokens[twin] = tokens[p]
+        for arcs in (*pre.values(), *post.values()):
+            if p in arcs:
+                arcs[twin] = arcs[p]
+    for _ in range(rng.randint(0, 2)):
+        prev = None
+        for _ in range(rng.randint(1, 3)):
+            cur = f"p{len(places)}"
+            places.append(cur)
+            tokens[cur] = 0
+            for source in [prev] if prev else rng.sample(places[:-1], rng.randint(1, 2)):
+                t = f"t{len(pre)}"
+                pre[t], post[t] = {source: 1}, {cur: rng.choice((1, 1, 1, 2))}
+            prev = cur
+        t = f"t{len(pre)}"
+        pre[t], post[t] = {prev: 1}, {rng.choice(places): 1}
+    return PetriNet(tuple(places), tuple(pre), pre, post), Marking(tokens)
+
+
+def random_golden_text() -> str:
+    """Two hundred seeded random nets and four small ``fan_in_chain``
+    nets, where each rule meets weights, self-loops and shared columns."""
+    nets = [(f"random_net({seed})", random_net(seed)) for seed in range(200)]
+    nets += [(f"fan_in_chain({k})", generators.fan_in_chain(k).build()) for k in (1, 2, 3, 8)]
     return _sections(nets)
 
 
@@ -313,13 +365,17 @@ class TestPinnedOutput:
         transition order included, match the committed output exactly.
 
         Regenerate with ``PYTHONPATH=src python tests/test_reductions.py``,
-        which writes this file and the scaled one.
+        which writes this file, the scaled one and the random one.
         """
         assert golden_text() == GOLDEN.read_text()
 
     def test_golden_scaled(self):
         """The same pin on nets of a few hundred places."""
         assert scaled_golden_text() == GOLDEN_SCALED.read_text()
+
+    def test_golden_random(self):
+        """The same pin on seeded random nets and small fan-in chains."""
+        assert random_golden_text() == GOLDEN_RANDOM.read_text()
 
     @settings(max_examples=50)
     @given(st.one_of(st.integers(0, 10_000).map(generators.composite), bounded_nets()))
@@ -336,3 +392,4 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     GOLDEN.write_text(golden_text())
     GOLDEN_SCALED.write_text(scaled_golden_text())
+    GOLDEN_RANDOM.write_text(random_golden_text())
