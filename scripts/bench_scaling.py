@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Time the brute-force oracle on scalable generator families.
+"""Time the brute-force oracle and the reduction front end on scalable
+generator families.
 
 For each family and size, the full net is explored with ``explore``, its
 concurrency relation computed with ``oracle_concurrency`` and that matrix
-written as text with ``write_matrix(to_document(...))``; each row holds the
-state count, the exploration status, the median over 5 runs of the three
-times and of the exploration rate, and the minimum of the three times.  The
-runs are interleaved: each of the 5 passes times every row once, so a burst
-of load on the machine moves one run of many rows rather than every run of
-one.  Load only ever adds time, so a change is judged on the minimums
-(``explore_min_s``, ``oracle_concurrency_min_s``, ``matrix_text_min_s``).
-Run from the repo root:
+written as text with ``write_matrix(to_document(...))``; the net is also
+reduced with ``reduce`` and its token flow graph built with
+``build_graph``.  Each row holds the state count, the exploration status,
+the median over 5 runs of the five times and of the exploration rate, and
+the minimum of the five times.  The runs are interleaved: each of the 5
+passes times every row once, so a burst of load on the machine moves one
+run of many rows rather than every run of one.  Load only ever adds time,
+so a change is judged on the minimums (``explore_min_s``,
+``oracle_concurrency_min_s``, ``matrix_text_min_s``, ``reduce_min_s``,
+``graph_min_s``).  Run from the repo root:
 
     PYTHONPATH=src python scripts/bench_scaling.py [--output BENCH_explore.json]
 """
@@ -30,6 +33,7 @@ from tfgkit import generators as gen
 from tfgkit.conc import to_document
 from tfgkit.net_io import write_matrix
 from tfgkit.petri import explore, oracle_concurrency
+from tfgkit.reductions import build_graph, reduce
 
 MAX_STATES = 1_000_000
 REPEATS = 5
@@ -46,16 +50,26 @@ FAMILIES = {
     # one state per stage, each marking as wide as the net: the oracle's
     # widest linear case
     "duplicate_ladder": ((500, 1000, 2000), lambda s: gen.duplicate_ladder(s).build()),
+    # every merge of the chain hands the hub's k producers on: the
+    # reducer's widest columns
+    "fan_in_chain": ((500, 1000, 2000), lambda k: gen.fan_in_chain(k).build()),
 }
 
 
-Run = tuple[int, str, float, float | None, float | None]
+Run = tuple[int, str, float, float | None, float | None, float, float]
 
 
 def time_once(net, m0) -> Run:
     """States, status and seconds of one ``explore``, plus the seconds of
     ``oracle_concurrency`` on its space and of writing that matrix as text
-    when the space is complete."""
+    when the space is complete, and of one ``reduce`` and one
+    ``build_graph`` on its result."""
+    start = time.perf_counter()
+    result = reduce(net, m0)
+    reduce_s = time.perf_counter() - start
+    start = time.perf_counter()
+    build_graph(net, result)
+    graph_s = time.perf_counter() - start
     start = time.perf_counter()
     space = explore(net, m0, max_states=MAX_STATES)
     explore_s = time.perf_counter() - start
@@ -67,7 +81,7 @@ def time_once(net, m0) -> Run:
         start = time.perf_counter()
         write_matrix(to_document(matrix))
         text_s = time.perf_counter() - start
-    return len(space), space.status, explore_s, oracle_s, text_s
+    return len(space), space.status, explore_s, oracle_s, text_s, reduce_s, graph_s
 
 
 def summarize(family: str, size: int, runs: list[Run]) -> dict:
@@ -77,6 +91,8 @@ def summarize(family: str, size: int, runs: list[Run]) -> dict:
     explore_s = [run[2] for run in runs]
     oracle_s = [run[3] for run in runs if run[3] is not None]
     text_s = [run[4] for run in runs if run[4] is not None]
+    reduce_s = [run[5] for run in runs]
+    graph_s = [run[6] for run in runs]
     seconds = statistics.median(explore_s)
     return {
         "family": family,
@@ -89,6 +105,10 @@ def summarize(family: str, size: int, runs: list[Run]) -> dict:
         "oracle_concurrency_min_s": min(oracle_s) if oracle_s else None,
         "matrix_text_s": statistics.median(text_s) if text_s else None,
         "matrix_text_min_s": min(text_s) if text_s else None,
+        "reduce_s": statistics.median(reduce_s),
+        "reduce_min_s": min(reduce_s),
+        "graph_s": statistics.median(graph_s),
+        "graph_min_s": min(graph_s),
         "states_per_s": states / seconds if seconds else None,
     }
 
@@ -108,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             for (family, size, _), case_runs in zip(cases, runs)]
     for row in rows:
         print(f"{row['family']}({row['size']}): {row['states']} states {row['status']}, "
-              f"explore {row['explore_s']:.4f} s (min {row['explore_min_s']:.4f} s)")
+              f"explore {row['explore_s']:.4f} s (min {row['explore_min_s']:.4f} s), "
+              f"reduce {row['reduce_min_s']:.4f} s, graph {row['graph_min_s']:.4f} s (min)")
     document = {
         "command": "python scripts/bench_scaling.py",
         "python": platform.python_version(),

@@ -245,6 +245,16 @@ class TaggedEquation:
         if self.constant is not None and self.constant < 0:
             raise ValueError("negative constant")
 
+    @classmethod
+    def _unchecked(cls, tag: str, lhs: str, terms: tuple[str, ...] = (),
+                   constant: int | None = None) -> TaggedEquation:
+        """The equation of these fields without the checks of
+        ``__post_init__``, for a caller whose fields pass them by
+        construction."""
+        eq = object.__new__(cls)
+        eq.__dict__.update(tag=tag, lhs=lhs, terms=terms, constant=constant)
+        return eq
+
     def rhs_text(self) -> str:
         if self.constant is not None:
             return str(self.constant)

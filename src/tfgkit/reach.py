@@ -229,7 +229,9 @@ class Analysis:
         """The reduced net's exact concurrency relation, over its places in
         order.  Each component's cells come from its space in ``spaces``; a
         cell across two components is 1 exactly when both places are marked
-        somewhere."""
+        somewhere.  The cross-component pass runs only when there are two
+        components or more, and the closing restrict only when their places,
+        one after the other, are not already the reduced net's order."""
         order: list[str] = []  # the components' places, one after the other
         rows: list[int] = []
         masks: list[int] = []  # per position, its component's positions
@@ -238,10 +240,13 @@ class Analysis:
             order += part.net.places
             rows += [row << shift for row in _marked_rows(space)]
             masks += [(1 << len(order)) - (1 << shift)] * len(part.net.places)
-        markable = sum(1 << i for i, row in enumerate(rows) if row >> i & 1)
-        rows = [row | (markable & ~mask) if row >> i & 1 else row
-                for i, (row, mask) in enumerate(zip(rows, masks))]
-        return ConcurrencyMatrix.from_rows(order, rows).restrict(self.result.reduced_net.places)
+        if len(self._components) > 1:
+            markable = sum(1 << i for i, row in enumerate(rows) if row >> i & 1)
+            rows = [row | (markable & ~mask) if row >> i & 1 else row
+                    for i, (row, mask) in enumerate(zip(rows, masks))]
+        matrix = ConcurrencyMatrix.from_rows(order, rows)
+        places = self.result.reduced_net.places
+        return matrix if matrix.order == places else matrix.restrict(places)
 
     def decide(self, target: Marking) -> ReachVerdict:
         """Decide whether ``target`` is reachable in ``net`` from ``m0``.

@@ -8,7 +8,12 @@ agglomeration arcs ``v -> xi`` (the xi were removed, v inserted).  A valuation
 of the roots then extends along the arcs to token counts for every removed
 place, which is what makes projections and concurrency propagation cheap.
 Walks read ``children``; the equation groups read ``a_children`` and
-``r_parents``; the roots are the nodes that no arc enters.
+``r_parents``; the roots are the nodes that no arc enters.  The views are
+derived without a sort: the arcs are dealt to their targets, and the
+targets read back in node order leave every child list in node order.  One
+such dealing gives ``children``, the in-degree, the roots and Kahn's
+``topo_order``, first in first out from the roots, which comes out short
+of the nodes exactly when the arcs close a cycle (T5).
 
 The other way, a marking of the original places projects to the roots:
 each agglomeration head sums the places below it, and the redundancy
@@ -25,10 +30,11 @@ every value a finite sum of root values.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 from tfgkit.net_io import TaggedEquation
@@ -66,8 +72,9 @@ class TokenFlowGraph:
 
     Three adjacency views in node order are derived on first use:
     ``children`` over both arc kinds, and ``a_children`` and ``r_parents``,
-    the members of the two kinds of equation group.  ``roots`` and
-    ``topo_order`` read one count of incoming arcs.
+    the members of the two kinds of equation group.  ``children``, the
+    in-degree, ``roots`` and ``topo_order`` come from one dealing of the
+    arcs.
     """
 
     nodes: tuple[str, ...]
@@ -82,50 +89,61 @@ class TokenFlowGraph:
         """Position of each node in ``nodes``."""
         return {v: i for i, v in enumerate(self.nodes)}
 
-    def _adjacency(self, pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
-        """For each node ``v``, the ``w`` of every pair ``(v, w)``, in node order:
-        the pairs are sorted once by the position of ``w``."""
-        index = self.index
+    def _adjacency(self, pairs: Iterable[tuple[str, str]],
+                   ) -> tuple[dict[str, tuple[str, ...]], dict[str, list[str]]]:
+        """For each node ``v``, the ``w`` of every pair ``(v, w)`` in node
+        order; and for each ``w``, the ``v`` of its pairs in no set order.
+        The pairs are dealt to their ``w`` and the ``w`` taken in node
+        order, so nothing is sorted."""
+        into: dict[str, list[str]] = {w: [] for w in self.nodes}
+        for v, w in pairs:
+            into[w].append(v)
         out: dict[str, list[str]] = {v: [] for v in self.nodes}
-        for v, w in sorted(pairs, key=lambda pair: index[pair[1]]):
-            out[v].append(w)
-        return {v: tuple(ws) for v, ws in out.items()}
+        for w, vs in into.items():
+            for v in vs:
+                out[v].append(w)
+        return dict(zip(out, map(tuple, out.values()))), into
+
+    @cached_property
+    def _views(self) -> tuple[dict[str, tuple[str, ...]], dict[str, int],
+                              tuple[str, ...], tuple[str, ...]]:
+        """``children``, the in-degree of each node, ``roots`` and
+        ``topo_order``, from one dealing of the arcs.  The order is Kahn's,
+        first in first out from the roots in node order."""
+        children, into = self._adjacency(self.r_arcs | self.a_arcs)
+        in_degree = dict(zip(into, map(len, into.values())))
+        roots = [v for v, n in in_degree.items() if not n]
+        left = in_degree.copy()
+        order = roots.copy()
+        for v in order:  # the loop also reaches the nodes appended to it
+            for w in children[v]:
+                left[w] -= 1
+                if not left[w]:
+                    order.append(w)
+        return children, in_degree, tuple(roots), tuple(order)
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
         """Targets of outgoing arcs, both kinds, in node order."""
-        return self._adjacency(self.r_arcs | self.a_arcs)
-
-    @cached_property
-    def a_children(self) -> dict[str, tuple[str, ...]]:
-        return self._adjacency(self.a_arcs)
-
-    @cached_property
-    def r_parents(self) -> dict[str, tuple[str, ...]]:
-        return self._adjacency((dst, src) for src, dst in self.r_arcs)
-
-    @cached_property
-    def _in_degree(self) -> Counter[str]:
-        return Counter(dst for _, dst in self.r_arcs | self.a_arcs)
+        return self._views[0]
 
     @cached_property
     def roots(self) -> tuple[str, ...]:
-        return tuple(v for v in self.nodes if not self._in_degree[v])
+        return self._views[2]
 
     @cached_property
     def topo_order(self) -> tuple[str, ...]:
-        """Roots-first topological order; requires acyclicity (check T5)."""
-        indeg = self._in_degree.copy()
-        ready = deque(self.roots)
-        order: list[str] = []
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for w in self.children[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        return tuple(order)
+        """Roots-first topological order; requires acyclicity (check T5):
+        shorter than ``nodes`` exactly when the arcs close a cycle."""
+        return self._views[3]
+
+    @cached_property
+    def a_children(self) -> dict[str, tuple[str, ...]]:
+        return self._adjacency(self.a_arcs)[0]
+
+    @cached_property
+    def r_parents(self) -> dict[str, tuple[str, ...]]:
+        return self._adjacency((dst, src) for src, dst in self.r_arcs)[0]
 
     @cached_property
     def groups(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -162,18 +180,17 @@ class TokenFlowGraph:
         return Projection(self)
 
 
-def _fresh_constant_names(equations, used: set[str]) -> dict[int, str]:
+def _fresh_constant_names(equations, positions: list[int], used: set[str]) -> dict[int, str]:
     """Deterministic constant node names, one per constant equation.
 
     Indexed by equation position; names k0, k1, ... are assigned in sorted
     order of the defining lhs so that permuting the equation list cannot
     change them.
     """
-    const_positions = [i for i, eq in enumerate(equations) if eq.constant is not None]
-    const_positions.sort(key=lambda i: (equations[i].lhs, equations[i].constant))
+    positions = sorted(positions, key=lambda i: (equations[i].lhs, equations[i].constant))
     names: dict[int, str] = {}
     counter = 0
-    for pos in const_positions:
+    for pos in positions:
         while f"k{counter}" in used:
             counter += 1
         names[pos] = f"k{counter}"
@@ -189,39 +206,45 @@ def _construct(
 ) -> TokenFlowGraph:
     p1 = tuple(p1)
     p2 = tuple(p2)
+    p1_set, p2_set = frozenset(p1), frozenset(p2)
     fv: set[str] = set()
-    for eq in equations:
-        fv.add(eq.lhs)
-        fv.update(eq.terms)
-    used = set(p1) | set(p2) | fv
-    cnames = _fresh_constant_names(equations, used)
-
-    constants: dict[str, int] = {}
-    r_arcs: set[tuple[str, str]] = set()
-    a_arcs: set[tuple[str, str]] = set()
+    r_arcs: list[tuple[str, str]] = []
+    a_arcs: list[tuple[str, str]] = []
+    constant_positions: list[int] = []
     for i, eq in enumerate(equations):
-        if eq.constant is not None:
-            rhs: tuple[str, ...] = (cnames[i],)
-            constants[cnames[i]] = eq.constant
-        else:
-            rhs = eq.terms
+        lhs, terms = eq.lhs, eq.terms
+        fv.add(lhs)
+        if not terms:  # a constant
+            constant_positions.append(i)
+            continue
+        fv.update(terms)
         if eq.tag == "R":
-            r_arcs.update((x, eq.lhs) for x in rhs)
+            for x in terms:
+                r_arcs.append((x, lhs))
         else:
-            a_arcs.update((eq.lhs, x) for x in rhs)
+            for x in terms:
+                a_arcs.append((lhs, x))
+    cnames = _fresh_constant_names(equations, constant_positions, fv | p1_set | p2_set)
+    constants: dict[str, int] = {}
+    for i, name in cnames.items():
+        eq = equations[i]
+        constants[name] = eq.constant
+        if eq.tag == "R":
+            r_arcs.append((name, eq.lhs))
+        else:
+            a_arcs.append((eq.lhs, name))
 
-    p1_set, p2_set = set(p1), set(p2)
     nodes = list(p1)
-    nodes.extend(p for p in p2 if p not in p1_set)
-    nodes.extend(sorted(fv - p1_set - p2_set))
-    nodes.extend(cnames[i] for i in sorted(cnames, key=lambda i: cnames[i]))
+    nodes += [p for p in p2 if p not in p1_set]
+    nodes += sorted(fv - p1_set - p2_set)
+    nodes += sorted(cnames.values())
     return TokenFlowGraph(
         nodes=tuple(nodes),
         constants=constants,
         r_arcs=frozenset(r_arcs),
         a_arcs=frozenset(a_arcs),
-        p1=frozenset(p1_set),
-        p2=frozenset(p2_set),
+        p1=p1_set,
+        p2=p2_set,
     )
 
 
@@ -253,43 +276,46 @@ def check(
     into one group."""
     equations = tuple(equations)
     graph = _construct(equations, p1, p2)
+    _, in_degree, roots, order = graph._views
     found: list[NotWellFormedError] = []
 
     def fail(check_id: str, witness: tuple[str, ...], detail: str) -> None:
         found.append(NotWellFormedError(check_id, witness, detail))
 
-    node_set = set(graph.nodes)
-    const_set = set(graph.constants)
-
+    const_set = graph.constants.keys()
     for c in sorted(const_set):
-        if graph._in_degree[c]:
+        if in_degree[c]:
             fail("T2", (c,), f"constant {c} has an incoming arc")
 
     both = graph.r_arcs & graph.a_arcs
     for src, dst in sorted(both):
         fail("T3", (src, dst), f"arc {src}->{dst} is both redundancy and agglomeration")
-    a_targets = {dst for _, dst in graph.a_arcs}
-    for v in graph.nodes:
-        if v in a_targets and graph._in_degree[v] > 1:
+    # an agglomeration target has no other incoming arc when no two
+    # agglomeration arcs share it and no redundancy arc enters it
+    a_targets = set(map(itemgetter(1), graph.a_arcs))
+    if (len(a_targets) < len(graph.a_arcs)
+            or not a_targets.isdisjoint(map(itemgetter(1), graph.r_arcs))):
+        index = graph.index
+        for v in sorted((v for v in a_targets if in_degree[v] > 1), key=index.__getitem__):
             parents = {src for src, dst in graph.r_arcs | graph.a_arcs if dst == v}
-            fail("T3", (v, *sorted(parents, key=graph.index.__getitem__)),
+            fail("T3", (v, *sorted(parents, key=index.__getitem__)),
                  f"{v} has an incoming agglomeration arc plus another incoming arc")
 
-    heads = Counter((eq.tag, eq.lhs) for eq in equations)
-    repeated = [lhs for (_, lhs), count in heads.items() if count > 1]
-    if repeated:
+    heads = list(map(attrgetter("tag", "lhs"), equations))
+    if len(set(heads)) < len(heads):
+        repeated = [lhs for (_, lhs), count in Counter(heads).items() if count > 1]
         fail("T4", (min(repeated),), "arc groups do not correspond one for one with the equations")
 
-    if len(graph.topo_order) != len(graph.nodes):
-        stuck = tuple(sorted(node_set - set(graph.topo_order)))
+    if len(order) != len(graph.nodes):
+        stuck = tuple(sorted(set(graph.nodes) - set(order)))
         fail("T5", stuck, f"cycle through {stuck}")
         return graph, found  # closure-based checks below assume acyclicity
 
-    root_places = set(graph.roots) - const_set
+    root_places = set(roots) - const_set
     if root_places != graph.p2:
         extra = tuple(sorted(root_places ^ graph.p2))
         fail("T6", extra, f"roots differ from reduced places on {extra}")
-    leaf_places = node_set - {src for src, _ in graph.a_arcs} - const_set
+    leaf_places = set(graph.nodes) - set(map(itemgetter(0), graph.a_arcs)) - const_set
     if leaf_places != graph.p1:
         extra = tuple(sorted(leaf_places ^ graph.p1))
         fail("T6", extra, f"leaves differ from original places on {extra}")

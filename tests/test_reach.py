@@ -58,6 +58,7 @@ from tfgkit.reach import (
     project,
 )
 from tfgkit.reductions import ReductionResult, build_graph, reduce
+from tfgkit.relation import ConcurrencyMatrix
 from tfgkit.tfg import build, enumerate_extensions, is_well_defined, restrict
 
 GOLDEN_VERDICTS = Path(__file__).resolve().parent / "golden" / "decide.txt"
@@ -559,6 +560,35 @@ class TestComponents:
         assert sorted(p for net in parts for p in net.places) == sorted(reduced.places)
         assert sorted(t for net in parts for t in net.transitions) == sorted(
             t for t in reduced.transitions if reduced.pre_of(t) or reduced.post_of(t))
+
+    def test_rel2_equals_the_reduced_oracle_on_corpus(self, corpus, monkeypatch):
+        """On every corpus net, ``rel2`` equals ``oracle_concurrency`` of
+        the whole reduced net, order and rows included, and counts no
+        writes; it is restricted only when the components' places, one after
+        the other, are not the reduced net's order.  The corpus holds nets
+        of one component, of several in order, and of interleaved ones."""
+        restricts = []
+        restrict = ConcurrencyMatrix.restrict
+
+        def counting_restrict(matrix, order):
+            restricts.append(order)
+            return restrict(matrix, order)
+
+        shapes = set()
+        for inst in corpus:
+            places = inst.result.reduced_net.places
+            expected = oracle_concurrency(inst.space2, places)
+            analysis = Analysis(inst.net, inst.m0, inst.result)
+            layout = tuple(p for part in analysis._components for p in part.net.places)
+            monkeypatch.setattr(ConcurrencyMatrix, "restrict", counting_restrict)
+            rel2 = analysis.rel2
+            monkeypatch.setattr(ConcurrencyMatrix, "restrict", restrict)
+            assert rel2 == expected and rel2.order == places, inst.name
+            assert rel2.writes == 0, inst.name
+            assert restricts == ([] if layout == places else [places]), inst.name
+            restricts.clear()
+            shapes.add((len(analysis._components) > 1, layout == places))
+        assert shapes == {(False, True), (True, True), (True, False)}
 
     @pytest.mark.parametrize("seed", [0, 10, 21, 24, 35])
     def test_rel2_matches_pairwise_scan(self, seed):

@@ -1,5 +1,6 @@
 """Reduction rules, ratios, and the E-equivalence validator."""
 
+import logging
 import random
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BOUNDED_MAX_TOKEN, CORPUS_DIR, bounded_nets, marking_key
-from tfgkit import generators
+from tfgkit import generators, reductions
 from tfgkit.net_io import (
     TaggedEquation,
     parse_equations,
@@ -201,6 +202,14 @@ class TestRules:
         fresh = [e.lhs for e in res.equations if e.tag == "A"]
         assert fresh and fresh[0] != "a1"
 
+    def test_debug_log_names_each_hit(self, caplog):
+        net, m0 = parse_net("pl c 1\npl p 1\npl q 0\npl r 0\npl s 0\n"
+                            "tr t p -> q r\ntr u q r -> s\n")
+        with caplog.at_level(logging.DEBUG, logger="tfgkit.reductions"):
+            reduce(net, m0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "constant place c = 1", "duplicate place r = q", "chain agglomeration a1 = q + s via u"]
+
     def test_deterministic(self):
         net, m0 = parse_net(D1_TEXT)
         assert reduce(net, m0) == reduce(net, m0)
@@ -357,6 +366,68 @@ class TestScale:
         res = reduce(net, m0)
         assert len(res.reduced_net.places) == 4_000
         assert len(res.equations) == 6_000
+
+
+class CountingArcs(dict):
+    """A transition's arcs that count every write made to them."""
+
+    writes = 0
+
+    def __setitem__(self, place, weight):
+        CountingArcs.writes += 1
+        super().__setitem__(place, weight)
+
+    def __delitem__(self, place):
+        CountingArcs.writes += 1
+        super().__delitem__(place)
+
+    def pop(self, place, *default):
+        CountingArcs.writes += 1
+        return super().pop(place, *default)
+
+
+class TestFanInChain:
+    """A hub with k producers heads a chain of k empty places: every merge
+    hands the hub's k producers on to the next variable."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_chain_folds_onto_the_hub(self, k):
+        net, m0 = generators.fan_in_chain(k).build()
+        res = reduce(net, m0)
+        assert len(net.places) == 2 * k + 1
+        assert len(res.reduced_net.places) == k + 1
+        assert [e.tag for e in res.equations] == ["A"] * k
+        report = validate_equivalence(net, m0, res)
+        assert report.valid and report.n1_markings == k + 2
+
+    def test_work_per_merge_stays_flat_as_k_doubles(self, monkeypatch):
+        """Arc writes and heap pushes per merge, counted over the whole
+        reduction, do not grow with the width of the hub's column; renaming
+        the hub's arcs at every merge would write 2k per merge."""
+        init = reductions._Work.__init__
+
+        def counting_init(self, net, m0):
+            init(self, net, m0)
+            self.pre = {t: CountingArcs(arcs) for t, arcs in self.pre.items()}
+            self.post = {t: CountingArcs(arcs) for t, arcs in self.post.items()}
+
+        pushes = 0
+        heappush = reductions.heapq.heappush
+
+        def counting_push(heap, item):
+            nonlocal pushes
+            pushes += 1
+            heappush(heap, item)
+
+        monkeypatch.setattr(reductions._Work, "__init__", counting_init)
+        monkeypatch.setattr(reductions.heapq, "heappush", counting_push)
+        per_merge = []
+        for k in (250, 500, 1000):
+            CountingArcs.writes = pushes = 0
+            res = reduce(*generators.fan_in_chain(k).build())
+            assert len(res.equations) == k
+            per_merge.append((CountingArcs.writes / k, pushes / k))
+        assert all(writes < 3 and pushes < 2 for writes, pushes in per_merge), per_merge
 
 
 class TestPinnedOutput:

@@ -1,9 +1,10 @@
 """Token flow graph construction, well-formedness, and configuration semantics."""
 
 import itertools
+from collections import Counter, deque
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import marking_key
@@ -348,3 +349,91 @@ class TestBuildProperties:
             except NotWellFormedError as exc:
                 outcomes.append(exc.check_id)
         assert len(set(map(repr, outcomes))) == 1
+
+
+def reference_views(graph):
+    """``children`` and ``a_children`` by a sort of their targets' node
+    positions, ``r_parents`` by a sort of the sources', the in-degree by a
+    count, ``roots``, and Kahn's order from a first-in-first-out queue of
+    the roots in node order."""
+    position = {v: i for i, v in enumerate(graph.nodes)}.__getitem__
+    arcs = graph.r_arcs | graph.a_arcs
+
+    def targets(pairs, v):
+        return tuple(sorted((w for u, w in pairs if u == v), key=position))
+
+    children = {v: targets(arcs, v) for v in graph.nodes}
+    a_children = {v: targets(graph.a_arcs, v) for v in graph.nodes}
+    r_parents = {v: tuple(sorted((u for u, w in graph.r_arcs if w == v), key=position))
+                 for v in graph.nodes}
+    in_degree = Counter(w for _, w in arcs)
+    roots = tuple(v for v in graph.nodes if not in_degree[v])
+    left, ready, order = in_degree.copy(), deque(roots), []
+    while ready:
+        v = ready.popleft()
+        order.append(v)
+        for w in children[v]:
+            left[w] -= 1
+            if not left[w]:
+                ready.append(w)
+    return children, a_children, r_parents, in_degree, roots, tuple(order)
+
+
+def reference_violations(equations, graph):
+    """``(check id, witness)`` of every violation, T2..T6, read off
+    :func:`reference_views` one node and one arc at a time."""
+    children, _, _, in_degree, roots, order = reference_views(graph)
+    position = {v: i for i, v in enumerate(graph.nodes)}.__getitem__
+    constants = set(graph.constants)
+    found = [("T2", (c,)) for c in sorted(constants) if in_degree[c]]
+    found += [("T3", arc) for arc in sorted(graph.r_arcs & graph.a_arcs)]
+    a_targets = {w for _, w in graph.a_arcs}
+    for v in graph.nodes:
+        if v in a_targets and in_degree[v] > 1:
+            parents = {u for u, w in graph.r_arcs | graph.a_arcs if w == v}
+            found.append(("T3", (v, *sorted(parents, key=position))))
+    heads = Counter((eq.tag, eq.lhs) for eq in equations)
+    repeated = [lhs for (_, lhs), count in heads.items() if count > 1]
+    if repeated:
+        found.append(("T4", (min(repeated),)))
+    if len(order) != len(graph.nodes):
+        return found + [("T5", tuple(sorted(set(graph.nodes) - set(order))))]
+    root_places = set(roots) - constants
+    if root_places != graph.p2:
+        found.append(("T6", tuple(sorted(root_places ^ graph.p2))))
+    leaf_places = set(graph.nodes) - {u for u, _ in graph.a_arcs} - constants
+    if leaf_places != graph.p1:
+        found.append(("T6", tuple(sorted(leaf_places ^ graph.p1))))
+    return found
+
+
+class TestViews:
+    """The adjacency views, dealt from the arcs in one pass, and the checks
+    that read them, against a node-by-node reference."""
+
+    @settings(max_examples=300)
+    @given(equation_systems())
+    # a cycle through two redundancy equations
+    @example(([TaggedEquation("R", "p0", terms=("p1",)), TaggedEquation("R", "p1", terms=("p0",))],
+              ("p0", "p1"), ("p0",)))
+    # p2 sums three redundancy parents and heads an agglomeration
+    @example(([TaggedEquation("R", "p2", terms=("p3", "p0", "p1")),
+               TaggedEquation("A", "p2", terms=("a1", "a2"))], ("a1", "a2"), ("p3", "p0", "p1")))
+    def test_views_and_verdicts_match_the_reference(self, drawn):
+        equations, p1, p2 = drawn
+        graph, found = check(equations, p1, p2)
+        children, a_children, r_parents, in_degree, roots, order = reference_views(graph)
+        assert graph.children == children
+        assert graph.a_children == a_children
+        assert graph.r_parents == r_parents
+        assert graph._views[1] == {v: in_degree[v] for v in graph.nodes}
+        assert graph.roots == roots
+        assert graph.topo_order == order
+        assert [(v.check_id, v.witness) for v in found] == reference_violations(equations, graph)
+
+    def test_corpus_views_match_the_reference(self, corpus):
+        for inst in corpus:
+            graph = inst.graph
+            children, a_children, r_parents, _, roots, order = reference_views(graph)
+            assert (graph.children, graph.a_children, graph.r_parents, graph.roots,
+                    graph.topo_order) == (children, a_children, r_parents, roots, order), inst.name
