@@ -105,11 +105,11 @@ class _Work:
         consumers: _Columns = {p: {} for p in places}
         producers: _Columns = {p: {} for p in places}
         for t, arcs in self.pre.items():
-            for p, n in arcs.items():
-                consumers[p][t] = n
+            for p in arcs:
+                consumers[p][t] = arcs[p]
         for t, arcs in self.post.items():
-            for p, n in arcs.items():
-                producers[p][t] = n
+            for p in arcs:
+                producers[p][t] = arcs[p]
         self.consumers, self.producers = consumers, producers
         self.owner: dict[str, str] = {}
         self.arc_names: dict[str, tuple[str, str]] = {}
@@ -256,15 +256,15 @@ class _Work:
         # q's too, since t fills no other place
         marking, key, arc_names = self.marking, self.key, self.arc_names
         producers, consumers = self.producers.pop(p), self.consumers.pop(q)
-        names = arc_names.pop(p, (p, p))[0], arc_names.pop(q, (q, q))[1]
-        self.owner[names[0]] = self.owner[names[1]] = a
+        in_name, out_name = arc_names.pop(p, (p, p))[0], arc_names.pop(q, (q, q))[1]
+        self.owner[in_name] = self.owner[out_name] = a
         key_p, key_q = key.pop(p), key.pop(q)
         del self.groups[key_p], self.groups[key_q]
         del self.pre[t], self.post[t], marking[p], marking[q]
         del self.consumers[p], self.producers[q]
         marking[a] = 0
         self.producers[a], self.consumers[a] = producers, consumers
-        arc_names[a] = names
+        arc_names[a] = in_name, out_name
         i = self.position[a] = len(self.names)
         self.names.append(a)
         key[a] = k = (0, key_q[1], key_p[2])

@@ -202,6 +202,19 @@ class TestRules:
         fresh = [e.lhs for e in res.equations if e.tag == "A"]
         assert fresh and fresh[0] != "a1"
 
+    def test_renamed_arcs_keep_the_order_of_renaming_at_each_merge(self):
+        """Arcs are renamed when the reduced net is assembled, in the dict
+        order that renaming them at each merge leaves: an arc moves to the
+        end when renamed, so ``x`` comes first, then ``a1``, then ``a2``."""
+        net, m0 = parse_net("pl s 1\npl u0 0\npl u1 0\npl v0 0\npl v1 0\npl x 0\n"
+                            "tr f s -> u1*2 x*3 u0\ntr a u0 -> v0\ntr b u1 -> v1\n"
+                            "tr j v1*2 x v0 -> s\n")
+        res = reduce(net, m0)
+        assert [(e.lhs, e.terms) for e in res.equations] == [("a1", ("u0", "v0")),
+                                                             ("a2", ("u1", "v1"))]
+        assert list(res.reduced_net.post["f"].items()) == [("x", 3), ("a1", 1), ("a2", 2)]
+        assert list(res.reduced_net.pre["j"].items()) == [("x", 1), ("a1", 1), ("a2", 2)]
+
     def test_debug_log_names_each_hit(self, caplog):
         net, m0 = parse_net("pl c 1\npl p 1\npl q 0\npl r 0\npl s 0\n"
                             "tr t p -> q r\ntr u q r -> s\n")
