@@ -9,10 +9,15 @@ by the same propagation and 0s by the least fixpoint of six sound inference
 rules; cells it cannot settle stay unknown.
 Both work on plain int rows, one 1-row and one 0-row per node, with bit
 ``i`` standing for ``graph.nodes[i]``: ``_seed`` writes the root relation
-into them, :func:`propagate` reads the root facts back and ORs each cone
-product into the 1-rows in one pass that pushes masks down the graph in
-topological order, so depth costs no stack, and each lift turns its rows
-into one :class:`ConcurrencyMatrix` at its end.
+into them, moving each rel2 row's 1s and known cells together, by one
+shift and mask per run of positions.  :func:`propagate` reads the root
+facts back and ORs each cone product into the 1-rows in one pass that
+pushes masks down the graph in topological order, so depth costs no stack;
+the roots whose cone is only themselves take part as one mask, not pair
+by pair.  ``partial_matrix`` then runs a worklist of equation groups to
+the zeros' fixpoint, with one :func:`~tfgkit.relation.transpose` per
+round.  Each lift turns its rows into one :class:`ConcurrencyMatrix` at
+its end.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
@@ -22,8 +27,6 @@ raises :class:`InconsistentInputError`, a ``ValueError`` that the CLI's
 """
 
 from __future__ import annotations
-
-from heapq import heappop, heappush
 
 from tfgkit import tfg
 from tfgkit.net_io import MatrixDocument
@@ -56,28 +59,32 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     index = graph.index
     nodes = [index[v] for v in rel2.order]  # node position of each rel2 position
     positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)
-    # rel2's 1-rows and 0-rows moved to node positions, by runs of positions
-    # that are adjacent in both orders
-    zero_rows = [known & ~one for known, one in zip(rel2.known, rel2.ones)]
-    moved_ones = [0] * len(nodes)
-    moved_zeros = [0] * len(nodes)
+    # rel2's rows moved to node positions by runs of positions that are
+    # adjacent in both orders, the 1s below bit n and the known cells above
+    # it, so that one shift and mask per run moves both
+    n = len(graph.nodes)
+    full = (1 << n) - 1
+    moved = [0] * len(nodes)
+    packed = [one | known << n for known, one in zip(rel2.known, rel2.ones)]
     for source, target, mask in _runs(nodes):
-        moved_ones = [m | (row >> source & mask) << target for m, row in zip(moved_ones, rel2.ones)]
-        moved_zeros = [m | (row >> source & mask) << target for m, row in zip(moved_zeros, zero_rows)]
-    ones = [0] * len(graph.nodes)
-    zeros = [0] * len(graph.nodes)
+        mask |= mask << n
+        moved = [m | (row >> source & mask) << target for m, row in zip(moved, packed)]
+    ones = [0] * n
+    zeros = [0] * n
     marked = 0  # places that rel2 marks on their own diagonal
-    for k, i in enumerate(nodes):
-        row = rel2.ones[k]
-        if row and zero_rows[k] >> k & 1:
-            v, w = rel2.order[k], rel2.order[(row & -row).bit_length() - 1]
-            raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
-        bit = 1 << i
-        ones[i] = moved_ones[k] | (bit if row else 0)
-        zeros[i] = moved_zeros[k]
-        if row >> k & 1:
-            marked |= bit
-            ones[i] |= positive
+    for i, both in zip(nodes, moved):
+        one, zero = both & full, both >> n & ~both
+        if one >> i & 1:  # marked on its own diagonal
+            marked |= 1 << i
+            one |= positive
+        elif one:  # a 1 in its row marks it
+            if zero >> i & 1:
+                k = nodes.index(i)
+                v, w = rel2.order[k], rel2.order[(rel2.ones[k] & -rel2.ones[k]).bit_length() - 1]
+                raise InconsistentInputError(f"cell ({v}, {w}) is 1 but {v} is dead")
+            one |= 1 << i
+        ones[i] = one
+        zeros[i] = zero
     for v, value in graph.constants.items():
         i = index[v]
         if value > 0:
@@ -98,18 +105,25 @@ def propagate(
     Under a root that it holds live (1 on the diagonal), each node is
     concurrent with its successors, and each redundancy arc ``v -> w``
     makes the successors of ``v`` outside the cone of ``w`` concurrent with
-    those of ``w``.  Each fact is one row OR in one pass over
-    ``graph.topo_order``: a node ORs the splits of its live redundancy
-    parents into its mask in ``below``, its row takes its cone and that
-    mask, and it pushes the mask on to its children; one transpose writes
-    the other side of the splits.  Only 1s are added, so
-    calling it again on its own result changes nothing; a 1 on a 0 of
-    ``zeros`` raises :class:`InconsistentInputError`.
+    those of ``w``.  Each fact is one row OR: a root with children takes
+    the lone roots concurrent with it, those whose cone is only
+    themselves, as one mask, and the cones of the concurrent roots with
+    children one pair at a time; a lone root takes the cones of the roots
+    with children concurrent with it.  The lone roots' cells with each
+    other are already in ``ones`` and are only counted.  Then one pass over
+    ``graph.topo_order`` ORs, at each node, the splits of its live
+    redundancy parents into its mask in ``below``, gives its row its cone
+    and that mask, and pushes the mask on to its children; one transpose
+    writes the other side of the splits.  Only 1s are added, so calling it
+    again on its own result changes nothing; a 1 on a 0 of ``zeros``
+    raises :class:`InconsistentInputError`.
     """
     index = graph.index
     succ = graph.successor_masks
     roots = [index[v] for v in graph.roots]
-    root_mask = sum(1 << i for i in roots)
+    lone = [i for i in roots if succ[i] == 1 << i]  # roots whose cone is themselves
+    alone = sum(1 << i for i in lone)
+    branching = sum(1 << i for i in roots) & ~alone
     below = [0] * len(graph.nodes)  # what every successor of a node meets
     writes = 0
     cone = 0
@@ -117,14 +131,25 @@ def propagate(
         row = ones[i]
         if row >> i & 1:
             cone |= succ[i]
-        pairs = (row & root_mask) >> (i + 1) << (i + 1)  # concurrent roots after i
+        if alone >> i & 1:  # it meets the cones of the branching roots concurrent with it
+            pairs = row & branching
+            while pairs:
+                low = pairs & -pairs
+                pairs ^= low
+                below[i] |= succ[low.bit_length() - 1]
+            continue
+        size = succ[i].bit_count()
+        below[i] |= row & alone  # the lone roots concurrent with it, as one mask
+        writes += size * (row & alone).bit_count()
+        pairs = (row & branching) >> (i + 1) << (i + 1)  # concurrent branching roots after i
         while pairs:
             low = pairs & -pairs
             pairs ^= low
             j = low.bit_length() - 1
             below[i] |= succ[j]
             below[j] |= succ[i]
-            writes += succ[i].bit_count() * succ[j].bit_count()
+            writes += size * succ[j].bit_count()
+    writes += _lone_pairs(lone, alone, ones, zeros, below)
     rows = [0] * len(graph.nodes)
     split_seen = False
     children, r_parents = graph.children, graph.r_parents
@@ -152,6 +177,38 @@ def propagate(
             v, w = graph.nodes[i], graph.nodes[(clash & -clash).bit_length() - 1]
             raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
     return [one | row for one, row in zip(ones, rows)], writes
+
+
+def _lone_pairs(lone: list[int], alone: int, ones: list[int], zeros: list[int],
+                below: list[int]) -> int:
+    """The concurrent pairs of the roots ``lone``, whose cones are
+    themselves, and their mask ``alone``.
+
+    Their cells are the root relation's own, already in ``ones``, so
+    propagation writes none of them.  Only a cell that the row above the
+    diagonal holds 1 and the row below it holds 0 is put in ``below`` of
+    the 0's row, where the clash check reports it.  Such cells are looked
+    for from the sparser side: the 1s above the diagonal or the 0s below.
+    """
+    ups = [(ones[i] & alone) >> (i + 1) << (i + 1) for i in lone]
+    downs = [zeros[j] & alone & (1 << j) - 1 for j in lone]
+    count = sum(map(int.bit_count, ups))
+    if count <= sum(map(int.bit_count, downs)):
+        for i, up in zip(lone, ups):
+            while up:
+                low = up & -up
+                up ^= low
+                j = low.bit_length() - 1
+                if zeros[j] >> i & 1:
+                    below[j] |= 1 << i
+    else:
+        for j, down in zip(lone, downs):
+            while down:
+                low = down & -down
+                down ^= low
+                if ones[low.bit_length() - 1] >> j & 1:
+                    below[j] |= low
+    return count
 
 
 def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:
@@ -199,69 +256,80 @@ def _zero_fixpoint(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int])
     of application reaches it.  Each rule is an operation on whole zero
     rows: a dead row takes every open cell, a head takes the AND of its
     members' rows, members take their head's row, and the members of one
-    group take each other.  A worklist holds the groups to visit, upper
-    heads first; a group is queued again only when the zero row of its head
-    or of a member grew.  Row operations write a cell into one of its two
-    rows, so when the worklist drains, one transpose makes the rows
-    symmetric, and every row that grows by it queues its groups again.
+    group take each other.  The worklist is a mask of group numbers, which
+    run in topological order of the heads, and a visit takes the lowest:
+    upper heads first.  A visit moves the members' rows up into the head's
+    and then the head's down into the members'; after that a second visit
+    would change nothing, so the rows it grows queue their other groups,
+    and its own group again only when a member just died.  Row operations
+    write a cell into one of its two rows, so when the worklist drains, one
+    transpose makes the rows symmetric, and every row that grows by it
+    queues its groups again.
     """
     index = graph.index
     full = (1 << len(graph.nodes)) - 1
     open_ = [full & ~one for one in ones]  # cells a 0 may settle
     zeros = list(zeros)
-    rank = {v: r for r, v in enumerate(graph.topo_order)}
     groups = []  # (head, members, member mask), heads in topological order
-    touching: list[list[int]] = [[] for _ in graph.nodes]  # the groups of a node
-    for head, members in sorted(graph.groups, key=lambda group: rank[group[0]]):
+    touching = [0] * len(graph.nodes)  # per node, the mask of its groups' numbers
+    a_children, r_parents = graph.a_children, graph.r_parents
+    for head, members in ((v, ws) for v in graph.topo_order for ws in (a_children[v], r_parents[v]) if ws):
         h, ms = index[head], [index[w] for w in members]
         pool = sum(1 << w for w in ms)
         for w in ms:  # members split one token pool
             zeros[w] |= pool & ~(1 << w) & open_[w]
-            touching[w].append(len(groups))
-        touching[h].append(len(groups))
+            touching[w] |= 1 << len(groups)
+        touching[h] |= 1 << len(groups)
         groups.append((h, ms, pool))
     dead = 0  # nodes whose zero row holds their own diagonal
     asymmetric = False  # a row grew without its mirror cells since the last transpose
-    queue = list(range(len(groups)))  # a heap of group numbers
-    queued = [True] * len(groups)
-
-    def grow(i: int, new: int) -> None:
-        """OR ``new`` into zero row ``i``, a dead row taking every open cell,
-        and queue the groups of ``i`` again if the row grew."""
-        nonlocal dead, asymmetric
-        row = zeros[i] | (new & open_[i])
-        if row >> i & 1:
-            row |= open_[i]
-            dead |= 1 << i
-        if row == zeros[i]:
-            return
-        zeros[i] = row
-        asymmetric = True
-        for g in touching[i]:
-            if not queued[g]:
-                queued[g] = True
-                heappush(queue, g)
-
     for i, row in enumerate(zeros):
-        if row >> i & 1:  # dead from the start
-            grow(i, 0)
+        if row >> i & 1:  # dead from the start: every open cell
+            dead |= 1 << i
+            asymmetric |= row != row | open_[i]
+            zeros[i] = row | open_[i]
+    pending = (1 << len(groups)) - 1  # the worklist, lowest group number first
     while True:
-        while queue:
-            g = heappop(queue)
-            queued[g] = False
-            h, ms, pool = groups[g]
-            common = open_[h]
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            h, ms, pool = groups[low.bit_length() - 1]
+            # up: the head takes what all members are nonconcurrent with,
+            # and dies with the last of them
+            row = open_[h]
             for w in ms:
-                common &= zeros[w]
-            grow(h, common if pool & ~dead else common | 1 << h)
-            down = zeros[h] | (dead >> h & 1) * pool
+                row &= zeros[w]
+            if not pool & ~dead:
+                row |= open_[h] & 1 << h
+            row |= zeros[h]
+            if row >> h & 1:
+                row |= open_[h]
+                dead |= 1 << h
+            if row != zeros[h]:
+                zeros[h] = row
+                asymmetric = True
+                pending |= touching[h] & ~low
+            # down: the members take the head's row; this visit leaves
+            # nothing for a second one unless a member died
+            down = row | (dead >> h & 1) * pool
             for w in ms:
-                grow(w, down)
+                row = zeros[w] | down & open_[w]
+                if row != zeros[w]:
+                    if row >> w & 1:
+                        row |= open_[w]
+                        dead |= 1 << w
+                        pending |= low
+                    zeros[w] = row
+                    asymmetric = True
+                    pending |= touching[w] & ~low
         if not asymmetric:
             break
         for i, mirrored in enumerate(transpose(zeros)):
-            grow(i, mirrored)
-        asymmetric = False  # a mirror adds no diagonal, so the rows are symmetric now
+            row = zeros[i] | mirrored & open_[i]  # a mirror adds no diagonal
+            if row != zeros[i]:
+                zeros[i] = row
+                pending |= touching[i]
+        asymmetric = False
     return zeros
 
 

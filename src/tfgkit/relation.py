@@ -11,6 +11,8 @@ to :meth:`ConcurrencyMatrix.from_rows`.
 
 from __future__ import annotations
 
+import struct
+from functools import cache
 from typing import Iterator
 
 UNKNOWN = None
@@ -18,22 +20,72 @@ UNKNOWN = None
 
 def transpose(rows: list[int]) -> list[int]:
     """Square bit matrix transpose: bit ``i`` of result row ``j`` is bit
-    ``j`` of ``rows[i]``.
+    ``j`` of ``rows[i]``; bits at or above ``len(rows)`` are ignored.
 
-    A band of columns at a time, every row is spelled out in binary, last
-    row first, so that each column of the band is every band-th digit.
+    The matrix is cut into square tiles of ``width`` bits a side, the
+    smallest power of two from 8 up that holds every row, or ``_BAND``.  A
+    tile's rows are laid end to end, little-endian, in one int, so cell
+    (i, j) is bit ``i * width + j``, and :func:`_flip` transposes it in
+    place.  Rows of up to 64 bits enter and leave their one tile as
+    ``struct`` fields; wider ones as bytes, sliced a tile wide.
     """
-    width = len(rows)
+    n = len(rows)
+    if not n:
+        return []
+    width = min(_BAND, max(8, 1 << (n - 1).bit_length()))
+    step = width // 8  # bytes per tile row
+    full = (1 << n) - 1
+    field = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(step)
+    if field:  # a row fits one struct field
+        fields = f"<{n}{field}"
+        return list(struct.unpack_from(fields, _flip(struct.pack(fields, *[row & full for row in rows]), width)))
+    bands = -(-n // width)  # tiles per side
+    packed = [(row & full).to_bytes(bands * step, "little") for row in rows]
+    packed += [bytes(bands * step)] * (bands * width - n)
     out: list[int] = []
-    for low in range(0, width, _BAND):
-        band = min(_BAND, width - low)
-        mask = (1 << band) - 1
-        digits = "".join([format(row >> low & mask, f"0{band}b") for row in reversed(rows)])
-        out += [int(digits[k::band], 2) for k in range(band - 1, -1, -1)]
+    for low in range(0, bands * step, step):  # a band of columns becomes a band of rows
+        column = [row[low : low + step] for row in packed] if bands > 1 else packed
+        tiles = [_flip(b"".join(column[top : top + width]), width) for top in range(0, bands * width, width)]
+        cuts = range(0, min(width, n - 8 * low) * step, step)
+        if bands > 1:  # a result row is one slice of each tile
+            out += [int.from_bytes(b"".join([tile[k : k + step] for tile in tiles]), "little") for k in cuts]
+        else:
+            out += [int.from_bytes(tiles[0][k : k + step], "little") for k in cuts]
     return out
 
 
-# columns per transpose band: bounds the spelled-out digits to rows x _BAND
+def _flip(tile: bytes, width: int) -> bytes:
+    """The transpose of a tile of ``width``-bit rows laid end to end,
+    little-endian, as ``width`` rows again: log2 ``width`` masked delta
+    swaps (Warren, "Hacker's Delight", §7-3), swap ``s`` exchanging the
+    cells whose row and column differ in bit ``s``."""
+    x = int.from_bytes(tile, "little")
+    for distance, mask in _swaps(width):
+        t = (x ^ x >> distance) & mask
+        x ^= t ^ t << distance
+    return x.to_bytes(width * width // 8, "little")
+
+
+@cache
+def _swaps(width: int) -> tuple[tuple[int, int], ...]:
+    """The ``(distance, mask)`` of each delta swap of a ``width``-bit tile:
+    for ``s`` = ``width`` / 2 down to 1, the mask holds cell (i, j) when
+    bit ``s`` of ``i`` is clear and that of ``j`` is set, and the swap
+    moves it ``s * (width - 1)`` bits up, to (i + s, j - s).  Each mask is
+    built by joining bytes: ``s`` rows of the column pattern, then ``s``
+    empty rows, repeated."""
+    step = width // 8
+    out = []
+    s = width // 2
+    while s:
+        columns = ((1 << width) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1 << s)
+        block = columns.to_bytes(step, "little") * s + bytes(step * s)
+        out.append((s * (width - 1), int.from_bytes(block * (width // (2 * s)), "little")))
+        s //= 2
+    return tuple(out)
+
+
+# tile side of a transpose, in bits: bounds each swap mask to _BAND**2 bits
 _BAND = 1024
 
 

@@ -4,15 +4,18 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, load_instance, marking_key, reference_matrix_text
 from test_reach import closed_form_chain
-from tfgkit import generators
+from test_tfg import equation_systems
+from tfgkit import conc, generators
 from tfgkit.conc import (
     IncompleteInputError,
     InconsistentInputError,
+    _seed,
+    _zero_fixpoint,
     filling_ratio,
     from_document,
     matrix,
@@ -20,11 +23,11 @@ from tfgkit.conc import (
     propagate,
     to_document,
 )
-from tfgkit.net_io import parse_equations, parse_matrix, parse_net, write_matrix
+from tfgkit.net_io import TaggedEquation, parse_equations, parse_matrix, parse_net, write_matrix
 from tfgkit.petri import Marking, explore, oracle_concurrency
 from tfgkit.reductions import build_graph, reduce
-from tfgkit.relation import UNKNOWN, ConcurrencyMatrix, transpose
-from tfgkit.tfg import build
+from tfgkit.relation import _BAND, UNKNOWN, ConcurrencyMatrix, transpose
+from tfgkit.tfg import build, check
 
 CASCADE_TEXT = """\
 # R |- p5 = p4
@@ -396,6 +399,136 @@ class TestPartialMatrix:
             partial_matrix(graph, rel2)
 
 
+def naive_zero_fixpoint(graph, ones, zeros):
+    """The 0-rows of the least fixpoint of the six rules of
+    ``partial_matrix``, applied one cell at a time, over cells that
+    ``ones`` leaves open, from the cells of ``zeros`` taken both ways."""
+    n = len(graph.nodes)
+    groups = [(graph.index[h], [graph.index[w] for w in ms]) for h, ms in graph.groups]
+    settled = {(i, j) for i in range(n) for j in range(n) if zeros[i] >> j & 1}
+    settled |= {(j, i) for i, j in settled}
+
+    def forced():
+        for i in range(n):
+            if (i, i) in settled:  # a dead node is nonconcurrent with everything
+                yield from ((i, x) for x in range(n))
+        for h, ms in groups:
+            if all((m, m) in settled for m in ms):  # a head dies with all its members
+                yield h, h
+            if (h, h) in settled:  # and its members die with it
+                yield from ((m, m) for m in ms)
+            yield from ((m, k) for m in ms for k in ms if m != k)  # one token pool
+            for x in range(n):
+                if all((m, x) in settled for m in ms):  # what every member is not with
+                    yield h, x
+                if (h, x) in settled:  # what the head is not with
+                    yield from ((m, x) for m in ms)
+
+    grew = True
+    while grew:
+        grew = False
+        for i, j in forced():
+            if (i, j) not in settled and not ones[i] >> j & 1:
+                settled |= {(i, j), (j, i)}
+                grew = True
+    rows = [0] * n
+    for i, j in settled:
+        rows[i] |= 1 << j
+    return rows
+
+
+def random_cells(rng, n, fraction):
+    """Symmetric 1-rows and disjoint 0-rows over ``n`` nodes, each cell 1
+    or 0 with probability ``fraction`` / 2."""
+    ones, zeros = [0] * n, [0] * n
+    for i in range(n):
+        for j in range(i + 1):
+            draw = rng.random()
+            rows = ones if draw < fraction / 2 else zeros if draw < fraction else None
+            if rows is not None:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return ones, zeros
+
+
+@st.composite
+def checked_graphs(draw):
+    """Graphs of ``equation_systems`` that pass ``check``: the drawn place
+    sets are replaced by the roots and leaves of the drawn equations."""
+    equations, p1, p2 = draw(equation_systems())
+    graph, _ = check(equations, p1, p2)
+    leaves = set(graph.nodes) - {v for v, _ in graph.a_arcs} - set(graph.constants)
+    graph, found = check(equations, sorted(leaves), sorted(set(graph.roots) - set(graph.constants)))
+    assume(not found)
+    return graph
+
+
+class TestZeroFixpoint:
+    """The worklist fixpoint against rules applied one cell at a time: the
+    least fixpoint does not depend on the order the rules are applied in."""
+
+    @settings(max_examples=150)
+    @given(checked_graphs(), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    # p2 sums three redundancy parents and heads an agglomeration
+    @example(build([TaggedEquation("R", "p2", terms=("p3", "p0", "p1")),
+                    TaggedEquation("A", "p2", terms=("a1", "a2"))],
+                   ("a1", "a2", "p0", "p1", "p3"), ("p3", "p0", "p1")),
+             0.3, random.Random(1))
+    # two constants beside an agglomeration and a redundancy with two parents
+    @example(build([TaggedEquation("A", "a1", terms=("p0", "p1")), TaggedEquation("R", "k0", constant=1),
+                    TaggedEquation("R", "a2", terms=("p2", "p3")), TaggedEquation("R", "k1", constant=0)],
+                   ("a2", "k0", "k1", "p0", "p1", "p2", "p3"), ("a1", "p2", "p3")),
+             0.6, random.Random(2))
+    def test_random_graphs(self, graph, fraction, rng):
+        ones, zeros = random_cells(rng, len(graph.nodes), fraction)
+        assert _zero_fixpoint(graph, ones, zeros) == naive_zero_fixpoint(graph, ones, zeros)
+
+    def test_corpus_under_random_masks(self, corpus):
+        for index, inst in enumerate(corpus):
+            rel2 = oracle_concurrency(inst.space2, inst.result.reduced_net.places)
+            for fraction in (0.25, 0.6, 1.0):
+                masked = degrade(rel2, fraction, seed=index)
+                ones, zeros = _seed(inst.graph, masked)
+                ones, _ = propagate(inst.graph, ones, zeros)
+                got = _zero_fixpoint(inst.graph, ones, zeros)
+                assert got == naive_zero_fixpoint(inst.graph, ones, zeros), (inst.name, fraction)
+
+
+def counted_transposes(monkeypatch, lift, graph, rel2) -> int:
+    """Calls of ``transpose`` made by ``lift(graph, rel2)``."""
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return transpose(rows)
+
+    monkeypatch.setattr(conc, "transpose", counting)
+    lift(graph, rel2)
+    return len(calls)
+
+
+class TestRounds:
+    """The zero fixpoint's rounds, one transpose each, do not grow with the
+    graph: one root cell hidden, on graphs 50 to 800 stages long."""
+
+    @pytest.mark.parametrize("family, rounds", [("chain", 1), ("ladder", 3)])
+    def test_transposes_per_partial_matrix(self, monkeypatch, family, rounds):
+        counts = []
+        for k in (50, 200, 800):
+            if family == "chain":
+                net, m0, result = closed_form_chain(k)
+            else:
+                net, m0 = generators.duplicate_ladder(k).build()
+                result = reduce(net, m0)
+            graph = build_graph(net, result)
+            rel2 = oracle_concurrency(
+                explore(result.reduced_net, result.reduced_marking), result.reduced_net.places
+            )
+            rel2.set(rel2.order[0], rel2.order[-1], UNKNOWN)
+            counts.append(counted_transposes(monkeypatch, partial_matrix, graph, rel2))
+        assert counts == [rounds] * 3
+
+
 class TestFillingRatio:
     def test_complete_three_place(self):
         mat = ConcurrencyMatrix(("a", "b", "c"), fill=0)
@@ -478,12 +611,22 @@ class TestRelation:
             assert complete.get(v, w) == complete.get(w, v) == (1 if value == 1 else 0)
 
     def test_transpose(self):
+        """Against a bit-by-bit reference, at widths that are not whole
+        bytes and around the tile edge; bits at or above the width, which
+        the rows carry here, are ignored."""
         rng = random.Random(5)
-        for n in (0, 1, 9, 70):
-            rows = [rng.getrandbits(n) if n else 0 for _ in range(n)]
+        for n in (0, 1, 5, 9, 70, 100, _BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 3):
+            sparse = n > 100  # a quarter of the bits, to keep the reference quick
+            rows = [rng.getrandbits(n + 9) & (rng.getrandbits(n + 9) if sparse else -1)
+                    & (rng.getrandbits(n + 9) if sparse else -1) for _ in range(n)]
+            expected = [0] * n
+            for i, row in enumerate(rows):
+                for j in range(n):
+                    if row >> j & 1:
+                        expected[j] |= 1 << i
             flipped = transpose(rows)
-            assert all(flipped[j] >> i & 1 == rows[i] >> j & 1 for i in range(n) for j in range(n))
-            assert transpose(flipped) == rows
+            assert flipped == expected, n
+            assert transpose(flipped) == [row & (1 << n) - 1 for row in rows], n
 
 
 @st.composite
