@@ -59,21 +59,17 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     index = graph.index
     nodes = [index[v] for v in rel2.order]  # node position of each rel2 position
     positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)
-    # rel2's rows moved to node positions by runs of positions that are
-    # adjacent in both orders, the 1s below bit n and the known cells above
-    # it, so that one shift and mask per run moves both
-    n = len(graph.nodes)
-    full = (1 << n) - 1
-    moved = [0] * len(nodes)
-    packed = [one | known << n for known, one in zip(rel2.known, rel2.ones)]
+    # rel2's 1-rows and 0-rows moved to node positions together, by runs of
+    # positions that are adjacent in both orders
+    moved = [(0, 0)] * len(nodes)
+    zero_rows = [known & ~one for known, one in zip(rel2.known, rel2.ones)]
     for source, target, mask in _runs(nodes):
-        mask |= mask << n
-        moved = [m | (row >> source & mask) << target for m, row in zip(moved, packed)]
-    ones = [0] * n
-    zeros = [0] * n
+        moved = [(m1 | (one >> source & mask) << target, m0 | (zero >> source & mask) << target)
+                 for (m1, m0), one, zero in zip(moved, rel2.ones, zero_rows)]
+    ones = [0] * len(graph.nodes)
+    zeros = [0] * len(graph.nodes)
     marked = 0  # places that rel2 marks on their own diagonal
-    for i, both in zip(nodes, moved):
-        one, zero = both & full, both >> n & ~both
+    for i, (one, zero) in zip(nodes, moved):
         if one >> i & 1:  # marked on its own diagonal
             marked |= 1 << i
             one |= positive
@@ -121,23 +117,25 @@ def propagate(
     index = graph.index
     succ = graph.successor_masks
     roots = [index[v] for v in graph.roots]
-    lone = [i for i in roots if succ[i] == 1 << i]  # roots whose cone is themselves
-    alone = sum(1 << i for i in lone)
-    branching = sum(1 << i for i in roots) & ~alone
+    lone, branch = [], []  # roots whose cone is only themselves, and the others
+    for i in roots:
+        (lone if succ[i] == 1 << i else branch).append(i)
+    alone, branching = sum(1 << i for i in lone), sum(1 << i for i in branch)
     below = [0] * len(graph.nodes)  # what every successor of a node meets
     writes = 0
     cone = 0
-    for i in roots:
+    for i in lone:  # it meets the cones of the branching roots concurrent with it
+        row = ones[i]
+        cone |= row & 1 << i
+        pairs = row & branching
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low
+            below[i] |= succ[low.bit_length() - 1]
+    for i in branch:
         row = ones[i]
         if row >> i & 1:
             cone |= succ[i]
-        if alone >> i & 1:  # it meets the cones of the branching roots concurrent with it
-            pairs = row & branching
-            while pairs:
-                low = pairs & -pairs
-                pairs ^= low
-                below[i] |= succ[low.bit_length() - 1]
-            continue
         size = succ[i].bit_count()
         below[i] |= row & alone  # the lone roots concurrent with it, as one mask
         writes += size * (row & alone).bit_count()
@@ -191,8 +189,10 @@ def _lone_pairs(lone: list[int], alone: int, ones: list[int], zeros: list[int],
     for from the sparser side: the 1s above the diagonal or the 0s below.
     """
     ups = [(ones[i] & alone) >> (i + 1) << (i + 1) for i in lone]
-    downs = [zeros[j] & alone & (1 << j) - 1 for j in lone]
     count = sum(map(int.bit_count, ups))
+    if not count:
+        return 0
+    downs = [zeros[j] & alone & (1 << j) - 1 for j in lone]
     if count <= sum(map(int.bit_count, downs)):
         for i, up in zip(lone, ups):
             while up:
