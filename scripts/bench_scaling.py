@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Time the brute-force oracle and the reduction front end on scalable
-generator families.
+"""Time the brute-force oracle, the reduction front end and the concurrency
+lift on scalable generator families.
 
 For each family and size, the full net is explored with ``explore``, its
 concurrency relation computed with ``oracle_concurrency`` and that matrix
 written as text with ``write_matrix(to_document(...))``; the net is also
 reduced with ``reduce`` and its token flow graph built with
-``build_graph``.  Each row holds the state count, the exploration status,
-the median over 5 runs of the five times and of the exploration rate, and
-the minimum of the five times.  The runs are interleaved: each of the 5
-passes times every row once, so a burst of load on the machine moves one
-run of many rows rather than every run of one.  Load only ever adds time,
-so a change is judged on the minimums (``explore_min_s``,
-``oracle_concurrency_min_s``, ``matrix_text_min_s``, ``reduce_min_s``,
-``graph_min_s``).  Run from the repo root:
+``build_graph``, and the reduced relation ``Analysis.rel2`` is lifted
+through that graph with ``matrix``, and, with its first-by-last cell
+hidden, with ``partial_matrix``.  Each row holds the state count, the
+exploration status, the median over 5 runs of the seven times and of the
+exploration rate, and the minimum of the seven times.  The runs are
+interleaved: each of the 5 passes times every row once, so a burst of load
+on the machine moves one run of many rows rather than every run of one.
+Load only ever adds time, so a change is judged on the minimums
+(``explore_min_s``, ``oracle_concurrency_min_s``, ``matrix_text_min_s``,
+``reduce_min_s``, ``graph_min_s``, ``lift_min_s``, ``partial_min_s``).  Run
+from the repo root:
 
     PYTHONPATH=src python scripts/bench_scaling.py [--output BENCH_explore.json]
 """
@@ -30,10 +33,12 @@ import time
 from pathlib import Path
 
 from tfgkit import generators as gen
-from tfgkit.conc import to_document
+from tfgkit.conc import matrix, partial_matrix, to_document
 from tfgkit.net_io import write_matrix
 from tfgkit.petri import explore, oracle_concurrency
+from tfgkit.reach import Analysis
 from tfgkit.reductions import build_graph, reduce
+from tfgkit.relation import UNKNOWN
 
 MAX_STATES = 1_000_000
 REPEATS = 5
@@ -56,32 +61,41 @@ FAMILIES = {
 }
 
 
-Run = tuple[int, str, float, float | None, float | None, float, float]
+Run = tuple[int, str, float, float | None, float | None, float, float, float, float]
 
 
 def time_once(net, m0) -> Run:
     """States, status and seconds of one ``explore``, plus the seconds of
     ``oracle_concurrency`` on its space and of writing that matrix as text
-    when the space is complete, and of one ``reduce`` and one
-    ``build_graph`` on its result."""
+    when the space is complete, of one ``reduce`` and one ``build_graph``
+    on its result, and of one ``matrix`` and one ``partial_matrix`` on the
+    reduced relation."""
     start = time.perf_counter()
     result = reduce(net, m0)
     reduce_s = time.perf_counter() - start
     start = time.perf_counter()
-    build_graph(net, result)
+    graph = build_graph(net, result)
     graph_s = time.perf_counter() - start
+    rel2 = Analysis(net, m0, result).rel2
+    start = time.perf_counter()
+    matrix(graph, rel2)
+    lift_s = time.perf_counter() - start
+    rel2.set(rel2.order[0], rel2.order[-1], UNKNOWN)
+    start = time.perf_counter()
+    partial_matrix(graph, rel2)
+    partial_s = time.perf_counter() - start
     start = time.perf_counter()
     space = explore(net, m0, max_states=MAX_STATES)
     explore_s = time.perf_counter() - start
     oracle_s = text_s = None
     if space.is_complete:
         start = time.perf_counter()
-        matrix = oracle_concurrency(space, net.places)
+        relation = oracle_concurrency(space, net.places)
         oracle_s = time.perf_counter() - start
         start = time.perf_counter()
-        write_matrix(to_document(matrix))
+        write_matrix(to_document(relation))
         text_s = time.perf_counter() - start
-    return len(space), space.status, explore_s, oracle_s, text_s, reduce_s, graph_s
+    return len(space), space.status, explore_s, oracle_s, text_s, reduce_s, graph_s, lift_s, partial_s
 
 
 def summarize(family: str, size: int, runs: list[Run]) -> dict:
@@ -93,6 +107,8 @@ def summarize(family: str, size: int, runs: list[Run]) -> dict:
     text_s = [run[4] for run in runs if run[4] is not None]
     reduce_s = [run[5] for run in runs]
     graph_s = [run[6] for run in runs]
+    lift_s = [run[7] for run in runs]
+    partial_s = [run[8] for run in runs]
     seconds = statistics.median(explore_s)
     return {
         "family": family,
@@ -109,6 +125,10 @@ def summarize(family: str, size: int, runs: list[Run]) -> dict:
         "reduce_min_s": min(reduce_s),
         "graph_s": statistics.median(graph_s),
         "graph_min_s": min(graph_s),
+        "lift_s": statistics.median(lift_s),
+        "lift_min_s": min(lift_s),
+        "partial_s": statistics.median(partial_s),
+        "partial_min_s": min(partial_s),
         "states_per_s": states / seconds if seconds else None,
     }
 
@@ -129,7 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     for row in rows:
         print(f"{row['family']}({row['size']}): {row['states']} states {row['status']}, "
               f"explore {row['explore_s']:.4f} s (min {row['explore_min_s']:.4f} s), "
-              f"reduce {row['reduce_min_s']:.4f} s, graph {row['graph_min_s']:.4f} s (min)")
+              f"reduce {row['reduce_min_s']:.4f} s, graph {row['graph_min_s']:.4f} s, "
+              f"lift {row['lift_min_s']:.4f} s, partial {row['partial_min_s']:.4f} s (min)")
     document = {
         "command": "python scripts/bench_scaling.py",
         "python": platform.python_version(),

@@ -9,8 +9,8 @@ by the same propagation and 0s by the least fixpoint of six sound inference
 rules; cells it cannot settle stay unknown.
 Both work on plain int rows, one 1-row and one 0-row per node, with bit
 ``i`` standing for ``graph.nodes[i]``: ``_seed`` writes the root relation
-into them, moving each rel2 row's 1s and known cells together, by one
-shift and mask per run of positions.  :func:`propagate` reads the root
+into them, moving each rel2 row's 1s and 0s together, one comprehension
+per run of positions.  :func:`propagate` reads the root
 facts back and ORs each cone product into the 1-rows in one pass that
 pushes masks down the graph in topological order, so depth costs no stack;
 the roots whose cone is only themselves take part as one mask, not pair
