@@ -47,7 +47,8 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     ``graph.nodes``; every other cell is unknown.
 
     ``rel2`` must cover exactly the non-constant roots, the reduced net's
-    places, or :class:`InconsistentInputError` is raised.  A place with a 1
+    places, and be symmetric, or :class:`InconsistentInputError` is
+    raised.  A place with a 1
     in its row is marked, so it takes a 1 on its diagonal; a 1 beside a
     place that ``rel2`` holds dead is an error.  A positive constant is
     concurrent with itself, the other positive constants and every place
@@ -56,6 +57,7 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     """
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
         raise InconsistentInputError("rel2 order must match the reduced places")
+    _check_symmetric(rel2)
     index = graph.index
     nodes = [index[v] for v in rel2.order]  # node position of each rel2 position
     positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)
@@ -90,18 +92,43 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     return ones, zeros
 
 
+def _check_symmetric(rel2: ConcurrencyMatrix) -> None:
+    """Raise :class:`InconsistentInputError` at the first cell of ``rel2``
+    whose two rows disagree: 0 in one and 1 in the other, or settled in
+    one only."""
+    ones, known = rel2.ones, rel2.known
+    mirrored = transpose(ones), transpose(known)
+    if (ones, known) == mirrored:
+        return
+    for k, rows in enumerate(zip(ones, known, *mirrored)):
+        one, settled, one_t, settled_t = (row & rel2.full for row in rows)
+        odd = one ^ one_t | settled ^ settled_t
+        if odd:
+            j = (odd & -odd).bit_length() - 1
+            v, w = rel2.order[k], rel2.order[j]
+            here = one >> j & 1 if settled >> j & 1 else None  # (v, w) in v's row
+            there = one_t >> j & 1 if settled_t >> j & 1 else None  # (w, v) in w's row
+            if here is None:
+                raise InconsistentInputError(f"cell ({w}, {v}) is {there} but ({v}, {w}) is unknown")
+            if there is None:
+                raise InconsistentInputError(f"cell ({v}, {w}) is {here} but ({w}, {v}) is unknown")
+            if here:  # name the row that holds the 0
+                v, w = w, v
+            raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
+
+
 def propagate(
     graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]
 ) -> tuple[list[int], int]:
     """The 1-rows ``ones`` ORed with the 1s that their root cells force,
     and the logical cell writes, |A|·|B| for a product of node sets A and B.
 
-    Rows are ordered like ``graph.nodes``.  A pair of roots that ``ones``
-    holds concurrent makes their successor cones pairwise concurrent.
-    Under a root that it holds live (1 on the diagonal), each node is
-    concurrent with its successors, and each redundancy arc ``v -> w``
-    makes the successors of ``v`` outside the cone of ``w`` concurrent with
-    those of ``w``.  Each fact is one row OR: a root with children takes
+    Rows are ordered like ``graph.nodes`` and symmetric, as :func:`_seed`
+    leaves them.  A pair of roots that ``ones`` holds concurrent makes
+    their successor cones pairwise concurrent.  Under a root that it holds
+    live (1 on the diagonal), each node is concurrent with its successors,
+    and each redundancy arc ``v -> w`` makes the successors of ``v``
+    outside the cone of ``w`` concurrent with those of ``w``.  Each fact is one row OR: a root with children takes
     the lone roots concurrent with it, those whose cone is only
     themselves, as one mask, and the cones of the concurrent roots with
     children one pair at a time; a lone root takes the cones of the roots
@@ -127,6 +154,7 @@ def propagate(
     for i in lone:  # it meets the cones of the branching roots concurrent with it
         row = ones[i]
         cone |= row & 1 << i
+        writes += ((row & alone) >> (i + 1)).bit_count()  # lone pairs: rel2's own cells
         pairs = row & branching
         while pairs:
             low = pairs & -pairs
@@ -147,7 +175,6 @@ def propagate(
             below[i] |= succ[j]
             below[j] |= succ[i]
             writes += size * succ[j].bit_count()
-    writes += _lone_pairs(lone, alone, ones, zeros, below)
     rows = [0] * len(graph.nodes)
     split_seen = False
     children, r_parents = graph.children, graph.r_parents
@@ -175,40 +202,6 @@ def propagate(
             v, w = graph.nodes[i], graph.nodes[(clash & -clash).bit_length() - 1]
             raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
     return [one | row for one, row in zip(ones, rows)], writes
-
-
-def _lone_pairs(lone: list[int], alone: int, ones: list[int], zeros: list[int],
-                below: list[int]) -> int:
-    """The concurrent pairs of the roots ``lone``, whose cones are
-    themselves, and their mask ``alone``.
-
-    Their cells are the root relation's own, already in ``ones``, so
-    propagation writes none of them.  Only a cell that the row above the
-    diagonal holds 1 and the row below it holds 0 is put in ``below`` of
-    the 0's row, where the clash check reports it.  Such cells are looked
-    for from the sparser side: the 1s above the diagonal or the 0s below.
-    """
-    ups = [(ones[i] & alone) >> (i + 1) << (i + 1) for i in lone]
-    count = sum(map(int.bit_count, ups))
-    if not count:
-        return 0
-    downs = [zeros[j] & alone & (1 << j) - 1 for j in lone]
-    if count <= sum(map(int.bit_count, downs)):
-        for i, up in zip(lone, ups):
-            while up:
-                low = up & -up
-                up ^= low
-                j = low.bit_length() - 1
-                if zeros[j] >> i & 1:
-                    below[j] |= 1 << i
-    else:
-        for j, down in zip(lone, downs):
-            while down:
-                low = down & -down
-                down ^= low
-                if ones[low.bit_length() - 1] >> j & 1:
-                    below[j] |= low
-    return count
 
 
 def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:

@@ -121,6 +121,26 @@ class TestCompleteMatrix:
         with pytest.raises(InconsistentInputError, match=r"^cell \(q, p\) is both 0 and 1$"):
             lift(graph, rel2)
 
+    @pytest.mark.parametrize("lift", [matrix, partial_matrix])
+    @pytest.mark.parametrize("text", ["pl p 1\npl q 1\ntr t p -> p\ntr u q -> q\n",
+                                      "pl p 1\npl q 1\npl r 1\ntr t p -> p\ntr u q r -> q r\n"],
+                             ids=["lone_roots", "root_with_child"])
+    @pytest.mark.parametrize("ones, zeros, message", [
+        ([0b11, 0b10], [0, 0b01], r"cell \(q, p\) is both 0 and 1"),
+        ([0b01, 0b11], [0b10, 0], r"cell \(p, q\) is both 0 and 1"),
+        ([0b11, 0b10], [0, 0], r"cell \(p, q\) is 1 but \(q, p\) is unknown"),
+        ([0b01, 0b11], [0, 0], r"cell \(q, p\) is 1 but \(p, q\) is unknown"),
+        ([0b01, 0b10], [0b10, 0], r"cell \(p, q\) is 0 but \(q, p\) is unknown"),
+    ])
+    def test_asymmetric_rel2_rejected(self, lift, text, ones, zeros, message):
+        # in the second net q's duplicate r hangs below it, so q's cone is
+        # not q alone
+        net, m0 = parse_net(text)
+        graph = build_graph(net, reduce(net, m0))
+        rel2 = ConcurrencyMatrix.from_rows(("p", "q"), ones, zeros)
+        with pytest.raises(InconsistentInputError, match=f"^{message}$"):
+            lift(graph, rel2)
+
     def test_incomplete_rel2_rejected(self, cascade):
         rel2 = ConcurrencyMatrix(("p0", "a2", "p6"))
         rel2.set("p0", "p0", 1)
@@ -495,7 +515,9 @@ class TestZeroFixpoint:
 
 
 def counted_transposes(monkeypatch, lift, graph, rel2) -> int:
-    """Calls of ``transpose`` made by ``lift(graph, rel2)``."""
+    """Calls of ``transpose`` on rows over ``graph.nodes`` made by
+    ``lift(graph, rel2)``; the symmetry check's two over ``rel2`` are not
+    counted."""
     calls = []
 
     def counting(rows):
@@ -504,7 +526,8 @@ def counted_transposes(monkeypatch, lift, graph, rel2) -> int:
 
     monkeypatch.setattr(conc, "transpose", counting)
     lift(graph, rel2)
-    return len(calls)
+    assert calls[:2] == [len(rel2.order)] * 2
+    return len(calls) - 2
 
 
 class TestRounds:
