@@ -97,10 +97,13 @@ def _check_symmetric(rel2: ConcurrencyMatrix) -> None:
     whose two rows disagree: 0 in one and 1 in the other, or settled in
     one only."""
     ones, known = rel2.ones, rel2.known
-    mirrored = transpose(ones), transpose(known)
-    if (ones, known) == mirrored:
+    # the diagonal is its own mirror, and a complete relation's settled rows
+    # are all full: a relation of pairwise nonconcurrent places with no
+    # unknown cell needs no transpose
+    off = [row & ~(1 << i) for i, row in enumerate(ones)]
+    if (not any(off) or off == transpose(off)) and (rel2.is_complete() or known == transpose(known)):
         return
-    for k, rows in enumerate(zip(ones, known, *mirrored)):
+    for k, rows in enumerate(zip(ones, known, transpose(ones), transpose(known))):
         one, settled, one_t, settled_t = (row & rel2.full for row in rows)
         odd = one ^ one_t | settled ^ settled_t
         if odd:

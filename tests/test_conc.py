@@ -516,8 +516,9 @@ class TestZeroFixpoint:
 
 def counted_transposes(monkeypatch, lift, graph, rel2) -> int:
     """Calls of ``transpose`` on rows over ``graph.nodes`` made by
-    ``lift(graph, rel2)``; the symmetry check's two over ``rel2`` are not
-    counted."""
+    ``lift(graph, rel2)``, which leaves out the symmetry check's over the
+    smaller ``rel2``."""
+    assert len(rel2.order) < len(graph.nodes)
     calls = []
 
     def counting(rows):
@@ -526,8 +527,7 @@ def counted_transposes(monkeypatch, lift, graph, rel2) -> int:
 
     monkeypatch.setattr(conc, "transpose", counting)
     lift(graph, rel2)
-    assert calls[:2] == [len(rel2.order)] * 2
-    return len(calls) - 2
+    return calls.count(len(graph.nodes))
 
 
 class TestRounds:
