@@ -38,8 +38,8 @@ class IncompleteInputError(Exception):
 
 
 class InconsistentInputError(ValueError):
-    """The input lied: ``rel2`` does not cover the reduced places, holds a 1
-    beside a dead root, or propagates a 1 onto a 0."""
+    """The input lied: ``rel2`` does not cover the reduced places, is not
+    symmetric, holds a 1 beside a dead root, or propagates a 1 onto a 0."""
 
 
 def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int], list[int]]:
@@ -47,13 +47,12 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     ``graph.nodes``; every other cell is unknown.
 
     ``rel2`` must cover exactly the non-constant roots, the reduced net's
-    places, and be symmetric, or :class:`InconsistentInputError` is
-    raised.  A place with a 1
-    in its row is marked, so it takes a 1 on its diagonal; a 1 beside a
-    place that ``rel2`` holds dead is an error.  A positive constant is
-    concurrent with itself, the other positive constants and every place
-    marked on ``rel2``'s own diagonal; a zero constant is dead.  The 0s
-    beside dead nodes are left to the callers.
+    places, and be symmetric, or :class:`InconsistentInputError` is raised.
+    A place with a 1 in its row is marked, so it takes a 1 on its diagonal;
+    a 1 beside a place that ``rel2`` holds dead is an error.  A positive
+    constant is concurrent with itself, the other positive constants and
+    every place marked on ``rel2``'s own diagonal; a zero constant is dead.
+    The 0s beside dead nodes are left to the callers.
     """
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
         raise InconsistentInputError("rel2 order must match the reduced places")
@@ -127,22 +126,22 @@ def propagate(
     and the logical cell writes, |A|·|B| for a product of node sets A and B.
 
     Rows are ordered like ``graph.nodes`` and symmetric, as :func:`_seed`
-    leaves them.  A pair of roots that ``ones`` holds concurrent makes
-    their successor cones pairwise concurrent.  Under a root that it holds
-    live (1 on the diagonal), each node is concurrent with its successors,
-    and each redundancy arc ``v -> w`` makes the successors of ``v``
-    outside the cone of ``w`` concurrent with those of ``w``.  Each fact is one row OR: a root with children takes
-    the lone roots concurrent with it, those whose cone is only
-    themselves, as one mask, and the cones of the concurrent roots with
-    children one pair at a time; a lone root takes the cones of the roots
-    with children concurrent with it.  The lone roots' cells with each
-    other are already in ``ones`` and are only counted.  Then one pass over
-    ``graph.topo_order`` ORs, at each node, the splits of its live
+    leaves them.  A pair of roots that ``ones`` holds concurrent makes their
+    successor cones pairwise concurrent.  Under a root that it holds live (1
+    on the diagonal), each node is concurrent with its successors, and each
+    redundancy arc ``v -> w`` makes the successors of ``v`` outside the cone
+    of ``w`` concurrent with those of ``w``.  Each fact is one row OR: a
+    root with children takes the lone roots concurrent with it, those whose
+    cone is only themselves, as one mask, and the cones of the concurrent
+    roots with children one pair at a time; a lone root takes the cones of
+    the roots with children concurrent with it.  The lone roots' cells with
+    each other are already in ``ones`` and are only counted.  Then one pass
+    over ``graph.topo_order`` ORs, at each node, the splits of its live
     redundancy parents into its mask in ``below``, gives its row its cone
     and that mask, and pushes the mask on to its children; one transpose
     writes the other side of the splits.  Only 1s are added, so calling it
-    again on its own result changes nothing; a 1 on a 0 of ``zeros``
-    raises :class:`InconsistentInputError`.
+    again on its own result changes nothing; a 1 on a 0 of ``zeros`` raises
+    :class:`InconsistentInputError`.
     """
     index = graph.index
     succ = graph.successor_masks
