@@ -2,21 +2,25 @@
 """Time the brute-force oracle, the reduction front end and the concurrency
 lift on scalable generator families.
 
-For each family and size, the full net is explored with ``explore``, its
-concurrency relation computed with ``oracle_concurrency`` and that matrix
-written as text with ``write_matrix(to_document(...))``; the net is also
-reduced with ``reduce`` and its token flow graph built with
-``build_graph``, and the reduced relation ``Analysis.rel2`` is lifted
-through that graph with ``matrix``, and, with its first-by-last cell
-hidden, with ``partial_matrix``.  Each row holds the state count, the
-exploration status, the median over 5 runs of the seven times and of the
-exploration rate, and the minimum of the seven times.  The runs are
-interleaved: each of the 5 passes times every row once, so a burst of load
-on the machine moves one run of many rows rather than every run of one.
-Load only ever adds time, so a change is judged on the minimums
-(``explore_min_s``, ``oracle_concurrency_min_s``, ``matrix_text_min_s``,
-``reduce_min_s``, ``graph_min_s``, ``lift_min_s``, ``partial_min_s``).  Run
-from the repo root:
+For each family and size, the full net is explored with ``explore``
+within ``MAX_STATES`` states, its concurrency relation computed with
+``oracle_concurrency`` and that matrix written as text with
+``write_matrix(to_document(...))``; the net is also reduced with ``reduce``
+and its token flow graph built with ``build_graph``, the reduced relation
+``rel2`` of a fresh ``Analysis`` computed (its components, their spaces and
+the relation), and that relation lifted through the graph with ``matrix``,
+and, with its first-by-last cell hidden, with ``partial_matrix``.  Each row
+holds the state count, the exploration status, the median over 5 runs of
+the eight times and of the exploration rate, and the minimum of the eight
+times.  The largest ``diamond_chain`` rows go past the oracle: their
+exploration stops at ``MAX_STATES``, so their status is truncated and their
+oracle and text times are null, while the accelerated columns are timed as
+on every row.  The runs are interleaved: each of the 5 passes times every
+row once, so a burst of load on the machine moves one run of many rows
+rather than every run of one.  Load only ever adds time, so a change is
+judged on the minimums (``explore_min_s``, ``oracle_concurrency_min_s``,
+``matrix_text_min_s``, ``reduce_min_s``, ``graph_min_s``, ``rel2_min_s``,
+``lift_min_s``, ``partial_min_s``).  Run from the repo root:
 
     PYTHONPATH=src python scripts/bench_scaling.py [--output BENCH_explore.json]
 """
@@ -24,6 +28,7 @@ from the repo root:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -40,14 +45,15 @@ from tfgkit.reach import Analysis
 from tfgkit.reductions import build_graph, reduce
 from tfgkit.relation import UNKNOWN
 
-MAX_STATES = 1_000_000
+MAX_STATES = 100_000
 REPEATS = 5
 
 FAMILIES = {
     "chain_line": ((50, 100, 200, 500, 1000, 2000, 5000), lambda n: gen.chain_line(n).build()),
     "ring": ((500, 1000, 2000, 5000), lambda n: gen.ring(n).build()),
     "two_phase_branches": ((8, 10, 12, 14, 16), lambda w: gen.two_phase_branches(w).build()),
-    "diamond_chain": ((4, 6, 8, 10), gen.diamond_chain),
+    # 3**k states: past the oracle from k = 100 on
+    "diamond_chain": ((4, 6, 8, 10, 100, 200, 400), gen.diamond_chain),
     "choice_loop": ((10, 100, 500, 1000, 2000), lambda b: gen.choice_loop(b).build()),
     # 3 states, one of them with every branch marked: no two markings share
     # their upper places, so the oracle's rows merge nothing
@@ -61,22 +67,37 @@ FAMILIES = {
 }
 
 
-Run = tuple[int, str, float, float | None, float | None, float, float, float, float]
+Run = tuple[int, str, float, float | None, float | None, float, float, float, float, float]
 
 
 def time_once(net, m0) -> Run:
     """States, status and seconds of one ``explore``, plus the seconds of
     ``oracle_concurrency`` on its space and of writing that matrix as text
     when the space is complete, of one ``reduce`` and one ``build_graph``
-    on its result, and of one ``matrix`` and one ``partial_matrix`` on the
-    reduced relation."""
+    on its result, of the reduced relation of a fresh ``Analysis``, and of
+    one ``matrix`` and one ``partial_matrix`` on that relation.  The
+    collector runs before, not during, the timed calls, as in ``timeit``:
+    with every row's net alive, a full collection takes milliseconds, and
+    it falls at the same allocation in every pass, so it would add to one
+    stage of one row in all five."""
+    gc.collect()
+    gc.disable()
+    try:
+        return _timed(net, m0)
+    finally:
+        gc.enable()
+
+
+def _timed(net, m0) -> Run:
     start = time.perf_counter()
     result = reduce(net, m0)
     reduce_s = time.perf_counter() - start
     start = time.perf_counter()
     graph = build_graph(net, result)
     graph_s = time.perf_counter() - start
+    start = time.perf_counter()
     rel2 = Analysis(net, m0, result).rel2
+    rel2_s = time.perf_counter() - start
     start = time.perf_counter()
     matrix(graph, rel2)
     lift_s = time.perf_counter() - start
@@ -95,7 +116,8 @@ def time_once(net, m0) -> Run:
         start = time.perf_counter()
         write_matrix(to_document(relation))
         text_s = time.perf_counter() - start
-    return len(space), space.status, explore_s, oracle_s, text_s, reduce_s, graph_s, lift_s, partial_s
+    return (len(space), space.status, explore_s, oracle_s, text_s, reduce_s, graph_s, rel2_s,
+            lift_s, partial_s)
 
 
 def summarize(family: str, size: int, runs: list[Run]) -> dict:
@@ -107,8 +129,9 @@ def summarize(family: str, size: int, runs: list[Run]) -> dict:
     text_s = [run[4] for run in runs if run[4] is not None]
     reduce_s = [run[5] for run in runs]
     graph_s = [run[6] for run in runs]
-    lift_s = [run[7] for run in runs]
-    partial_s = [run[8] for run in runs]
+    rel2_s = [run[7] for run in runs]
+    lift_s = [run[8] for run in runs]
+    partial_s = [run[9] for run in runs]
     seconds = statistics.median(explore_s)
     return {
         "family": family,
@@ -125,6 +148,8 @@ def summarize(family: str, size: int, runs: list[Run]) -> dict:
         "reduce_min_s": min(reduce_s),
         "graph_s": statistics.median(graph_s),
         "graph_min_s": min(graph_s),
+        "rel2_s": statistics.median(rel2_s),
+        "rel2_min_s": min(rel2_s),
         "lift_s": statistics.median(lift_s),
         "lift_min_s": min(lift_s),
         "partial_s": statistics.median(partial_s),
@@ -150,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{row['family']}({row['size']}): {row['states']} states {row['status']}, "
               f"explore {row['explore_s']:.4f} s (min {row['explore_min_s']:.4f} s), "
               f"reduce {row['reduce_min_s']:.4f} s, graph {row['graph_min_s']:.4f} s, "
-              f"lift {row['lift_min_s']:.4f} s, partial {row['partial_min_s']:.4f} s (min)")
+              f"rel2 {row['rel2_min_s']:.4f} s, lift {row['lift_min_s']:.4f} s, "
+              f"partial {row['partial_min_s']:.4f} s (min)")
     document = {
         "command": "python scripts/bench_scaling.py",
         "python": platform.python_version(),

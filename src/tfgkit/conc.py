@@ -9,15 +9,19 @@ by the same propagation and 0s by the least fixpoint of six sound inference
 rules; cells it cannot settle stay unknown.
 Both work on plain int rows, one 1-row and one 0-row per node, with bit
 ``i`` standing for ``graph.nodes[i]``: ``_seed`` writes the root relation
-into them, moving each rel2 row's 1s and 0s together, one comprehension
-per run of positions.  :func:`propagate` reads the root
-facts back and ORs each cone product into the 1-rows in one pass that
-pushes masks down the graph in topological order, so depth costs no stack;
-the roots whose cone is only themselves take part as one mask, not pair
-by pair.  ``partial_matrix`` then runs a worklist of equation groups to
-the zeros' fixpoint, with one :func:`~tfgkit.relation.transpose` per
-round.  Each lift turns its rows into one :class:`ConcurrencyMatrix` at
-its end.
+into them, moving rel2's rows to node positions by one comprehension per
+run of positions when the rows times the runs are at most the nodes, and
+else by one transpose of the rows put at their node positions (two when
+rel2 has unknown cells), so that the move never costs rows x runs.
+:func:`propagate` reads the root facts back and ORs each cone product into
+the 1-rows in one pass that pushes masks down the graph in topological
+order, so depth costs no stack; the roots whose cone is only themselves
+take part as one mask, and the cones of concurrent roots meet pair by pair
+or, when the pairs outnumber the cones' nodes and the graph's, column-wise
+through one transpose.  ``partial_matrix`` then runs a worklist of
+equation groups to the zeros' fixpoint, with one
+:func:`~tfgkit.relation.transpose` per round.  Each lift turns its rows
+into one :class:`ConcurrencyMatrix` at its end.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
@@ -60,13 +64,32 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     index = graph.index
     nodes = [index[v] for v in rel2.order]  # node position of each rel2 position
     positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)
-    # rel2's 1-rows and 0-rows moved to node positions together, by runs of
-    # positions that are adjacent in both orders
-    moved = [(0, 0)] * len(nodes)
-    zero_rows = [known & ~one for known, one in zip(rel2.known, rel2.ones)]
-    for source, target, mask in _runs(nodes):
-        moved = [(m1 | (one >> source & mask) << target, m0 | (zero >> source & mask) << target)
-                 for (m1, m0), one, zero in zip(moved, rel2.ones, zero_rows)]
+    # rel2's 1-rows and 0-rows moved to node positions, by whichever route
+    # takes fewer row operations: one comprehension per run of positions
+    # that are adjacent in both orders, rows x runs of them, or about one
+    # per node for a transpose
+    runs = _runs(nodes)
+    if len(nodes) * len(runs) <= len(graph.nodes):
+        moved = [(0, 0)] * len(nodes)
+        zero_rows = [known & ~one for known, one in zip(rel2.known, rel2.ones)]
+        for source, target, mask in runs:
+            moved = [(m1 | (one >> source & mask) << target, m0 | (zero >> source & mask) << target)
+                     for (m1, m0), one, zero in zip(moved, rel2.ones, zero_rows)]
+    else:
+        # rel2's column k is its row k, so with each row put at its node
+        # position, one transpose reads them all back with their bits at
+        # node positions too; a second does the same for the settled cells
+        placed = [0] * len(graph.nodes)
+        for i, one in zip(nodes, rel2.ones):
+            placed[i] = one
+        moved_ones = transpose(placed)[: len(nodes)]
+        if rel2.is_complete():  # every cell that is not 1 is 0
+            spread = sum(1 << i for i in nodes)
+            moved = [(one, spread & ~one) for one in moved_ones]
+        else:
+            for i, known in zip(nodes, rel2.known):
+                placed[i] = known
+            moved = [(one, known & ~one) for one, known in zip(moved_ones, transpose(placed))]
     ones = [0] * len(graph.nodes)
     zeros = [0] * len(graph.nodes)
     marked = 0  # places that rel2 marks on their own diagonal
@@ -130,11 +153,12 @@ def propagate(
     successor cones pairwise concurrent.  Under a root that it holds live (1
     on the diagonal), each node is concurrent with its successors, and each
     redundancy arc ``v -> w`` makes the successors of ``v`` outside the cone
-    of ``w`` concurrent with those of ``w``.  Each fact is one row OR: a
-    root with children takes the lone roots concurrent with it, those whose
-    cone is only themselves, as one mask, and the cones of the concurrent
-    roots with children one pair at a time; a lone root takes the cones of
-    the roots with children concurrent with it.  The lone roots' cells with
+    of ``w`` concurrent with those of ``w``.  A root with children takes
+    the lone roots concurrent with it, those whose cone is only themselves,
+    as one mask, and every root takes the cones of the roots with children
+    concurrent with it: one OR per pair (:func:`_by_pairs`), or, when the
+    pairs outnumber the row operations of the other route, one OR per cone
+    node and a transpose (:func:`_by_columns`).  The lone roots' cells with
     each other are already in ``ones`` and are only counted.  Then one pass
     over ``graph.topo_order`` ORs, at each node, the splits of its live
     redundancy parents into its mask in ``below``, gives its row its cone
@@ -153,30 +177,32 @@ def propagate(
     below = [0] * len(graph.nodes)  # what every successor of a node meets
     writes = 0
     cone = 0
-    for i in lone:  # it meets the cones of the branching roots concurrent with it
+    for i in lone:
         row = ones[i]
         cone |= row & 1 << i
         writes += ((row & alone) >> (i + 1)).bit_count()  # lone pairs: rel2's own cells
-        pairs = row & branching
-        while pairs:
-            low = pairs & -pairs
-            pairs ^= low
-            below[i] |= succ[low.bit_length() - 1]
+    size = {}  # per branching root, its cone's size
+    pairs = 0  # the concurrent pairs of a branching root with another root
     for i in branch:
         row = ones[i]
         if row >> i & 1:
             cone |= succ[i]
-        size = succ[i].bit_count()
+        size[i] = n = succ[i].bit_count()
         below[i] |= row & alone  # the lone roots concurrent with it, as one mask
-        writes += size * (row & alone).bit_count()
-        pairs = (row & branching) >> (i + 1) << (i + 1)  # concurrent branching roots after i
-        while pairs:
-            low = pairs & -pairs
-            pairs ^= low
-            j = low.bit_length() - 1
-            below[i] |= succ[j]
-            below[j] |= succ[i]
-            writes += size * succ[j].bit_count()
+        met = (row & alone).bit_count()
+        writes += n * met
+        pairs += met + (row & branching).bit_count() // 2  # a pair of branching roots twice
+    # every root meets the cones of the branching roots concurrent with it:
+    # pair by pair, or column-wise when the pairs outnumber the row
+    # operations of that route (one per cone node, about one per node for
+    # its transpose, one per root for its masks, one per branching root and
+    # cone size for its writes)
+    if size:
+        cones = sum(size.values())
+        if pairs <= cones + len(graph.nodes) + len(roots) + len(size) * len(set(size.values())):
+            writes += _by_pairs(succ, ones, lone, branching, size, below)
+        else:
+            writes += _by_columns(succ, ones, roots, alone | branching, size, below)
     rows = [0] * len(graph.nodes)
     split_seen = False
     children, r_parents = graph.children, graph.r_parents
@@ -204,6 +230,62 @@ def propagate(
             v, w = graph.nodes[i], graph.nodes[(clash & -clash).bit_length() - 1]
             raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
     return [one | row for one, row in zip(ones, rows)], writes
+
+
+def _by_pairs(succ: tuple[int, ...], ones: list[int], lone: list[int], branching: int,
+              size: dict[int, int], below: list[int]) -> int:
+    """OR into ``below`` of each root the cones ``succ`` of the other roots
+    of ``branching``, whose cone sizes ``size`` holds, that its row of
+    ``ones`` holds concurrent with it, one OR per pair: a lone root of
+    ``lone`` takes each one's, and each pair of branching roots is taken
+    once, both ways.  Returns the writes of those pairs, |A|·|B| each."""
+    for i in lone:
+        pairs = ones[i] & branching
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low
+            below[i] |= succ[low.bit_length() - 1]
+    writes = 0
+    for i, n in size.items():
+        pairs = (ones[i] & branching) >> (i + 1) << (i + 1)  # the concurrent ones after i
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low
+            j = low.bit_length() - 1
+            below[i] |= succ[j]
+            below[j] |= succ[i]
+            writes += n * size[j]
+    return writes
+
+
+def _by_columns(succ: tuple[int, ...], ones: list[int], roots: list[int], rooted: int,
+                size: dict[int, int], below: list[int]) -> int:
+    """:func:`_by_pairs` column-wise, with ``rooted`` the mask of
+    ``roots``.  The rows are symmetric, so a node of the cone of branching
+    root ``j`` is met by every other root in ``j``'s row: one OR per cone
+    node builds the columns, and one transpose turns them into each root's
+    mask.  A branching root's pairs weigh the summed sizes of the branching
+    roots in its row, one ``bit_count`` per cone size, less its own when it
+    is live, and each pair is counted from both ends."""
+    columns = [0] * len(succ)
+    groups: dict[int, int] = {}  # cone size -> the branching roots with it
+    for j, n in size.items():
+        groups[n] = groups.get(n, 0) | 1 << j
+        row = ones[j] & rooted & ~(1 << j)
+        nodes = succ[j]
+        while nodes:
+            low = nodes & -nodes
+            nodes ^= low
+            columns[low.bit_length() - 1] |= row
+    met = transpose(columns)
+    for i in roots:
+        below[i] |= met[i]
+    writes = 0
+    for i, n in size.items():
+        row = ones[i]
+        writes += n * (sum(s * (row & group).bit_count() for s, group in groups.items())
+                       - (n if row >> i & 1 else 0))
+    return writes // 2
 
 
 def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMatrix:

@@ -94,6 +94,18 @@ work on it directly, and ``space.markings`` decodes it to :class:`Marking`
 objects once, on first access.  ``Marking``, :func:`enabled`, :func:`fire`
 and :func:`random_walk` remain the public API at the edges.
 
+One compiled layout serves a net and each of its parts.  :func:`explore`
+is a :class:`_Compiled` net, the packing plus the moves of :func:`_compile`,
+and one :meth:`_Compiled.search` of the whole of it.  A part that shares
+no place and no transition with the rest of the net, such as a connected
+component of a reduced net, is searched in the same layout: the search
+starts from ``m0`` masked to the part's fields, with the part's
+transitions as the enabled mask.  A move then only changes and re-tests
+the part's own fields and transitions, and the guard and token tests are
+masked to its fields, so the other fields stay empty and the packed ints
+are no wider than the part's last field.  The marked rows of the oracle
+below are written the same way, for a part's places only.
+
 The concurrency oracle reads the same packed set: the row of a place is the
 union of the marked-place sets (guard bits only) of the stored markings
 that mark it.  ``_marked_rows`` builds the rows in one of two forms, and
@@ -120,7 +132,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from tfgkit.relation import ConcurrencyMatrix
 
@@ -155,6 +167,15 @@ class Marking:
                     items[place] = count
         self._tokens = items
         self._hash = hash(frozenset(items.items()))
+
+    @classmethod
+    def _unchecked(cls, tokens: dict[str, int]) -> Marking:
+        """The marking of ``tokens``, whose counts are positive ints, without
+        the checks of ``__init__``; the dict is kept, not copied."""
+        m = object.__new__(cls)
+        m._tokens = tokens
+        m._hash = hash(frozenset(tokens.items()))
+        return m
 
     def __getitem__(self, place: str) -> int:
         return self._tokens.get(place, 0)
@@ -568,6 +589,51 @@ def _search(seen: set[int], start: int, mask: int, moves: list[tuple], guards: i
     return COMPLETE
 
 
+class _Compiled:
+    """``net`` compiled once for searches from ``m0`` within ``max_token``:
+    its ``packing``, ``m0`` packed as ``start``, the ``enabled`` mask at
+    ``m0`` and the ``moves`` of :func:`_compile`, and the ``cap`` of the
+    token check.  :meth:`search` explores the whole net, or any part of it
+    that shares no place and no transition with the rest, in this one
+    layout.  Raises ValueError when ``m0`` marks a place outside
+    ``net.places``."""
+
+    __slots__ = ("packing", "start", "enabled", "moves", "cap")
+
+    def __init__(self, net: PetriNet, m0: Marking, max_token: int):
+        most = max(m0._tokens.values(), default=0)
+        widest = max(max_token + net.heaviest, most)
+        self.packing = packing = _Packing(net.places, widest.bit_length())
+        self.start = packing.encode(m0)
+        if self.start is None:  # every count fits, so some place is outside the layout
+            stray = sorted(m0.support() - set(net.places))
+            raise ValueError(f"initial marking names non-places {stray}")
+        self.cap = packing.ones * ((1 << packing.bits) - 1 - max_token)
+        self.enabled, self.moves = _compile(net, packing, m0._tokens, max_token)
+
+    def search(self, max_states: int, target: int = -1, fields: int = -1,
+               transitions: int = -1) -> StateSpace:
+        """The search of :func:`explore` over the places whose fields are
+        the bits of ``fields`` and the transitions whose bits are set in
+        ``transitions``, from ``m0`` on those places, stopping at the
+        packed marking ``target`` (-1 for none).  By default, the whole
+        net.  The part must share no place and no transition with the rest
+        of the net: then its moves change and re-test only its own fields
+        and transitions, and the guard and token tests read its fields only,
+        so the other fields stay empty and the ints stay as narrow as the
+        part's last field."""
+        packing = self.packing
+        start, guards, cap = self.start & fields, packing.guards & fields, self.cap & fields
+        if start == target:
+            return StateSpace(packing, frozenset([start]), truncated("goal"))
+        if (start + cap) & guards:  # m0 holds more than max_token somewhere
+            return StateSpace(packing, frozenset([start]), truncated("max-token"))
+        seen = {start}
+        status = _search(seen, start, self.enabled & transitions, self.moves, guards, cap,
+                         max_states, target)
+        return StateSpace(packing, frozenset(seen), status)
+
+
 def explore(
     net: PetriNet,
     m0: Marking,
@@ -593,26 +659,9 @@ def explore(
     """
     if max_states < 1 or max_token < 1:
         raise ValueError("limits must be at least 1")
-    most = max(m0._tokens.values(), default=0)
-    widest = max(max_token + net.heaviest, most)
-    packing = _Packing(net.places, widest.bit_length())
-    start = packing.encode(m0)
-    if start is None:  # every count fits, so some place is outside the layout
-        stray = sorted(m0.support() - set(net.places))
-        raise ValueError(f"initial marking names non-places {stray}")
-    target = None if goal is None else packing.encode(goal)
-    if target is None:
-        target = -1  # no packed marking: the search never stops at it
-    if start == target:
-        return StateSpace(packing, frozenset([start]), truncated("goal"))
-    if most > max_token:
-        return StateSpace(packing, frozenset([start]), truncated("max-token"))
-    guards = packing.guards
-    cap = packing.ones * ((1 << packing.bits) - 1 - max_token)
-    mask, moves = _compile(net, packing, m0._tokens, max_token)
-    seen = {start}
-    status = _search(seen, start, mask, moves, guards, cap, max_states, target)
-    return StateSpace(packing, frozenset(seen), status)
+    compiled = _Compiled(net, m0, max_token)
+    target = None if goal is None else compiled.packing.encode(goal)
+    return compiled.search(max_states, -1 if target is None else target)
 
 
 class StateEquation:
@@ -745,10 +794,14 @@ def oracle_reachable(space: StateSpace, m: Marking) -> bool:
     return m in space
 
 
-def _marked_rows(space: StateSpace) -> list[int]:
+def _marked_rows(space: StateSpace, positions: Sequence[int] | None = None,
+                 rows: list[int] | None = None) -> list[int]:
     """Per layout place ``i``, one bit per layout place for every place
     marked together with ``i`` in some stored marking; bit ``i`` itself is
-    set when ``i`` is marked at all.
+    set when ``i`` is marked at all.  With ``positions``, increasing, only
+    the rows of the places there are written, into ``rows`` when it is
+    given: the stored markings must leave every other place empty, as a
+    search of a part of the net does.
 
     Built in one of two forms.  :func:`_column_rows` does all of its
     per-marking work in C and then one Python step per pair of places, n**2
@@ -763,13 +816,15 @@ def _marked_rows(space: StateSpace) -> list[int]:
     columns on ``two_phase_branches(6..10)`` and ``diamond_chain(5..7)`` and
     14-16x on ``two_phase_branches(16)`` and ``diamond_chain(10)``."""
     packing = space._packing
-    squared = len(packing.places) ** 2
+    if positions is None:
+        positions = range(len(packing.places))
+    squared = len(positions) ** 2
     if squared <= len(space):
-        return _column_rows(space)
+        return _column_rows(space, positions, rows)
     occupied = {((m | packing.guards) - packing.ones) & packing.guards for m in space._packed}
     if squared <= sum(map(int.bit_count, occupied)):
-        return _column_rows(space)
-    return _set_rows(packing, occupied)
+        return _column_rows(space, positions, rows)
+    return _set_rows(packing, occupied, rows)
 
 
 @cache
@@ -779,39 +834,52 @@ def _any_set(mask: int) -> bytes:
     return bytes(49 if byte & mask else 48 for byte in range(256))
 
 
-def _column_rows(space: StateSpace) -> list[int]:
+def _column_rows(space: StateSpace, positions: Sequence[int] | None = None,
+                 rows: list[int] | None = None) -> list[int]:
     """:func:`_marked_rows` through one bitset over the stored markings per
     place (Warren, "Hacker's Delight", ch. 7, transposes the same way).
 
     Every packed marking is written little-endian into one ``bytes``, a
-    record of ``size`` bytes each, so one strided slice holds a given byte
-    of every marking.  A place's column ORs, over each byte that its value
-    bits touch, that slice translated to ``0``/``1`` digits, "some value
-    bit of the place set", and read in base 2: one bit per stored marking,
-    set when it puts any count on the place.  Place ``i`` is marked
-    together with place ``k`` exactly when their columns meet."""
+    record of ``size`` bytes each, up to the last field of ``positions``,
+    so one strided slice holds a given byte of every marking.  A place's
+    column ORs, over each byte that its value bits touch, that slice
+    translated to ``0``/``1`` digits, "some value bit of the place set",
+    and read in base 2: one bit per stored marking, set when it puts any
+    count on the place.  Place ``i`` is marked together with place ``k``
+    exactly when their columns meet."""
     packing = space._packing
     bits, width = packing.bits, packing.width
-    size = (len(packing.places) * width + 7) // 8
+    if positions is None:
+        positions = range(len(packing.places))
+    if rows is None:
+        rows = [0] * len(packing.places)
+    if not positions:
+        return rows
+    size = ((positions[-1] + 1) * width + 7) // 8
     records = b"".join(map(int.to_bytes, space._packed, repeat(size), repeat("little")))
     field = (1 << bits) - 1
     columns = []
-    for low in range(0, len(packing.places) * width, width):
+    for low in (i * width for i in positions):
         column = 0
         for byte in range(low // 8, (low + bits - 1) // 8 + 1):
             mask = (field << low >> byte * 8) & 0xFF
             column |= int(records[byte::size].translate(_any_set(mask)), 2)
         columns.append(column)
-    return [sum(1 << k for k, other in enumerate(columns) if column & other) for column in columns]
+    bits = [1 << i for i in positions]
+    for i, column in zip(positions, columns):
+        rows[i] = sum(bit for bit, other in zip(bits, columns) if column & other)
+    return rows
 
 
-def _set_rows(packing: _Packing, occupied: set[int]) -> list[int]:
+def _set_rows(packing: _Packing, occupied: set[int], rows: list[int] | None = None) -> list[int]:
     """:func:`_marked_rows` from the distinct marked-place sets ``occupied``,
     guard bits only: each set, as one bit per place, is ORed into the row of
-    every place that it marks.  Place ``i``'s guard bit is bit
-    ``i * width + bits``, so its bit length over ``width`` is ``i + 1``."""
+    every place that it marks, in ``rows`` when it is given.  Place ``i``'s
+    guard bit is bit ``i * width + bits``, so its bit length over ``width``
+    is ``i + 1``."""
     width = packing.width
-    rows = [0] * len(packing.places)
+    if rows is None:
+        rows = [0] * len(packing.places)
     for guards in occupied:
         marked = []
         mask = 0

@@ -10,10 +10,15 @@ target's marked places, and the :class:`StateEquation` keeps a basis of the
 reduced net's P-flows, which costs it the flows through the candidate's
 marked places.  The reduced net falls apart into connected components that
 share no place and no transition, so its reachable set is the product of
-theirs: each component is searched for its own part of the candidate,
-stopping as soon as it stores that part, and looked up in a stored space as
-one packed marking; two places of different components are concurrent
-exactly when each is marked somewhere.  Each verdict carries a reason token
+theirs.  The reduced net is compiled once, and its components are found
+once, as sets of place and transition positions from one union-find pass;
+each component is searched in that one layout, from the initial marking
+masked to its places' fields and with its transitions' mask, for its own
+part of the candidate, stopping as soon as it stores that part, and looked
+up in a stored space as one packed marking.  Its concurrency rows are
+written straight at its places' positions in the reduced net's order; two
+places of different components are concurrent exactly when each is marked
+somewhere.  Each verdict carries a reason token
 naming the step that settled it.  :class:`Analysis` keeps one
 net's graph, state equation, component spaces and reduced relation across
 queries; it never explores the product of the components.  The one-shot
@@ -39,6 +44,7 @@ from tfgkit.petri import (
     PetriNet,
     StateEquation,
     StateSpace,
+    _Compiled,
     _marked_rows,
     explore,
     truncated,
@@ -108,45 +114,67 @@ def project(graph: tfg.TokenFlowGraph, target: Marking) -> Marking | None:
     return graph.projection(target)
 
 
-@dataclass(eq=False)
-class _Component:
-    """A part of the reduced net that shares no place and no transition with
-    the rest, plus its last explored ``space``."""
+def _connected_components(net: PetriNet) -> tuple[list[int], list[list[int]], list[int]]:
+    """The connected components of ``net``, from one union-find pass over
+    each transition's places, numbered in order of their first places: per
+    place position, the number of its component, and per component, its
+    place positions in order and the mask of its transitions, bit ``j`` for
+    the ``j``-th.  A transition without arcs changes no marking and is in
+    none."""
+    index = {p: i for i, p in enumerate(net.places)}
+    parent = list(range(len(net.places)))
 
-    net: PetriNet
-    m0: Marking
-    space: StateSpace | None = None
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-
-def _split(net: PetriNet, m0: Marking) -> list[_Component]:
-    """The connected components of ``net``, by union-find over each
-    transition's places, in order of their first place.  Each component is
-    a net of its own, even when there is only one; a transition without
-    arcs changes no marking and is dropped."""
-    parent = {p: p for p in net.places}
-
-    def find(p: str) -> str:
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    arcs = {t: [*net.pre_of(t), *net.post_of(t)] for t in net.transitions}
-    for places in arcs.values():
+    first = []  # per transition, the position of its first place, or -1
+    no_arcs: dict[str, int] = {}
+    for t in net.transitions:
+        places = [*net.pre.get(t, no_arcs), *net.post.get(t, no_arcs)]
+        if not places:
+            first.append(-1)
+            continue
+        i = index[places[0]]
+        root = find(i)
         for q in places[1:]:
-            parent[find(q)] = find(places[0])
-    groups: dict[str, tuple[list[str], list[str]]] = {}
-    for p in net.places:
-        groups.setdefault(find(p), ([], []))[0].append(p)
-    for t, places in arcs.items():
-        if places:
-            groups[find(places[0])][1].append(t)
-    out = []
-    for places, ts in groups.values():
-        part = PetriNet._unchecked(tuple(places), tuple(ts), {t: net.pre_of(t) for t in ts},
-                                   {t: net.post_of(t) for t in ts}, net.heaviest)
-        out.append(_Component(part, Marking({p: m0[p] for p in places})))
-    return out
+            other = find(index[q])
+            if other != root:
+                parent[other] = root
+        first.append(i)
+    owner = []
+    number: dict[int, int] = {}  # root -> component number
+    places_of: list[list[int]] = []
+    for i in range(len(parent)):
+        k = number.setdefault(find(i), len(places_of))
+        if k == len(places_of):
+            places_of.append([])
+        places_of[k].append(i)
+        owner.append(k)
+    moves: list[list[int]] = [[] for _ in places_of]
+    for j, i in enumerate(first):
+        if i >= 0:
+            moves[owner[i]].append(j)
+    return owner, places_of, [_spread(js) for js in moves]
+
+
+def _spread(positions: list[int], width: int = 1) -> int:
+    """The mask of the ``width`` bits from ``i * width`` up for each ``i``
+    of ``positions``, increasing, built one OR per run of consecutive
+    positions, so that a run costs one int as wide as the mask."""
+    mask = 0
+    start = end = -1  # the run start..end - 1 not yet in the mask
+    for i in positions:
+        if i != end:
+            if end > 0:
+                mask |= (1 << (end - start) * width) - 1 << start * width
+            start = i
+        end = i + 1
+    if end > 0:
+        mask |= (1 << (end - start) * width) - 1 << start * width
+    return mask
 
 
 class Analysis:
@@ -155,16 +183,18 @@ class Analysis:
     complete state ``spaces`` of its components and its concurrency relation
     ``rel2``, each built on first use and then kept.
 
-    The reduced net is split into the connected components that share no
-    place and no transition, on the first search or ``spaces`` request.  Its
-    reachable set is the product of theirs, so each component is explored
-    on its own and the product never is: ``max_states`` bounds the states
-    stored over all of them, each getting what the others left.
-    :meth:`decide` answers from the cheapest sound source: the projection,
-    then the state equation, then a search of each component for its part
-    of the projected target.  A component runs at most one search that stops
-    at its part, then at most one full exploration, which ``spaces`` and
-    later searches reuse."""
+    The reduced net is compiled once, and split into the connected
+    components that share no place and no transition, on the first search
+    or ``spaces`` request.  Its reachable set is the product of theirs, so
+    each component is searched on its own, in the one compiled layout, from
+    the initial marking of its places and with its transitions only, and
+    the product never is: ``max_states`` bounds the states stored over all
+    of them, each getting what the others left.  :meth:`decide` answers
+    from the cheapest sound source: the projection, then the state
+    equation, then a search of each component for its part of the projected
+    target.  A component runs at most one search that stops at its part,
+    then at most one full exploration, which ``spaces`` and later searches
+    reuse."""
 
     def __init__(self, net: PetriNet, m0: Marking, result: ReductionResult | None = None,
                  max_states: int = 100_000, max_token: int = 1):
@@ -173,6 +203,8 @@ class Analysis:
         self.result = reduce(net, m0) if result is None else result
         self.max_states = max_states
         self.max_token = max_token
+        self._found: dict[int, StateSpace] = {}  # per component number, its last space
+        self._stored = 0  # the states of those spaces
 
     @cached_property
     def graph(self) -> tfg.TokenFlowGraph:
@@ -183,40 +215,50 @@ class Analysis:
         return StateEquation(self.result.reduced_net, self.result.reduced_marking)
 
     @cached_property
-    def _components(self) -> list[_Component]:
-        return _split(self.result.reduced_net, self.result.reduced_marking)
+    def _compiled(self) -> _Compiled:
+        return _Compiled(self.result.reduced_net, self.result.reduced_marking, self.max_token)
 
     @cached_property
-    def _positions(self) -> dict[str, tuple[int, int]]:
-        """Per reduced place, the number of its component and its position
-        among that component's places."""
-        return {p: (k, i) for k, part in enumerate(self._components)
-                for i, p in enumerate(part.net.places)}
+    def _components(self) -> tuple[list[int], list[tuple[list[int], int, int, int]]]:
+        """Per reduced place position, the number of its component; per
+        component, its place positions, their mask, the bits of their
+        fields in the compiled layout and its transition mask."""
+        owner, places_of, transitions = _connected_components(self.result.reduced_net)
+        width = self._compiled.packing.width
+        parts = [(positions, _spread(positions), _spread(positions, width), moves)
+                 for positions, moves in zip(places_of, transitions)]
+        return owner, parts
 
-    def _space(self, part: _Component, goal: Marking | None = None) -> StateSpace | None:
-        """``part``'s space: on its first request a search that stops at
-        ``goal``, after that its full exploration, each within what the
-        other components left of ``max_states``; None when they left
-        nothing."""
-        space = part.space
+    def _space(self, k: int, goal: list[tuple[int, int]] | None = None) -> StateSpace | None:
+        """Component ``k``'s space: on its first request a search that stops
+        at the marking with count ``n`` at each layout position ``i`` of the
+        ``(i, n)`` of ``goal``, after that, whatever the goal, its full
+        exploration, each within what the other components left of
+        ``max_states``; None when they left nothing."""
+        space = self._found.get(k)
         if space is not None and space.status != truncated("goal"):
             return space
-        budget = self.max_states - sum(len(c.space) for c in self._components
-                                       if c is not part and c.space is not None)
+        held = 0 if space is None else len(space)
+        budget = self.max_states - self._stored + held
         if budget < 1:
             return None
-        part.space = explore(part.net, part.m0, max_states=budget, max_token=self.max_token,
-                             goal=goal if space is None else None)
-        return part.space
+        compiled = self._compiled
+        target = None if space is not None or goal is None else compiled.packing.pack(goal)
+        _, _, fields, transitions = self._components[1][k]
+        space = compiled.search(budget, -1 if target is None else target, fields, transitions)
+        self._found[k] = space
+        self._stored += len(space) - held
+        return space
 
     @cached_property
     def spaces(self) -> list[StateSpace]:
         """The complete state space of each component of the reduced net, in
-        the order of their first places.  Raises
+        the order of their first places, each over the reduced net's layout
+        with the other components' places empty.  Raises
         :class:`IncompleteStateSpaceError` when one is cut short."""
         out = []
-        for part in self._components:
-            space = self._space(part)
+        for k in range(len(self._components[1])):
+            space = self._space(k)
             if space is None:
                 raise IncompleteStateSpaceError(truncated("max-states"))
             if not space.is_complete:
@@ -227,26 +269,21 @@ class Analysis:
     @cached_property
     def rel2(self) -> ConcurrencyMatrix:
         """The reduced net's exact concurrency relation, over its places in
-        order.  Each component's cells come from its space in ``spaces``; a
-        cell across two components is 1 exactly when both places are marked
-        somewhere.  The cross-component pass runs only when there are two
-        components or more, and the closing restrict only when their places,
-        one after the other, are not already the reduced net's order."""
-        order: list[str] = []  # the components' places, one after the other
-        rows: list[int] = []
-        masks: list[int] = []  # per position, its component's positions
-        for part, space in zip(self._components, self.spaces):
-            shift = len(order)
-            order += part.net.places
-            rows += [row << shift for row in _marked_rows(space)]
-            masks += [(1 << len(order)) - (1 << shift)] * len(part.net.places)
-        if len(self._components) > 1:
+        order.  Each component's rows come from its space in ``spaces``,
+        written at its places' positions; a cell across two components is 1
+        exactly when both places are marked somewhere, so each marked place
+        takes the mask of the places marked in another component, one mask
+        per component.  That pass runs only when there are two components
+        or more."""
+        owner, parts = self._components
+        rows = [0] * len(owner)
+        for (positions, _, _, _), space in zip(parts, self.spaces):
+            _marked_rows(space, positions, rows)
+        if len(parts) > 1:
             markable = sum(1 << i for i, row in enumerate(rows) if row >> i & 1)
-            rows = [row | (markable & ~mask) if row >> i & 1 else row
-                    for i, (row, mask) in enumerate(zip(rows, masks))]
-        matrix = ConcurrencyMatrix.from_rows(order, rows)
-        places = self.result.reduced_net.places
-        return matrix if matrix.order == places else matrix.restrict(places)
+            others = [markable & ~places for _, places, _, _ in parts]
+            rows = [row | others[owner[i]] if row >> i & 1 else row for i, row in enumerate(rows)]
+        return ConcurrencyMatrix.from_rows(self.result.reduced_net.places, rows)
 
     def decide(self, target: Marking) -> ReachVerdict:
         """Decide whether ``target`` is reachable in ``net`` from ``m0``.
@@ -262,20 +299,17 @@ class Analysis:
         if not self.state_equation.admits(projected):
             log.debug("decide settled by state equation: %r", projected)
             return ReachVerdict(UNREACHABLE, STATE_EQUATION, projected)
-        components = self._components
-        fields: list[list[tuple[int, int]]] = [[] for _ in components]
-        positions = self._positions
+        owner, parts = self._components
+        index = self._compiled.packing.index
+        fields: list[list[tuple[int, int]]] = [[] for _ in parts]
         for p, n in projected._tokens.items():
-            k, i = positions[p]
-            fields[k].append((i, n))
+            i = index[p]
+            fields[owner[i]].append((i, n))
         verdict = ReachVerdict(REACHABLE, BACKEND_HIT, projected)
         reused = 0  # components answered from a space an earlier call stored
-        for part, part_fields in zip(components, fields):
-            stored = part.space
-            goal = None
-            if stored is None:
-                goal = Marking({part.net.places[i]: n for i, n in part_fields})
-            space = self._space(part, goal)
+        for k, part_fields in enumerate(fields):
+            stored = self._found.get(k)
+            space = self._space(k, part_fields)
             reused += space is not None and space is stored
             if space is not None and space.holds(part_fields):
                 continue
@@ -285,9 +319,8 @@ class Analysis:
             verdict = ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
         if log.isEnabledFor(logging.DEBUG):
             log.debug("decide settled by search (%s): %r among %d stored reduced states "
-                      "in %d components%s", verdict.reason, projected,
-                      sum(len(part.space) for part in components if part.space is not None),
-                      len(components), f", {reused} searched by earlier calls" if reused else "")
+                      "in %d components%s", verdict.reason, projected, self._stored,
+                      len(parts), f", {reused} searched by earlier calls" if reused else "")
         return verdict
 
 

@@ -420,7 +420,8 @@ class Projection:
         if any(residual.values()):
             return None
         p2 = self.p2
-        return Marking({v: n for v, n in value.items() if v in p2})
+        # every touched node sums marked places below it: a positive int
+        return Marking._unchecked({v: n for v, n in value.items() if v in p2})
 
 
 def restrict(c: Configuration, places: Iterable[str]) -> Marking:

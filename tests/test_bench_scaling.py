@@ -36,7 +36,8 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
     keys = {"family", "size", "states", "status", "explore_s", "explore_min_s",
             "oracle_concurrency_s", "oracle_concurrency_min_s", "matrix_text_s",
             "matrix_text_min_s", "reduce_s", "reduce_min_s", "graph_s", "graph_min_s",
-            "lift_s", "lift_min_s", "partial_s", "partial_min_s", "states_per_s"}
+            "rel2_s", "rel2_min_s", "lift_s", "lift_min_s", "partial_s", "partial_min_s",
+            "states_per_s"}
     for row in rows:
         assert set(row) == keys
         assert row["status"] == "complete"
@@ -45,6 +46,7 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
         assert 0 <= row["matrix_text_min_s"] <= row["matrix_text_s"]
         assert 0 <= row["reduce_min_s"] <= row["reduce_s"]
         assert 0 <= row["graph_min_s"] <= row["graph_s"]
+        assert 0 <= row["rel2_min_s"] <= row["rel2_s"]
         assert 0 <= row["lift_min_s"] <= row["lift_s"]
         assert 0 <= row["partial_min_s"] <= row["partial_s"]
     assert [row["states"] for row in rows] == [51, 500, 2**8 + 2, 3**4, 11, 3, 501, 502]

@@ -25,6 +25,7 @@ from tfgkit.conc import (
 )
 from tfgkit.net_io import TaggedEquation, parse_equations, parse_matrix, parse_net, write_matrix
 from tfgkit.petri import Marking, explore, oracle_concurrency
+from tfgkit.reach import Analysis
 from tfgkit.reductions import build_graph, reduce
 from tfgkit.relation import _BAND, UNKNOWN, ConcurrencyMatrix, transpose
 from tfgkit.tfg import build, check
@@ -512,6 +513,51 @@ class TestZeroFixpoint:
                 ones, _ = propagate(inst.graph, ones, zeros)
                 got = _zero_fixpoint(inst.graph, ones, zeros)
                 assert got == naive_zero_fixpoint(inst.graph, ones, zeros), (inst.name, fraction)
+
+
+class TestRootPairs:
+    """The two routes of ``propagate`` through the pairs of concurrent
+    roots give each root the same mask and count the same writes."""
+
+    @settings(max_examples=150)
+    @given(checked_graphs(), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_pairs_and_columns_agree(self, graph, fraction, rng):
+        succ = graph.successor_masks
+        roots = [graph.index[v] for v in graph.roots]
+        size = {i: succ[i].bit_count() for i in roots if succ[i] != 1 << i}
+        ones = [0] * len(graph.nodes)
+        for k, i in enumerate(roots):
+            for j in roots[: k + 1]:
+                if rng.random() < fraction:
+                    ones[i] |= 1 << j
+                    ones[j] |= 1 << i
+        lone = [i for i in roots if i not in size]
+        by_pairs, by_columns = [0] * len(graph.nodes), [0] * len(graph.nodes)
+        writes = conc._by_pairs(succ, ones, lone, sum(1 << i for i in size), size, by_pairs)
+        assert writes == conc._by_columns(succ, ones, roots, sum(1 << i for i in roots), size,
+                                          by_columns)
+        assert by_pairs == by_columns
+
+    @pytest.mark.parametrize("k, columns", [(3, False), (10, False), (11, True), (40, True)])
+    def test_diamond_chain_takes_the_columns_from_eleven_blocks(self, k, columns, monkeypatch):
+        """k blocks give 2k roots, k of them branching with a cone of 5
+        nodes, and each root is live and concurrent with every root of the
+        other blocks: k(k - 1) pairs of a lone and a branching root and
+        k(k - 1) / 2 of two branching ones, counted as k(k - 1 + k // 2),
+        against 5k + 6k + 2k + k row operations column-wise.  Either way,
+        the lift equals the oracle's relation."""
+        net, m0 = generators.diamond_chain(k)
+        result = reduce(net, m0)
+        graph = build_graph(net, result)
+        rel2 = Analysis(net, m0, result).rel2
+        routes = []
+        by_columns = conc._by_columns
+        monkeypatch.setattr(conc, "_by_columns",
+                            lambda *args: routes.append(1) or by_columns(*args))
+        lifted = matrix(graph, rel2)
+        assert routes == ([1] if columns else [])
+        if k <= 10:
+            assert lifted.restrict(net.places) == oracle_concurrency(explore(net, m0), net.places)
 
 
 def counted_transposes(monkeypatch, lift, graph, rel2) -> int:

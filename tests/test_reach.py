@@ -52,7 +52,6 @@ from tfgkit.reach import (
     UNREACHABLE,
     Analysis,
     ReachVerdict,
-    _split,
     decide,
     partition,
     project,
@@ -80,6 +79,20 @@ D1_TEXT = "pl p 1\npl q 0\npl r 0\ntr t p -> q r\n"
 
 def refuse(*args, **kwargs):
     raise AssertionError("called")
+
+
+def searches(monkeypatch, calls: list) -> None:
+    """Record each search of a compiled net, the whole net's in ``explore``
+    and each component's, as (fields, budget, whether it stops at a goal,
+    stored states); a whole-net search has fields -1."""
+    search = tfgkit.petri._Compiled.search
+
+    def counted(compiled, max_states, target=-1, fields=-1, transitions=-1):
+        space = search(compiled, max_states, target, fields, transitions)
+        calls.append((fields, max_states, target != -1, len(space)))
+        return space
+
+    monkeypatch.setattr(tfgkit.petri._Compiled, "search", counted)
 
 
 @pytest.fixture(scope="module")
@@ -394,8 +407,7 @@ class TestAnalysis:
         capsys.readouterr()
         rel2 = tmp_path / "rel2.txt"
         rel2.write_text("# order: p q\n1\n.1\n")
-        monkeypatch.setattr(tfgkit.reach, "explore", refuse)
-        monkeypatch.setattr(tfgkit.cli, "explore", refuse)
+        monkeypatch.setattr(tfgkit.petri._Compiled, "search", refuse)
         argv = ["conc", str(net_path), "--rel2", str(rel2),
                 "--equations", str(eq), "--reduced-net", str(net2)]
         assert main(argv) == EXIT_OK
@@ -409,20 +421,16 @@ class TestOneShot:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """The graph builds behind ``decide``, and its explorations as
-        (component places, whether the search stopped at a goal)."""
+        """The graph builds behind ``decide``, and its searches as
+        (component fields, whether the search stopped at a goal)."""
         built, explored = [], []
 
         def graph(*args, **kwargs):
             built.append(args)
             return build_graph(*args, **kwargs)
 
-        def search(*args, **kwargs):
-            explored.append((args[0].places, kwargs.get("goal") is not None))
-            return explore(*args, **kwargs)
-
         monkeypatch.setattr(tfgkit.reach, "build_graph", graph)
-        monkeypatch.setattr(tfgkit.reach, "explore", search)
+        searches(monkeypatch, explored)
         return built, explored
 
     def test_a_series_builds_one_graph_and_explores_each_component_twice_at_most(
@@ -434,9 +442,9 @@ class TestOneShot:
         for target in targets:
             decide(net, m0, target, result)
         assert len(built) == 1
-        per_part: dict[tuple[str, ...], list[bool]] = {}
-        for places, goal in explored:
-            per_part.setdefault(places, []).append(goal)
+        per_part: dict[int, list[bool]] = {}
+        for fields, _, goal, _ in explored:
+            per_part.setdefault(fields, []).append(goal)
         assert len(per_part) == 4
         assert all(goals in ([True], [True, False]) for goals in per_part.values())
         assert [True, False] in per_part.values()
@@ -488,11 +496,82 @@ class TestOneShot:
 
 
 # the components {a, b}, {iso} (no transition, marked) and {d, e} (dead),
-# with their places interleaved
+# with their places interleaved, and a transition without arcs, in none
 SPLIT_TEXT = (
     "pl a 1\npl iso 1\npl d 0\npl b 0\npl e 0\n"
-    "tr t a -> b\ntr u b -> a\ntr v d -> e\n"
+    "tr t a -> b\ntr u b -> a\ntr v d -> e\ntr z ->\n"
 )
+
+
+class CheckedComponents:
+    """Each connected component of a reduced net built as a checked
+    ``PetriNet`` and searched with ``explore``, with the budget and search
+    order that ``Analysis`` documents: the reference that its one compiled
+    layout must match."""
+
+    def __init__(self, result: ReductionResult, max_states: int, max_token: int):
+        net, m0 = result.reduced_net, result.reduced_marking
+        self.max_states, self.max_token = max_states, max_token
+        arcs = {t: {*net.pre_of(t), *net.post_of(t)} for t in net.transitions}
+        self.parts = []
+        placed: set[str] = set()
+        for p in net.places:  # a walk from each first place not yet placed
+            if p in placed:
+                continue
+            places = {p}
+            while True:
+                touching = [t for t in net.transitions if arcs[t] & places]
+                reached = places.union(*(arcs[t] for t in touching))
+                if reached == places:
+                    break
+                places = reached
+            placed |= places
+            order = tuple(q for q in net.places if q in places)
+            part = PetriNet(order, tuple(touching), {t: net.pre_of(t) for t in touching},
+                            {t: net.post_of(t) for t in touching})
+            self.parts.append((part, Marking({q: m0[q] for q in order})))
+        self.found = [None] * len(self.parts)
+
+    def space(self, k, goal=None):
+        space = self.found[k]
+        if space is not None and space.status != "truncated(goal)":
+            return space
+        budget = self.max_states - sum(len(other) for j, other in enumerate(self.found)
+                                       if j != k and other is not None)
+        if budget < 1:
+            return None
+        net, m0 = self.parts[k]
+        self.found[k] = explore(net, m0, max_states=budget, max_token=self.max_token,
+                                goal=goal if space is None else None)
+        return self.found[k]
+
+    def decide(self, graph, equation, target) -> ReachVerdict:
+        projected = project(graph, target)
+        if projected is None:
+            return ReachVerdict(UNREACHABLE, PROJECTION_FAILED)
+        if not equation.admits(projected):
+            return ReachVerdict(UNREACHABLE, STATE_EQUATION, projected)
+        verdict = ReachVerdict(REACHABLE, BACKEND_HIT, projected)
+        for k, (net, _) in enumerate(self.parts):
+            goal = Marking({p: projected[p] for p in net.places})
+            space = self.space(k, goal)
+            if space is not None and goal in space:
+                continue
+            if space is not None and space.is_complete:
+                return ReachVerdict(UNREACHABLE, BACKEND_EXHAUSTED, projected)
+            verdict = ReachVerdict(UNKNOWN, BACKEND_TRUNCATED, projected)
+        return verdict
+
+    def spaces(self):
+        out = []
+        for k in range(len(self.parts)):
+            space = self.space(k)
+            if space is None:
+                return "truncated(max-states)"
+            if not space.is_complete:
+                return space.status
+            out.append(space)
+        return out
 
 
 def reduced_rel2(result: ReductionResult):
@@ -544,50 +623,122 @@ class TestComponents:
         assert one_shot == [Analysis(net, m0, result).decide(t) for t in targets]
 
     @settings(max_examples=40)
-    @given(st.one_of(st.integers(0, 10_000).map(composite), bounded_nets()))
-    def test_component_nets_pass_the_checks_they_skip(self, net_m0):
-        """``_split`` builds each component net without ``PetriNet``'s
-        checks; the checked constructor accepts its parts and builds an
-        equal net, whose arcs weigh no more than the reduced net's
-        ``heaviest``, and the components share out the places and the
-        transitions with arcs."""
-        result = reduce(*net_m0)
-        reduced = result.reduced_net
-        parts = [part.net for part in _split(reduced, result.reduced_marking)]
-        for net in parts:
-            checked = PetriNet(net.places, net.transitions, net.pre, net.post)
-            assert checked == net and checked.heaviest <= net.heaviest
-        assert sorted(p for net in parts for p in net.places) == sorted(reduced.places)
-        assert sorted(t for net in parts for t in net.transitions) == sorted(
-            t for t in reduced.transitions if reduced.pre_of(t) or reduced.post_of(t))
+    @given(st.one_of(st.integers(0, 10_000).map(composite), bounded_nets(),
+                     st.just(parse_net(SPLIT_TEXT))))
+    def test_components_partition_the_places_and_the_transitions_with_arcs(self, net_m0):
+        """The components share out the reduced places, in order of their
+        first places, and the transitions with arcs; every arc of a
+        component's transition ends at a place of that component, each
+        component's place mask and fields cover its places, and the parts
+        are connected: no two of them could be split further."""
+        analysis = Analysis(*net_m0)
+        reduced = analysis.result.reduced_net
+        owner, parts = analysis._components
+        width = analysis._compiled.packing.width
+        assert sorted(i for positions, _, _, _ in parts for i in positions) == \
+            list(range(len(reduced.places)))
+        assert [positions[0] for positions, _, _, _ in parts] == sorted(
+            positions[0] for positions, _, _, _ in parts)
+        assert sum(moves for _, _, _, moves in parts) == sum(
+            1 << j for j, t in enumerate(reduced.transitions)
+            if reduced.pre_of(t) or reduced.post_of(t))
+        for k, (positions, places, fields, moves) in enumerate(parts):
+            assert all(owner[i] == k for i in positions)
+            assert places == sum(1 << i for i in positions)
+            assert fields == sum((1 << width) - 1 << i * width for i in positions)
+            ts = [t for j, t in enumerate(reduced.transitions) if moves >> j & 1]
+            arcs = {reduced.places.index(p) for t in ts
+                    for p in (*reduced.pre_of(t), *reduced.post_of(t))}
+            assert arcs <= set(positions)
+            # connected: a walk over the arcs from the first place reaches all
+            reached, frontier = {positions[0]}, [positions[0]]
+            while frontier:
+                i = frontier.pop()
+                for t in ts:
+                    ends = {reduced.places.index(p)
+                            for p in (*reduced.pre_of(t), *reduced.post_of(t))}
+                    if i in ends:
+                        frontier += ends - reached
+                        reached |= ends
+            assert reached == set(positions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(0, 10_000).map(composite), bounded_nets(),
+                     st.just(parse_net(SPLIT_TEXT))),
+           st.booleans(), st.data())
+    def test_components_match_checked_nets_under_any_budget(self, net_m0, identity, data):
+        """Under a ``max_states`` budget from 1 up to the reduced net's
+        state count, a series of decides gives the verdicts, reasons and
+        projected markings of the components built as checked nets and
+        explored alone, leaves each component with the same stored set and
+        status, and ``spaces`` then ends the same way."""
+        net, m0 = net_m0
+        result = ReductionResult(net, m0, (), 0.0) if identity else reduce(net, m0)
+        whole = explore(result.reduced_net, result.reduced_marking, max_token=BOUNDED_MAX_TOKEN)
+        max_states = data.draw(st.integers(1, len(whole)), label="max_states")
+        analysis = Analysis(net, m0, result, max_states=max_states, max_token=BOUNDED_MAX_TOKEN)
+        checked = CheckedComponents(result, max_states, BOUNDED_MAX_TOKEN)
+        assert len(analysis._components[1]) == len(checked.parts)
+        targets = [t for seed in (0, 1) for t in _bench_targets(net, m0, seed)]
+        for target in targets:
+            verdict = analysis.decide(target)
+            assert verdict == checked.decide(analysis.graph, analysis.state_equation, target)
+        for k, space in enumerate(checked.found):
+            found = analysis._found.get(k)
+            assert (found is None) == (space is None), k
+            if space is not None:
+                assert found.markings == space.markings and found.status == space.status, k
+        expected = checked.spaces()
+        if isinstance(expected, str):
+            with pytest.raises(IncompleteStateSpaceError, match=re.escape(expected)):
+                analysis.spaces
+        else:
+            assert [s.markings for s in analysis.spaces] == [s.markings for s in expected]
+
+    @pytest.mark.parametrize("k", [50, 200, 800])
+    def test_diamond_chain_rel2_and_seed_do_not_scale_their_passes(self, k, monkeypatch):
+        """On ``diamond_chain(k)``, ``rel2`` makes no restrict, and
+        ``_seed`` makes the same passes over whole rows at every ``k``:
+        two transposes (the symmetry check's and the move's) and no pass
+        per run of positions, although there are ``k + 1`` runs."""
+        analysis = Analysis(*diamond_chain(k))
+        with monkeypatch.context() as patch:
+            patch.setattr(ConcurrencyMatrix, "restrict", refuse)
+            rel2 = analysis.rel2
+        assert len(analysis._components[1]) == k
+        passes = []
+
+        class Runs(list):
+            def __iter__(self):  # each run is one pass over the rows
+                passes.append(len(self))
+                return super().__iter__()
+
+        runs, transpose = tfgkit.conc._runs, tfgkit.conc.transpose
+        monkeypatch.setattr(tfgkit.conc, "_runs", lambda nodes: Runs(runs(nodes)))
+        monkeypatch.setattr(tfgkit.conc, "transpose",
+                            lambda rows: passes.append(1) or transpose(rows))
+        tfgkit.conc._seed(analysis.graph, rel2)
+        assert passes == [1, 1]
 
     def test_rel2_equals_the_reduced_oracle_on_corpus(self, corpus, monkeypatch):
         """On every corpus net, ``rel2`` equals ``oracle_concurrency`` of
-        the whole reduced net, order and rows included, and counts no
-        writes; it is restricted only when the components' places, one after
-        the other, are not the reduced net's order.  The corpus holds nets
-        of one component, of several in order, and of interleaved ones."""
-        restricts = []
-        restrict = ConcurrencyMatrix.restrict
-
-        def counting_restrict(matrix, order):
-            restricts.append(order)
-            return restrict(matrix, order)
-
+        the whole reduced net, order and rows included, counts no writes
+        and is never restricted, since its rows are written at the reduced
+        net's positions.  The corpus holds nets of one component, of several
+        in order, and of interleaved ones."""
         shapes = set()
         for inst in corpus:
             places = inst.result.reduced_net.places
             expected = oracle_concurrency(inst.space2, places)
             analysis = Analysis(inst.net, inst.m0, inst.result)
-            layout = tuple(p for part in analysis._components for p in part.net.places)
-            monkeypatch.setattr(ConcurrencyMatrix, "restrict", counting_restrict)
-            rel2 = analysis.rel2
-            monkeypatch.setattr(ConcurrencyMatrix, "restrict", restrict)
+            with monkeypatch.context() as patch:
+                patch.setattr(ConcurrencyMatrix, "restrict", refuse)
+                rel2 = analysis.rel2
+            parts = analysis._components[1]
+            layout = [i for positions, _, _, _ in parts for i in positions]
             assert rel2 == expected and rel2.order == places, inst.name
             assert rel2.writes == 0, inst.name
-            assert restricts == ([] if layout == places else [places]), inst.name
-            restricts.clear()
-            shapes.add((len(analysis._components) > 1, layout == places))
+            shapes.add((len(parts) > 1, layout == sorted(layout)))
         assert shapes == {(False, True), (True, True), (True, False)}
 
     @pytest.mark.parametrize("seed", [0, 10, 21, 24, 35])
@@ -621,7 +772,8 @@ class TestComponents:
             assert lower_rows(rel2) == ["1", "11", "000", "0101", "00000"]
 
     def test_refuted_target_never_splits(self, monkeypatch):
-        monkeypatch.setattr(tfgkit.reach, "_split", refuse)
+        monkeypatch.setattr(tfgkit.reach, "_connected_components", refuse)
+        monkeypatch.setattr(tfgkit.reach, "_Compiled", refuse)
         verdict = Analysis(*parse_net(A1_TEXT)).decide(Marking({"y": 1, "z": 1}))
         assert verdict.reason == STATE_EQUATION
         verdict = Analysis(*parse_net(D1_TEXT)).decide(Marking({"q": 1}))
@@ -633,7 +785,7 @@ class TestComponents:
             Analysis(net, m0, max_states=6).spaces  # 3 states of c leave 3 for d
         analysis = Analysis(net, m0)
         analysis.rel2
-        monkeypatch.setattr(tfgkit.reach, "explore", refuse)
+        monkeypatch.setattr(tfgkit.petri._Compiled, "search", refuse)
         assert [len(space) for space in analysis.spaces] == [3, 4]
         assert all(space.is_complete for space in analysis.spaces)
 
@@ -652,43 +804,32 @@ class TestComponents:
     ])
     def test_spaces_beyond_the_budget_raise(self, max_states, budgets, monkeypatch):
         net, m0 = parse_net(TWO_RINGS_TEXT)
-        budget_of = []
-
-        def counted(*args, **kwargs):
-            budget_of.append(kwargs["max_states"])
-            return explore(*args, **kwargs)
-
-        monkeypatch.setattr(tfgkit.reach, "explore", counted)
+        calls = []
+        searches(monkeypatch, calls)
         with pytest.raises(IncompleteStateSpaceError, match=r"^truncated\(max-states\)$"):
             Analysis(net, m0, max_states=max_states).spaces
-        assert budget_of == budgets
+        assert [budget for _, budget, _, _ in calls] == budgets
 
     def test_conc_and_reach_never_explore_the_whole_reduced_net(self, tmp_path, monkeypatch, capsys):
         net, m0 = composite(10)  # 13 reduced places in 4 components
         reduced = reduce(net, m0).reduced_net
         path = tmp_path / "net.net"
         path.write_text(write_net(net, m0))
+        whole = len(explore(reduced, reduce(net, m0).reduced_marking))
         calls = []
-
-        def counted(*args, **kwargs):
-            space = explore(*args, **kwargs)
-            calls.append((args[0].places, len(space)))
-            return space
-
-        monkeypatch.setattr(tfgkit.reach, "explore", counted)
-        monkeypatch.setattr(tfgkit.cli, "explore", counted)
+        searches(monkeypatch, calls)  # whole-net searches, in explore, have fields -1
         assert main(["conc", str(path), "--output", str(tmp_path / "out.cm")]) == EXIT_OK
         assert len(calls) > 1
-        assert all(places != reduced.places for places, _ in calls)
-        component_states = sum(n for _, n in calls)
-        assert component_states < len(explore(reduced, reduce(net, m0).reduced_marking))
+        assert all(fields != -1 for fields, _, _, _ in calls)
+        component_states = sum(n for _, _, _, n in calls)
+        assert component_states < whole
         for seed in range(5):
             target = random_walk(net, m0, steps=20, seed=seed)
             (tmp_path / "q.txt").write_text(" ".join(f"{p}={n}" for p, n in target.items()))
             calls.clear()
             assert main(["reach", str(path), str(tmp_path / "q.txt")]) == EXIT_OK
-            assert all(places != reduced.places for places, _ in calls)
-            assert sum(n for _, n in calls) <= component_states
+            assert all(fields != -1 for fields, _, _, _ in calls)
+            assert sum(n for _, _, _, n in calls) <= component_states
         capsys.readouterr()
 
 
