@@ -5,20 +5,24 @@ lift on scalable generator families.
 For each family and size, the full net is explored with ``explore``
 within ``MAX_STATES`` states, its concurrency relation computed with
 ``oracle_concurrency`` and that matrix written as text with
-``write_matrix(to_document(...))``; the net is also reduced with ``reduce``
-and its token flow graph built with ``build_graph``, the reduced relation
-``rel2`` of a fresh ``Analysis`` computed (its components, their spaces and
-the relation), and that relation lifted through the graph with ``matrix``,
-and, with its first-by-last cell hidden, with ``partial_matrix``.  Each row
-holds the state count, the exploration status, the median over 5 runs of
-the eight times and of the exploration rate, and the minimum of the eight
-times.  The largest ``diamond_chain`` rows go past the oracle: their
-exploration stops at ``MAX_STATES``, so their status is truncated and their
-oracle and text times are null, while the accelerated columns are timed as
-on every row.  The runs are interleaved: each of the 5 passes times every
-row once, so a burst of load on the machine moves one run of many rows
-rather than every run of one.  Load only ever adds time, so a change is
-judged on the minimums (``explore_min_s``, ``oracle_concurrency_min_s``,
+``write_matrix(to_document(...))``; the net is also reduced with ``reduce``,
+and one ``Analysis`` of the result builds its token flow graph and the
+reduced relation ``rel2`` (its components, their spaces and the relation),
+which is lifted through the graph with ``matrix``, and, with its
+first-by-last cell hidden, with ``partial_matrix``.  Each row holds the
+state count, the exploration status, the median over 5 runs of the eight
+times and of the exploration rate, and the minimum of the eight times.  It
+also holds the counts of the ``Analysis``: reduced places, graph nodes,
+components, the states summed over the component spaces and the lift's
+cell ``writes``; and ``agree``, whether the lifted place matrix equals the
+oracle's in every run, null where the oracle is truncated.  The largest
+``diamond_chain`` rows go past the oracle: their exploration stops at
+``MAX_STATES``, so their status is truncated and their oracle and text
+times are null, while the accelerated columns are timed as on every row.
+The runs are interleaved: each of the 5 passes times every row once, so a
+burst of load on the machine moves one run of many rows rather than every
+run of one.  Load only ever adds time, so a change is judged on the
+minimums (``explore_min_s``, ``oracle_concurrency_min_s``,
 ``matrix_text_min_s``, ``reduce_min_s``, ``graph_min_s``, ``rel2_min_s``,
 ``lift_min_s``, ``partial_min_s``).  Run from the repo root:
 
@@ -42,7 +46,7 @@ from tfgkit.conc import matrix, partial_matrix, to_document
 from tfgkit.net_io import write_matrix
 from tfgkit.petri import explore, oracle_concurrency
 from tfgkit.reach import Analysis
-from tfgkit.reductions import build_graph, reduce
+from tfgkit.reductions import reduce
 from tfgkit.relation import UNKNOWN
 
 MAX_STATES = 100_000
@@ -67,15 +71,16 @@ FAMILIES = {
 }
 
 
-Run = tuple[int, str, float, float | None, float | None, float, float, float, float, float]
+# the timed stages, in the order of the row's columns; a stage that did
+# not run (the oracle's, past ``MAX_STATES``) has the time None
+STAGES = ("explore", "oracle_concurrency", "matrix_text", "reduce", "graph", "rel2", "lift",
+          "partial")
 
 
-def time_once(net, m0) -> Run:
-    """States, status and seconds of one ``explore``, plus the seconds of
-    ``oracle_concurrency`` on its space and of writing that matrix as text
-    when the space is complete, of one ``reduce`` and one ``build_graph``
-    on its result, of the reduced relation of a fresh ``Analysis``, and of
-    one ``matrix`` and one ``partial_matrix`` on that relation.  The
+def time_once(net, m0) -> dict:
+    """One run: the seconds of each stage in ``STAGES``, the state count
+    and status of ``explore``, the counts of the row's ``Analysis``, and
+    whether the lifted place matrix agrees with the oracle's.  The
     collector runs before, not during, the timed calls, as in ``timeit``:
     with every row's net alive, a full collection takes milliseconds, and
     it falls at the same allocation in every pass, so it would add to one
@@ -88,74 +93,69 @@ def time_once(net, m0) -> Run:
         gc.enable()
 
 
-def _timed(net, m0) -> Run:
+def _timed(net, m0) -> dict:
+    """One ``reduce``; then, on one ``Analysis`` of its result, the graph,
+    the reduced relation ``rel2`` (its components, their spaces and the
+    relation), ``matrix`` on it and ``partial_matrix`` with its first-by-last
+    cell hidden; then one ``explore`` of the full net and, when that space
+    is complete, ``oracle_concurrency`` on it and the text of that matrix."""
+    run: dict = dict.fromkeys(STAGES)
+
+    def lap(stage: str, start: float) -> None:
+        run[stage] = time.perf_counter() - start
+
     start = time.perf_counter()
     result = reduce(net, m0)
-    reduce_s = time.perf_counter() - start
+    lap("reduce", start)
+    analysis = Analysis(net, m0, result)
     start = time.perf_counter()
-    graph = build_graph(net, result)
-    graph_s = time.perf_counter() - start
+    graph = analysis.graph
+    lap("graph", start)
     start = time.perf_counter()
-    rel2 = Analysis(net, m0, result).rel2
-    rel2_s = time.perf_counter() - start
+    rel2 = analysis.rel2
+    lap("rel2", start)
     start = time.perf_counter()
-    matrix(graph, rel2)
-    lift_s = time.perf_counter() - start
+    lifted = matrix(graph, rel2)
+    lap("lift", start)
+    run.update(reduced_places=len(result.reduced_net.places), graph_nodes=len(graph.nodes),
+               components=len(analysis.spaces),
+               component_states=sum(map(len, analysis.spaces)), writes=lifted.writes)
     rel2.set(rel2.order[0], rel2.order[-1], UNKNOWN)
     start = time.perf_counter()
     partial_matrix(graph, rel2)
-    partial_s = time.perf_counter() - start
+    lap("partial", start)
     start = time.perf_counter()
     space = explore(net, m0, max_states=MAX_STATES)
-    explore_s = time.perf_counter() - start
-    oracle_s = text_s = None
+    lap("explore", start)
+    run.update(states=len(space), status=space.status, agree=None)
     if space.is_complete:
         start = time.perf_counter()
         relation = oracle_concurrency(space, net.places)
-        oracle_s = time.perf_counter() - start
+        lap("oracle_concurrency", start)
         start = time.perf_counter()
         write_matrix(to_document(relation))
-        text_s = time.perf_counter() - start
-    return (len(space), space.status, explore_s, oracle_s, text_s, reduce_s, graph_s, rel2_s,
-            lift_s, partial_s)
+        lap("matrix_text", start)
+        run["agree"] = lifted.restrict(net.places) == relation
+    return run
 
 
-def summarize(family: str, size: int, runs: list[Run]) -> dict:
-    """One row: the last run's states and status, the median and the
-    minimum times."""
-    states, status = runs[-1][:2]
-    explore_s = [run[2] for run in runs]
-    oracle_s = [run[3] for run in runs if run[3] is not None]
-    text_s = [run[4] for run in runs if run[4] is not None]
-    reduce_s = [run[5] for run in runs]
-    graph_s = [run[6] for run in runs]
-    rel2_s = [run[7] for run in runs]
-    lift_s = [run[8] for run in runs]
-    partial_s = [run[9] for run in runs]
-    seconds = statistics.median(explore_s)
-    return {
-        "family": family,
-        "size": size,
-        "states": states,
-        "status": status,
-        "explore_s": seconds,
-        "explore_min_s": min(explore_s),
-        "oracle_concurrency_s": statistics.median(oracle_s) if oracle_s else None,
-        "oracle_concurrency_min_s": min(oracle_s) if oracle_s else None,
-        "matrix_text_s": statistics.median(text_s) if text_s else None,
-        "matrix_text_min_s": min(text_s) if text_s else None,
-        "reduce_s": statistics.median(reduce_s),
-        "reduce_min_s": min(reduce_s),
-        "graph_s": statistics.median(graph_s),
-        "graph_min_s": min(graph_s),
-        "rel2_s": statistics.median(rel2_s),
-        "rel2_min_s": min(rel2_s),
-        "lift_s": statistics.median(lift_s),
-        "lift_min_s": min(lift_s),
-        "partial_s": statistics.median(partial_s),
-        "partial_min_s": min(partial_s),
-        "states_per_s": states / seconds if seconds else None,
-    }
+def summarize(family: str, size: int, runs: list[dict]) -> dict:
+    """One row: the last run's states, status and counts, the median and
+    the minimum time of each stage, and whether every run agreed with the
+    oracle (None when it was truncated)."""
+    last = runs[-1]
+    row = {"family": family, "size": size, "states": last["states"], "status": last["status"]}
+    for stage in STAGES:
+        seconds = [run[stage] for run in runs if run[stage] is not None]
+        row[f"{stage}_s"] = statistics.median(seconds) if seconds else None
+        row[f"{stage}_min_s"] = min(seconds) if seconds else None
+    explore_s = row["explore_s"]
+    row["states_per_s"] = last["states"] / explore_s if explore_s else None
+    for count in ("reduced_places", "graph_nodes", "components", "component_states", "writes"):
+        row[count] = last[count]
+    agree = [run["agree"] for run in runs]
+    row["agree"] = None if None in agree else all(agree)
+    return row
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,7 +176,8 @@ def main(argv: list[str] | None = None) -> int:
               f"explore {row['explore_s']:.4f} s (min {row['explore_min_s']:.4f} s), "
               f"reduce {row['reduce_min_s']:.4f} s, graph {row['graph_min_s']:.4f} s, "
               f"rel2 {row['rel2_min_s']:.4f} s, lift {row['lift_min_s']:.4f} s, "
-              f"partial {row['partial_min_s']:.4f} s (min)")
+              f"partial {row['partial_min_s']:.4f} s (min); {row['component_states']} states "
+              f"in {row['components']} components, agree {row['agree']}")
     document = {
         "command": "python scripts/bench_scaling.py",
         "python": platform.python_version(),

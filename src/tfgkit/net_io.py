@@ -54,64 +54,66 @@ def _check_name(name: str, line: int | None) -> str:
 # plain net format
 
 
-def parse_net(text: str) -> tuple[PetriNet, Marking]:
-    places: list[str] = []
-    tokens: dict[str, int] = {}
-    transitions: list[str] = []
-    pre: dict[str, dict[str, int]] = {}
-    post: dict[str, dict[str, int]] = {}
+def _arcs(words: list[str], tokens: dict[str, int], line: int) -> dict[str, int]:
+    """The arcs of ``words``, each ``<place>`` or ``<place>*<weight>``; of a
+    word's faults, a bad weight is reported first, then an undeclared place,
+    then a repeat."""
+    arcs: dict[str, int] = {}
+    for word in words:
+        place, star, weight = word.partition("*")
+        if star and (not _COUNT_RE.match(weight) or int(weight) < 1):
+            raise ParseError(f"bad arc weight in {word!r}", line)
+        if place not in tokens:
+            raise ParseError(f"undeclared place {place!r}", line)
+        if place in arcs:
+            raise ParseError(f"place {place!r} repeated in arc list", line)
+        arcs[place] = int(weight) if star else 1
+    return arcs
 
-    def parse_arc(word: str, line: int) -> tuple[str, int]:
-        if "*" in word:
-            name, _, weight = word.partition("*")
-            if not _COUNT_RE.match(weight) or int(weight) < 1:
-                raise ParseError(f"bad arc weight in {word!r}", line)
-            return name, int(weight)
-        return word, 1
+
+def parse_net(text: str) -> tuple[PetriNet, Marking]:
+    """The net and initial marking of a plain net text.
+
+    Every rule of :class:`PetriNet` is checked here, with a line number:
+    names are valid (so nonempty), unique and disjoint, every arc's place is
+    declared before it, and every weight is at least 1.  So the net and the
+    marking are built without checking them again.
+    """
+    tokens: dict[str, int] = {}  # every place, in declaration order
+    pre: dict[str, dict[str, int]] = {}  # every transition, in declaration order
+    post: dict[str, dict[str, int]] = {}
+    heaviest = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        words = raw.partition("#")[0].split()
+        if not words:
             continue
-        words = stripped.split()
-        if words[0] == "pl":
+        kind = words[0]
+        if kind == "pl":
             if len(words) != 3:
                 raise ParseError("expected: pl <name> <tokens>", lineno)
-            name = _check_name(words[1], lineno)
-            if name in tokens or name in pre:
-                raise ParseError(f"name {name!r} already declared", lineno)
+        elif kind != "tr":
+            raise ParseError(f"unknown directive {kind!r}", lineno)
+        elif len(words) < 2:
+            raise ParseError("expected: tr <name> <in>* -> <out>*", lineno)
+        name = _check_name(words[1], lineno)
+        if name in tokens or name in pre:
+            raise ParseError(f"name {name!r} already declared", lineno)
+        if kind == "pl":
             if not _COUNT_RE.match(words[2]):
                 raise ParseError(f"bad token count {words[2]!r}", lineno)
-            places.append(name)
             tokens[name] = int(words[2])
-        elif words[0] == "tr":
-            if len(words) < 2:
-                raise ParseError("expected: tr <name> <in>* -> <out>*", lineno)
-            name = _check_name(words[1], lineno)
-            if name in tokens or name in pre:
-                raise ParseError(f"name {name!r} already declared", lineno)
-            rest = words[2:]
-            if "->" not in rest:
-                raise ParseError("transition is missing '->'", lineno)
-            split = rest.index("->")
-            sides = []
-            for group in (rest[:split], rest[split + 1 :]):
-                arcs: dict[str, int] = {}
-                for word in group:
-                    place, weight = parse_arc(word, lineno)
-                    if place not in tokens:
-                        raise ParseError(f"undeclared place {place!r}", lineno)
-                    if place in arcs:
-                        raise ParseError(f"place {place!r} repeated in arc list", lineno)
-                    arcs[place] = weight
-                sides.append(arcs)
-            transitions.append(name)
-            pre[name], post[name] = sides
-        else:
-            raise ParseError(f"unknown directive {words[0]!r}", lineno)
+            continue
+        try:
+            split = words.index("->", 2)
+        except ValueError:
+            raise ParseError("transition is missing '->'", lineno) from None
+        inputs = pre[name] = _arcs(words[2:split], tokens, lineno)
+        outputs = post[name] = _arcs(words[split + 1 :], tokens, lineno)
+        heaviest = max([heaviest, *inputs.values(), *outputs.values()])
 
-    net = PetriNet(tuple(places), tuple(transitions), pre, post)
-    return net, Marking(tokens)
+    net = PetriNet._unchecked(tuple(tokens), tuple(pre), pre, post, heaviest)
+    return net, Marking._unchecked({p: n for p, n in tokens.items() if n})
 
 
 def write_net(net: PetriNet, m0: Marking) -> str:
@@ -250,7 +252,8 @@ class TaggedEquation:
                    constant: int | None = None) -> TaggedEquation:
         """The equation of these fields without the checks of
         ``__post_init__``, for a caller whose fields pass them by
-        construction."""
+        construction: the reducer, and :func:`parse_equations`, which makes
+        the same checks as it reads."""
         eq = object.__new__(cls)
         eq.__dict__.update(tag=tag, lhs=lhs, terms=terms, constant=constant)
         return eq
@@ -267,9 +270,12 @@ _EQ_RE = re.compile(r"#\s*([AR])\s*\|-\s*(\S+)\s*=\s*(.+?)\s*\Z")
 def parse_equations(text: str) -> list[TaggedEquation]:
     """Parse an equation listing, one ``# <R|A> |- <var> = <rhs>`` per line.
 
-    A purely numeric rhs term is a constant and must then stand alone.
+    A purely numeric rhs term is a constant and must then stand alone.  Every
+    rule of :class:`TaggedEquation` is checked here, with a line number, so
+    the equations are built without checking them again.
     """
     out: list[TaggedEquation] = []
+    valid = NAME_RE.match
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
@@ -279,21 +285,22 @@ def parse_equations(text: str) -> list[TaggedEquation]:
             raise ParseError(f"not an equation line: {stripped!r}", lineno)
         tag, lhs, rhs = match.groups()
         _check_name(lhs, lineno)
-        terms = [term.strip() for term in rhs.split("+")]
-        if any(not term for term in terms):
+        terms = list(map(str.strip, rhs.split("+")))
+        if "" in terms:
             raise ParseError("empty term on rhs", lineno)
-        if any(_COUNT_RE.match(term) for term in terms):
-            if len(terms) != 1:
-                raise ParseError("a constant must be the only rhs term", lineno)
-            eq = TaggedEquation(tag, lhs, constant=int(terms[0]))
-        else:
+        if not all(map(valid, terms)):  # a constant, or a bad name
+            if any(map(_COUNT_RE.match, terms)):
+                if len(terms) != 1:
+                    raise ParseError("a constant must be the only rhs term", lineno)
+                out.append(TaggedEquation._unchecked(tag, lhs, constant=int(terms[0])))
+                continue
             for term in terms:
                 _check_name(term, lineno)
-            try:
-                eq = TaggedEquation(tag, lhs, terms=tuple(terms))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-        out.append(eq)
+        if len(set(terms)) < len(terms):
+            raise ParseError("duplicate variable on rhs", lineno)
+        if lhs in terms:
+            raise ParseError("lhs may not appear on rhs", lineno)
+        out.append(TaggedEquation._unchecked(tag, lhs, tuple(terms)))
     return out
 
 
@@ -327,32 +334,47 @@ class MatrixDocument:
                 raise ValueError(f"row {i} has a bit above column {i} or a 1 outside known")
 
 
-def _expand_row(line: str, width: int, lineno: int) -> str:
-    """``line`` with its runs expanded; it must spell ``width`` symbols.  A
-    run's count is checked against what is left of the row before the run
-    is expanded, and its digits are counted before they are read."""
-    row = ""
-    pos = 0
+def _row_bits(line: str, width: int, lineno: int) -> tuple[int, int]:
+    """The ``known`` and ``ones`` bits of row text ``line``, column 0 as bit
+    0; it must spell ``width`` symbols.  Each plain stretch is read by one
+    ``int(..., 2)`` and each repeated run is a mask, so no run is spelled
+    out.  A run's count is checked against what is left of the row before
+    its mask is made, and its digits are counted before they are read."""
+    if len(line) == width and not line.strip("01."):  # one plain stretch
+        stretch = line[::-1]
+        return int(stretch.translate(_KNOWN_DIGITS), 2), int(stretch.replace(".", "0"), 2)
+    known = ones = col = pos = 0
     while pos < len(line):
         match = _RUN_RE.match(line, pos)
         if not match:
             raise ParseError(f"bad matrix symbol at column {pos + 1}", lineno)
-        symbols, count = match.groups()
+        plain, count = match.groups()
         if count is not None:  # the last symbol repeats ``count`` times
-            left = width - len(row) - len(symbols) + 1
+            left = width - col - len(plain) + 1
             count = count.lstrip("0")
             if not count:
                 raise ParseError(f"run count 0 at column {match.end(1) + 1}", lineno)
             if len(count) > len(str(left)) or int(count) > left:
                 raise ParseError(f"row has more than {width} symbols", lineno)
-            symbols = symbols[:-1] + symbols[-1] * int(count)
-        row += symbols
-        if len(row) > width:
+            plain, symbol, repeat = plain[:-1], plain[-1], int(count)
+        if col + len(plain) > width:
             raise ParseError(f"row has more than {width} symbols", lineno)
+        if plain:  # reversed, so that its first symbol is the low bit
+            stretch = plain[::-1]
+            known |= int(stretch.translate(_KNOWN_DIGITS), 2) << col
+            ones |= int(stretch.replace(".", "0"), 2) << col
+            col += len(plain)
+        if count is not None:
+            mask = ((1 << repeat) - 1) << col
+            if symbol != ".":
+                known |= mask
+            if symbol == "1":
+                ones |= mask
+            col += repeat
         pos = match.end()
-    if len(row) != width:
-        raise ParseError(f"row has {len(row)} symbols, expected {width}", lineno)
-    return row
+    if col != width:
+        raise ParseError(f"row has {col} symbols, expected {width}", lineno)
+    return known, ones
 
 
 def parse_matrix(text: str) -> MatrixDocument:
@@ -385,11 +407,8 @@ def parse_matrix(text: str) -> MatrixDocument:
         raise ParseError("name repeated in '# order:' header", header_line[0])
     if len(body) != len(names):
         raise ParseError(f"expected {len(names)} rows, found {len(body)}", header_line[0])
-    # each row reversed, so that column 0 is bit 0
-    rows = [_expand_row(line, i + 1, lineno)[::-1] for i, (lineno, line) in enumerate(body)]
-    known = tuple(int(row.translate(_KNOWN_DIGITS), 2) for row in rows)
-    ones = tuple(int(row.replace(".", "0"), 2) for row in rows)
-    return MatrixDocument(tuple(names), known, ones)
+    rows = [_row_bits(line, i + 1, lineno) for i, (lineno, line) in enumerate(body)]
+    return MatrixDocument(tuple(names), tuple(k for k, _ in rows), tuple(o for _, o in rows))
 
 
 def write_matrix(doc: MatrixDocument) -> str:

@@ -171,7 +171,8 @@ class Marking:
     @classmethod
     def _unchecked(cls, tokens: dict[str, int]) -> Marking:
         """The marking of ``tokens``, whose counts are positive ints, without
-        the checks of ``__init__``; the dict is kept, not copied."""
+        the checks of ``__init__``; the dict is kept, not copied.  Callers:
+        :class:`tfgkit.tfg.Projection` and :func:`tfgkit.net_io.parse_net`."""
         m = object.__new__(cls)
         m._tokens = tokens
         m._hash = hash(frozenset(tokens.items()))
@@ -253,8 +254,9 @@ class PetriNet:
                    pre: Mapping[str, Mapping[str, int]], post: Mapping[str, Mapping[str, int]],
                    heaviest: int) -> PetriNet:
         """The net of these parts without the checks of ``__post_init__``,
-        for parts taken from a net that passed them, whose ``heaviest`` is
-        given."""
+        whose ``heaviest`` is given: for parts taken from a net that passed
+        them (the reducer), and for :func:`tfgkit.net_io.parse_net`, which
+        makes the same checks as it reads."""
         net = object.__new__(cls)
         net.__dict__.update(places=places, transitions=transitions, pre=pre, post=post, heaviest=heaviest)
         return net

@@ -37,10 +37,12 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
             "oracle_concurrency_s", "oracle_concurrency_min_s", "matrix_text_s",
             "matrix_text_min_s", "reduce_s", "reduce_min_s", "graph_s", "graph_min_s",
             "rel2_s", "rel2_min_s", "lift_s", "lift_min_s", "partial_s", "partial_min_s",
-            "states_per_s"}
+            "states_per_s", "reduced_places", "graph_nodes", "components", "component_states",
+            "writes", "agree"}
     for row in rows:
         assert set(row) == keys
         assert row["status"] == "complete"
+        assert row["agree"] is True
         assert 0 <= row["explore_min_s"] <= row["explore_s"]
         assert 0 <= row["oracle_concurrency_min_s"] <= row["oracle_concurrency_s"]
         assert 0 <= row["matrix_text_min_s"] <= row["matrix_text_s"]
@@ -50,6 +52,13 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
         assert 0 <= row["lift_min_s"] <= row["lift_s"]
         assert 0 <= row["partial_min_s"] <= row["partial_s"]
     assert [row["states"] for row in rows] == [51, 500, 2**8 + 2, 3**4, 11, 3, 501, 502]
+    # the accelerated side's states: 2 for two_phase_branches(8) against
+    # 2**8 + 2, and 4 components of 2 for diamond_chain(4) against 3**4
+    by_family = {row["family"]: row for row in rows}
+    assert [by_family["two_phase_branches"][key] for key in ("components", "component_states")] \
+        == [1, 2]
+    assert [by_family["diamond_chain"][key] for key in ("components", "component_states")] \
+        == [4, 8]
 
 
 def test_committed_pair_holds_the_families_rows():

@@ -597,6 +597,35 @@ class TestBench:
         assert row.endswith(f"\t{columns}\tcomplete")
 
 
+class TestOutputFiles:
+    """An output file that exists is overwritten in place and cut to the new
+    length; files that cannot be cut still take the text."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("reduce", "--output"), ("reduce", "--reduced-net"), ("conc", "--output"),
+    ])
+    def test_overwrite_leaves_fresh_bytes(self, command, flag, d1, tmp_path, capsys):
+        fresh, stale = tmp_path / "fresh.txt", tmp_path / "stale.txt"
+        stale.write_bytes(b"x" * 10_000 + b"\n")
+        for path in (fresh, stale):
+            assert main([command, str(d1), flag, str(path)]) == EXIT_OK
+        assert stale.read_bytes() == fresh.read_bytes()
+        assert len(fresh.read_bytes()) < 10_000
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("reduce", "--output"), ("reduce", "--reduced-net"), ("conc", "--output"),
+    ])
+    def test_dev_null(self, command, flag, d1, capsys):
+        assert main([command, str(d1), flag, "/dev/null"]) == EXIT_OK
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reduce", "conc"])
+    def test_directory_output(self, command, d1, tmp_path, capsys):
+        assert main([command, str(d1), "--output", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 class TestInputErrors:
     def test_missing_file(self, capsys):
         code = main(["reduce", "/nonexistent/net.txt"])

@@ -329,6 +329,16 @@ PARSE_ERRORS = [
     (parse_pnml, _pnml('<place id="p"/><arc id="x" source="p" target="p"/>'),
      "arc 'p'->'p' does not join a place and a transition", None),
     (parse_equations, "# R |- p = q\n# R |- r = q +\n", "empty term on rhs", 2),
+    # the order in which one line's faults are reported
+    (parse_equations, "# R |- p = 9x +\n", "empty term on rhs", 1),
+    (parse_equations, "# A |- a = 9x + 1\n", "a constant must be the only rhs term", 1),
+    (parse_equations, "# A |- a = b + b + 9x\n", "invalid name '9x'", 1),
+    (parse_equations, "# R |- a = a + a\n", "duplicate variable on rhs", 1),
+    (parse_equations, "# R |- a = b + a\n", "lhs may not appear on rhs", 1),
+    (parse_net, "pl p 1\ntr t p q*0 -> p\n", "bad arc weight in 'q*0'", 2),
+    (parse_net, "pl p 1\ntr t p q -> p\n", "undeclared place 'q'", 2),
+    (parse_net, "pl p 1\ntr t p p -> p\n", "place 'p' repeated in arc list", 2),
+    (parse_net, "pl p 1\ntr t p -> p\npl t 0\n", "name 't' already declared", 3),
     (parse_matrix, "# order: p q\n1\n1x\n", "bad matrix symbol at column 2", 3),
     (parse_matrix, "# order: p q\n1\n0\n", "row has 1 symbols, expected 2", 3),
     (parse_matrix, "\n# note\n1\n", "missing '# order:' header", 2),
@@ -381,4 +391,28 @@ class TestNetRoundTrip:
         net = PetriNet(places, transitions, pre, post)
         parsed_net, parsed_m0 = parse_net(write_net(net, m0))
         assert parsed_net == net
+        assert parsed_net.heaviest == net.heaviest
         assert parsed_m0 == m0
+        assert hash(parsed_m0) == hash(m0)
+
+
+@st.composite
+def arbitrary_equations(draw):
+    names = st.sampled_from([f"v{i}" for i in range(6)])
+    equations = []
+    for _ in range(draw(st.integers(0, 5))):
+        tag, lhs = draw(st.sampled_from("RA")), draw(names)
+        if draw(st.booleans()):
+            equations.append(TaggedEquation(tag, lhs, constant=draw(st.integers(0, 12))))
+        else:
+            terms = draw(st.lists(names.filter(lambda v: v != lhs), min_size=1, max_size=4,
+                                  unique=True))
+            equations.append(TaggedEquation(tag, lhs, terms=tuple(terms)))
+    return equations
+
+
+class TestEquationRoundTrip:
+    @given(arbitrary_equations())
+    def test_write_then_parse_is_identity(self, equations):
+        parsed = parse_equations(write_equations(equations))
+        assert parsed == equations
