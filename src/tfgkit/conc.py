@@ -6,7 +6,11 @@ touching the original state space; the lifting rules assume one token per
 place, and the relation of a net that is not safe can lift to wrong cells.
 ``partial_matrix`` does the same from incomplete root knowledge, writing 1s
 by the same propagation and 0s by the least fixpoint of six sound inference
-rules; cells it cannot settle stay unknown.
+rules; cells it cannot settle stay unknown.  On a forest, a graph where no
+node has two parents, as every graph the reducer writes, the fixpoint's 0s
+are the cells outside the lift of an upper relation that reads the unknown
+root cells as 1, and one more cone pass finds them; only a graph with a
+node of two parents runs the rules.
 Both work on plain int rows, one 1-row and one 0-row per node, with bit
 ``i`` standing for ``graph.nodes[i]``: ``_seed`` writes the root relation
 into them, moving rel2's rows to node positions by one comprehension per
@@ -18,32 +22,29 @@ the 1-rows in one pass that pushes masks down the graph in topological
 order, so depth costs no stack; the roots whose cone is only themselves
 take part as one mask, and the cones of concurrent roots meet pair by pair
 or, when the pairs outnumber the cones' nodes and the graph's, column-wise
-through one transpose.  ``partial_matrix`` then runs a worklist of
-equation groups to the zeros' fixpoint, with one
-:func:`~tfgkit.relation.transpose` per round.  Each lift turns its rows
-into one :class:`ConcurrencyMatrix` at its end.
+through one transpose.  On a forest, ``partial_matrix`` then walks down
+the trees whose roots the upper relation changes (:func:`_upper_cells`);
+elsewhere it runs a worklist of equation groups to the zeros' fixpoint,
+with one :func:`~tfgkit.relation.transpose` per round.  Each lift turns
+its rows into one :class:`ConcurrencyMatrix` at its end.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
 dead.  A root relation that does not fit the graph or contradicts itself
 raises :class:`InconsistentInputError`, a ``ValueError`` that the CLI's
-``main`` reports as bad input (exit 2).
+``main`` reports as bad input (exit 2); rows that are not symmetric raise
+it already in :meth:`ConcurrencyMatrix.from_rows`.
 """
 
 from __future__ import annotations
 
 from tfgkit import tfg
 from tfgkit.net_io import MatrixDocument
-from tfgkit.relation import ConcurrencyMatrix, _runs, transpose
+from tfgkit.relation import ConcurrencyMatrix, InconsistentInputError, _runs, transpose
 
 
 class IncompleteInputError(Exception):
     """Complete-mode input has unknown cells; use partial_matrix instead."""
-
-
-class InconsistentInputError(ValueError):
-    """The input lied: ``rel2`` does not cover the reduced places, is not
-    symmetric, holds a 1 beside a dead root, or propagates a 1 onto a 0."""
 
 
 def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int], list[int]]:
@@ -51,7 +52,8 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     ``graph.nodes``; every other cell is unknown.
 
     ``rel2`` must cover exactly the non-constant roots, the reduced net's
-    places, and be symmetric, or :class:`InconsistentInputError` is raised.
+    places, or :class:`InconsistentInputError` is raised; its rows are
+    symmetric, as :meth:`ConcurrencyMatrix.from_rows` checks.
     A place with a 1 in its row is marked, so it takes a 1 on its diagonal;
     a 1 beside a place that ``rel2`` holds dead is an error.  A positive
     constant is concurrent with itself, the other positive constants and
@@ -60,7 +62,6 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     """
     if set(rel2.order) != set(graph.roots) - set(graph.constants):
         raise InconsistentInputError("rel2 order must match the reduced places")
-    _check_symmetric(rel2)
     index = graph.index
     nodes = [index[v] for v in rel2.order]  # node position of each rel2 position
     positive = sum(1 << index[v] for v, value in graph.constants.items() if value > 0)
@@ -114,34 +115,6 @@ def _seed(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> tuple[list[int]
     return ones, zeros
 
 
-def _check_symmetric(rel2: ConcurrencyMatrix) -> None:
-    """Raise :class:`InconsistentInputError` at the first cell of ``rel2``
-    whose two rows disagree: 0 in one and 1 in the other, or settled in
-    one only."""
-    ones, known = rel2.ones, rel2.known
-    # the diagonal is its own mirror, and a complete relation's settled rows
-    # are all full: a relation of pairwise nonconcurrent places with no
-    # unknown cell needs no transpose
-    off = [row & ~(1 << i) for i, row in enumerate(ones)]
-    if (not any(off) or off == transpose(off)) and (rel2.is_complete() or known == transpose(known)):
-        return
-    for k, rows in enumerate(zip(ones, known, transpose(ones), transpose(known))):
-        one, settled, one_t, settled_t = (row & rel2.full for row in rows)
-        odd = one ^ one_t | settled ^ settled_t
-        if odd:
-            j = (odd & -odd).bit_length() - 1
-            v, w = rel2.order[k], rel2.order[j]
-            here = one >> j & 1 if settled >> j & 1 else None  # (v, w) in v's row
-            there = one_t >> j & 1 if settled_t >> j & 1 else None  # (w, v) in w's row
-            if here is None:
-                raise InconsistentInputError(f"cell ({w}, {v}) is {there} but ({v}, {w}) is unknown")
-            if there is None:
-                raise InconsistentInputError(f"cell ({v}, {w}) is {here} but ({w}, {v}) is unknown")
-            if here:  # name the row that holds the 0
-                v, w = w, v
-            raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
-
-
 def propagate(
     graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]
 ) -> tuple[list[int], int]:
@@ -192,17 +165,8 @@ def propagate(
         met = (row & alone).bit_count()
         writes += n * met
         pairs += met + (row & branching).bit_count() // 2  # a pair of branching roots twice
-    # every root meets the cones of the branching roots concurrent with it:
-    # pair by pair, or column-wise when the pairs outnumber the row
-    # operations of that route (one per cone node, about one per node for
-    # its transpose, one per root for its masks, one per branching root and
-    # cone size for its writes)
     if size:
-        cones = sum(size.values())
-        if pairs <= cones + len(graph.nodes) + len(roots) + len(size) * len(set(size.values())):
-            writes += _by_pairs(succ, ones, lone, branching, size, below)
-        else:
-            writes += _by_columns(succ, ones, roots, alone | branching, size, below)
+        writes += _meet_cones(succ, ones, roots, lone, branching, size, pairs, below)
     rows = [0] * len(graph.nodes)
     split_seen = False
     children, r_parents = graph.children, graph.r_parents
@@ -230,6 +194,23 @@ def propagate(
             v, w = graph.nodes[i], graph.nodes[(clash & -clash).bit_length() - 1]
             raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
     return [one | row for one, row in zip(ones, rows)], writes
+
+
+def _meet_cones(succ: tuple[int, ...], ones: list[int], roots: list[int], lone: list[int],
+                branching: int, size: dict[int, int], pairs: int, below: list[int]) -> int:
+    """OR into ``below`` of each root of ``roots`` the cones of the
+    branching roots that its row of ``ones`` holds concurrent with it, and
+    return those pairs' writes.  ``lone`` holds the roots with a row whose
+    cone is only themselves, ``size`` the cone size of each branching root
+    with a row, and ``pairs`` counts the pairs of a branching root with
+    another root.  The cones meet pair by pair (:func:`_by_pairs`), or
+    column-wise (:func:`_by_columns`) when the pairs outnumber the row
+    operations of that route: one per cone node, about one per node for its
+    transpose, one per root for its masks, one per branching root and cone
+    size for its writes."""
+    if pairs <= sum(size.values()) + len(succ) + len(roots) + len(size) * len(set(size.values())):
+        return _by_pairs(succ, ones, lone, branching, size, below)
+    return _by_columns(succ, ones, roots, sum(1 << i for i in roots), size, below)
 
 
 def _by_pairs(succ: tuple[int, ...], ones: list[int], lone: list[int], branching: int,
@@ -300,7 +281,7 @@ def matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> ConcurrencyMat
     if not rel2.is_complete():
         raise IncompleteInputError("rel2 has unknown cells")
     ones, writes = propagate(graph, ones, zeros)
-    out = ConcurrencyMatrix.from_rows(graph.nodes, ones)  # every other cell is 0
+    out = ConcurrencyMatrix._unchecked(graph.nodes, ones)  # every other cell is 0
     out.writes = writes
     return out
 
@@ -317,12 +298,106 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
     1 beside a root that ``rel2`` holds dead, or a 1 propagated onto a known
     0, raises :class:`InconsistentInputError`.  Each settled cell counts as
     one write.
+
+    On a forest, a graph where no node has two parents, the fixpoint's 0s
+    are the cells outside the lift of an upper relation, which
+    :func:`_upper_cells` adds to the 1s in one more pass over the cones that
+    it changes.  Every graph that :func:`~tfgkit.reductions.reduce` writes
+    is a forest: it writes single-term redundancies and disjoint
+    agglomerations only.  A node with two parents, from a hand-written
+    redundancy of several terms, can settle more: in ``p2 = a2 + p0`` the
+    two roots share one token pool whatever their own cell says.  Such a
+    graph runs the rules to their fixpoint (:func:`_zero_fixpoint`).  The
+    arcs tell the two apart: a forest has one arc into every node but the
+    roots.
     """
     ones, zeros = _seed(graph, rel2)
     ones, _ = propagate(graph, ones, zeros)
-    out = ConcurrencyMatrix.from_rows(graph.nodes, ones, _zero_fixpoint(graph, ones, zeros))
+    full = (1 << len(ones)) - 1
+    if len(graph.r_arcs) + len(graph.a_arcs) == len(graph.nodes) - len(graph.roots):
+        known = [full & ~(cells & ~one) if cells else full
+                 for one, cells in zip(ones, _upper_cells(graph, ones, zeros))]
+    else:
+        known = [one | zero for one, zero in zip(ones, _zero_fixpoint(graph, ones, zeros))]
+    out = ConcurrencyMatrix._unchecked(graph.nodes, ones, known)
     out.writes = out.known_count()
     return out
+
+
+def _upper_cells(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]) -> list[int]:
+    """On a forest, the 1s that the complete lift of the upper relation adds
+    to ``ones``, the lift of :func:`_seed`'s 1s, as rows over
+    ``graph.nodes`` that may repeat cells of ``ones``; the seed's ``zeros``
+    hold the roots' 0s.
+
+    The upper relation reads each unknown cell between two roots that
+    ``zeros`` does not hold dead as 1, a positive constant's among them, and
+    each such root's own diagonal as 1.  The rules settle exactly the cells
+    outside its lift.  Each node has one parent, so the nodes below a root
+    form a tree, and the only groups are the agglomerations' token pools and
+    one-term copies.  A dead root's tree dies with it.  A 0 between two
+    roots spreads down both trees, members taking their head's row.  Two
+    nodes of one tree are apart exactly when they lie below two members of
+    one pool.  None of that reaches a cell that some reading of the unknown
+    root cells makes 1, and the upper relation holds every such reading at
+    once.
+
+    The lift adds only what the upper relation adds to the seed, ``extra``
+    per root: a root meets the cones of the roots in its ``extra`` row, and
+    a root that only ``extra`` makes live takes its cone's expansion, one
+    walk down its tree from the root that hands each child its ancestors
+    and, beside a redundancy child, the cones of its siblings.  A split's
+    two sides are both siblings' cones, so no transpose is needed.
+    """
+    index, succ = graph.index, graph.successor_masks
+    roots = [index[v] for v in graph.roots]
+    live = sum(1 << i for i in roots if not zeros[i] >> i & 1)
+    alone = sum(1 << i for i in roots if succ[i] == 1 << i)
+    branching = sum(1 << i for i in roots) & ~alone
+    extra = [0] * len(graph.nodes)
+    lone, size, pairs = [], {}, 0  # as in propagate, for the roots with an extra row
+    for i in roots:
+        row = extra[i] = live & ~zeros[i] & ~ones[i] if live >> i & 1 else 0
+        if not row:
+            continue
+        if succ[i] == 1 << i:
+            lone.append(i)
+        else:
+            size[i] = succ[i].bit_count()
+            pairs += (row & alone).bit_count() + (row & branching).bit_count() // 2
+    cells = [0] * len(graph.nodes)
+    if size:
+        _meet_cones(succ, extra, roots, lone, branching, size, pairs, cells)
+    for i in lone:
+        cells[i] |= extra[i] & alone
+    # (branching root, the cones its tree meets, whether only extra makes it live)
+    walks = [(i, cells[i] | extra[i] & alone & ~(1 << i), extra[i] >> i & 1) for i in size]
+    children, r_parents, nodes = graph.children, graph.r_parents, graph.nodes
+    for i, met, live_cone in walks:
+        tree = [nodes[i]]
+        if not live_cone:  # every node of the tree meets the same cones
+            for v in tree:  # the loop also reaches the nodes appended to it
+                cells[index[v]] = met
+                tree += children[v]
+            continue
+        # until its visit, a node's row holds what its parent hands it: the
+        # cones met at the root, its ancestors and its splits' other sides
+        cells[i] = met
+        for v in tree:
+            k = index[v]
+            handed = cells[k] | 1 << k
+            cells[k] = handed | succ[k]
+            kids = children[v]
+            if kids:
+                copies = 0  # the cones of the redundancy children
+                for w in kids:
+                    if r_parents[w]:
+                        copies |= succ[index[w]]
+                for w in kids:
+                    c = index[w]
+                    cells[c] = handed | (succ[k] & ~succ[c] if r_parents[w] else copies)
+                tree += kids
+    return cells
 
 
 def _zero_fixpoint(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]) -> list[int]:
@@ -428,4 +503,4 @@ def to_document(matrix: ConcurrencyMatrix) -> MatrixDocument:
 def from_document(doc: MatrixDocument) -> ConcurrencyMatrix:
     """The symmetric matrix whose lower triangle ``doc`` holds."""
     known, ones = ([r | c for r, c in zip(rows, transpose(rows))] for rows in (doc.known, doc.ones))
-    return ConcurrencyMatrix.from_rows(doc.place_order, ones, [k & ~o for k, o in zip(known, ones)])
+    return ConcurrencyMatrix._unchecked(doc.place_order, ones, known)

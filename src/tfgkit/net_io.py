@@ -117,15 +117,24 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
 
 
 def write_net(net: PetriNet, m0: Marking) -> str:
-    lines = [f"pl {p} {m0[p]}" for p in net.places]
-    index = {p: i for i, p in enumerate(net.places)}
+    """The text of ``net`` marked ``m0``, as :func:`parse_net` reads it:
+    each place with its count, then each transition with its arcs' places
+    in place order, a weight spelled only when above 1.  A net whose
+    ``heaviest`` is 1 has no weight to spell, so its sides are the sorted
+    names alone, and a side of one arc is not sorted."""
+    count = m0._tokens.get
+    lines = [f"pl {p} {count(p, 0)}" for p in net.places]
+    position = {p: i for i, p in enumerate(net.places)}.__getitem__
 
     def side(arcs) -> list[str]:
-        ordered = sorted(arcs, key=index.__getitem__)  # in place order
+        ordered = sorted(arcs, key=position) if len(arcs) > 1 else list(arcs)
+        if net.heaviest < 2:  # every weight is 1
+            return ordered
         return [p if arcs[p] == 1 else f"{p}*{arcs[p]}" for p in ordered]
 
+    pre, post = net.pre, net.post
     for t in net.transitions:
-        lines.append(" ".join(["tr", t, *side(net.pre_of(t)), "->", *side(net.post_of(t))]))
+        lines.append(" ".join(["tr", t, *side(pre.get(t, {})), "->", *side(post.get(t, {}))]))
     return "\n".join(lines) + "\n"
 
 

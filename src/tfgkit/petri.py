@@ -907,13 +907,13 @@ def oracle_concurrency(space: StateSpace, places: Iterable[str]) -> ConcurrencyM
     order = tuple(places)
     packing = space._packing
     if order == packing.places:  # the layout itself, as for every net.places order
-        mat = ConcurrencyMatrix.from_rows(order, _marked_rows(space))
+        mat = ConcurrencyMatrix._unchecked(order, _marked_rows(space))
     else:
         # a name outside the layout is never marked
         outside = [p for p in order if p not in packing.index]
         everything = packing.places + tuple(outside)
         marked = _marked_rows(space) + [0] * len(outside)
-        mat = ConcurrencyMatrix.from_rows(everything, marked).restrict(order)
+        mat = ConcurrencyMatrix._unchecked(everything, marked).restrict(order)
     mat.writes = mat.ones_count()
     return mat
 

@@ -283,7 +283,7 @@ class Analysis:
             markable = sum(1 << i for i, row in enumerate(rows) if row >> i & 1)
             others = [markable & ~places for _, places, _, _ in parts]
             rows = [row | others[owner[i]] if row >> i & 1 else row for i, row in enumerate(rows)]
-        return ConcurrencyMatrix.from_rows(self.result.reduced_net.places, rows)
+        return ConcurrencyMatrix._unchecked(self.result.reduced_net.places, rows)
 
     def decide(self, target: Marking) -> ReachVerdict:
         """Decide whether ``target`` is reachable in ``net`` from ``m0``.

@@ -6,7 +6,9 @@ cell (i, j) is settled and ``ones[i]`` when it is 1, so ``ones[i]`` is a
 subset of ``known[i]``.  Rows are stored in full and kept symmetric, so a
 whole row, or any set of its cells, is updated by one integer operation.
 The rows are written only here: other modules read them and hand new rows
-to :meth:`ConcurrencyMatrix.from_rows`.
+to :meth:`ConcurrencyMatrix.from_rows`, which checks that they are
+symmetric, or, when they build them symmetric, to
+:meth:`ConcurrencyMatrix._unchecked`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ from functools import cache
 from typing import Iterator
 
 UNKNOWN = None
+
+
+class InconsistentInputError(ValueError):
+    """The input lied: ``rel2`` does not cover the reduced places, is not
+    symmetric, holds a 1 beside a dead root, or propagates a 1 onto a 0."""
 
 
 def transpose(rows: list[int]) -> list[int]:
@@ -28,7 +35,10 @@ def transpose(rows: list[int]) -> list[int]:
     (i, j) is bit ``i * width + j``, and :func:`_flip` transposes it in
     place.  Rows of up to 64 bits enter and leave their one tile as
     ``struct`` fields, in one call each way, about three times faster
-    than a conversion per row; wider ones as bytes, sliced a tile wide.
+    than a conversion per row; wider ones enter as bytes.  When one tile
+    holds them all, up to ``_BAND`` rows, they leave it as fixed-width
+    fields: two ``struct`` fields each up to 128 bits, one slice each
+    above.  More rows are cut into bands of tiles, sliced a tile wide.
     """
     n = len(rows)
     if not n:
@@ -43,6 +53,12 @@ def transpose(rows: list[int]) -> list[int]:
     bands = -(-n // width)  # tiles per side
     packed = [(row & full).to_bytes(bands * step, "little") for row in rows]
     packed += [bytes(bands * step)] * (bands * width - n)
+    if bands == 1:
+        tile = _flip(b"".join(packed), width)
+        if step == 16:
+            halves = iter(struct.unpack_from(f"<{2 * n}Q", tile))
+            return [low | high << 64 for low, high in zip(halves, halves)]
+        return [int.from_bytes(tile[k : k + step], "little") for k in range(0, n * step, step)]
     out: list[int] = []
     for low in range(0, bands * step, step):  # a band of columns becomes a band of rows
         tiles = [_flip(b"".join([row[low : low + step] for row in packed[top : top + width]]), width)
@@ -58,8 +74,11 @@ def _flip(tile: bytes, width: int) -> bytes:
     """The transpose of a tile of ``width``-bit rows laid end to end,
     little-endian, as ``width`` rows again: log2 ``width`` masked delta
     swaps (Warren, "Hacker's Delight", §7-3), swap ``s`` exchanging the
-    cells whose row and column differ in bit ``s``."""
+    cells whose row and column differ in bit ``s``.  An empty tile is its
+    own transpose."""
     x = int.from_bytes(tile, "little")
+    if not x:
+        return tile
     for distance, mask in _swaps(width):
         t = (x ^ x >> distance) & mask
         x ^= t ^ t << distance
@@ -100,6 +119,34 @@ def _runs(positions: list[int]) -> list[tuple[int, int, int]]:
     return [(b, positions[b], (1 << (e - b)) - 1) for b, e in zip(starts, starts[1:] + [n])]
 
 
+def _check_symmetric(matrix: ConcurrencyMatrix) -> None:
+    """Raise :class:`InconsistentInputError` at the first cell of ``matrix``
+    whose two rows disagree: 0 in one and 1 in the other, or settled in
+    one only."""
+    ones, known = matrix.ones, matrix.known
+    # the diagonal is its own mirror, and a complete relation's settled rows
+    # are all full: a relation of pairwise nonconcurrent places with no
+    # unknown cell needs no transpose
+    off = [row & ~(1 << i) for i, row in enumerate(ones)]
+    if (not any(off) or off == transpose(off)) and (matrix.is_complete() or known == transpose(known)):
+        return
+    for k, rows in enumerate(zip(ones, known, transpose(ones), transpose(known))):
+        one, settled, one_t, settled_t = (row & matrix.full for row in rows)
+        odd = one ^ one_t | settled ^ settled_t
+        if odd:
+            j = (odd & -odd).bit_length() - 1
+            v, w = matrix.order[k], matrix.order[j]
+            here = one >> j & 1 if settled >> j & 1 else None  # (v, w) in v's row
+            there = one_t >> j & 1 if settled_t >> j & 1 else None  # (w, v) in w's row
+            if here is None:
+                raise InconsistentInputError(f"cell ({w}, {v}) is {there} but ({v}, {w}) is unknown")
+            if there is None:
+                raise InconsistentInputError(f"cell ({v}, {w}) is {here} but ({w}, {v}) is unknown")
+            if here:  # name the row that holds the 0
+                v, w = w, v
+            raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
+
+
 def _triangle_count(rows: list[int]) -> int:
     """Set cells of a symmetric bit matrix on and below the diagonal."""
     total = diagonal = 0
@@ -135,15 +182,25 @@ class ConcurrencyMatrix:
     def from_rows(cls, order, ones: list[int], zeros: list[int] | None = None):
         """Matrix over ``order`` with 1 at the bits of ``ones[i]`` and 0 at
         those of ``zeros[i]``, every other cell unknown; without ``zeros``,
-        every cell that is not 1 is 0.  Rows are full, symmetric and disjoint.
+        every cell that is not 1 is 0.  Rows are full and disjoint; rows that
+        are not symmetric raise :class:`InconsistentInputError` at their
+        first cell whose two rows disagree.
         """
+        known = None if zeros is None else [one | zero for one, zero in zip(ones, zeros)]
+        out = cls._unchecked(order, ones, known)
+        _check_symmetric(out)
+        return out
+
+    @classmethod
+    def _unchecked(cls, order, ones: list[int], known: list[int] | None = None):
+        """Matrix over ``order`` with the 1s ``ones`` and the settled cells
+        ``known``, every cell without it, from rows that the caller built
+        symmetric: :meth:`from_rows` without its check, for
+        :func:`tfgkit.conc.from_document`, :attr:`tfgkit.reach.Analysis.rel2`,
+        :func:`tfgkit.petri.oracle_concurrency` and the two lifts."""
         out = cls(order)
-        full = out.full
         out.ones = list(ones)
-        if zeros is None:
-            out.known = [full] * len(out.order)
-        else:
-            out.known = [one | zero for one, zero in zip(ones, zeros)]
+        out.known = [out.full] * len(out.order) if known is None else list(known)
         return out
 
     @property

@@ -118,9 +118,8 @@ class TestCompleteMatrix:
         net, m0 = parse_net("pl p 1\npl q 1\ntr t p -> p\ntr u q -> q\n")
         graph = build_graph(net, reduce(net, m0))
         # asymmetric rows: (p, q) is 1 in p's row, (q, p) is 0 in q's row
-        rel2 = ConcurrencyMatrix.from_rows(("p", "q"), [0b11, 0b10], [0, 0b01])
         with pytest.raises(InconsistentInputError, match=r"^cell \(q, p\) is both 0 and 1$"):
-            lift(graph, rel2)
+            lift(graph, ConcurrencyMatrix.from_rows(("p", "q"), [0b11, 0b10], [0, 0b01]))
 
     @pytest.mark.parametrize("lift", [matrix, partial_matrix])
     @pytest.mark.parametrize("text", ["pl p 1\npl q 1\ntr t p -> p\ntr u q -> q\n",
@@ -138,9 +137,8 @@ class TestCompleteMatrix:
         # not q alone
         net, m0 = parse_net(text)
         graph = build_graph(net, reduce(net, m0))
-        rel2 = ConcurrencyMatrix.from_rows(("p", "q"), ones, zeros)
         with pytest.raises(InconsistentInputError, match=f"^{message}$"):
-            lift(graph, rel2)
+            lift(graph, ConcurrencyMatrix.from_rows(("p", "q"), ones, zeros))
 
     def test_incomplete_rel2_rejected(self, cascade):
         rel2 = ConcurrencyMatrix(("p0", "a2", "p6"))
@@ -472,14 +470,19 @@ def random_cells(rng, n, fraction):
     return ones, zeros
 
 
+def leaves_and_roots(equations, p1=(), p2=()):
+    """The graph of ``equations`` checked against their own leaves and roots
+    as the place sets, and the checks it fails."""
+    graph, _ = check(equations, p1, p2)
+    leaves = set(graph.nodes) - {v for v, _ in graph.a_arcs} - set(graph.constants)
+    return check(equations, sorted(leaves), sorted(set(graph.roots) - set(graph.constants)))
+
+
 @st.composite
 def checked_graphs(draw):
     """Graphs of ``equation_systems`` that pass ``check``: the drawn place
     sets are replaced by the roots and leaves of the drawn equations."""
-    equations, p1, p2 = draw(equation_systems())
-    graph, _ = check(equations, p1, p2)
-    leaves = set(graph.nodes) - {v for v, _ in graph.a_arcs} - set(graph.constants)
-    graph, found = check(equations, sorted(leaves), sorted(set(graph.roots) - set(graph.constants)))
+    graph, found = leaves_and_roots(*draw(equation_systems()))
     assume(not found)
     return graph
 
@@ -513,6 +516,110 @@ class TestZeroFixpoint:
                 ones, _ = propagate(inst.graph, ones, zeros)
                 got = _zero_fixpoint(inst.graph, ones, zeros)
                 assert got == naive_zero_fixpoint(inst.graph, ones, zeros), (inst.name, fraction)
+
+
+def random_root_relation(graph, rng, fraction):
+    """A symmetric relation over the places among ``graph.roots``.  A fifth
+    of them are dead: 0 on the diagonal, 0 or unknown beside it.  Every
+    other cell is settled with probability ``fraction``: 1 or 0 evenly off
+    the diagonal, 1 on it."""
+    places = [v for v in graph.roots if v not in graph.constants]
+    dead = {v for v in places if rng.random() < 0.2}
+    rel2 = ConcurrencyMatrix(places)
+    for i, v in enumerate(places):
+        for w in places[: i + 1]:
+            draw = rng.random()
+            if v == w and v in dead:
+                rel2.set(v, v, 0)
+            elif draw < fraction:
+                rel2.set(v, w, 0 if v in dead or w in dead else int(draw < fraction / 2 or v == w))
+    return rel2
+
+
+def is_forest(graph) -> bool:
+    """Whether every node but the roots has exactly one arc into it."""
+    return all(n < 2 for n in graph._views[1].values()) and not graph.r_arcs & graph.a_arcs
+
+
+class TestPartialRoutes:
+    """``partial_matrix`` against ``_seed``, ``propagate`` and the rules
+    applied one cell at a time: on forests its 0s are the complement of the
+    upper relation's lift, elsewhere the zero fixpoint's."""
+
+    def test_random_graphs_and_relations(self):
+        kinds = set()
+
+        @settings(max_examples=400)
+        @given(checked_graphs(), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+        # one token pool of two redundancy parents settles (p0, a2) to 0
+        @example(leaves_and_roots(parse_equations("# R |- p2 = a2 + p0\n"))[0], 0.0, random.Random(0))
+        # a positive constant beside a place marked on its diagonal
+        @example(leaves_and_roots(parse_equations("# R |- p3 = 1\n# A |- a1 = p0 + p1\n# R |- p2 = a1\n"))[0],
+                 1.0, random.Random(3))
+        def check_one(graph, fraction, rng):
+            kinds.add(is_forest(graph))
+            rel2 = random_root_relation(graph, rng, fraction)
+            ones, zeros = _seed(graph, rel2)
+            ones, _ = propagate(graph, ones, zeros)
+            expected = ConcurrencyMatrix.from_rows(graph.nodes, ones, naive_zero_fixpoint(graph, ones, zeros))
+            got = partial_matrix(graph, rel2)
+            assert got == expected
+            assert got.writes == expected.known_count()
+
+        check_one()
+        assert kinds == {True, False}
+
+    @pytest.fixture
+    def fixpoint_calls(self, monkeypatch):
+        """The calls of ``conc._zero_fixpoint``, one item each."""
+        calls = []
+        fixpoint = conc._zero_fixpoint
+        monkeypatch.setattr(conc, "_zero_fixpoint", lambda *args: calls.append(1) or fixpoint(*args))
+        return calls
+
+    @pytest.mark.parametrize("family", ["corpus", "chain", "ladder"])
+    def test_reducer_graphs_skip_the_zero_fixpoint(self, fixpoint_calls, corpus, family):
+        if family == "corpus":
+            cases = [(inst.graph, oracle_concurrency(inst.space2, inst.result.reduced_net.places))
+                     for inst in corpus]
+        else:
+            build_net = generators.chain_line if family == "chain" else generators.duplicate_ladder
+            nets = [build_net(k).build() for k in (5, 40)]
+            analyses = [Analysis(net, m0, reduce(net, m0)) for net, m0 in nets]
+            cases = [(analysis.graph, analysis.rel2) for analysis in analyses]
+        for index, (graph, rel2) in enumerate(cases):
+            assert is_forest(graph)
+            for fraction in (0.3, 1.0):
+                partial_matrix(graph, degrade(rel2, fraction, seed=index))
+        assert not fixpoint_calls
+
+    def test_unknown_pairs_meet_column_wise(self, monkeypatch):
+        """On ``diamond_chain(12)`` with every root cell unknown, the upper
+        relation makes all 24 roots concurrent: 18 pairs per branching root,
+        216 in all, against 168 row operations column-wise (see
+        ``TestRootPairs``), so its cones meet through ``_by_columns``, while
+        the 1s make no pair.  Half masked or whole, the 0s equal the zero
+        fixpoint's."""
+        net, m0 = generators.diamond_chain(12)
+        analysis = Analysis(net, m0, reduce(net, m0))
+        graph = analysis.graph
+        routes = []
+        by_columns = conc._by_columns
+        monkeypatch.setattr(conc, "_by_columns", lambda *args: routes.append(1) or by_columns(*args))
+        for fraction in (0.5, 1.0):
+            rel2 = degrade(analysis.rel2, fraction, seed=1)
+            routes.clear()
+            got = partial_matrix(graph, rel2)
+            ones, zeros = _seed(graph, rel2)
+            ones, _ = propagate(graph, ones, zeros)
+            assert got == ConcurrencyMatrix.from_rows(graph.nodes, ones, _zero_fixpoint(graph, ones, zeros))
+        assert routes == [1]
+
+    def test_two_redundancy_parents_take_the_zero_fixpoint(self, fixpoint_calls):
+        graph, _ = leaves_and_roots(parse_equations("# R |- p2 = a2 + p0\n"))
+        out = partial_matrix(graph, ConcurrencyMatrix(("a2", "p0")))
+        assert fixpoint_calls == [1]
+        assert out.get("a2", "p0") == 0
 
 
 class TestRootPairs:
@@ -577,10 +684,11 @@ def counted_transposes(monkeypatch, lift, graph, rel2) -> int:
 
 
 class TestRounds:
-    """The zero fixpoint's rounds, one transpose each, do not grow with the
-    graph: one root cell hidden, on graphs 50 to 800 stages long."""
+    """The transposes of ``partial_matrix`` do not grow with the graph: one
+    root cell hidden, on graphs 50 to 800 stages long.  These are forests,
+    so the only one is the ladder's, for the splits of ``propagate``."""
 
-    @pytest.mark.parametrize("family, rounds", [("chain", 1), ("ladder", 3)])
+    @pytest.mark.parametrize("family, rounds", [("chain", 0), ("ladder", 1)])
     def test_transposes_per_partial_matrix(self, monkeypatch, family, rounds):
         counts = []
         for k in (50, 200, 800):
@@ -696,6 +804,32 @@ class TestRelation:
             flipped = transpose(rows)
             assert flipped == expected, n
             assert transpose(flipped) == [row & (1 << n) - 1 for row in rows], n
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(60, 1100), st.sampled_from(["dense", "blocks", "few"]),
+           st.randoms(use_true_random=False))
+    @example(65, "dense", random.Random(0))
+    @example(_BAND + 1, "blocks", random.Random(0))
+    def test_transpose_from_60_to_1100_rows(self, n, kind, rng):
+        """Against the transpose read off each row's set bits, across the
+        one-field rows, the one-tile rows of two fields or more, and two
+        bands of tiles.  ``blocks`` sets bits only in 64-wide diagonal
+        blocks, so a matrix of two bands has two empty tiles, and ``few``
+        leaves most rows empty; rows carry bits above ``n``."""
+        if kind == "dense":
+            rows = [rng.getrandbits(n + 9) for _ in range(n)]
+        elif kind == "blocks":
+            rows = [rng.getrandbits(64) << i // 64 * 64 for i in range(n)]
+        else:
+            rows = [rng.getrandbits(n + 9) if rng.random() < 0.05 else 0 for _ in range(n)]
+        expected = [0] * n
+        for i, row in enumerate(rows):
+            row &= (1 << n) - 1
+            while row:
+                low = row & -row
+                row ^= low
+                expected[low.bit_length() - 1] |= 1 << i
+        assert transpose(rows) == expected
 
 
 @st.composite

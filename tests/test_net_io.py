@@ -382,6 +382,18 @@ def arbitrary_nets(draw):
     return places, transitions, pre, post, marking
 
 
+def reference_net_text(net, m0) -> str:
+    """``write_net``'s spelling, one place at a time: each side lists the
+    places of its arcs in place order, a weight of 1 unspelled."""
+    def side(arcs):
+        return [p if arcs[p] == 1 else f"{p}*{arcs[p]}" for p in net.places if p in arcs]
+
+    lines = [f"pl {p} {m0[p]}" for p in net.places]
+    lines += [" ".join(["tr", t, *side(net.pre_of(t)), "->", *side(net.post_of(t))])
+              for t in net.transitions]
+    return "\n".join(lines) + "\n"
+
+
 class TestNetRoundTrip:
     @given(arbitrary_nets())
     def test_write_then_parse_is_identity(self, parts):
@@ -389,7 +401,9 @@ class TestNetRoundTrip:
 
         places, transitions, pre, post, m0 = parts
         net = PetriNet(places, transitions, pre, post)
-        parsed_net, parsed_m0 = parse_net(write_net(net, m0))
+        text = write_net(net, m0)
+        assert text == reference_net_text(net, m0)
+        parsed_net, parsed_m0 = parse_net(text)
         assert parsed_net == net
         assert parsed_net.heaviest == net.heaviest
         assert parsed_m0 == m0

@@ -699,8 +699,8 @@ class TestComponents:
     def test_diamond_chain_rel2_and_seed_do_not_scale_their_passes(self, k, monkeypatch):
         """On ``diamond_chain(k)``, ``rel2`` makes no restrict, and
         ``_seed`` makes the same passes over whole rows at every ``k``:
-        two transposes (the symmetry check's and the move's) and no pass
-        per run of positions, although there are ``k + 1`` runs."""
+        one transpose, the move's, and no pass per run of positions,
+        although there are ``k + 1`` runs."""
         analysis = Analysis(*diamond_chain(k))
         with monkeypatch.context() as patch:
             patch.setattr(ConcurrencyMatrix, "restrict", refuse)
@@ -718,7 +718,7 @@ class TestComponents:
         monkeypatch.setattr(tfgkit.conc, "transpose",
                             lambda rows: passes.append(1) or transpose(rows))
         tfgkit.conc._seed(analysis.graph, rel2)
-        assert passes == [1, 1]
+        assert passes == [1]
 
     def test_rel2_equals_the_reduced_oracle_on_corpus(self, corpus, monkeypatch):
         """On every corpus net, ``rel2`` equals ``oracle_concurrency`` of
