@@ -15,10 +15,14 @@ times and of the exploration rate, and the minimum of the eight times.  It
 also holds the counts of the ``Analysis``: reduced places, graph nodes,
 components, the states summed over the component spaces and the lift's
 cell ``writes``; and ``agree``, whether the lifted place matrix equals the
-oracle's in every run, null where the oracle is truncated.  The largest
-``diamond_chain`` rows go past the oracle: their exploration stops at
-``MAX_STATES``, so their status is truncated and their oracle and text
-times are null, while the accelerated columns are timed as on every row.
+oracle's in every run, null where the oracle is truncated; and
+``speedup``, the paper's headline: the oracle's ``explore`` +
+``oracle_concurrency`` over the accelerated ``reduce`` + ``graph`` +
+``rel2`` + ``lift``, from the minimums, null where the oracle is
+truncated.  The largest ``two_phase_branches`` and ``diamond_chain`` rows
+go past the oracle: their exploration stops at ``MAX_STATES``, so their
+status is truncated and their oracle and text times are null, while the
+accelerated columns are timed as on every row.
 The runs are interleaved: each of the 5 passes times every row once, so a
 burst of load on the machine moves one run of many rows rather than every
 run of one.  Load only ever adds time, so a change is judged on the
@@ -53,12 +57,15 @@ MAX_STATES = 100_000
 REPEATS = 5
 
 FAMILIES = {
-    "chain_line": ((50, 100, 200, 500, 1000, 2000, 5000), lambda n: gen.chain_line(n).build()),
-    "ring": ((500, 1000, 2000, 5000), lambda n: gen.ring(n).build()),
-    "two_phase_branches": ((8, 10, 12, 14, 16), lambda w: gen.two_phase_branches(w).build()),
+    "chain_line": ((50, 100, 200, 500, 1000, 2000, 5000, 10000),
+                   lambda n: gen.chain_line(n).build()),
+    "ring": ((500, 1000, 2000, 5000, 10000), lambda n: gen.ring(n).build()),
+    # 2**w + 2 states: past the oracle from w = 100 on
+    "two_phase_branches": ((8, 10, 12, 14, 16, 100, 300, 1000),
+                           lambda w: gen.two_phase_branches(w).build()),
     # 3**k states: past the oracle from k = 100 on
-    "diamond_chain": ((4, 6, 8, 10, 100, 200, 400), gen.diamond_chain),
-    "choice_loop": ((10, 100, 500, 1000, 2000), lambda b: gen.choice_loop(b).build()),
+    "diamond_chain": ((4, 6, 8, 10, 100, 200, 400, 800), gen.diamond_chain),
+    "choice_loop": ((10, 100, 500, 1000, 2000, 4000), lambda b: gen.choice_loop(b).build()),
     # 3 states, one of them with every branch marked: no two markings share
     # their upper places, so the oracle's rows merge nothing
     "fork_join": ((100, 500, 1000, 2000), lambda w: gen.fork_join(w).build()),
@@ -75,6 +82,9 @@ FAMILIES = {
 # not run (the oracle's, past ``MAX_STATES``) has the time None
 STAGES = ("explore", "oracle_concurrency", "matrix_text", "reduce", "graph", "rel2", "lift",
           "partial")
+# the stages that ``speedup`` weighs: the oracle's, and the accelerated route's
+ORACLE = ("explore", "oracle_concurrency")
+ACCELERATED = ("reduce", "graph", "rel2", "lift")
 
 
 def time_once(net, m0) -> dict:
@@ -141,8 +151,8 @@ def _timed(net, m0) -> dict:
 
 def summarize(family: str, size: int, runs: list[dict]) -> dict:
     """One row: the last run's states, status and counts, the median and
-    the minimum time of each stage, and whether every run agreed with the
-    oracle (None when it was truncated)."""
+    the minimum time of each stage, whether every run agreed with the
+    oracle and the speedup (both None when it was truncated)."""
     last = runs[-1]
     row = {"family": family, "size": size, "states": last["states"], "status": last["status"]}
     for stage in STAGES:
@@ -155,6 +165,10 @@ def summarize(family: str, size: int, runs: list[dict]) -> dict:
         row[count] = last[count]
     agree = [run["agree"] for run in runs]
     row["agree"] = None if None in agree else all(agree)
+    row["speedup"] = None
+    if row["oracle_concurrency_min_s"] is not None:
+        row["speedup"] = (sum(row[f"{stage}_min_s"] for stage in ORACLE)
+                          / sum(row[f"{stage}_min_s"] for stage in ACCELERATED))
     return row
 
 
@@ -177,7 +191,8 @@ def main(argv: list[str] | None = None) -> int:
               f"reduce {row['reduce_min_s']:.4f} s, graph {row['graph_min_s']:.4f} s, "
               f"rel2 {row['rel2_min_s']:.4f} s, lift {row['lift_min_s']:.4f} s, "
               f"partial {row['partial_min_s']:.4f} s (min); {row['component_states']} states "
-              f"in {row['components']} components, agree {row['agree']}")
+              f"in {row['components']} components, agree {row['agree']}, "
+              f"speedup {row['speedup']}")
     document = {
         "command": "python scripts/bench_scaling.py",
         "python": platform.python_version(),

@@ -6,27 +6,24 @@ touching the original state space; the lifting rules assume one token per
 place, and the relation of a net that is not safe can lift to wrong cells.
 ``partial_matrix`` does the same from incomplete root knowledge, writing 1s
 by the same propagation and 0s by the least fixpoint of six sound inference
-rules; cells it cannot settle stay unknown.  On a forest, a graph where no
-node has two parents, as every graph the reducer writes, the fixpoint's 0s
-are the cells outside the lift of an upper relation that reads the unknown
-root cells as 1, and one more cone pass finds them; only a graph with a
-node of two parents runs the rules.
+rules; cells it cannot settle stay unknown.
+
 Both work on plain int rows, one 1-row and one 0-row per node, with bit
-``i`` standing for ``graph.nodes[i]``: ``_seed`` writes the root relation
-into them, moving rel2's rows to node positions by one comprehension per
-run of positions when the rows times the runs are at most the nodes, and
-else by one transpose of the rows put at their node positions (two when
-rel2 has unknown cells), so that the move never costs rows x runs.
+``i`` standing for ``graph.nodes[i]``, and read the graph by node
+position.  ``_seed`` writes the root relation into them, and
 :func:`propagate` reads the root facts back and ORs each cone product into
-the 1-rows in one pass that pushes masks down the graph in topological
-order, so depth costs no stack; the roots whose cone is only themselves
-take part as one mask, and the cones of concurrent roots meet pair by pair
-or, when the pairs outnumber the cones' nodes and the graph's, column-wise
-through one transpose.  On a forest, ``partial_matrix`` then walks down
-the trees whose roots the upper relation changes (:func:`_upper_cells`);
-elsewhere it runs a worklist of equation groups to the zeros' fixpoint,
-with one :func:`~tfgkit.relation.transpose` per round.  Each lift turns
-its rows into one :class:`ConcurrencyMatrix` at its end.
+the 1-rows: the cones of concurrent roots meet pair by pair, or
+column-wise through one transpose.  Below the roots, a forest, where no
+node has two parents, as in every graph the reducer writes, is walked
+down each live tree (:func:`_walk`), which writes both sides of every
+redundancy split.  A graph with a node of two parents takes a pass in
+topological order instead, and one transpose for the splits' other side.
+On a forest, the 0s of ``partial_matrix`` are the cells outside the lift
+of an upper relation that reads the unknown root cells as 1, which the
+same walk finds on the trees that relation changes (:func:`_upper_cells`);
+elsewhere a worklist of equation groups runs to the zeros' fixpoint, with
+one :func:`~tfgkit.relation.transpose` per round.  No step recurses, and
+each lift turns its rows into one :class:`ConcurrencyMatrix` at its end.
 
 Constant roots follow the usual convention for safe nets: a positive constant
 is always marked (concurrent with every nondead node), a zero constant is
@@ -40,7 +37,7 @@ from __future__ import annotations
 
 from tfgkit import tfg
 from tfgkit.net_io import MatrixDocument
-from tfgkit.relation import ConcurrencyMatrix, InconsistentInputError, _runs, transpose
+from tfgkit.relation import ConcurrencyMatrix, InconsistentInputError, _runs, _triangle_count, transpose
 
 
 class IncompleteInputError(Exception):
@@ -126,91 +123,123 @@ def propagate(
     successor cones pairwise concurrent.  Under a root that it holds live (1
     on the diagonal), each node is concurrent with its successors, and each
     redundancy arc ``v -> w`` makes the successors of ``v`` outside the cone
-    of ``w`` concurrent with those of ``w``.  A root with children takes
-    the lone roots concurrent with it, those whose cone is only themselves,
-    as one mask, and every root takes the cones of the roots with children
-    concurrent with it: one OR per pair (:func:`_by_pairs`), or, when the
-    pairs outnumber the row operations of the other route, one OR per cone
-    node and a transpose (:func:`_by_columns`).  The lone roots' cells with
-    each other are already in ``ones`` and are only counted.  Then one pass
-    over ``graph.topo_order`` ORs, at each node, the splits of its live
+    of ``w`` concurrent with those of ``w``.  A root takes the lone roots
+    concurrent with it, those whose cone is only themselves, as one mask,
+    and the cones of the roots with children concurrent with it
+    (:func:`_meet_cones`).  Below the live roots, a forest is walked down
+    each tree (:func:`_walk`).  Any other graph takes one pass over
+    ``graph.topo_positions`` that ORs, at each node, the splits of its live
     redundancy parents into its mask in ``below``, gives its row its cone
     and that mask, and pushes the mask on to its children; one transpose
     writes the other side of the splits.  Only 1s are added, so calling it
     again on its own result changes nothing; a 1 on a 0 of ``zeros`` raises
     :class:`InconsistentInputError`.
     """
-    index = graph.index
-    succ = graph.successor_masks
-    roots = [index[v] for v in graph.roots]
-    lone, branch = [], []  # roots whose cone is only themselves, and the others
-    for i in roots:
-        (lone if succ[i] == 1 << i else branch).append(i)
-    alone, branching = sum(1 << i for i in lone), sum(1 << i for i in branch)
+    succ, roots = graph.successor_masks, graph.root_positions
     below = [0] * len(graph.nodes)  # what every successor of a node meets
-    writes = 0
-    cone = 0
-    for i in lone:
-        row = ones[i]
-        cone |= row & 1 << i
-        writes += ((row & alone) >> (i + 1)).bit_count()  # lone pairs: rel2's own cells
-    size = {}  # per branching root, its cone's size
-    pairs = 0  # the concurrent pairs of a branching root with another root
-    for i in branch:
-        row = ones[i]
-        if row >> i & 1:
+    writes = _meet_cones(succ, ones, roots, below)
+    live = [i for i in roots if ones[i] >> i & 1]
+    if graph.is_forest:
+        writes += _walk(graph, live, below)
+        rows = below
+    else:
+        cone = 0  # the nodes below the live roots
+        for i in live:
             cone |= succ[i]
-        size[i] = n = succ[i].bit_count()
-        below[i] |= row & alone  # the lone roots concurrent with it, as one mask
-        met = (row & alone).bit_count()
-        writes += n * met
-        pairs += met + (row & branching).bit_count() // 2  # a pair of branching roots twice
-    if size:
-        writes += _meet_cones(succ, ones, roots, lone, branching, size, pairs, below)
-    rows = [0] * len(graph.nodes)
-    split_seen = False
-    children, r_parents = graph.children, graph.r_parents
-    for v in graph.topo_order:
-        i = index[v]
-        for u in r_parents[v]:
-            k = index[u]
-            if cone >> k & 1:
-                split = succ[k] & ~succ[i]
-                below[i] |= split
-                split_seen = True
-                writes += split.bit_count() * succ[i].bit_count()
-        if cone >> i & 1:
-            rows[i] = succ[i]
-            below[i] |= 1 << i
-            writes += succ[i].bit_count()
-        rows[i] |= below[i]
-        for w in children[v]:
-            below[index[w]] |= below[i]
-    if split_seen:
+        rows = [0] * len(graph.nodes)
+        kids, r_parents, index, nodes = graph.child_positions, graph.r_parents, graph.index, graph.nodes
+        for i in graph.topo_positions:
+            for u in r_parents[nodes[i]]:
+                k = index[u]
+                if cone >> k & 1:
+                    split = succ[k] & ~succ[i]
+                    below[i] |= split
+                    writes += split.bit_count() * succ[i].bit_count()
+            if cone >> i & 1:
+                rows[i] = succ[i]
+                below[i] |= 1 << i
+                writes += succ[i].bit_count()
+            rows[i] |= below[i]
+            for w in kids[i]:
+                below[w] |= below[i]
         rows = [row | column for row, column in zip(rows, transpose(rows))]
     for i, (row, zero) in enumerate(zip(rows, zeros)):
         clash = row & zero
         if clash:
             v, w = graph.nodes[i], graph.nodes[(clash & -clash).bit_length() - 1]
             raise InconsistentInputError(f"cell ({v}, {w}) is both 0 and 1")
-    return [one | row for one, row in zip(ones, rows)], writes
+    return [one | row if one else row for one, row in zip(ones, rows)], writes
 
 
-def _meet_cones(succ: tuple[int, ...], ones: list[int], roots: list[int], lone: list[int],
-                branching: int, size: dict[int, int], pairs: int, below: list[int]) -> int:
-    """OR into ``below`` of each root of ``roots`` the cones of the
-    branching roots that its row of ``ones`` holds concurrent with it, and
-    return those pairs' writes.  ``lone`` holds the roots with a row whose
-    cone is only themselves, ``size`` the cone size of each branching root
-    with a row, and ``pairs`` counts the pairs of a branching root with
-    another root.  The cones meet pair by pair (:func:`_by_pairs`), or
-    column-wise (:func:`_by_columns`) when the pairs outnumber the row
-    operations of that route: one per cone node, about one per node for its
-    transpose, one per root for its masks, one per branching root and cone
-    size for its writes."""
+def _walk(graph: tfg.TokenFlowGraph, trees: list[int], rows: list[int]) -> int:
+    """On a forest, give each node below the roots ``trees`` its cone, its
+    ancestors and the other sides of its splits in ``rows``, where a root's
+    row holds on entry what its whole tree meets; return the writes, each
+    node's cone and each split times the cone beside it.
+
+    Each node has one parent, so one walk down the trees hands each child
+    its ancestors and, beside a redundancy child, its siblings' cones: the
+    split of the arc into it, its parent's cone less its own.  A child that
+    no redundancy arc enters takes the cones of its redundancy siblings, the
+    other sides of their splits, so no transpose is needed.
+    """
+    succ, kids, redundant = graph.successor_masks, graph.child_positions, graph.redundant
+    writes = 0
+    tree = list(trees)  # the trees are disjoint, so one walk takes them all
+    for k in tree:  # the loop also reaches the nodes appended to it
+        handed = rows[k] | 1 << k  # until its visit, what its parent hands it
+        cone = succ[k]
+        rows[k] = handed | cone
+        n = cone.bit_count()
+        writes += n
+        copies = 0  # the cones of the redundancy children
+        for c in kids[k]:
+            if redundant[c]:
+                copies |= succ[c]
+        for c in kids[k]:
+            if redundant[c]:
+                m = succ[c].bit_count()
+                writes += (n - m) * m
+                rows[c] = handed | cone ^ succ[c]
+            else:
+                rows[c] = handed | copies
+        tree += kids[k]
+    return writes
+
+
+def _meet_cones(succ: tuple[int, ...], rows: list[int], roots: tuple[int, ...],
+                below: list[int]) -> int:
+    """OR into ``below`` of each root of ``roots`` the roots and the cones
+    of the roots that its row of ``rows`` holds concurrent with it, and
+    return those pairs' writes, a pair of lone roots, those whose cone is
+    only themselves, counted once.  The lone roots take part as one mask.
+    The cones of the branching roots, the others, meet pair by pair
+    (:func:`_by_pairs`), or column-wise (:func:`_by_columns`) when the pairs
+    outnumber the row operations of that route: one per cone node, about
+    one per node for its transpose, one per root for its masks, one per
+    branching root and cone size for its writes."""
+    alone = sum(1 << i for i in roots if succ[i] == 1 << i)
+    branching = sum(1 << i for i in roots) & ~alone
+    lone, size = [], {}  # the roots with a row: the lone ones, and each branching one's cone size
+    writes = pairs = 0  # pairs: of a branching root with another root
+    for i in roots:
+        row = rows[i]
+        if not row:
+            continue
+        met = row & alone
+        below[i] |= met
+        if succ[i] == 1 << i:
+            lone.append(i)
+            writes += (met >> (i + 1)).bit_count()
+        else:
+            size[i] = n = succ[i].bit_count()
+            writes += n * met.bit_count()
+            pairs += met.bit_count() + (row & branching).bit_count() // 2  # two branching roots twice
+    if not size:
+        return writes
     if pairs <= sum(size.values()) + len(succ) + len(roots) + len(size) * len(set(size.values())):
-        return _by_pairs(succ, ones, lone, branching, size, below)
-    return _by_columns(succ, ones, roots, sum(1 << i for i in roots), size, below)
+        return writes + _by_pairs(succ, rows, lone, branching, size, below)
+    return writes + _by_columns(succ, rows, roots, sum(1 << i for i in roots), size, below)
 
 
 def _by_pairs(succ: tuple[int, ...], ones: list[int], lone: list[int], branching: int,
@@ -299,28 +328,32 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
     0, raises :class:`InconsistentInputError`.  Each settled cell counts as
     one write.
 
-    On a forest, a graph where no node has two parents, the fixpoint's 0s
-    are the cells outside the lift of an upper relation, which
-    :func:`_upper_cells` adds to the 1s in one more pass over the cones that
-    it changes.  Every graph that :func:`~tfgkit.reductions.reduce` writes
-    is a forest: it writes single-term redundancies and disjoint
-    agglomerations only.  A node with two parents, from a hand-written
-    redundancy of several terms, can settle more: in ``p2 = a2 + p0`` the
-    two roots share one token pool whatever their own cell says.  Such a
-    graph runs the rules to their fixpoint (:func:`_zero_fixpoint`).  The
-    arcs tell the two apart: a forest has one arc into every node but the
-    roots.
+    On a forest (``graph.is_forest``), as every graph that the reducer
+    writes, the fixpoint's 0s are the cells outside the lift of an upper
+    relation, which :func:`_upper_cells` adds to the 1s in one more pass
+    over the cones that it changes; the writes are the cells less the
+    unknown ones, counted in the rows that pass changes.  A node with two
+    parents, from a hand-written redundancy of several terms, can settle
+    more: in ``p2 = a2 + p0`` the two roots share one token pool whatever
+    their own cell says.  Such a graph runs the rules to their fixpoint
+    (:func:`_zero_fixpoint`).
     """
     ones, zeros = _seed(graph, rel2)
     ones, _ = propagate(graph, ones, zeros)
-    full = (1 << len(ones)) - 1
-    if len(graph.r_arcs) + len(graph.a_arcs) == len(graph.nodes) - len(graph.roots):
-        known = [full & ~(cells & ~one) if cells else full
-                 for one, cells in zip(ones, _upper_cells(graph, ones, zeros))]
+    if graph.is_forest:
+        n, full = len(ones), (1 << len(ones)) - 1
+        known, unknown = [full] * n, 0  # unknown: open cells, the diagonal's twice
+        for i, cells in enumerate(_upper_cells(graph, ones, zeros)):
+            if cells:
+                cells &= ~ones[i]
+                known[i] = full ^ cells
+                unknown += cells.bit_count() + (cells >> i & 1)
+        writes = n * (n + 1) // 2 - unknown // 2
     else:
         known = [one | zero for one, zero in zip(ones, _zero_fixpoint(graph, ones, zeros))]
+        writes = _triangle_count(known)
     out = ConcurrencyMatrix._unchecked(graph.nodes, ones, known)
-    out.writes = out.known_count()
+    out.writes = writes
     return out
 
 
@@ -343,60 +376,27 @@ def _upper_cells(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]) -
     once.
 
     The lift adds only what the upper relation adds to the seed, ``extra``
-    per root: a root meets the cones of the roots in its ``extra`` row, and
-    a root that only ``extra`` makes live takes its cone's expansion, one
-    walk down its tree from the root that hands each child its ancestors
-    and, beside a redundancy child, the cones of its siblings.  A split's
-    two sides are both siblings' cones, so no transpose is needed.
+    per root: a root meets the cones of the roots in its ``extra`` row.  A
+    root that ``ones`` holds live hands the same cones to its whole tree;
+    one that only ``extra`` makes live takes its cone's expansion too, by
+    :func:`_walk`, which changes nothing else at a lone root.
     """
-    index, succ = graph.index, graph.successor_masks
-    roots = [index[v] for v in graph.roots]
+    succ, roots = graph.successor_masks, graph.root_positions
     live = sum(1 << i for i in roots if not zeros[i] >> i & 1)
-    alone = sum(1 << i for i in roots if succ[i] == 1 << i)
-    branching = sum(1 << i for i in roots) & ~alone
     extra = [0] * len(graph.nodes)
-    lone, size, pairs = [], {}, 0  # as in propagate, for the roots with an extra row
     for i in roots:
-        row = extra[i] = live & ~zeros[i] & ~ones[i] if live >> i & 1 else 0
-        if not row:
-            continue
-        if succ[i] == 1 << i:
-            lone.append(i)
-        else:
-            size[i] = succ[i].bit_count()
-            pairs += (row & alone).bit_count() + (row & branching).bit_count() // 2
+        if live >> i & 1:
+            extra[i] = live & ~zeros[i] & ~ones[i]
     cells = [0] * len(graph.nodes)
-    if size:
-        _meet_cones(succ, extra, roots, lone, branching, size, pairs, cells)
-    for i in lone:
-        cells[i] |= extra[i] & alone
-    # (branching root, the cones its tree meets, whether only extra makes it live)
-    walks = [(i, cells[i] | extra[i] & alone & ~(1 << i), extra[i] >> i & 1) for i in size]
-    children, r_parents, nodes = graph.children, graph.r_parents, graph.nodes
-    for i, met, live_cone in walks:
-        tree = [nodes[i]]
-        if not live_cone:  # every node of the tree meets the same cones
-            for v in tree:  # the loop also reaches the nodes appended to it
-                cells[index[v]] = met
-                tree += children[v]
-            continue
-        # until its visit, a node's row holds what its parent hands it: the
-        # cones met at the root, its ancestors and its splits' other sides
-        cells[i] = met
-        for v in tree:
-            k = index[v]
-            handed = cells[k] | 1 << k
-            cells[k] = handed | succ[k]
-            kids = children[v]
-            if kids:
-                copies = 0  # the cones of the redundancy children
-                for w in kids:
-                    if r_parents[w]:
-                        copies |= succ[index[w]]
-                for w in kids:
-                    c = index[w]
-                    cells[c] = handed | (succ[k] & ~succ[c] if r_parents[w] else copies)
-                tree += kids
+    _meet_cones(succ, extra, roots, cells)
+    kids = graph.child_positions
+    for i in roots:
+        if extra[i] and not extra[i] >> i & 1:  # live in ones: each node of the tree meets what the root meets
+            tree = [i]
+            for k in tree:  # the loop also reaches the nodes appended to it
+                cells[k] = cells[i]
+                tree += kids[k]
+    _walk(graph, [i for i in roots if extra[i] >> i & 1], cells)
     return cells
 
 

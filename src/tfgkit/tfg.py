@@ -7,13 +7,15 @@ from the net); an agglomeration equation ``v = x1 + ... + xl`` contributes
 agglomeration arcs ``v -> xi`` (the xi were removed, v inserted).  A valuation
 of the roots then extends along the arcs to token counts for every removed
 place, which is what makes projections and concurrency propagation cheap.
-Walks read ``children``; the equation groups read ``a_children`` and
-``r_parents``; the roots are the nodes that no arc enters.  The views are
-derived without a sort: the arcs are dealt to their targets, and the
-targets read back in node order leave every child list in node order.  One
-such dealing gives ``children``, the in-degree, the roots and Kahn's
-``topo_order``, first in first out from the roots, which comes out short
-of the nodes exactly when the arcs close a cycle (T5).
+The roots are the nodes that no arc enters.  The views are derived without
+a sort: the arcs are dealt to their targets, and the targets read back in
+node order leave every child list in node order.  One such dealing over
+node positions gives the child positions, the in-degree, whether a
+redundancy arc enters each node, the root positions and Kahn's order, first
+in first out from the roots, which comes out short of the nodes exactly
+when the arcs close a cycle (T5).  Walks and the checks read these lists;
+``children``, ``roots`` and ``topo_order`` spell them with names, and the
+equation groups read ``a_children`` and ``r_parents``.
 
 The other way, a marking of the original places projects to the roots:
 each agglomeration head sums the places below it, and the redundancy
@@ -70,11 +72,14 @@ class TokenFlowGraph:
     p1, p2:
         Place sets of the original and the reduced net.
 
-    Three adjacency views in node order are derived on first use:
-    ``children`` over both arc kinds, and ``a_children`` and ``r_parents``,
-    the members of the two kinds of equation group.  ``children``, the
-    in-degree, ``roots`` and ``topo_order`` come from one dealing of the
-    arcs.
+    Views are derived on first use.  One dealing of the arcs over node
+    positions gives, per node, ``child_positions`` over both arc kinds in
+    node order, ``in_degree`` and whether a redundancy arc enters it
+    (``redundant``), plus ``root_positions`` and Kahn's order
+    ``topo_positions``; ``successor_masks`` is read off that order, and
+    ``children``, ``roots`` and ``topo_order`` are the same lists by name.
+    ``a_children`` and ``r_parents`` hold the members of the two kinds of
+    equation group, by name.
     """
 
     nodes: tuple[str, ...]
@@ -89,12 +94,10 @@ class TokenFlowGraph:
         """Position of each node in ``nodes``."""
         return {v: i for i, v in enumerate(self.nodes)}
 
-    def _adjacency(self, pairs: Iterable[tuple[str, str]],
-                   ) -> tuple[dict[str, tuple[str, ...]], dict[str, list[str]]]:
+    def _adjacency(self, pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
         """For each node ``v``, the ``w`` of every pair ``(v, w)`` in node
-        order; and for each ``w``, the ``v`` of its pairs in no set order.
-        The pairs are dealt to their ``w`` and the ``w`` taken in node
-        order, so nothing is sorted."""
+        order.  The pairs are dealt to their ``w`` and the ``w`` taken in
+        node order, so nothing is sorted."""
         into: dict[str, list[str]] = {w: [] for w in self.nodes}
         for v, w in pairs:
             into[w].append(v)
@@ -102,48 +105,94 @@ class TokenFlowGraph:
         for w, vs in into.items():
             for v in vs:
                 out[v].append(w)
-        return dict(zip(out, map(tuple, out.values()))), into
+        return dict(zip(out, map(tuple, out.values())))
 
     @cached_property
-    def _views(self) -> tuple[dict[str, tuple[str, ...]], dict[str, int],
-                              tuple[str, ...], tuple[str, ...]]:
-        """``children``, the in-degree of each node, ``roots`` and
-        ``topo_order``, from one dealing of the arcs.  The order is Kahn's,
-        first in first out from the roots in node order."""
-        children, into = self._adjacency(self.r_arcs | self.a_arcs)
-        in_degree = dict(zip(into, map(len, into.values())))
-        roots = [v for v, n in in_degree.items() if not n]
-        left = in_degree.copy()
+    def _views(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[bool, ...],
+                              tuple[int, ...], tuple[int, ...]]:
+        """``child_positions``, ``in_degree``, ``redundant``,
+        ``root_positions`` and ``topo_positions``, from one dealing of the
+        arcs over node positions.  The order is Kahn's, first in first out
+        from the roots in node order."""
+        index = self.index
+        into: list[list[int]] = [[] for _ in self.nodes]
+        for v, w in self.r_arcs | self.a_arcs:
+            into[index[w]].append(index[v])
+        redundant = [False] * len(self.nodes)
+        for _, w in self.r_arcs:
+            redundant[index[w]] = True
+        kids: list[list[int]] = [[] for _ in self.nodes]
+        for w, sources in enumerate(into):
+            for v in sources:
+                kids[v].append(w)
+        in_degree = tuple(map(len, into))
+        roots = [i for i, n in enumerate(in_degree) if not n]
+        left = list(in_degree)
         order = roots.copy()
         for v in order:  # the loop also reaches the nodes appended to it
-            for w in children[v]:
+            for w in kids[v]:
                 left[w] -= 1
                 if not left[w]:
                     order.append(w)
-        return children, in_degree, tuple(roots), tuple(order)
+        return tuple(map(tuple, kids)), in_degree, tuple(redundant), tuple(roots), tuple(order)
+
+    @property
+    def child_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the positions of the targets of its arcs, both kinds,
+        in node order."""
+        return self._views[0]
+
+    @property
+    def in_degree(self) -> tuple[int, ...]:
+        """Per node, the number of arcs into it."""
+        return self._views[1]
+
+    @property
+    def redundant(self) -> tuple[bool, ...]:
+        """Per node, whether a redundancy arc enters it."""
+        return self._views[2]
+
+    @property
+    def root_positions(self) -> tuple[int, ...]:
+        """Positions of the nodes that no arc enters, in node order."""
+        return self._views[3]
+
+    @property
+    def topo_positions(self) -> tuple[int, ...]:
+        """Positions in Kahn's roots-first order: shorter than ``nodes``
+        exactly when the arcs close a cycle (check T5)."""
+        return self._views[4]
+
+    @property
+    def is_forest(self) -> bool:
+        """Whether no node has two parents: the arcs number one per node
+        that is not a root.  Every graph that
+        :func:`~tfgkit.reductions.reduce` writes is one, since it writes
+        single-term redundancies and disjoint agglomerations only."""
+        return len(self.r_arcs) + len(self.a_arcs) == len(self.nodes) - len(self.root_positions)
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
         """Targets of outgoing arcs, both kinds, in node order."""
-        return self._views[0]
+        name = self.nodes.__getitem__
+        return {v: tuple(map(name, kids)) for v, kids in zip(self.nodes, self.child_positions)}
 
     @cached_property
     def roots(self) -> tuple[str, ...]:
-        return self._views[2]
+        return tuple(map(self.nodes.__getitem__, self.root_positions))
 
     @cached_property
     def topo_order(self) -> tuple[str, ...]:
-        """Roots-first topological order; requires acyclicity (check T5):
-        shorter than ``nodes`` exactly when the arcs close a cycle."""
-        return self._views[3]
+        """Roots-first topological order; requires acyclicity (check T5)."""
+        return tuple(map(self.nodes.__getitem__, self.topo_positions))
 
     @cached_property
     def a_children(self) -> dict[str, tuple[str, ...]]:
-        return self._adjacency(self.a_arcs)[0]
+        return self._adjacency(self.a_arcs)
 
     @cached_property
     def r_parents(self) -> dict[str, tuple[str, ...]]:
-        return self._adjacency((dst, src) for src, dst in self.r_arcs)[0]
+        return self._adjacency((dst, src) for src, dst in self.r_arcs)
 
     @cached_property
     def groups(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -165,13 +214,13 @@ class TokenFlowGraph:
     def successor_masks(self) -> tuple[int, ...]:
         """``successors`` of each node, in node order, as a bitset over the
         positions of ``nodes``."""
-        index = self.index
+        kids = self.child_positions
         succ = [0] * len(self.nodes)
-        for v in reversed(self.topo_order):
-            acc = 1 << index[v]
-            for w in self.children[v]:
-                acc |= succ[index[w]]
-            succ[index[v]] = acc
+        for v in reversed(self.topo_positions):
+            acc = 1 << v
+            for w in kids[v]:
+                acc |= succ[w]
+            succ[v] = acc
         return tuple(succ)
 
     @cached_property
@@ -276,7 +325,7 @@ def check(
     into one group."""
     equations = tuple(equations)
     graph = _construct(equations, p1, p2)
-    _, in_degree, roots, order = graph._views
+    index, in_degree = graph.index, graph.in_degree
     found: list[NotWellFormedError] = []
 
     def fail(check_id: str, witness: tuple[str, ...], detail: str) -> None:
@@ -284,7 +333,7 @@ def check(
 
     const_set = graph.constants.keys()
     for c in sorted(const_set):
-        if in_degree[c]:
+        if in_degree[index[c]]:
             fail("T2", (c,), f"constant {c} has an incoming arc")
 
     both = graph.r_arcs & graph.a_arcs
@@ -295,8 +344,7 @@ def check(
     a_targets = set(map(itemgetter(1), graph.a_arcs))
     if (len(a_targets) < len(graph.a_arcs)
             or not a_targets.isdisjoint(map(itemgetter(1), graph.r_arcs))):
-        index = graph.index
-        for v in sorted((v for v in a_targets if in_degree[v] > 1), key=index.__getitem__):
+        for v in sorted((v for v in a_targets if in_degree[index[v]] > 1), key=index.__getitem__):
             parents = {src for src, dst in graph.r_arcs | graph.a_arcs if dst == v}
             fail("T3", (v, *sorted(parents, key=index.__getitem__)),
                  f"{v} has an incoming agglomeration arc plus another incoming arc")
@@ -306,12 +354,12 @@ def check(
         repeated = [lhs for (_, lhs), count in Counter(heads).items() if count > 1]
         fail("T4", (min(repeated),), "arc groups do not correspond one for one with the equations")
 
-    if len(order) != len(graph.nodes):
-        stuck = tuple(sorted(set(graph.nodes) - set(order)))
+    if len(graph.topo_positions) != len(graph.nodes):
+        stuck = tuple(sorted(set(graph.nodes) - set(graph.topo_order)))
         fail("T5", stuck, f"cycle through {stuck}")
         return graph, found  # closure-based checks below assume acyclicity
 
-    root_places = set(roots) - const_set
+    root_places = set(map(graph.nodes.__getitem__, graph.root_positions)) - const_set
     if root_places != graph.p2:
         extra = tuple(sorted(root_places ^ graph.p2))
         fail("T6", extra, f"roots differ from reduced places on {extra}")

@@ -38,7 +38,7 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
             "matrix_text_min_s", "reduce_s", "reduce_min_s", "graph_s", "graph_min_s",
             "rel2_s", "rel2_min_s", "lift_s", "lift_min_s", "partial_s", "partial_min_s",
             "states_per_s", "reduced_places", "graph_nodes", "components", "component_states",
-            "writes", "agree"}
+            "writes", "agree", "speedup"}
     for row in rows:
         assert set(row) == keys
         assert row["status"] == "complete"
@@ -51,6 +51,9 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
         assert 0 <= row["rel2_min_s"] <= row["rel2_s"]
         assert 0 <= row["lift_min_s"] <= row["lift_s"]
         assert 0 <= row["partial_min_s"] <= row["partial_s"]
+        oracle = row["explore_min_s"] + row["oracle_concurrency_min_s"]
+        accelerated = sum(row[f"{stage}_min_s"] for stage in ("reduce", "graph", "rel2", "lift"))
+        assert row["speedup"] == oracle / accelerated
     assert [row["states"] for row in rows] == [51, 500, 2**8 + 2, 3**4, 11, 3, 501, 502]
     # the accelerated side's states: 2 for two_phase_branches(8) against
     # 2**8 + 2, and 4 components of 2 for diamond_chain(4) against 3**4
@@ -71,5 +74,6 @@ def test_committed_pair_holds_the_families_rows():
                      for name in ("BENCH_explore.before.json", "BENCH_explore.json"))
     for rows in (before, after):
         assert [(row["family"], row["size"]) for row in rows] == expected
+        assert all((row["speedup"] is None) == (row["status"] != "complete") for row in rows)
     assert [(row["states"], row["status"]) for row in before] == \
         [(row["states"], row["status"]) for row in after]

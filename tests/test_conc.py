@@ -1,5 +1,6 @@
 """Accelerated concurrency matrices, complete and partial modes."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, load_instance, marking_key, reference_matrix_text
+from conftest import CORPUS_DIR, bounded_nets, load_instance, marking_key, reference_matrix_text
 from test_reach import closed_form_chain
 from test_tfg import equation_systems
 from tfgkit import conc, generators
@@ -28,7 +29,7 @@ from tfgkit.petri import Marking, explore, oracle_concurrency
 from tfgkit.reach import Analysis
 from tfgkit.reductions import build_graph, reduce
 from tfgkit.relation import _BAND, UNKNOWN, ConcurrencyMatrix, transpose
-from tfgkit.tfg import build, check
+from tfgkit.tfg import TokenFlowGraph, build, check
 
 CASCADE_TEXT = """\
 # R |- p5 = p4
@@ -538,7 +539,7 @@ def random_root_relation(graph, rng, fraction):
 
 def is_forest(graph) -> bool:
     """Whether every node but the roots has exactly one arc into it."""
-    return all(n < 2 for n in graph._views[1].values()) and not graph.r_arcs & graph.a_arcs
+    return all(n < 2 for n in graph.in_degree) and not graph.r_arcs & graph.a_arcs
 
 
 class TestPartialRoutes:
@@ -557,7 +558,8 @@ class TestPartialRoutes:
         @example(leaves_and_roots(parse_equations("# R |- p3 = 1\n# A |- a1 = p0 + p1\n# R |- p2 = a1\n"))[0],
                  1.0, random.Random(3))
         def check_one(graph, fraction, rng):
-            kinds.add(is_forest(graph))
+            kinds.add(graph.is_forest)
+            assert graph.is_forest == is_forest(graph)
             rel2 = random_root_relation(graph, rng, fraction)
             ones, zeros = _seed(graph, rel2)
             ones, _ = propagate(graph, ones, zeros)
@@ -622,6 +624,73 @@ class TestPartialRoutes:
         assert out.get("a2", "p0") == 0
 
 
+class Unforested(TokenFlowGraph):
+    """A graph that the lifts read as having a node of two parents, so
+    ``propagate`` takes its topological pass and ``partial_matrix`` the
+    zero fixpoint."""
+
+    is_forest = False
+
+
+def assert_walk_matches_the_pass(graph, rel2):
+    """On the forest ``graph``, from the seed of ``rel2``, ``propagate``'s
+    walk gives the rows and writes of its topological pass, and
+    ``partial_matrix`` the matrix and writes of the zero fixpoint."""
+    assert graph.is_forest
+    general = Unforested(*(getattr(graph, field.name) for field in dataclasses.fields(graph)))
+    ones, zeros = _seed(graph, rel2)
+    assert propagate(graph, ones, zeros) == propagate(general, ones, zeros)
+    walked, fixed = partial_matrix(graph, rel2), partial_matrix(general, rel2)
+    assert (walked, walked.writes) == (fixed, fixed.writes)
+
+
+# c copies the one token of a and b, so its R equation has two terms
+TWO_TERM_NET = "pl a 1\npl b 0\npl x 0\npl c 1\ntr t a -> b\ntr u b c -> x\ntr v x -> a c\n"
+TWO_TERM_REDUCED = "pl a 1\npl b 0\npl x 0\ntr t a -> b\ntr u b -> x\ntr v x -> a\n"
+
+
+class TestForestWalk:
+    """On forests, the tree walk of the lifts against the general routes,
+    which the graphs of the reducer never take."""
+
+    def test_corpus(self, corpus):
+        for index, inst in enumerate(corpus):
+            rel2 = oracle_concurrency(inst.space2, inst.result.reduced_net.places)
+            for fraction in (0.0, 0.5, 1.0):
+                assert_walk_matches_the_pass(inst.graph, degrade(rel2, fraction, seed=index))
+
+    def test_composites(self):
+        rng = random.Random(6)
+        for seed in range(300):
+            analysis = Analysis(*generators.composite(seed, 6))
+            assert_walk_matches_the_pass(analysis.graph, analysis.rel2)
+            assert_walk_matches_the_pass(analysis.graph, degrade(analysis.rel2, rng.random(), seed))
+
+    @settings(max_examples=100)
+    @given(bounded_nets(), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_bounded_nets(self, net_m0, fraction, rng):
+        net, m0 = net_m0
+        graph = build_graph(net, reduce(net, m0))
+        assert_walk_matches_the_pass(graph, random_root_relation(graph, rng, fraction))
+
+    @settings(max_examples=150)
+    @given(checked_graphs(), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_forest_draws(self, graph, fraction, rng):
+        assume(graph.is_forest)
+        assert_walk_matches_the_pass(graph, random_root_relation(graph, rng, fraction))
+
+    def test_two_term_redundancy_takes_the_pass(self, monkeypatch):
+        net, m0 = parse_net(TWO_TERM_NET)
+        reduced, _ = parse_net(TWO_TERM_REDUCED)
+        graph = build(parse_equations("# R |- c = a + b\n"), net.places, reduced.places)
+        assert not graph.is_forest
+        rel2 = oracle_concurrency(explore(reduced, Marking({"a": 1})), reduced.places)
+        assert counted_transposes(monkeypatch, matrix, graph, rel2) == 1
+        expected = oracle_concurrency(explore(net, m0), net.places)
+        assert matrix(graph, rel2).restrict(net.places) == expected
+        assert expected.get("a", "c") == expected.get("b", "c") == 1
+
+
 class TestRootPairs:
     """The two routes of ``propagate`` through the pairs of concurrent
     roots give each root the same mask and count the same writes."""
@@ -684,12 +753,13 @@ def counted_transposes(monkeypatch, lift, graph, rel2) -> int:
 
 
 class TestRounds:
-    """The transposes of ``partial_matrix`` do not grow with the graph: one
-    root cell hidden, on graphs 50 to 800 stages long.  These are forests,
-    so the only one is the ladder's, for the splits of ``propagate``."""
+    """The lifts make no transpose over the graph's nodes on graphs 50 to
+    800 stages long, ``partial_matrix`` with one root cell hidden: these are
+    forests, so ``propagate`` walks the ladder's splits down its trees."""
 
-    @pytest.mark.parametrize("family, rounds", [("chain", 0), ("ladder", 1)])
-    def test_transposes_per_partial_matrix(self, monkeypatch, family, rounds):
+    @pytest.mark.parametrize("lift", [matrix, partial_matrix])
+    @pytest.mark.parametrize("family", ["chain", "ladder"])
+    def test_transposes_per_lift(self, monkeypatch, lift, family):
         counts = []
         for k in (50, 200, 800):
             if family == "chain":
@@ -701,9 +771,10 @@ class TestRounds:
             rel2 = oracle_concurrency(
                 explore(result.reduced_net, result.reduced_marking), result.reduced_net.places
             )
-            rel2.set(rel2.order[0], rel2.order[-1], UNKNOWN)
-            counts.append(counted_transposes(monkeypatch, partial_matrix, graph, rel2))
-        assert counts == [rounds] * 3
+            if lift is partial_matrix:
+                rel2.set(rel2.order[0], rel2.order[-1], UNKNOWN)
+            counts.append(counted_transposes(monkeypatch, lift, graph, rel2))
+        assert counts == [0] * 3
 
 
 class TestFillingRatio:

@@ -407,9 +407,24 @@ def reference_violations(equations, graph):
     return found
 
 
+def assert_views_match_the_reference(graph):
+    """The position views and the name-keyed views of ``graph`` against
+    :func:`reference_views`."""
+    children, a_children, r_parents, in_degree, roots, order = reference_views(graph)
+    position = graph.index.__getitem__
+    assert graph.child_positions == tuple(tuple(map(position, children[v])) for v in graph.nodes)
+    assert graph.in_degree == tuple(in_degree[v] for v in graph.nodes)
+    assert graph.redundant == tuple(bool(r_parents[v]) for v in graph.nodes)
+    assert graph.root_positions == tuple(map(position, roots))
+    assert graph.topo_positions == tuple(map(position, order))
+    assert (graph.children, graph.a_children, graph.r_parents, graph.roots,
+            graph.topo_order) == (children, a_children, r_parents, roots, order)
+
+
 class TestViews:
-    """The adjacency views, dealt from the arcs in one pass, and the checks
-    that read them, against a node-by-node reference."""
+    """The adjacency views, dealt from the arcs in one pass over node
+    positions, and the checks that read them, against a node-by-node
+    reference."""
 
     @settings(max_examples=300)
     @given(equation_systems())
@@ -422,18 +437,9 @@ class TestViews:
     def test_views_and_verdicts_match_the_reference(self, drawn):
         equations, p1, p2 = drawn
         graph, found = check(equations, p1, p2)
-        children, a_children, r_parents, in_degree, roots, order = reference_views(graph)
-        assert graph.children == children
-        assert graph.a_children == a_children
-        assert graph.r_parents == r_parents
-        assert graph._views[1] == {v: in_degree[v] for v in graph.nodes}
-        assert graph.roots == roots
-        assert graph.topo_order == order
+        assert_views_match_the_reference(graph)
         assert [(v.check_id, v.witness) for v in found] == reference_violations(equations, graph)
 
     def test_corpus_views_match_the_reference(self, corpus):
         for inst in corpus:
-            graph = inst.graph
-            children, a_children, r_parents, _, roots, order = reference_views(graph)
-            assert (graph.children, graph.a_children, graph.r_parents, graph.roots,
-                    graph.topo_order) == (children, a_children, r_parents, roots, order), inst.name
+            assert_views_match_the_reference(inst.graph)
