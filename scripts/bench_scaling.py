@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Time the brute-force oracle, the reduction front end and the concurrency
-lift on scalable generator families.
+"""Time the net reader, the brute-force oracle, the reduction front end and
+the concurrency lift on scalable generator families.
 
-For each family and size, the full net is explored with ``explore``
-within ``MAX_STATES`` states, its concurrency relation computed with
+For each family and size, the net's text (``write_net``) is read back with
+``parse_net``.  The full net is explored with ``explore`` within
+``MAX_STATES`` states, its concurrency relation computed with
 ``oracle_concurrency`` and that matrix written as text with
 ``write_matrix(to_document(...))``; the net is also reduced with ``reduce``,
 and one ``Analysis`` of the result builds its token flow graph and the
 reduced relation ``rel2`` (its components, their spaces and the relation),
 which is lifted through the graph with ``matrix``, and, with its
-first-by-last cell hidden, with ``partial_matrix``.  Each row holds the
-state count, the exploration status, the median over 5 runs of the eight
-times and of the exploration rate, and the minimum of the eight times.  It
+first-by-last cell hidden, with ``partial_matrix``.  The lifted matrix is
+written as text as CLI ``conc`` writes it: ``restrict`` to the net's
+places, ``to_document`` and ``write_matrix`` (``lift_text``).  Each row
+holds the state count, the exploration status, the median over 5 runs of
+the ten times and of the exploration rate, and the minimum of the ten
+times.  It
 also holds the counts of the ``Analysis``: reduced places, graph nodes,
 components, the states summed over the component spaces and the lift's
 cell ``writes``; and ``agree``, whether the lifted place matrix equals the
@@ -26,9 +30,10 @@ accelerated columns are timed as on every row.
 The runs are interleaved: each of the 5 passes times every row once, so a
 burst of load on the machine moves one run of many rows rather than every
 run of one.  Load only ever adds time, so a change is judged on the
-minimums (``explore_min_s``, ``oracle_concurrency_min_s``,
+minimums (``parse_min_s``, ``explore_min_s``, ``oracle_concurrency_min_s``,
 ``matrix_text_min_s``, ``reduce_min_s``, ``graph_min_s``, ``rel2_min_s``,
-``lift_min_s``, ``partial_min_s``).  Run from the repo root:
+``lift_min_s``, ``lift_text_min_s``, ``partial_min_s``).  Run from the repo
+root:
 
     PYTHONPATH=src python scripts/bench_scaling.py [--output BENCH_explore.json]
 """
@@ -47,7 +52,7 @@ from pathlib import Path
 
 from tfgkit import generators as gen
 from tfgkit.conc import matrix, partial_matrix, to_document
-from tfgkit.net_io import write_matrix
+from tfgkit.net_io import parse_net, write_matrix, write_net
 from tfgkit.petri import explore, oracle_concurrency
 from tfgkit.reach import Analysis
 from tfgkit.reductions import reduce
@@ -80,8 +85,8 @@ FAMILIES = {
 
 # the timed stages, in the order of the row's columns; a stage that did
 # not run (the oracle's, past ``MAX_STATES``) has the time None
-STAGES = ("explore", "oracle_concurrency", "matrix_text", "reduce", "graph", "rel2", "lift",
-          "partial")
+STAGES = ("parse", "explore", "oracle_concurrency", "matrix_text", "reduce", "graph", "rel2",
+          "lift", "lift_text", "partial")
 # the stages that ``speedup`` weighs: the oracle's, and the accelerated route's
 ORACLE = ("explore", "oracle_concurrency")
 ACCELERATED = ("reduce", "graph", "rel2", "lift")
@@ -104,16 +109,22 @@ def time_once(net, m0) -> dict:
 
 
 def _timed(net, m0) -> dict:
-    """One ``reduce``; then, on one ``Analysis`` of its result, the graph,
-    the reduced relation ``rel2`` (its components, their spaces and the
-    relation), ``matrix`` on it and ``partial_matrix`` with its first-by-last
-    cell hidden; then one ``explore`` of the full net and, when that space
-    is complete, ``oracle_concurrency`` on it and the text of that matrix."""
+    """One ``parse_net`` of the net's text; one ``reduce``; then, on one
+    ``Analysis`` of its result, the graph, the reduced relation ``rel2``
+    (its components, their spaces and the relation), ``matrix`` on it, the
+    text of the lifted place matrix and ``partial_matrix`` with its
+    first-by-last cell hidden; then one ``explore`` of the full net and,
+    when that space is complete, ``oracle_concurrency`` on it and the text
+    of that matrix."""
     run: dict = dict.fromkeys(STAGES)
 
     def lap(stage: str, start: float) -> None:
         run[stage] = time.perf_counter() - start
 
+    text = write_net(net, m0)
+    start = time.perf_counter()
+    parse_net(text)
+    lap("parse", start)
     start = time.perf_counter()
     result = reduce(net, m0)
     lap("reduce", start)
@@ -127,6 +138,10 @@ def _timed(net, m0) -> dict:
     start = time.perf_counter()
     lifted = matrix(graph, rel2)
     lap("lift", start)
+    start = time.perf_counter()
+    places = lifted.restrict(net.places)
+    write_matrix(to_document(places))
+    lap("lift_text", start)
     run.update(reduced_places=len(result.reduced_net.places), graph_nodes=len(graph.nodes),
                components=len(analysis.spaces),
                component_states=sum(map(len, analysis.spaces)), writes=lifted.writes)
@@ -145,7 +160,7 @@ def _timed(net, m0) -> dict:
         start = time.perf_counter()
         write_matrix(to_document(relation))
         lap("matrix_text", start)
-        run["agree"] = lifted.restrict(net.places) == relation
+        run["agree"] = places == relation
     return run
 
 
@@ -188,8 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     for row in rows:
         print(f"{row['family']}({row['size']}): {row['states']} states {row['status']}, "
               f"explore {row['explore_s']:.4f} s (min {row['explore_min_s']:.4f} s), "
+              f"parse {row['parse_min_s']:.4f} s, "
               f"reduce {row['reduce_min_s']:.4f} s, graph {row['graph_min_s']:.4f} s, "
               f"rel2 {row['rel2_min_s']:.4f} s, lift {row['lift_min_s']:.4f} s, "
+              f"lift text {row['lift_text_min_s']:.4f} s, "
               f"partial {row['partial_min_s']:.4f} s (min); {row['component_states']} states "
               f"in {row['components']} components, agree {row['agree']}, "
               f"speedup {row['speedup']}")

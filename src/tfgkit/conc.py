@@ -332,7 +332,8 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
     writes, the fixpoint's 0s are the cells outside the lift of an upper
     relation, which :func:`_upper_cells` adds to the 1s in one more pass
     over the cones that it changes; the writes are the cells less the
-    unknown ones, counted in the rows that pass changes.  A node with two
+    unknown ones, counted in the rows that pass changes, once for each tree
+    whose nodes all share their root's row.  A node with two
     parents, from a hand-written redundancy of several terms, can settle
     more: in ``p2 = a2 + p0`` the two roots share one token pool whatever
     their own cell says.  Such a graph runs the rules to their fixpoint
@@ -343,11 +344,17 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
     if graph.is_forest:
         n, full = len(ones), (1 << len(ones)) - 1
         known, unknown = [full] * n, 0  # unknown: open cells, the diagonal's twice
-        for i, cells in enumerate(_upper_cells(graph, ones, zeros)):
+        upper, trees = _upper_cells(graph, ones, zeros)
+        for i, cells in enumerate(upper):
             if cells:
                 cells &= ~ones[i]
                 known[i] = full ^ cells
                 unknown += cells.bit_count() + (cells >> i & 1)
+        for tree in trees:  # each node's open cells are its root's, none on the diagonal
+            row = known[tree[0]]
+            for k in tree:
+                known[k] = row
+            unknown += (len(tree) - 1) * (full ^ row).bit_count()
         writes = n * (n + 1) // 2 - unknown // 2
     else:
         known = [one | zero for one, zero in zip(ones, _zero_fixpoint(graph, ones, zeros))]
@@ -357,11 +364,14 @@ def partial_matrix(graph: tfg.TokenFlowGraph, rel2: ConcurrencyMatrix) -> Concur
     return out
 
 
-def _upper_cells(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]) -> list[int]:
+def _upper_cells(graph: tfg.TokenFlowGraph, ones: list[int],
+                 zeros: list[int]) -> tuple[list[int], list[list[int]]]:
     """On a forest, the 1s that the complete lift of the upper relation adds
     to ``ones``, the lift of :func:`_seed`'s 1s, as rows over
-    ``graph.nodes`` that may repeat cells of ``ones``; the seed's ``zeros``
-    hold the roots' 0s.
+    ``graph.nodes`` that may repeat cells of ``ones``, and the trees of two
+    nodes or more, each a list with its root first, whose nodes all take
+    their root's row, which alone is filled; the seed's ``zeros`` hold the
+    roots' 0s.
 
     The upper relation reads each unknown cell between two roots that
     ``zeros`` does not hold dead as 1, a positive constant's among them, and
@@ -377,9 +387,12 @@ def _upper_cells(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]) -
 
     The lift adds only what the upper relation adds to the seed, ``extra``
     per root: a root meets the cones of the roots in its ``extra`` row.  A
-    root that ``ones`` holds live hands the same cones to its whole tree;
-    one that only ``extra`` makes live takes its cone's expansion too, by
-    :func:`_walk`, which changes nothing else at a lone root.
+    root that ``ones`` holds live hands the same cones to its whole tree,
+    so its tree is returned rather than its row copied: across trees the
+    lift's 1s come only from root pairs, so the tree's nodes share the
+    root's open cells too.  A root that only ``extra`` makes live takes its
+    cone's expansion, by :func:`_walk`, which changes nothing else at a lone
+    root.
     """
     succ, roots = graph.successor_masks, graph.root_positions
     live = sum(1 << i for i in roots if not zeros[i] >> i & 1)
@@ -389,15 +402,16 @@ def _upper_cells(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]) -
             extra[i] = live & ~zeros[i] & ~ones[i]
     cells = [0] * len(graph.nodes)
     _meet_cones(succ, extra, roots, cells)
-    kids = graph.child_positions
+    kids, trees = graph.child_positions, []
     for i in roots:
-        if extra[i] and not extra[i] >> i & 1:  # live in ones: each node of the tree meets what the root meets
+        # live in ones: each node of the tree meets what the root meets
+        if kids[i] and extra[i] and not extra[i] >> i & 1:
             tree = [i]
             for k in tree:  # the loop also reaches the nodes appended to it
-                cells[k] = cells[i]
                 tree += kids[k]
+            trees.append(tree)
     _walk(graph, [i for i in roots if extra[i] >> i & 1], cells)
-    return cells
+    return cells, trees
 
 
 def _zero_fixpoint(graph: tfg.TokenFlowGraph, ones: list[int], zeros: list[int]) -> list[int]:

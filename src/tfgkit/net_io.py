@@ -9,7 +9,19 @@ All writers round-trip through their parser.  The plain net grammar is
 with arcs written ``<place>`` or ``<place>*<weight>`` and ``#`` starting a
 comment.  Names must start with a letter or underscore: a purely numeric
 token in an equation file always denotes a constant, so numeric names are
-rejected everywhere for coherence.
+rejected everywhere for coherence.  Counts, weights and constants are
+ASCII digits (``\\d`` and ``int`` would take any script's), and line
+numbers count lines as ``str.splitlines`` splits them (``\\r\\n``,
+``\\r``, ``\\x0c``, ``\\u2028`` and the rest).
+
+The net and equation readers first match each line against one ASCII
+pattern of the form their writers write (one space between words, no
+weight or comment), whose names and counts are then valid by
+construction, and build it with a few whole-line checks: repeats by
+length, declared places by one key-set comparison.  Every other line, and
+a matching line that fails a check, goes word by word through the checked
+reader, the only place that raises :class:`ParseError`; so either route
+gives the same result, and every fault the same reason and line.
 
 A concurrency matrix row is a pair of int bitsets, ``known`` and ``ones``,
 from the file through :class:`MatrixDocument` to the lifts and back; only
@@ -25,7 +37,8 @@ from typing import Iterable
 
 from tfgkit.petri import Marking, PetriNet
 
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+NAME_RE = re.compile(_NAME + r"\Z")
 
 # a stretch of symbols, the last one optionally repeated as ``<symbol>(<count>)``
 _RUN_RE = re.compile(r"([01.]+)(?:\(([0-9]+)\))?")
@@ -71,6 +84,11 @@ def _arcs(words: list[str], tokens: dict[str, int], line: int) -> dict[str, int]
     return arcs
 
 
+# the canonical line that :func:`write_net` writes, with every weight 1 and
+# no comment: ASCII only, one space between words
+_NET_LINE = re.compile(rf"pl ({_NAME}) ([0-9]+)|tr ({_NAME})((?: {_NAME})*) ->((?: {_NAME})*)")
+
+
 def parse_net(text: str) -> tuple[PetriNet, Marking]:
     """The net and initial marking of a plain net text.
 
@@ -83,8 +101,29 @@ def parse_net(text: str) -> tuple[PetriNet, Marking]:
     pre: dict[str, dict[str, int]] = {}  # every transition, in declaration order
     post: dict[str, dict[str, int]] = {}
     heaviest = 0
+    declared = tokens.keys()
+    canonical = _NET_LINE.fullmatch
+    fromkeys = dict.fromkeys
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        match = canonical(raw)
+        if match:  # its names are valid and its count ASCII: check the rest
+            place = match[1]
+            if place:
+                if place not in tokens and place not in pre:
+                    tokens[place] = int(match[2])
+                    continue
+            else:
+                name, ins, outs = match[3], match[4].split(), match[5].split()
+                inputs, outputs = fromkeys(ins, 1), fromkeys(outs, 1)
+                if (len(inputs) == len(ins) and len(outputs) == len(outs)
+                        and declared >= inputs.keys() and declared >= outputs.keys()
+                        and name not in tokens and name not in pre):
+                    pre[name], post[name] = inputs, outputs
+                    if not heaviest and (ins or outs):
+                        heaviest = 1
+                    continue
+        # any other line, or a canonical one with a fault: checked word by word
         words = raw.partition("#")[0].split()
         if not words:
             continue
@@ -274,6 +313,9 @@ class TaggedEquation:
 
 
 _EQ_RE = re.compile(r"#\s*([AR])\s*\|-\s*(\S+)\s*=\s*(.+?)\s*\Z")
+# the canonical line that :func:`write_equations` writes: ASCII only, one
+# space around ``|-``, ``=`` and each ``+``
+_EQ_LINE = re.compile(rf"# ([AR]) \|- ({_NAME}) = (?:({_NAME}(?: \+ {_NAME})*)|([0-9]+))")
 
 
 def parse_equations(text: str) -> list[TaggedEquation]:
@@ -285,7 +327,20 @@ def parse_equations(text: str) -> list[TaggedEquation]:
     """
     out: list[TaggedEquation] = []
     valid = NAME_RE.match
+    canonical = _EQ_LINE.fullmatch
+    equation = TaggedEquation._unchecked
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        match = canonical(raw)
+        if match:  # its names are valid and its constant ASCII: check the rest
+            tag, lhs, rhs, constant = match.groups()
+            if constant:
+                out.append(equation(tag, lhs, constant=int(constant)))
+                continue
+            terms = rhs.split(" + ")
+            if lhs not in terms and len(set(terms)) == len(terms):
+                out.append(equation(tag, lhs, tuple(terms)))
+                continue
+        # any other line, or a canonical one with a fault: checked term by term
         stripped = raw.strip()
         if not stripped:
             continue

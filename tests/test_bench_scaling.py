@@ -33,12 +33,12 @@ def test_smallest_sizes_write_one_row_per_family(tmp_path, capsys):
     assert set(document) == {"command", "python", "machine", "repeats", "rows"}
     rows = document["rows"]
     assert [row["family"] for row in rows] == list(module.FAMILIES)
-    keys = {"family", "size", "states", "status", "explore_s", "explore_min_s",
-            "oracle_concurrency_s", "oracle_concurrency_min_s", "matrix_text_s",
+    keys = {"family", "size", "states", "status", "parse_s", "parse_min_s", "explore_s",
+            "explore_min_s", "oracle_concurrency_s", "oracle_concurrency_min_s", "matrix_text_s",
             "matrix_text_min_s", "reduce_s", "reduce_min_s", "graph_s", "graph_min_s",
-            "rel2_s", "rel2_min_s", "lift_s", "lift_min_s", "partial_s", "partial_min_s",
-            "states_per_s", "reduced_places", "graph_nodes", "components", "component_states",
-            "writes", "agree", "speedup"}
+            "rel2_s", "rel2_min_s", "lift_s", "lift_min_s", "lift_text_s", "lift_text_min_s",
+            "partial_s", "partial_min_s", "states_per_s", "reduced_places", "graph_nodes",
+            "components", "component_states", "writes", "agree", "speedup"}
     for row in rows:
         assert set(row) == keys
         assert row["status"] == "complete"
