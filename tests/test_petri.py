@@ -19,9 +19,11 @@ from tfgkit.petri import (
     StateEquation,
     _column_rows,
     _compile,
+    _Compiled,
     _flows,
     _Packing,
     _remainder,
+    _search,
     _set_rows,
     enabled,
     explore,
@@ -51,6 +53,15 @@ class TestMarking:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             Marking({"a": -1})
+
+    @pytest.mark.parametrize("count", [0.5, 1.9, 1.0, "2", None])
+    def test_count_that_is_not_an_integer_rejected(self, count):
+        """``int()`` would make 0.5 the empty marking and 1.9 one token."""
+        with pytest.raises(TypeError, match="'a'"):
+            Marking({"b": 1, "a": count})
+
+    def test_integer_like_counts_kept(self):
+        assert Marking({"a": True, "b": 0}) == Marking({"a": 1})
 
 
 class TestNetValidation:
@@ -579,7 +590,7 @@ class TestPackedKernel:
             _, moves = _compile(net, _Packing(net.places, 2), m0._tokens, max_token)
             moves = dict(zip(net.transitions, moves))
             for i in range(50):
-                _, _, sure, _, tests, shared = moves[f"c_back{i}"]
+                _, _, sure, _, _, tests, shared = moves[f"c_back{i}"]
                 assert sure == go and not shared
                 own = [bits[f"c_back{i}"]] if max_token == 2 else []
                 assert [test_bits for _, test_bits, _, _ in tests] == own
@@ -602,7 +613,7 @@ class TestPackedKernel:
         net = PetriNet(places, tuple(pre), pre, post)
         _, moves = _compile(net, _Packing(net.places, 2), {"hub": 1, "x0": 1}, 1)
         assert len(moves) == 3 * n
-        shared = {id(group): group for _, _, _, _, _, groups in moves for group in groups}
+        shared = {id(group): group for _, _, _, _, _, _, groups in moves for group in groups}
         assert [len(group) for group in shared.values()] == [n]
         entries = sum(len(tests) for *_, tests, _ in moves) + sum(map(len, shared.values()))
         arcs = sum(len(arcs) for side in (pre, post) for arcs in side.values())
@@ -610,7 +621,7 @@ class TestPackedKernel:
         bits = {t: 1 << i for i, t in enumerate(net.transitions)}
         go = sum(bits[f"go{i}"] for i in range(n))
         for i in range(n):
-            _, _, sure, _, tests, groups = moves[3 * i + 1]
+            _, _, sure, _, _, tests, groups = moves[3 * i + 1]
             assert sure == go | bits[f"read{i}"] and not tests and len(groups) == 1
 
     @pytest.mark.parametrize("net_m0", [
@@ -626,11 +637,11 @@ class TestPackedKernel:
         join's test is listed once, not once per branch."""
         net, m0 = net_m0
         _, moves = _compile(net, _Packing(net.places, 3), m0._tokens, max_token)
-        for _, _, _, _, tests, groups in moves:
+        for _, _, _, _, _, tests, groups in moves:
             listed = [id(test) for test in tests] + [id(test) for group in groups for test in group]
             assert len(listed) == len(set(listed))
         if net.transitions[:2] == ("f_fork", "f_join"):
-            _, _, sure, _, tests, _ = moves[0]
+            _, _, sure, _, _, tests, _ = moves[0]
             gated = "gate" in net.places
             assert bool(sure & 2) != gated
             # at a cap of 2, start may keep a token after the fork
@@ -651,6 +662,123 @@ class TestPackedKernel:
         assert Marking({**dict(m0.items()), "elsewhere": 1}) not in space
         with pytest.raises(ValueError):
             explore(net, Marking({**dict(m0.items()), "elsewhere": 1}))
+
+
+# Nets whose moves look like a token cycle's, but where no move undoes another:
+WEIGHT_TWO = (  # put fills {q: 2}, and take's one token back is not what put took
+    PetriNet(("a", "q"), ("put", "take"),
+             {"put": {"a": 1}, "take": {"q": 1}}, {"put": {"q": 2}, "take": {"a": 1}}),
+    Marking({"a": 1}),
+)
+TWO_PLACE_POST = (  # split fills q and r, and join takes q alone
+    PetriNet(("a", "q", "r"), ("split", "join"),
+             {"split": {"a": 1}, "join": {"q": 1}}, {"split": {"q": 1, "r": 1}, "join": {"a": 1}}),
+    Marking({"a": 1}),
+)
+PUT_BACK = (  # look fills only x, since it puts back the p it reads; back leaves p one more
+    PetriNet(("p", "s", "x"), ("look", "back"),
+             {"look": {"p": 1, "s": 1}, "back": {"x": 1}},
+             {"look": {"p": 1, "x": 1}, "back": {"p": 1, "s": 1}}),
+    Marking({"p": 1, "s": 1}),
+)
+
+
+def cycles(k: int) -> tuple[PetriNet, Marking]:
+    """``k`` independent two-place token cycles: 2**k states."""
+    return side_by_side(*(generators.ring(2, f"r{i}") for i in range(k)))
+
+
+def undos(net: PetriNet, m0: Marking) -> dict[str, str]:
+    """Each transition whose move has an undo, mapped to that undo."""
+    _, moves = _compile(net, _Packing(net.places, 2), m0._tokens, 1)
+    name = {1 << i: t for i, t in enumerate(net.transitions)}
+    return {t: name[move[4]] for t, move in zip(net.transitions, moves) if move[4]}
+
+
+class CountingSet(set):
+    """A stored set that counts the firings of a search, each of which
+    adds its successor."""
+
+    fired = 0
+
+    def add(self, m):
+        self.fired += 1
+        super().add(m)
+
+
+def firings(net: PetriNet, m0: Marking) -> int:
+    """The firings of a complete safe search of ``net`` from ``m0``."""
+    compiled = _Compiled(net, m0, 1)
+    seen = CountingSet([compiled.start])
+    status = _search(seen, compiled.start, compiled.enabled, compiled.moves,
+                     compiled.packing.guards, compiled.cap, 10**6, -1)
+    assert status == "complete"
+    assert seen == explore(net, m0, max_states=10**6)._packed
+    return seen.fired
+
+
+class TestUndo:
+    """A move sleeps on the transition that returns its successor to its
+    parent, so a token cycle fires once into each state."""
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 50])
+    def test_each_go_of_a_choice_loop_is_undone_by_its_back(self, b):
+        """And the last ``go`` undoes its ``back``: it is the last reader of
+        the hub, so the only ``go`` that each ``back`` looks at."""
+        net, m0 = generators.choice_loop(b).build()
+        expected = {f"c_go{i}": f"c_back{i}" for i in range(b)}
+        expected[f"c_back{b - 1}"] = f"c_go{b - 1}"
+        assert undos(net, m0) == expected
+
+    def test_two_place_ring_moves_undo_each_other(self):
+        net, m0 = generators.ring(2).build()
+        assert undos(net, m0) == {"r_t0": "r_t1", "r_t1": "r_t0"}
+
+    @pytest.mark.parametrize("net_m0", [
+        generators.ring(3).build(), WEIGHT_TWO, TWO_PLACE_POST, PUT_BACK,
+    ], ids=["ring3", "weight_two", "two_place_post", "put_back"])
+    def test_no_undo_where_no_move_returns_to_the_parent(self, net_m0):
+        assert undos(*net_m0) == {}
+
+    @given(nets_under_test, st.integers(1, 3))
+    @example(generators.choice_loop(5).build(), 1)
+    @example(cycles(3), 2)
+    def test_undo_is_one_sure_transition_that_cancels_the_move(self, net_m0, max_token):
+        net, m0 = net_m0
+        _, moves = _compile(net, _Packing(net.places, 3), m0._tokens, max_token)
+        for delta, _, sure, _, undo, _, _ in moves:
+            if undo:
+                assert undo & (undo - 1) == 0 and undo & sure == undo
+                assert delta + moves[undo.bit_length() - 1][0] == 0
+
+    @pytest.mark.parametrize("net_m0", [
+        generators.ring(2).build(), generators.choice_loop(5).build(), cycles(3),
+        WEIGHT_TWO, TWO_PLACE_POST, PUT_BACK,
+    ], ids=["ring2", "choice_loop5", "cycles3", "weight_two", "two_place_post", "put_back"])
+    @pytest.mark.parametrize("max_token", [1, 2])
+    def test_truncation_points_are_those_of_a_full_scan(self, net_m0, max_token):
+        net, m0 = net_m0
+        full, _ = reference_explore(net, m0, 100, max_token)
+        for max_states in range(1, len(full) + 2):
+            expected, status = reference_explore(net, m0, max_states, max_token)
+            space = explore(net, m0, max_states=max_states, max_token=max_token)
+            assert space.markings == frozenset(expected)
+            assert space.status == status
+
+    @pytest.mark.parametrize("b", [1, 2, 50, 2000])
+    def test_choice_loop_fires_once_per_branch(self, b):
+        assert firings(*generators.choice_loop(b).build()) == b
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_token_cycles_fire_once_into_each_state_but_the_first(self, k):
+        assert firings(*cycles(k)) == 2**k - 1
+
+    def test_two_phase_branches_fire_once_per_state(self):
+        """No move of ``two_phase_branches(14)`` has an undo: its 16,386
+        firings store every state but ``m0`` and find ``m0`` once more."""
+        net, m0 = generators.two_phase_branches(14).build()
+        assert undos(net, m0) == {}
+        assert firings(net, m0) == 16_386
 
 
 def refuse(*args, **kwargs):
